@@ -18,8 +18,8 @@
 //!   identical to its scalar baseline, at every thread count. A mismatch
 //!   aborts the bench (CI runs this in `--quick` mode).
 //!
-//! Results are emitted as `BENCH_kernels.json` both next to this crate and
-//! at the repository root, seeding the machine-readable perf trajectory.
+//! Results are emitted as `BENCH_kernels.json` at the repository root,
+//! seeding the machine-readable perf trajectory.
 
 use sigma_bench::TablePrinter;
 use sigma_graph::{sym_normalized_adjacency, Graph};
@@ -519,9 +519,7 @@ fn emit_json(
     }
     out.push_str("  ]\n}\n");
 
-    let here = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_kernels.json");
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(here, &out).expect("write crates/bench/BENCH_kernels.json");
     std::fs::write(root, &out).expect("write BENCH_kernels.json at the repo root");
-    println!("wrote {here} (copied to the repository root)");
+    println!("wrote {root}");
 }

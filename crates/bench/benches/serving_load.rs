@@ -20,7 +20,7 @@
 //! dropped first: the registry holds weak references, so the global snapshot
 //! the harness reads is exactly one engine's histograms.
 //!
-//! Results go to stdout and `BENCH_serving.json` (crate dir + repo root).
+//! Results go to stdout and `BENCH_serving.json` (repo root).
 //! Pass `--quick` for the CI-sized run.
 
 use rand::rngs::StdRng;
@@ -504,11 +504,9 @@ fn emit_json(quick: bool, n: usize, edges: usize, results: &[ConfigResult], wire
     ));
     out.push_str("}\n");
 
-    let here = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serving.json");
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(here, &out).expect("write crates/bench/BENCH_serving.json");
     std::fs::write(root, &out).expect("write BENCH_serving.json at the repo root");
-    println!("wrote {here} (copied to the repository root)");
+    println!("wrote {root}");
 }
 
 fn main() {

@@ -10,8 +10,7 @@
 //! them interchangeably.
 
 use sigma_serve::{
-    EngineStats, InferenceEngine, MappedSnapshot, Prediction, Result, ServeSnapshot, ShardRouter,
-    SimilarNode,
+    EngineStats, InferenceEngine, MappedSnapshot, Prediction, Result, ShardRouter, SimilarNode,
 };
 use sigma_simrank::{DynamicSimRank, EdgeUpdate};
 use std::sync::Arc;
@@ -132,16 +131,8 @@ impl Backend {
         matches!(self, Backend::Engine(_))
     }
 
-    /// Hot-reloads a decoded snapshot (engine backends only; callers gate
-    /// on [`Backend::supports_reload`]).
-    pub fn hot_reload(&self, snapshot: &ServeSnapshot) -> Result<()> {
-        match self {
-            Backend::Engine(e) => e.hot_reload(snapshot),
-            Backend::Router(_) => unreachable!("gated by supports_reload"),
-        }
-    }
-
-    /// Hot-reloads a mapped v2 snapshot zero-copy (engine backends only).
+    /// Hot-reloads a mapped snapshot zero-copy (engine backends only;
+    /// callers gate on [`Backend::supports_reload`]).
     pub fn hot_reload_mapped(&self, snapshot: Arc<MappedSnapshot>) -> Result<()> {
         match self {
             Backend::Engine(e) => e.hot_reload_mapped(snapshot),

@@ -66,7 +66,6 @@ fn main() {
     }
     let snapshot_path = snapshot_path.unwrap_or_else(|| usage());
 
-    // Prefer the zero-copy mapped open; fall back to the eager v1 decoder.
     let backend = match build_backend(&snapshot_path, shards) {
         Ok(backend) => backend,
         Err(e) => {
@@ -105,13 +104,12 @@ fn build_backend(path: &str, shards: usize) -> Result<Backend, sigma_serve::Serv
             engine: EngineConfig::default(),
         };
         // A sharded backend plans its shards from one decoded snapshot
-        // (the per-shard mapped path wants pre-sharded snapshot files).
+        // (`ShardRouter::from_mapped` would instead take one clone of the
+        // mapping per shard).
         let router = ShardRouter::new(&ServeSnapshot::load(path)?, &config)?;
         return Ok(Backend::Router(Arc::new(router)));
     }
-    let engine = match MappedSnapshot::open(path) {
-        Ok(mapped) => InferenceEngine::from_mapped(Arc::new(mapped), EngineConfig::default())?,
-        Err(_) => InferenceEngine::new(&ServeSnapshot::load(path)?, EngineConfig::default())?,
-    };
+    let mapped = Arc::new(MappedSnapshot::open(path)?);
+    let engine = InferenceEngine::from_mapped(mapped, EngineConfig::default())?;
     Ok(Backend::Engine(Arc::new(engine)))
 }

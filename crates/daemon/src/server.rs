@@ -33,7 +33,7 @@ use crate::http::{self, HttpError, HttpLimits, Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::{DaemonMetrics, DaemonStats};
 use crate::status::{kind_for, status_for};
-use sigma_serve::{MappedSnapshot, Prediction, ServeError, ServeSnapshot, SnapshotError};
+use sigma_serve::{MappedSnapshot, Prediction, ServeError};
 use sigma_simrank::{DynamicSimRank, EdgeUpdate};
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -838,16 +838,8 @@ fn handle_reload(shared: &Shared, request: &Request) -> Response {
             "sharded backends reload per shard, not through this endpoint",
         );
     }
-    // Prefer the zero-copy mapped path; fall back to eager decode for v1
-    // snapshot files.
-    let result = match MappedSnapshot::open(&path) {
-        Ok(mapped) => shared.backend.hot_reload_mapped(Arc::new(mapped)),
-        Err(ServeError::Snapshot(SnapshotError::UnsupportedVersion { .. }))
-        | Err(ServeError::Snapshot(SnapshotError::BadMagic)) => {
-            ServeSnapshot::load(&path).and_then(|snapshot| shared.backend.hot_reload(&snapshot))
-        }
-        Err(e) => Err(e),
-    };
+    let result = MappedSnapshot::open(&path)
+        .and_then(|mapped| shared.backend.hot_reload_mapped(Arc::new(mapped)));
     match result {
         Ok(()) => {
             shared.metrics.reloads.inc();

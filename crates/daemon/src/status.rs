@@ -16,7 +16,6 @@ pub fn kind_for(error: &ServeError) -> &'static str {
     match error {
         ServeError::Io(_) => "io",
         ServeError::Corrupt { .. } => "corrupt_snapshot",
-        ServeError::UnsupportedVersion { .. } => "unsupported_snapshot_version",
         ServeError::InvalidQuery { .. } => "invalid_query",
         ServeError::NoOperator => "no_operator",
         ServeError::OperatorMismatch { .. } => "operator_mismatch",
@@ -51,7 +50,6 @@ pub fn status_for(error: &ServeError) -> u16 {
         ServeError::OperatorMismatch { .. } => 409,
         // The offered artifact is self-inconsistent or unreadable.
         ServeError::Corrupt { .. } => 422,
-        ServeError::UnsupportedVersion { .. } => 422,
         ServeError::Snapshot(e) => status_for_snapshot(e),
         // Server-side failures: configuration and engine internals.
         ServeError::Io(_) => 500,
@@ -109,14 +107,6 @@ mod tests {
                 ServeError::Corrupt { reason: "r".into() },
                 422,
                 "corrupt_snapshot",
-            ),
-            (
-                ServeError::UnsupportedVersion {
-                    found: 9,
-                    supported: 2,
-                },
-                422,
-                "unsupported_snapshot_version",
             ),
             (
                 ServeError::InvalidQuery {

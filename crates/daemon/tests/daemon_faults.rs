@@ -31,6 +31,25 @@ fn status_of(raw: &[u8]) -> Option<u16> {
     rest.get(..3)?.parse().ok()
 }
 
+/// Logit bits of `node` as served over the wire.
+fn wire_logit_bits(addr: std::net::SocketAddr, node: usize) -> Vec<u32> {
+    let resp =
+        wire::post_json(addr, "/v1/predict", &format!("{{\"node\": {node}}}")).expect("predict");
+    assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+    let value = json::parse(&resp.body).expect("response parses");
+    let logits = value.get("logits").and_then(json::Json::as_arr).unwrap();
+    logits
+        .iter()
+        .map(|l| (l.as_num().unwrap() as f32).to_bits())
+        .collect()
+}
+
+/// Logit bits of `node` from an in-process reference engine.
+fn engine_logit_bits(engine: &InferenceEngine, node: usize) -> Vec<u32> {
+    let prediction = engine.predict(node).expect("reference predict");
+    prediction.logits.iter().map(|l| l.to_bits()).collect()
+}
+
 #[test]
 fn truncated_body_is_a_typed_400() {
     let (daemon, engine) = start_daemon(31, DaemonConfig::default());
@@ -369,30 +388,9 @@ fn mid_flight_reload_never_fails_an_in_flight_request() {
 
     // After the dust settles, serving is wholly on snapshot B.
     for node in (0..num_nodes).step_by(4) {
-        let resp = wire::post_json(addr, "/v1/predict", &format!("{{\"node\": {node}}}"))
-            .expect("predict");
-        let value = json::parse(&resp.body).expect("response parses");
-        let logits: Vec<u32> = value
-            .get("logits")
-            .and_then(json::Json::as_arr)
-            .unwrap()
-            .iter()
-            .map(|l| (l.as_num().unwrap() as f32).to_bits())
-            .collect();
-        let b_bits: Vec<u32> = reference_b
-            .predict(node)
-            .expect("reference B")
-            .logits
-            .iter()
-            .map(|l| l.to_bits())
-            .collect();
-        let a_bits: Vec<u32> = reference_a
-            .predict(node)
-            .expect("reference A")
-            .logits
-            .iter()
-            .map(|l| l.to_bits())
-            .collect();
+        let logits = wire_logit_bits(addr, node);
+        let b_bits = engine_logit_bits(&reference_b, node);
+        let a_bits = engine_logit_bits(&reference_a, node);
         assert_ne!(
             a_bits, b_bits,
             "fixtures must actually differ for this test to bite"
@@ -404,4 +402,50 @@ fn mid_flight_reload_never_fails_an_in_flight_request() {
     }
     daemon.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn reload_naming_a_retired_v1_file_is_a_422_and_serving_is_untouched() {
+    // A streamed-v1 prelude: magic, version 1, a length-prefixed tag. The
+    // daemon has no second decoder to fall back to.
+    let mut v1 = b"SIGMASNP".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&4u64.to_le_bytes());
+    v1.extend_from_slice(b"demo");
+    let path = std::env::temp_dir().join(format!(
+        "sigma-daemon-v1-prelude-{}.snapshot",
+        std::process::id()
+    ));
+    std::fs::write(&path, &v1).expect("write v1 prelude");
+
+    let fixture = serving_fixture(&fixture_graph(42), 4, 42);
+    let reference =
+        InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("reference A");
+    let (daemon, _engine) = start_daemon(42, DaemonConfig::default());
+    let addr = daemon.local_addr();
+
+    let resp = wire::post_json(
+        addr,
+        "/v1/reload",
+        &format!("{{\"path\": {}}}", json::quote(path.to_str().unwrap())),
+    )
+    .expect("reload");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(resp.status, 422, "body: {}", resp.body_str());
+    let value = json::parse(&resp.body).expect("error body parses");
+    assert_eq!(
+        value.get("error").and_then(json::Json::as_str),
+        Some("snapshot_format")
+    );
+    assert_eq!(daemon.stats().reloads, 0);
+
+    // Still snapshot A, bit for bit.
+    for node in 0..fixture.snapshot.num_nodes() {
+        assert_eq!(
+            wire_logit_bits(addr, node),
+            engine_logit_bits(&reference, node),
+            "node {node} must still be served from A"
+        );
+    }
+    daemon.shutdown();
 }

@@ -184,8 +184,8 @@ pub const MIN_PARALLEL_WORK: usize = 32_768;
 /// `SIGMA_NUM_THREADS` values).
 pub const MAX_THREADS: usize = 256;
 
-/// Contiguous batches per thread used when [`ThreadPool::par_map`] has more
-/// items than it wants scoped tasks: enough oversubscription that a skewed
+/// Contiguous batches per thread that [`ThreadPool::par_map_weighted`]
+/// groups its items into: enough oversubscription that a skewed
 /// batch can be absorbed by idle threads, few enough tasks that queueing
 /// stays off the profile.
 const PAR_MAP_OVERSUB: usize = 4;
@@ -377,22 +377,6 @@ impl ThreadPool {
     /// dispatch (see [`MIN_PARALLEL_WORK`]).
     pub fn should_parallelize(&self, work: usize) -> bool {
         self.num_threads() > 1 && work >= MIN_PARALLEL_WORK
-    }
-
-    /// Partitions `0..n` into at most [`ThreadPool::num_threads`] contiguous,
-    /// near-equal ranges (fewer when `n` is small; empty when `n == 0`).
-    pub fn split_ranges(&self, n: usize) -> Vec<Range<usize>> {
-        split_into(n, self.num_threads())
-    }
-
-    /// Partitions `0..weights.len()` into at most
-    /// [`ThreadPool::num_threads`] contiguous ranges of near-equal total
-    /// *weight* (see [`partition_by_weight`]). This is the nnz-balanced
-    /// planner: kernels whose per-row cost is proportional to the row's
-    /// stored entries pass `row_nnz` weights so a skewed (power-law) row
-    /// distribution still spreads evenly across threads.
-    pub fn split_ranges_by_weight(&self, weights: &[usize]) -> Vec<Range<usize>> {
-        partition_by_weight(weights, self.num_threads())
     }
 
     /// Runs a set of scoped tasks to completion.
@@ -611,25 +595,13 @@ impl ThreadPool {
         timer.record();
     }
 
-    /// Partitions `0..n` into contiguous ranges (one per thread) and maps
-    /// each through `f`, returning results in range order.
-    ///
-    /// The number of ranges adapts to the thread count, so only use this
-    /// when per-range results are position-independent (e.g. disjoint output
-    /// rows); for order-sensitive reductions use [`ThreadPool::par_map_chunks`]
-    /// with a fixed chunk size.
-    pub fn par_map_ranges<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        self.map_ranges(self.split_ranges(n), f)
-    }
-
-    /// Weighted variant of [`ThreadPool::par_map_ranges`]: partitions
-    /// `0..weights.len()` into contiguous ranges of near-equal total weight
-    /// (see [`partition_by_weight`]) and maps each through `f`, returning
-    /// results in range order.
+    /// Partitions `0..weights.len()` into at most
+    /// [`ThreadPool::num_threads`] contiguous ranges of near-equal total
+    /// weight (see [`partition_by_weight`]) and maps each through `f`,
+    /// returning results in range order. This is the nnz-balanced planner:
+    /// kernels whose per-row cost is proportional to the row's stored
+    /// entries pass `row_nnz` weights so a skewed (power-law) row
+    /// distribution still spreads evenly across threads.
     ///
     /// Callers that concatenate the per-range results in order (the
     /// row-range kernels) get output that is a pure function of the row
@@ -639,7 +611,7 @@ impl ThreadPool {
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        self.map_ranges(self.split_ranges_by_weight(weights), f)
+        self.map_ranges(partition_by_weight(weights, self.num_threads()), f)
     }
 
     /// Prefix-sum variant of [`ThreadPool::par_map_ranges_weighted`]:
@@ -688,56 +660,7 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Maps every item of `items` through `f`, returning results in item
-    /// order.
-    ///
-    /// Unlike [`ThreadPool::par_map_chunks`] the scheduling granularity
-    /// adapts to the item count: few items get one scoped task each (best
-    /// load balance for heavily skewed per-item costs — the repair rounds of
-    /// the incremental SimRank maintainer, where one dirty seed's re-push
-    /// can dominate a whole batch, are the motivating caller), while large
-    /// item sets are batched into contiguous runs through the weight planner
-    /// so scheduling overhead stays off the profile. Each result lands in
-    /// the slot of its item, so for a pure `f` the output is identical at
-    /// every thread count and batching choice. When per-item costs are both
-    /// skewed *and* numerous, prefer [`ThreadPool::par_map_weighted`] with
-    /// explicit cost estimates.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let threads = self.num_threads();
-        if items.len() <= 1 || threads == 1 {
-            return items.iter().map(&f).collect();
-        }
-        let max_tasks = threads.saturating_mul(PAR_MAP_OVERSUB);
-        if items.len() <= max_tasks {
-            // Few items: one scoped task per item.
-            let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-            {
-                let f = &f;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
-                    .iter()
-                    .zip(slots.iter_mut())
-                    .map(|(item, slot)| {
-                        Box::new(move || *slot = Some(f(item))) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                self.run(tasks);
-            }
-            return slots
-                .into_iter()
-                .map(|s| s.expect("every item task ran to completion"))
-                .collect();
-        }
-        // Many items: batch contiguous runs (equal counts — the planner with
-        // unit weights) instead of paying one boxed task per item.
-        self.par_map_in_ranges(items, split_into(items.len(), max_tasks), f)
-    }
-
-    /// Weighted variant of [`ThreadPool::par_map`]: items are grouped into
+    /// Maps every item of `items` through `f`: items are grouped into
     /// contiguous batches of near-equal total `weights` (one weight per
     /// item, e.g. an estimated per-item cost), bounding scheduling overhead
     /// for large item sets without giving up load balance on skewed costs.
@@ -1050,7 +973,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_ranges_cover_exactly() {
+    fn split_into_covers_exactly() {
         for n in [0usize, 1, 5, 17, 100] {
             for parts in [1usize, 2, 4, 7] {
                 let ranges = split_into(n, parts);
@@ -1085,12 +1008,14 @@ mod tests {
     }
 
     #[test]
-    fn par_map_ranges_preserves_order() {
+    fn par_map_ranges_weighted_preserves_order() {
         let pool = ThreadPool::with_threads(3);
-        let sums = pool.par_map_ranges(1000, |r| r.clone().sum::<usize>());
+        let unit = vec![1usize; 1000];
+        let sums = pool.par_map_ranges_weighted(&unit, |r| r.clone().sum::<usize>());
         assert_eq!(sums.iter().sum::<usize>(), (0..1000).sum::<usize>());
         // Single-thread pool produces the same partition results serially.
-        let serial = ThreadPool::with_threads(1).par_map_ranges(1000, |r| r.sum::<usize>());
+        let serial =
+            ThreadPool::with_threads(1).par_map_ranges_weighted(&unit, |r| r.sum::<usize>());
         assert_eq!(serial.iter().sum::<usize>(), (0..1000).sum::<usize>());
     }
 
@@ -1102,18 +1027,6 @@ mod tests {
         let b = ThreadPool::with_threads(4).par_map_chunks(&items, 64, f);
         assert_eq!(a, b);
         assert_eq!(a.len(), 997usize.div_ceil(64));
-    }
-
-    #[test]
-    fn par_map_preserves_item_order_at_any_width() {
-        let items: Vec<u64> = (0..321).collect();
-        let f = |&x: &u64| x * x + 1;
-        let serial = ThreadPool::with_threads(1).par_map(&items, f);
-        let parallel = ThreadPool::with_threads(4).par_map(&items, f);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[17], 17 * 17 + 1);
-        let empty: Vec<u64> = ThreadPool::with_threads(4).par_map(&[], f);
-        assert!(empty.is_empty());
     }
 
     #[test]
@@ -1241,16 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_batches_large_item_sets_identically() {
-        let pool = ThreadPool::with_threads(4);
-        // Far above threads × oversubscription: exercises the batched path.
-        let items: Vec<u64> = (0..10_000).collect();
-        let f = |&x: &u64| x.wrapping_mul(x) ^ 0x5a5a;
-        let serial: Vec<u64> = items.iter().map(f).collect();
-        assert_eq!(pool.par_map(&items, f), serial);
-    }
-
-    #[test]
     fn par_map_weighted_matches_serial_map() {
         let pool = ThreadPool::with_threads(4);
         let items: Vec<u64> = (0..777).collect();
@@ -1261,6 +1164,10 @@ mod tests {
         // Degenerate weights still cover every item.
         let zeros = vec![0usize; items.len()];
         assert_eq!(pool.par_map_weighted(&items, &zeros, f), serial);
+        // So do a one-thread pool and an empty item set.
+        let one = ThreadPool::with_threads(1);
+        assert_eq!(one.par_map_weighted(&items, &weights, f), serial);
+        assert!(pool.par_map_weighted(&[], &[], f).is_empty());
     }
 
     #[test]

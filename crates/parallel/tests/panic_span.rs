@@ -100,7 +100,7 @@ fn non_string_payloads_pass_through() {
 fn pool_exports_task_and_scratch_metrics() {
     let pool = ThreadPool::with_threads(4);
     let before = sigma_obs::snapshot().counter("sigma_pool_tasks_total");
-    let sums = pool.par_map_ranges(10_000, |r| r.sum::<usize>());
+    let sums = pool.par_map_ranges_weighted(&vec![1usize; 10_000], |r| r.sum::<usize>());
     assert_eq!(sums.iter().sum::<usize>(), (0..10_000).sum::<usize>());
     let after = sigma_obs::snapshot().counter("sigma_pool_tasks_total");
     assert!(

@@ -1,11 +1,12 @@
-//! Little-endian binary primitives for the snapshot format.
+//! Little-endian binary primitives for the snapshot's `META` and `MODEL`
+//! blobs.
 //!
-//! Everything is written length-prefixed so a reader can validate section
-//! sizes before allocating; all multi-byte values are little-endian. The
-//! format deliberately avoids any external serialisation dependency.
+//! Everything is written length-prefixed so a reader can validate sizes
+//! before allocating; all multi-byte values are little-endian. The format
+//! deliberately avoids any external serialisation dependency.
 
 use crate::{Result, ServeError};
-use sigma_matrix::{CsrMatrix, DenseMatrix};
+use sigma_matrix::DenseMatrix;
 use std::io::{Read, Write};
 
 /// Hard ceiling on any single length field, guarding against allocating
@@ -119,39 +120,6 @@ pub(crate) fn read_dense<R: Read>(r: &mut R) -> Result<DenseMatrix> {
         .map_err(|e| corrupt(format!("dense matrix section is inconsistent: {e}")))
 }
 
-pub(crate) fn write_csr<W: Write>(w: &mut W, m: &CsrMatrix) -> Result<()> {
-    write_u64(w, m.rows() as u64)?;
-    write_u64(w, m.cols() as u64)?;
-    write_u64(w, m.indptr().len() as u64)?;
-    for &p in m.indptr() {
-        write_u64(w, p as u64)?;
-    }
-    write_u64(w, m.indices().len() as u64)?;
-    for &c in m.indices() {
-        write_u32(w, c)?;
-    }
-    write_f32_slice(w, m.values())?;
-    Ok(())
-}
-
-pub(crate) fn read_csr<R: Read>(r: &mut R) -> Result<CsrMatrix> {
-    let rows = read_len(r, "csr rows")?;
-    let cols = read_len(r, "csr cols")?;
-    let indptr_len = read_len(r, "csr indptr")?;
-    let mut indptr = Vec::with_capacity(indptr_len);
-    for _ in 0..indptr_len {
-        indptr.push(read_u64(r)? as usize);
-    }
-    let indices_len = read_len(r, "csr indices")?;
-    let mut indices = Vec::with_capacity(indices_len);
-    for _ in 0..indices_len {
-        indices.push(read_u32(r)?);
-    }
-    let values = read_f32_vec(r, "csr values")?;
-    CsrMatrix::from_raw(rows, cols, indptr, indices, values)
-        .map_err(|e| corrupt(format!("csr matrix section is inconsistent: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,16 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn matrix_round_trips() {
+    fn dense_round_trips() {
         let dense = DenseMatrix::from_fn(3, 5, |i, j| (i * 5 + j) as f32 * 0.5 - 3.0);
-        let csr =
-            CsrMatrix::from_triplets(4, 4, &[(0, 1, 1.5), (2, 0, -2.0), (3, 3, 0.25)]).unwrap();
         let mut buf = Vec::new();
         write_dense(&mut buf, &dense).unwrap();
-        write_csr(&mut buf, &csr).unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(read_dense(&mut r).unwrap(), dense);
-        assert_eq!(read_csr(&mut r).unwrap(), csr);
+        assert_eq!(read_dense(&mut buf.as_slice()).unwrap(), dense);
     }
 
     #[test]

@@ -194,7 +194,6 @@ pub struct EngineStats {
     /// repairs driven through [`InferenceEngine::repair_from`].
     pub repair_dirty_seeds: u64,
     /// Whole-snapshot hot reloads applied via
-    /// [`InferenceEngine::hot_reload`] /
     /// [`InferenceEngine::hot_reload_mapped`].
     pub snapshot_reloads: u64,
     /// Top-k similarity queries served ([`InferenceEngine::most_similar`]
@@ -398,7 +397,7 @@ impl OperatorState {
 /// the read side; operator swaps, incremental repairs and snapshot hot
 /// reloads take the write side, so a batch never sees a half-patched
 /// state. Every matrix is held as an owned-or-mapped store, so the same
-/// engine serves decoded v1 snapshots and zero-copy v2 mappings through
+/// engine serves decoded snapshots and zero-copy mappings through
 /// identical code paths.
 struct ServingState {
     /// Precomputed full-graph embedding `H` (`n × C`).
@@ -511,7 +510,7 @@ impl InferenceEngine {
         Ok(Self::from_state(state, config))
     }
 
-    /// Builds an engine serving straight out of a mapped v2 snapshot —
+    /// Builds an engine serving straight out of a mapped snapshot —
     /// zero copy, O(1) in the graph size when the snapshot carries
     /// precomputed embeddings (otherwise the encoder runs once, as
     /// [`InferenceEngine::new`] would).
@@ -612,27 +611,15 @@ impl InferenceEngine {
     }
 
     /// Atomically replaces the entire served state — embeddings,
-    /// adjacency, operator, features, weights, `α` — with a new snapshot
-    /// of the *same* graph dimensions, under the operator-epoch guard: one
-    /// write-lock swap, an epoch bump so racing batches cannot cache
-    /// pre-reload rows, and a cache + staleness clear. Queries racing the
-    /// reload serve a consistent answer from one state or the other, never
-    /// a blend.
-    pub fn hot_reload(&self, snapshot: &ServeSnapshot) -> Result<()> {
-        snapshot.model.validate()?;
-        let state = Self::owned_state(snapshot)?;
-        self.swap_state(state)
-    }
-
-    /// [`InferenceEngine::hot_reload`] for a mapped v2 snapshot: the engine
-    /// switches to serving out of the new mapping zero-copy (verifying it
-    /// first) and drops its reference to the old one.
+    /// adjacency, operator, features, weights, `α` — with a mapped snapshot
+    /// of the *same* graph dimensions (verifying it first), under the
+    /// operator-epoch guard: one write-lock swap, an epoch bump so racing
+    /// batches cannot cache pre-reload rows, and a cache + staleness
+    /// clear. Queries racing the reload serve a consistent answer from one
+    /// state or the other, never a blend. The engine serves out of the new
+    /// mapping zero-copy and drops its reference to the old one.
     pub fn hot_reload_mapped(&self, snapshot: Arc<MappedSnapshot>) -> Result<()> {
-        let state = Self::mapped_state(snapshot)?;
-        self.swap_state(state)
-    }
-
-    fn swap_state(&self, new_state: ServingState) -> Result<()> {
+        let new_state = Self::mapped_state(snapshot)?;
         let n = new_state.embeddings.rows();
         let classes = new_state.embeddings.view().cols();
         if n != self.shared.num_nodes {
@@ -909,28 +896,39 @@ impl InferenceEngine {
     /// footprint already computed — the router entry point for fanning a
     /// pre-computed affected set to intersecting shards.
     pub fn invalidate_nodes(&self, affected: &[usize]) -> usize {
-        let set: HashSet<usize> = affected.iter().copied().collect();
-        self.invalidate_region(&set)
-    }
-
-    /// Synchronises with a [`DynamicSimRank`] maintainer.
-    ///
-    /// If the maintainer's staleness budget is exhausted, its refreshed
-    /// operator is swapped in (clearing the cache and staleness set) and
-    /// `true` is returned. Otherwise the maintainer's affected-node set is
-    /// marked stale here, bounding how wrong served rows can be, and `false`
-    /// is returned. See [`InferenceEngine::repair_from`] for the incremental
-    /// alternative that stays exact without dropping the cache.
-    pub fn sync_with(&self, maintainer: &mut DynamicSimRank) -> Result<bool> {
-        if maintainer.needs_refresh() {
-            let operator = maintainer.operator()?;
-            self.install_operator(operator)?;
-            Ok(true)
-        } else {
-            let affected: HashSet<usize> = maintainer.affected_nodes().into_iter().collect();
-            self.invalidate_region(&affected);
-            Ok(false)
+        if affected.is_empty() {
+            return 0;
         }
+        // Rows whose operator entries touch an affected column.
+        let mut rows: HashSet<usize> = affected.iter().copied().collect();
+        {
+            let state = self.shared.state.read().expect("serving state poisoned");
+            if let Some(operator) = state.operator.as_ref() {
+                let reverse = operator.reverse();
+                for &a in affected {
+                    if a < reverse.rows() {
+                        for (row, _) in reverse.row_iter(a) {
+                            rows.insert(row);
+                        }
+                    }
+                }
+            }
+        }
+        let mut invalidated = 0usize;
+        {
+            let mut cache = self.shared.cache.lock().expect("cache lock poisoned");
+            for &row in &rows {
+                if cache.invalidate(row) {
+                    invalidated += 1;
+                }
+            }
+        }
+        {
+            let mut stale = self.shared.stale.lock().expect("stale lock poisoned");
+            stale.extend(rows.iter().copied());
+        }
+        self.shared.stats.rows_invalidated.add(invalidated as u64);
+        invalidated
     }
 
     /// Incrementally repairs the served state from a [`DynamicSimRank`]
@@ -1263,44 +1261,6 @@ impl InferenceEngine {
             }
         }
     }
-
-    /// Marks `affected` nodes stale and evicts every cached row referencing
-    /// them; returns the number of evicted rows.
-    fn invalidate_region(&self, affected: &HashSet<usize>) -> usize {
-        if affected.is_empty() {
-            return 0;
-        }
-        // Rows whose operator entries touch an affected column.
-        let mut rows: HashSet<usize> = affected.iter().copied().collect();
-        {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            if let Some(operator) = state.operator.as_ref() {
-                let reverse = operator.reverse();
-                for &a in affected {
-                    if a < reverse.rows() {
-                        for (row, _) in reverse.row_iter(a) {
-                            rows.insert(row);
-                        }
-                    }
-                }
-            }
-        }
-        let mut invalidated = 0usize;
-        {
-            let mut cache = self.shared.cache.lock().expect("cache lock poisoned");
-            for &row in &rows {
-                if cache.invalidate(row) {
-                    invalidated += 1;
-                }
-            }
-        }
-        {
-            let mut stale = self.shared.stale.lock().expect("stale lock poisoned");
-            stale.extend(rows.iter().copied());
-        }
-        self.shared.stats.rows_invalidated.add(invalidated as u64);
-        invalidated
-    }
 }
 
 /// Rows on which two equal-shape CSR matrices differ (indices or values).
@@ -1396,7 +1356,7 @@ fn serve_batch(shared: &Shared, nodes: &[usize]) -> Result<Vec<Prediction>> {
             }
         }
         // Both the owned and the mapped embedding store serve through the
-        // same borrowed view, so an engine on a v2 mapping reads `H` rows
+        // same borrowed view, so an engine on a mapping reads `H` rows
         // straight off the file pages here.
         let embeddings = state.embeddings.view();
         let computed = if misses.is_empty() {

@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Typed failures of the zero-copy (format v2) snapshot reader.
+/// Typed failures of the snapshot reader.
 ///
 /// Every variant names the exact structural rule a mapped file violated, so
 /// corrupt-snapshot tests can assert the failure mode and operators can see
@@ -16,7 +16,8 @@ pub enum SnapshotError {
     },
     /// The first eight bytes are not the `SIGMASNP` magic.
     BadMagic,
-    /// The version field names a format this reader does not map.
+    /// The version field names a format this reader does not serve (the
+    /// retired streamed v1 layout, or a version from the future).
     UnsupportedVersion {
         /// Version found at byte offset 8.
         found: u32,
@@ -88,10 +89,7 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::BadMagic => write!(f, "missing SIGMASNP magic; not a snapshot file"),
             SnapshotError::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "format version {found} cannot be memory-mapped (v2 only)"
-                )
+                write!(f, "format version {found} is not supported (v2 only)")
             }
             SnapshotError::UnsupportedPlatform { reason } => {
                 write!(f, "platform cannot map this snapshot: {reason}")
@@ -135,18 +133,12 @@ impl std::error::Error for SnapshotError {}
 pub enum ServeError {
     /// An I/O operation on a snapshot file failed.
     Io(std::io::Error),
-    /// A snapshot file is malformed (bad magic, truncation, inconsistent
-    /// section sizes).
+    /// A snapshot's parts disagree with each other (matrix shapes against
+    /// the model's dimensions, an undecodable `MODEL` blob). Container
+    /// damage is [`ServeError::Snapshot`].
     Corrupt {
         /// Human-readable description of the corruption.
         reason: String,
-    },
-    /// The snapshot was written by an unsupported format version.
-    UnsupportedVersion {
-        /// Version found in the file header.
-        found: u32,
-        /// Highest version this build can read.
-        supported: u32,
     },
     /// A query referenced a node outside the snapshot's graph.
     InvalidQuery {
@@ -194,7 +186,7 @@ pub enum ServeError {
         /// The underlying failure.
         source: Box<ServeError>,
     },
-    /// A zero-copy (format v2) snapshot failed a structural check.
+    /// A snapshot file failed a structural check.
     Snapshot(SnapshotError),
     /// An underlying model-layer error.
     Model(sigma::SigmaError),
@@ -211,10 +203,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "snapshot i/o error: {e}"),
             ServeError::Corrupt { reason } => write!(f, "corrupt snapshot: {reason}"),
-            ServeError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "snapshot format version {found} is newer than the supported version {supported}"
-            ),
             ServeError::InvalidQuery { node, num_nodes } => {
                 write!(f, "query for node {node} outside the served graph of {num_nodes} nodes")
             }
@@ -310,10 +298,7 @@ mod tests {
             reason: "truncated header".into(),
         };
         assert!(e.to_string().contains("truncated header"));
-        let e = ServeError::UnsupportedVersion {
-            found: 9,
-            supported: 1,
-        };
+        let e: ServeError = SnapshotError::UnsupportedVersion { found: 9 }.into();
         assert!(e.to_string().contains('9'));
         let e = ServeError::InvalidQuery {
             node: 42,

@@ -1,4 +1,4 @@
-//! Snapshot format v2: fixed-endian, 64-byte-aligned sections behind a
+//! The snapshot format: fixed-endian, 64-byte-aligned sections behind a
 //! header table.
 //!
 //! ## Layout
@@ -21,7 +21,7 @@
 //! values — so a little-endian host can serve them in place after mapping
 //! the file, with no decode step. Row pointers are `u32` when nnz < 2³²
 //! (the fast path) and `u64` otherwise; META records which. `META` and
-//! `MODEL` are small length-prefixed blobs in the v1 [`crate::codec`]
+//! `MODEL` are small length-prefixed blobs in the [`crate::codec`]
 //! encoding; `MODEL` stores the [`ModelSnapshot`] with its operator
 //! *stripped* (the operator lives in the `OP_*` array sections and is
 //! re-attached on decode).
@@ -38,7 +38,7 @@ pub(crate) const PRELUDE_LEN: usize = 16;
 pub(crate) const ENTRY_LEN: usize = 32;
 /// Every section payload starts on this boundary.
 pub(crate) const SECTION_ALIGN: usize = 64;
-/// Hard ceiling on the section count (v2 defines 10 tags; the margin
+/// Hard ceiling on the section count (the format defines 10 tags; the margin
 /// tolerates future additive tags without admitting garbage counts).
 pub(crate) const MAX_SECTIONS: usize = 64;
 
@@ -104,7 +104,7 @@ pub(crate) fn align_up(n: usize) -> usize {
     n.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
 }
 
-/// Accumulates `(tag, payload)` pairs and emits the v2 container: prelude,
+/// Accumulates `(tag, payload)` pairs and emits the container: prelude,
 /// CRC-stamped header table, then 64-byte-aligned payloads.
 pub(crate) struct SectionWriter {
     sections: Vec<([u8; 8], Vec<u8>)>,
@@ -124,7 +124,7 @@ impl SectionWriter {
     pub(crate) fn write_to<W: Write>(self, w: &mut W) -> Result<()> {
         let table_end = PRELUDE_LEN + ENTRY_LEN * self.sections.len();
         w.write_all(&crate::SNAPSHOT_MAGIC[..])?;
-        codec::write_u32(w, 2)?;
+        codec::write_u32(w, crate::SNAPSHOT_VERSION)?;
         codec::write_u32(w, self.sections.len() as u32)?;
         // Header table: offsets are assigned in push order, each payload
         // starting on the next 64-byte boundary after the previous one.
@@ -242,7 +242,7 @@ pub(crate) fn encode_f32s(vals: &[f32]) -> Vec<u8> {
     buf
 }
 
-pub(crate) fn encode_aggregator(kind: AggregatorKind) -> u32 {
+fn encode_aggregator(kind: AggregatorKind) -> u32 {
     match kind {
         AggregatorKind::SimRank => 0,
         AggregatorKind::SimRankTimesA => 1,
@@ -251,7 +251,7 @@ pub(crate) fn encode_aggregator(kind: AggregatorKind) -> u32 {
     }
 }
 
-pub(crate) fn decode_aggregator(tag: u32) -> Result<AggregatorKind> {
+fn decode_aggregator(tag: u32) -> Result<AggregatorKind> {
     Ok(match tag {
         0 => AggregatorKind::SimRank,
         1 => AggregatorKind::SimRankTimesA,
@@ -265,7 +265,7 @@ pub(crate) fn decode_aggregator(tag: u32) -> Result<AggregatorKind> {
     })
 }
 
-pub(crate) fn write_mlp<W: Write>(w: &mut W, stack: &MlpWeights) -> Result<()> {
+fn write_mlp<W: Write>(w: &mut W, stack: &MlpWeights) -> Result<()> {
     codec::write_u64(w, stack.len() as u64)?;
     for (weight, bias) in stack {
         codec::write_dense(w, weight)?;
@@ -274,7 +274,7 @@ pub(crate) fn write_mlp<W: Write>(w: &mut W, stack: &MlpWeights) -> Result<()> {
     Ok(())
 }
 
-pub(crate) fn read_mlp<R: Read>(r: &mut R) -> Result<MlpWeights> {
+fn read_mlp<R: Read>(r: &mut R) -> Result<MlpWeights> {
     let layers = codec::read_u64(r)?;
     if layers > 1024 {
         return Err(ServeError::Corrupt {
@@ -290,9 +290,9 @@ pub(crate) fn read_mlp<R: Read>(r: &mut R) -> Result<MlpWeights> {
     Ok(stack)
 }
 
-/// Encodes a [`ModelSnapshot`] as the `MODEL` section blob: the v1 model
-/// wire layout with the operator slot forced empty (the operator rides in
-/// the `OP_*` array sections instead, so it can be mapped, not decoded).
+/// Encodes a [`ModelSnapshot`] as the `MODEL` section blob, with the
+/// operator slot forced empty (the operator rides in the `OP_*` array
+/// sections instead, so it can be mapped, not decoded).
 pub(crate) fn encode_model_blob(model: &ModelSnapshot) -> Result<Vec<u8>> {
     let mut w = Vec::new();
     codec::write_f64(&mut w, model.delta)?;
@@ -333,7 +333,7 @@ pub(crate) fn decode_model_blob(mut bytes: &[u8]) -> Result<ModelSnapshot> {
     let aggregator = decode_aggregator(codec::read_u32(r)?)?;
     if codec::read_u32(r)? != 0 {
         return Err(ServeError::Corrupt {
-            reason: "MODEL blob carries an inline operator; v2 stores it in OP_* sections".into(),
+            reason: "MODEL blob carries an inline operator; it belongs in the OP_* sections".into(),
         });
     }
     let mlp_a = read_mlp(r)?;

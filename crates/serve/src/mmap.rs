@@ -1,6 +1,6 @@
-//! Zero-copy access to format-v2 snapshot files.
+//! Zero-copy access to snapshot files — the only reader of the format.
 //!
-//! [`MappedSnapshot`] maps a v2 file (or adopts an in-memory byte buffer)
+//! [`MappedSnapshot`] maps a file (or adopts an in-memory byte buffer)
 //! and exposes its array sections as borrowed [`CsrViewAny`]/[`DenseView`]
 //! slices — no decode, no allocation proportional to the graph. Validation
 //! is split by cost so cold-start stays O(1) in the file size:
@@ -20,8 +20,8 @@
 //! fails, so the borrowed views are always correctly aligned either way.
 
 use crate::format::{self, MetaInfo};
-use crate::snapshot::SNAPSHOT_MAGIC;
-use crate::{Result, ServeError, ServeSnapshot, SnapshotError};
+use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use crate::{Result, ServeSnapshot, SnapshotError};
 use sigma::snapshot::ModelSnapshot;
 use sigma_matrix::{CsrView, CsrViewAny, DenseView};
 use std::fs::File;
@@ -142,7 +142,7 @@ struct Section {
     crc: u32,
 }
 
-/// A format-v2 snapshot served in place from its file bytes.
+/// A snapshot served in place from its file bytes.
 ///
 /// Obtained from [`MappedSnapshot::open`] (mmap) or
 /// [`MappedSnapshot::from_bytes`] (aligned heap copy). Header structure is
@@ -217,7 +217,7 @@ impl MappedSnapshot {
         Self::from_backing(Backing::Heap(AlignedBytes::from_slice(&buf)))
     }
 
-    /// Adopts an in-memory v2 image (copied into 64-byte-aligned storage)
+    /// Adopts an in-memory image (copied into 64-byte-aligned storage)
     /// and validates the header table, exactly as [`MappedSnapshot::open`]
     /// does for a file.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
@@ -258,7 +258,7 @@ impl MappedSnapshot {
     fn parse(bytes: &[u8]) -> Result<(Vec<Section>, MetaInfo)> {
         if !cfg!(target_endian = "little") {
             return Err(SnapshotError::UnsupportedPlatform {
-                reason: "v2 sections are little-endian arrays; decode with ServeSnapshot::load",
+                reason: "sections are little-endian arrays; this host is big-endian",
             }
             .into());
         }
@@ -272,7 +272,7 @@ impl MappedSnapshot {
             return Err(SnapshotError::BadMagic.into());
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != 2 {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion { found: version }.into());
         }
         let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
@@ -611,7 +611,7 @@ impl MappedSnapshot {
     }
 
     /// Fully decodes the mapping into an owned [`ServeSnapshot`]
-    /// (verifying first). The v1-compatible slow path.
+    /// (verifying first): the O(bytes) path behind [`ServeSnapshot::load`].
     pub fn to_snapshot(&self) -> Result<ServeSnapshot> {
         self.verify()?;
         let model = self.model()?.as_ref().clone();
@@ -622,23 +622,5 @@ impl MappedSnapshot {
             snap.embeddings = Some(emb.to_owned_matrix());
         }
         Ok(snap)
-    }
-}
-
-/// Maps `ServeError::Snapshot` into the legacy `Corrupt` shape (keeping
-/// version errors typed) so `ServeSnapshot::read_from` reports v2 damage
-/// through the same variants its v1 callers already match on.
-pub(crate) fn to_legacy_error(e: ServeError) -> ServeError {
-    match e {
-        ServeError::Snapshot(SnapshotError::UnsupportedVersion { found }) => {
-            ServeError::UnsupportedVersion {
-                found,
-                supported: crate::SNAPSHOT_VERSION,
-            }
-        }
-        ServeError::Snapshot(s) => ServeError::Corrupt {
-            reason: s.to_string(),
-        },
-        other => other,
     }
 }

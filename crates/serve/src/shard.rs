@@ -362,7 +362,7 @@ impl ShardRouter {
         ))
     }
 
-    /// Builds a router whose shards serve out of mapped v2 snapshots —
+    /// Builds a router whose shards serve out of mapped snapshots —
     /// typically `N` clones of one `Arc<MappedSnapshot>`, sharing the
     /// mapping zero-copy (the shard count is the vector's length). Each
     /// shard's operator is row-masked to its range via

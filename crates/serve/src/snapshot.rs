@@ -5,25 +5,24 @@
 //! parameters and operator) with the node features and adjacency matrix the
 //! model embeds, making the file self-contained: `load` → build an
 //! [`crate::InferenceEngine`] → answer queries, with no access to the
-//! training pipeline. Files carry a magic tag and a format version; readers
-//! reject newer versions and malformed sections with typed errors.
+//! training pipeline. Files carry a magic tag and a format version; the one
+//! reader, [`MappedSnapshot`], rejects every other version and every
+//! malformed section with a typed [`crate::SnapshotError`].
 
-use crate::format::{self, decode_aggregator, encode_aggregator, read_mlp, write_mlp, MetaInfo};
-use crate::mmap::to_legacy_error;
-use crate::{codec, MappedSnapshot};
+use crate::format::{self, MetaInfo};
+use crate::MappedSnapshot;
 use crate::{Result, ServeError};
 use sigma::snapshot::ModelSnapshot;
 use sigma_matrix::{CsrMatrix, DenseMatrix};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes identifying a SIGMA snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SIGMASNP";
 
-/// Current (highest writable/readable) snapshot format version: the
-/// zero-copy sectioned layout of [`crate::MappedSnapshot`]. Version 1
-/// (streamed, length-prefixed) files remain readable.
+/// The snapshot format version, written and read: the zero-copy sectioned
+/// layout of [`crate::MappedSnapshot`].
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A self-contained serving artifact.
@@ -39,10 +38,9 @@ pub struct ServeSnapshot {
     /// neighbourhood information for cache invalidation.
     pub adjacency: CsrMatrix,
     /// Precomputed full-graph embeddings `H` (`n × classes`), populated by
-    /// [`ServeSnapshot::precompute_embeddings`]. When present, a v2 file
+    /// [`ServeSnapshot::precompute_embeddings`]. When present, the file
     /// carries them as a mappable section and an engine built from the
-    /// mapping skips the encoder entirely at cold start. Not written by
-    /// the v1 format.
+    /// mapping skips the encoder entirely at cold start.
     pub embeddings: Option<DenseMatrix>,
 }
 
@@ -108,34 +106,18 @@ impl ServeSnapshot {
         Ok(())
     }
 
-    /// Reads a snapshot from `path`, validating magic, version and every
-    /// section. v2 files are memory-mapped, verified (header table,
-    /// checksums, CSR invariants) and then decoded; v1 files stream
-    /// through the legacy reader. For zero-copy serving keep the mapping
-    /// itself: [`MappedSnapshot::open`] +
-    /// [`crate::InferenceEngine::from_mapped`].
+    /// Reads a snapshot from `path`: memory-maps it, verifies it (header
+    /// table, checksums, CSR invariants) and decodes it into owned
+    /// matrices. For zero-copy serving keep the mapping itself:
+    /// [`MappedSnapshot::open`] + [`crate::InferenceEngine::from_mapped`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let mut prelude = [0u8; 12];
-        {
-            let mut f = File::open(&path)?;
-            f.read_exact(&mut prelude)?;
-        }
-        if prelude[..8] == SNAPSHOT_MAGIC[..]
-            && u32::from_le_bytes(prelude[8..12].try_into().unwrap()) == 2
-        {
-            return MappedSnapshot::open(path)
-                .and_then(|m| m.to_snapshot())
-                .map_err(to_legacy_error);
-        }
-        let file = File::open(path)?;
-        let mut r = BufReader::new(file);
-        Self::read_from(&mut r)
+        MappedSnapshot::open(path)?.to_snapshot()
     }
 
-    /// Serialises to any writer in the current (v2, zero-copy) format: a
-    /// header table of CRC-stamped, 64-byte-aligned sections holding the
-    /// CSR/dense arrays as raw little-endian data. The `save` body;
-    /// exposed for tests and in-memory transport.
+    /// Serialises to any writer: a header table of CRC-stamped,
+    /// 64-byte-aligned sections holding the CSR/dense arrays as raw
+    /// little-endian data. The `save` body; exposed for tests and
+    /// in-memory transport.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
         let n = self.num_nodes();
         let num_classes = self.model.num_classes();
@@ -203,112 +185,12 @@ impl ServeSnapshot {
         sw.write_to(w)
     }
 
-    /// Serialises in the legacy v1 streamed format (no mapping, no
-    /// embeddings section). Kept for compatibility tests and downgrades.
-    pub fn write_to_v1<W: Write>(&self, w: &mut W) -> Result<()> {
-        w.write_all(SNAPSHOT_MAGIC)?;
-        codec::write_u32(w, 1)?;
-        codec::write_string(w, &self.tag)?;
-        // Scalar hyper-parameters.
-        codec::write_f64(w, self.model.delta)?;
-        codec::write_f64(w, self.model.alpha)?;
-        match self.model.alpha_raw {
-            Some(raw) => {
-                codec::write_u32(w, 1)?;
-                codec::write_f32(w, raw)?;
-            }
-            None => codec::write_u32(w, 0)?,
-        }
-        codec::write_f32(w, self.model.dropout)?;
-        codec::write_u32(w, encode_aggregator(self.model.aggregator))?;
-        // Operator.
-        match &self.model.operator {
-            Some(op) => {
-                codec::write_u32(w, 1)?;
-                codec::write_csr(w, op)?;
-            }
-            None => codec::write_u32(w, 0)?,
-        }
-        // Weight stacks.
-        write_mlp(w, &self.model.mlp_a)?;
-        write_mlp(w, &self.model.mlp_x)?;
-        write_mlp(w, &self.model.mlp_h)?;
-        // Serving inputs.
-        codec::write_dense(w, &self.features)?;
-        codec::write_csr(w, &self.adjacency)?;
-        Ok(())
-    }
-
-    /// Deserialises from any reader, dispatching on the format version:
-    /// v1 streams through the legacy decoder, v2 adopts the remaining
-    /// bytes via [`MappedSnapshot::from_bytes`] (aligned copy) and fully
-    /// decodes. v2 structural damage is reported through the same
-    /// [`ServeError::Corrupt`]/[`ServeError::UnsupportedVersion`] variants
-    /// v1 callers already handle; use [`MappedSnapshot`] directly for the
-    /// typed [`crate::SnapshotError`] detail.
+    /// Deserialises from any reader: adopts the bytes via
+    /// [`MappedSnapshot::from_bytes`] (aligned copy), verifies and decodes,
+    /// exactly as [`ServeSnapshot::load`] does for a file.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Self> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != SNAPSHOT_MAGIC {
-            return Err(ServeError::Corrupt {
-                reason: "missing SIGMASNP magic; not a snapshot file".into(),
-            });
-        }
-        let version = codec::read_u32(r)?;
-        if version == 0 || version > SNAPSHOT_VERSION {
-            return Err(ServeError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        if version == 2 {
-            let mut buf = Vec::with_capacity(format::PRELUDE_LEN);
-            buf.extend_from_slice(&magic);
-            buf.extend_from_slice(&2u32.to_le_bytes());
-            r.read_to_end(&mut buf)?;
-            return MappedSnapshot::from_bytes(&buf)
-                .and_then(|m| m.to_snapshot())
-                .map_err(to_legacy_error);
-        }
-        let tag = codec::read_string(r)?;
-        let delta = codec::read_f64(r)?;
-        let alpha = codec::read_f64(r)?;
-        let alpha_raw = match codec::read_u32(r)? {
-            0 => None,
-            1 => Some(codec::read_f32(r)?),
-            t => {
-                return Err(ServeError::Corrupt {
-                    reason: format!("invalid alpha_raw tag {t}"),
-                })
-            }
-        };
-        let dropout = codec::read_f32(r)?;
-        let aggregator = decode_aggregator(codec::read_u32(r)?)?;
-        let operator = match codec::read_u32(r)? {
-            0 => None,
-            1 => Some(codec::read_csr(r)?),
-            t => {
-                return Err(ServeError::Corrupt {
-                    reason: format!("invalid operator tag {t}"),
-                })
-            }
-        };
-        let mlp_a = read_mlp(r)?;
-        let mlp_x = read_mlp(r)?;
-        let mlp_h = read_mlp(r)?;
-        let features = codec::read_dense(r)?;
-        let adjacency = codec::read_csr(r)?;
-        let model = ModelSnapshot {
-            delta,
-            alpha,
-            alpha_raw,
-            dropout,
-            aggregator,
-            operator,
-            mlp_a,
-            mlp_x,
-            mlp_h,
-        };
-        Self::new(tag, model, features, adjacency)
+        let mut buf = Vec::new();
+        r.read_to_end(&mut buf)?;
+        MappedSnapshot::from_bytes(&buf)?.to_snapshot()
     }
 }

@@ -1,8 +1,9 @@
 //! Owned-or-mapped storage behind the inference engine.
 //!
 //! The engine's serving state holds matrices either as owned
-//! [`CsrMatrix`]/[`DenseMatrix`] (the v1 decode path) or as named sections
-//! of a shared [`MappedSnapshot`] (the v2 zero-copy path). Every kernel
+//! [`CsrMatrix`]/[`DenseMatrix`] (built from an in-memory
+//! [`crate::ServeSnapshot`], or promoted by a repair) or as named sections
+//! of a shared [`MappedSnapshot`] (the zero-copy path). Every kernel
 //! call goes through [`CsrStore::view`]/[`DenseStore::view`], so both
 //! representations run the same view-first kernels and stay bitwise
 //! identical. Mutation (incremental repair) promotes a mapped store to

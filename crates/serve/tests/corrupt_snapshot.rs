@@ -1,7 +1,8 @@
-//! Corrupt-snapshot suite: every class of v2 container damage is rejected
-//! with a typed [`SnapshotError`] — never a panic, never garbage data.
+//! Corrupt-snapshot suite: every class of container damage is rejected
+//! with a typed [`SnapshotError`] — never a panic, never garbage data —
+//! from every entry point ([`MappedSnapshot`] and [`ServeSnapshot`] alike).
 //!
-//! Each test takes a valid v2 image produced by [`ServeSnapshot::write_to`],
+//! Each test takes a valid image produced by [`ServeSnapshot::write_to`],
 //! damages one structural property at a known byte offset (the layout is
 //! fixed: 16-byte prelude, then 32-byte table entries of
 //! `tag[8] offset[8] len[8] crc[4] pad[4]`), and asserts the precise error
@@ -91,14 +92,43 @@ fn future_version_is_rejected_with_the_found_version() {
         open_err(&image),
         SnapshotError::UnsupportedVersion { found: 99 }
     );
-    // Through the legacy reader the same file reports the supported range.
+    // The decoding reader reports the same typed error.
     assert!(matches!(
         ServeSnapshot::read_from(&mut image.as_slice()),
-        Err(ServeError::UnsupportedVersion {
-            found: 99,
-            supported: 2
-        })
+        Err(ServeError::Snapshot(SnapshotError::UnsupportedVersion {
+            found: 99
+        }))
     ));
+}
+
+#[test]
+fn retired_v1_prelude_is_refused_by_every_entry_point() {
+    // The streamed v1 layout: magic, version 1, then a length-prefixed tag
+    // string. Nothing writes it any more and nothing reads it.
+    let mut image = b"SIGMASNP".to_vec();
+    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&4u64.to_le_bytes());
+    image.extend_from_slice(b"demo");
+    let path = std::env::temp_dir().join(format!("sigma-v1-{}.snapshot", std::process::id()));
+    std::fs::write(&path, &image).unwrap();
+    let by_entry_point = [
+        MappedSnapshot::from_bytes(&image).map(drop),
+        MappedSnapshot::open(&path).map(drop),
+        ServeSnapshot::load(&path).map(drop),
+        ServeSnapshot::read_from(&mut image.as_slice()).map(drop),
+    ];
+    let _ = std::fs::remove_file(&path);
+    for result in by_entry_point {
+        assert!(
+            matches!(
+                result,
+                Err(ServeError::Snapshot(SnapshotError::UnsupportedVersion {
+                    found: 1
+                }))
+            ),
+            "got {result:?}"
+        );
+    }
 }
 
 #[test]
@@ -283,15 +313,17 @@ fn out_of_range_column_index_is_rejected_at_verify() {
 }
 
 #[test]
-fn legacy_reader_reports_v2_damage_through_legacy_variants() {
-    // Callers of ServeSnapshot::read_from predate SnapshotError; v2 damage
-    // must come back as the Corrupt/UnsupportedVersion shapes they match on.
+fn decoding_reader_reports_damage_as_typed_snapshot_errors() {
+    // ServeSnapshot::read_from is MappedSnapshot::from_bytes + to_snapshot:
+    // damage keeps its typed variant.
     let mut image = v2_image();
     let p = entry_pos(&image, b"MODEL   ");
     image[p..p + 8].copy_from_slice(b"XXXXXXXX");
     assert!(matches!(
         ServeSnapshot::read_from(&mut image.as_slice()),
-        Err(ServeError::Corrupt { .. })
+        Err(ServeError::Snapshot(SnapshotError::MissingSection {
+            tag: "MODEL"
+        }))
     ));
 }
 

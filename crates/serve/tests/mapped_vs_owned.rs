@@ -1,4 +1,4 @@
-//! The zero-copy contract: an engine serving straight out of a mapped v2
+//! The zero-copy contract: an engine serving straight out of a mapped
 //! snapshot is **observationally identical** to one built from the decoded
 //! snapshot — bitwise-equal logits, equal repair reports, and equal cache
 //! counters — through queries, edge updates, incremental repairs, and hot
@@ -168,8 +168,9 @@ fn hot_reload_swaps_to_a_mapped_snapshot_between_queries() {
     assert_eq!(logits_bits(&before), logits_bits(&after));
     assert!(after.iter().all(|p| !p.cached && !p.stale));
 
-    // And back to an owned snapshot.
-    engine.hot_reload(&snapshot).unwrap();
+    // And onto a second mapping of the same content.
+    let mapped = write_and_map(&snapshot, "sigma-hot-reload-mapped-2.snapshot");
+    engine.hot_reload_mapped(mapped).unwrap();
     assert_eq!(engine.stats().snapshot_reloads, 2);
     let again = engine.predict_batch(&all).unwrap();
     assert_eq!(logits_bits(&before), logits_bits(&again));
@@ -182,7 +183,8 @@ fn hot_reload_rejects_mismatched_dimensions() {
         snapshot: other, ..
     } = serving_fixture(&random_graph(25, 10, 53), 6, 53);
     let engine = InferenceEngine::new(&snapshot, EngineConfig::default()).unwrap();
-    assert!(engine.hot_reload(&other).is_err());
+    let other = write_and_map(&other, "sigma-hot-reload-mismatch.snapshot");
+    assert!(engine.hot_reload_mapped(other).is_err());
     // The failed reload must leave the engine serving.
     assert!(engine.predict(0).is_ok());
     assert_eq!(engine.stats().snapshot_reloads, 0);

@@ -1,13 +1,18 @@
 //! End-to-end serving tests: train → snapshot → restore → serve, asserting
 //! that served logits match the in-memory full-graph forward pass.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sigma::{ContextBuilder, Model, ModelHyperParams, SigmaModel, TrainConfig, Trainer};
 use sigma_datasets::{generate, GeneratorConfig};
 use sigma_matrix::DenseMatrix;
-use sigma_serve::{EngineConfig, InferenceEngine, ServeError, ServeSnapshot};
+use sigma_serve::{
+    EngineConfig, InferenceEngine, MappedSnapshot, ServeError, ServeSnapshot, SnapshotError,
+};
 use sigma_simrank::{DynamicSimRank, EdgeUpdate, SimRankConfig};
+use sigma_testutil::{random_graph, serving_fixture, ServingFixture};
+use std::sync::Arc;
 
 const TOP_K: usize = 8;
 
@@ -335,7 +340,7 @@ fn edge_updates_invalidate_affected_rows_and_mark_them_stale() {
 }
 
 #[test]
-fn dynamic_maintainer_refresh_swaps_the_operator() {
+fn dynamic_maintainer_repair_keeps_the_operator_in_step() {
     let fixture = trained_fixture(31);
     let n = fixture.snapshot.num_nodes();
     let engine = InferenceEngine::new(
@@ -348,7 +353,7 @@ fn dynamic_maintainer_refresh_swaps_the_operator() {
     )
     .unwrap();
 
-    // A maintainer over the same graph with a small staleness budget.
+    // A maintainer over the same graph.
     let graph = sigma::graph::Graph::from_edges(
         n,
         &fixture
@@ -368,24 +373,30 @@ fn dynamic_maintainer_refresh_swaps_the_operator() {
     .unwrap();
     let mut maintainer =
         DynamicSimRank::new(graph, SimRankConfig::default().with_top_k(TOP_K), 2).unwrap();
-    maintainer.refresh().unwrap();
 
-    // Within budget: sync marks affected nodes stale but keeps the operator.
-    maintainer.apply(EdgeUpdate::Insert(0, n / 2)).unwrap();
-    let refreshed = engine.sync_with(&mut maintainer).unwrap();
-    assert!(!refreshed);
-    assert!(!engine.stale_nodes().is_empty());
-
-    // Exceed the budget: sync installs the recomputed operator and clears
-    // the staleness set.
-    maintainer.apply(EdgeUpdate::Insert(1, n / 2 + 1)).unwrap();
-    maintainer.apply(EdgeUpdate::Insert(2, n / 2 + 2)).unwrap();
-    assert!(maintainer.needs_refresh());
-    let refreshed = engine.sync_with(&mut maintainer).unwrap();
-    assert!(refreshed);
-    assert!(engine.stale_nodes().is_empty());
+    // First sync with a maintainer that has computed nothing yet: the
+    // whole operator is installed.
+    let first = engine.repair_from(&mut maintainer).unwrap();
+    assert!(first.full_refresh);
     assert_eq!(engine.stats().operator_refreshes, 1);
-    // Serving still works against the refreshed operator.
+    assert_eq!(engine.operator(), Some(maintainer.operator().unwrap()));
+
+    // An edit marks its region stale until the next repair …
+    let edit = EdgeUpdate::Insert(0, n / 2);
+    maintainer.apply(edit).unwrap();
+    engine.apply_edge_updates(&[edit]).unwrap();
+    assert!(!engine.stale_nodes().is_empty());
+    assert!(engine.predict(0).unwrap().stale);
+
+    // … which patches rows in place, clears the staleness set and leaves
+    // the engine serving the maintainer's operator.
+    let repair = engine.repair_from(&mut maintainer).unwrap();
+    assert!(!repair.full_refresh);
+    assert!(repair.embedding_rows.contains(&0) && repair.embedding_rows.contains(&(n / 2)));
+    assert!(engine.stale_nodes().is_empty());
+    let stats = engine.stats();
+    assert_eq!((stats.operator_refreshes, stats.operator_repairs), (1, 1));
+    assert_eq!(engine.operator(), Some(maintainer.operator().unwrap()));
     let p = engine.predict(0).unwrap();
     assert_eq!(p.logits.len(), engine.num_classes());
     assert!(!p.stale);
@@ -406,7 +417,7 @@ fn corrupted_files_are_rejected_with_typed_errors() {
     bad_magic[0] ^= 0xFF;
     assert!(matches!(
         ServeSnapshot::read_from(&mut bad_magic.as_slice()),
-        Err(ServeError::Corrupt { .. })
+        Err(ServeError::Snapshot(SnapshotError::BadMagic))
     ));
 
     // Future version.
@@ -414,15 +425,17 @@ fn corrupted_files_are_rejected_with_typed_errors() {
     future[8..12].copy_from_slice(&99u32.to_le_bytes());
     assert!(matches!(
         ServeSnapshot::read_from(&mut future.as_slice()),
-        Err(ServeError::UnsupportedVersion { found: 99, .. })
+        Err(ServeError::Snapshot(SnapshotError::UnsupportedVersion {
+            found: 99
+        }))
     ));
 
-    // Truncation anywhere in the tail surfaces as Io or Corrupt, never a
+    // Truncation anywhere surfaces as a typed snapshot error, never a
     // panic.
-    for cut in [buf.len() / 3, buf.len() / 2, buf.len() - 1] {
+    for cut in [7, buf.len() / 3, buf.len() / 2, buf.len() - 1] {
         let truncated = &buf[..cut];
         match ServeSnapshot::read_from(&mut &truncated[..]) {
-            Err(ServeError::Io(_)) | Err(ServeError::Corrupt { .. }) => {}
+            Err(ServeError::Snapshot(SnapshotError::Truncated { .. })) => {}
             other => panic!("truncated read at {cut} returned {other:?}"),
         }
     }
@@ -432,4 +445,65 @@ fn corrupted_files_are_rejected_with_typed_errors() {
         ServeSnapshot::load("/nonexistent/sigma.snapshot"),
         Err(ServeError::Io(_))
     ));
+}
+
+fn engine_logit_bits(engine: &InferenceEngine, n: usize) -> Vec<Vec<u32>> {
+    let all: Vec<usize> = (0..n).collect();
+    engine
+        .predict_batch(&all)
+        .unwrap()
+        .iter()
+        .map(|p| p.logits.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// For any serving fixture — across graph shapes, operator presence and
+    /// precomputed-embedding presence — `write_to` → `read_from` returns the
+    /// in-memory snapshot field for field, and an engine serving the bytes
+    /// zero-copy is bitwise identical to one built from the original.
+    #[test]
+    fn written_bytes_decode_and_serve_like_the_original(
+        num_nodes in 8usize..40,
+        extra_edges in 0usize..24,
+        seed in 0u64..1000,
+        top_k in 3usize..8,
+        strip_operator in 0u32..2,
+        with_embeddings in 0u32..2,
+    ) {
+        let (strip_operator, with_embeddings) = (strip_operator == 1, with_embeddings == 1);
+        let graph = random_graph(num_nodes, extra_edges, seed);
+        let ServingFixture { mut snapshot, .. } = serving_fixture(&graph, top_k, seed);
+        if strip_operator {
+            // An operator-less snapshot is only valid for the
+            // aggregator-free model variant (Z = H blended with itself).
+            snapshot.model.operator = None;
+            snapshot.model.aggregator = sigma::AggregatorKind::None;
+        }
+        if with_embeddings {
+            snapshot.precompute_embeddings().unwrap();
+        }
+
+        let mut bytes = Vec::new();
+        snapshot.write_to(&mut bytes).unwrap();
+        let decoded = ServeSnapshot::read_from(&mut bytes.as_slice()).unwrap();
+        // Field for field: the derived PartialEq compares the tag, every
+        // weight, the raw CSR arrays and the optional embeddings.
+        prop_assert_eq!(&decoded, &snapshot);
+
+        let mapped = Arc::new(MappedSnapshot::from_bytes(&bytes).unwrap());
+        prop_assert_eq!(mapped.num_nodes(), num_nodes);
+        prop_assert_eq!(mapped.has_operator(), !strip_operator);
+        prop_assert_eq!(mapped.has_embeddings(), with_embeddings);
+        let config = EngineConfig::default();
+        let owned = InferenceEngine::new(&snapshot, config).unwrap();
+        let zero_copy = InferenceEngine::from_mapped(mapped, config).unwrap();
+        prop_assert_eq!(owned.alpha().to_bits(), zero_copy.alpha().to_bits());
+        prop_assert_eq!(
+            engine_logit_bits(&owned, num_nodes),
+            engine_logit_bits(&zero_copy, num_nodes)
+        );
+    }
 }

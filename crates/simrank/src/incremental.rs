@@ -419,6 +419,9 @@ mod tests {
         for &row in &report.changed_rows {
             assert!(row < 6, "row {row} of the untouched component was patched");
         }
+        // Locality in push work too: strictly less than a full run.
+        let full = LocalPush::new(&edited, cfg).unwrap().run_decomposed();
+        assert!(report.pushes < full.total_pushes());
     }
 
     #[test]

@@ -509,8 +509,8 @@ impl LocalPush {
 
     /// Runs the push process in *seed-decomposed* form: one independent,
     /// fully serial push per seed pair `(w, w)`, scheduled across the shared
-    /// pool with [`sigma_parallel::ThreadPool::par_map`] and merged in seed
-    /// order.
+    /// pool with [`sigma_parallel::ThreadPool::par_map_weighted`] and merged
+    /// in seed order.
     ///
     /// The decomposition records, per seed, its score contributions and the
     /// *footprint* of nodes whose adjacency or degree the push process read.
