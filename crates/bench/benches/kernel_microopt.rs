@@ -1,41 +1,37 @@
 //! Kernel micro-optimisation bench: nnz-balanced partitioning + SIMD-shaped
-//! inner loops versus the pre-optimisation scalar path, on skewed
-//! (power-law) fig5-style graphs at 1/2/4 threads.
+//! inner loops versus a scalar reference of each kernel, on skewed
+//! (power-law) fig5-style graphs, at every thread count of the sweep the
+//! host has cores for.
 //!
 //! Three things are measured and one thing is *proven* on every run:
 //!
-//! * **before/after timings** for `spmm`, `spmm_transpose`, `spgemm` and
-//!   LocalPush — "before" is a self-contained scalar re-implementation of
-//!   each kernel's historical accumulation order, "after" is the optimised
-//!   library kernel at 1, 2 and 4 threads;
+//! * **reference/optimised timings** for `spmm`, `spmm_transpose`, `spgemm`
+//!   and LocalPush — the reference is a self-contained scalar
+//!   re-implementation of each kernel's canonical accumulation order (the
+//!   LocalPush one lives in `sigma-testutil`, shared with the parity tests),
+//!   "optimised" is the library kernel; every row is the median of `reps`
+//!   runs with its min–max spread;
 //! * **planner balance**: the maximum range weight of the equal-row-count
 //!   split versus the nnz-balanced planner on the skewed operator, a
-//!   machine-independent utilisation proxy (on a single-core container the
-//!   wall-clock speed-ups flatten toward 1× by construction, but the
-//!   balance numbers — and the parity guarantees — do not depend on the
-//!   host);
+//!   machine-independent utilisation proxy;
 //! * **bit-parity**: every optimised kernel result is asserted bitwise
-//!   identical to its scalar baseline, at every thread count. A mismatch
+//!   identical to its scalar reference, at every thread count. A mismatch
 //!   aborts the bench (CI runs this in `--quick` mode).
 //!
-//! Results are emitted as `BENCH_kernels.json` at the repository root,
-//! seeding the machine-readable perf trajectory.
+//! Thread counts above `host_cores` are skipped, not reported: more pool
+//! threads than cores measures the scheduler, not the kernel. Results are
+//! emitted as `BENCH_kernels.json` at the repository root.
 
 use sigma_bench::TablePrinter;
-use sigma_graph::{sym_normalized_adjacency, Graph};
+use sigma_graph::sym_normalized_adjacency;
 use sigma_matrix::{CsrMatrix, DenseMatrix};
 use sigma_parallel::partition_by_weight;
-use sigma_simrank::fxhash::{pair_key, unpack_pair, FxHashMap};
 use sigma_simrank::{LocalPush, SimRankConfig, SparseScores};
+use sigma_testutil::power_law_graph;
+use sigma_testutil::reference::localpush_reference;
 use std::time::Instant;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
-
-/// Mirrors `sigma_simrank`'s (private) frontier chunk width; the baseline
-/// must cut rounds identically to reproduce the kernel's bits.
-const PUSH_CHUNK: usize = 128;
-/// Mirrors `sigma_simrank`'s (private) relative pruning fraction.
-const RELATIVE_PRUNE_FRACTION: f32 = 0.01;
 
 /// Deterministic value noise in `[-1, 1)` (splitmix-style finaliser).
 fn pseudo(i: usize, j: usize, seed: u64) -> f32 {
@@ -47,28 +43,6 @@ fn pseudo(i: usize, j: usize, seed: u64) -> f32 {
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     ((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
-}
-
-/// A power-law graph: a sparse ring base plus head nodes whose degree
-/// decays harmonically from `max_deg` — the degree skew of the paper's
-/// pokec-style scalability graphs, concentrated enough that equal-row-count
-/// partitioning visibly serialises behind the head.
-fn power_law_graph(n: usize, max_deg: usize, seed: u64) -> Graph {
-    let mut edges = Vec::new();
-    for u in 0..n {
-        edges.push((u, (u + 1) % n));
-        edges.push((u, (u + 7) % n));
-    }
-    for i in 0..n {
-        let extra = max_deg / (i + 1);
-        for e in 0..extra {
-            let j = (i + 11 + e * 13 + (seed as usize % 17)) % n;
-            if i != j {
-                edges.push((i, j));
-            }
-        }
-    }
-    Graph::from_edges(n, &edges).expect("in-bounds edges")
 }
 
 // ---------------------------------------------------------------------------
@@ -137,102 +111,6 @@ fn baseline_spgemm(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
         .expect("baseline produces valid CSR")
 }
 
-/// The pre-optimisation LocalPush: identical round schedule (frontier cut
-/// into 128-pair chunks, chunk-ordered merge) with the historical inner
-/// loops — per-chunk fresh allocations and a nested multiply instead of the
-/// gather + scale restructure. Returns per-row score maps shaped like
-/// `SparseScores`.
-/// One baseline chunk's output: absorbed pairs + residual deltas.
-type BaselineChunk = (Vec<(u64, f32)>, FxHashMap<u64, f32>);
-
-fn baseline_localpush(graph: &Graph, decay: f64, epsilon: f64) -> Vec<FxHashMap<u32, f32>> {
-    let n = graph.num_nodes();
-    let c = decay as f32;
-    let threshold = ((1.0 - decay) * epsilon) as f32;
-    let inv_deg: Vec<f32> = (0..n)
-        .map(|v| {
-            let d = graph.degree(v);
-            if d == 0 {
-                0.0
-            } else {
-                1.0 / d as f32
-            }
-        })
-        .collect();
-    let mut rows: Vec<FxHashMap<u32, f32>> = vec![FxHashMap::default(); n];
-    let mut residual: FxHashMap<u64, f32> = FxHashMap::default();
-    let mut frontier: Vec<u64> = (0..n as u32).map(|u| pair_key(u, u)).collect();
-    for &key in &frontier {
-        residual.insert(key, 1.0);
-    }
-    while !frontier.is_empty() {
-        let outputs: Vec<BaselineChunk> = frontier
-            .chunks(PUSH_CHUNK)
-            .map(|chunk| {
-                let mut absorbed = Vec::with_capacity(chunk.len());
-                let mut delta: FxHashMap<u64, f32> = FxHashMap::default();
-                for &key in chunk {
-                    let r = match residual.get(&key) {
-                        Some(&r) if r > threshold => r,
-                        _ => continue,
-                    };
-                    absorbed.push((key, r));
-                    let (a, b) = unpack_pair(key);
-                    let push_base = c * r;
-                    for &x in graph.neighbors(a as usize) {
-                        let scale_x = push_base * inv_deg[x as usize];
-                        for &y in graph.neighbors(b as usize) {
-                            if x == y {
-                                continue;
-                            }
-                            *delta.entry(pair_key(x, y)).or_insert(0.0) +=
-                                scale_x * inv_deg[y as usize];
-                        }
-                    }
-                }
-                (absorbed, delta)
-            })
-            .collect();
-        for (absorbed, _) in &outputs {
-            for &(key, r) in absorbed {
-                let (a, b) = unpack_pair(key);
-                *rows[a as usize].entry(b).or_insert(0.0) += r;
-                residual.insert(key, 0.0);
-            }
-        }
-        let mut candidates: Vec<u64> = Vec::new();
-        for (_, delta) in outputs {
-            for (key, d) in delta {
-                *residual.entry(key).or_insert(0.0) += d;
-                candidates.push(key);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates.retain(|key| residual.get(key).copied().unwrap_or(0.0) > threshold);
-        frontier = candidates;
-    }
-    for (&key, &r) in residual.iter() {
-        if r > 0.0 {
-            let (a, b) = unpack_pair(key);
-            *rows[a as usize].entry(b).or_insert(0.0) += r;
-        }
-    }
-    for (u, row) in rows.iter_mut().enumerate() {
-        let row_max = row
-            .iter()
-            .filter(|(&v, _)| v as usize != u)
-            .map(|(_, &s)| s)
-            .fold(0.0f32, f32::max);
-        if row_max <= 0.0 {
-            continue;
-        }
-        let floor = RELATIVE_PRUNE_FRACTION * row_max;
-        row.retain(|&v, s| v as usize == u || *s >= floor);
-    }
-    rows
-}
-
 // ---------------------------------------------------------------------------
 // Parity checks.
 // ---------------------------------------------------------------------------
@@ -247,20 +125,14 @@ fn assert_dense_bitwise(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
     }
 }
 
-fn assert_scores_match_baseline(
-    scores: &SparseScores,
-    baseline: &[FxHashMap<u32, f32>],
-    what: &str,
-) {
-    assert_eq!(scores.num_nodes(), baseline.len(), "{what}: node count");
-    for (u, base_row) in baseline.iter().enumerate() {
-        let mut got: Vec<(u32, u32)> = scores
+fn assert_scores_match_reference(scores: &SparseScores, reference: &[Vec<(u32, f32)>], what: &str) {
+    assert_eq!(scores.num_nodes(), reference.len(), "{what}: node count");
+    for (u, want) in reference.iter().enumerate() {
+        let got: Vec<(u32, u32)> = scores
             .row(u)
             .map(|(v, s)| (v as u32, s.to_bits()))
             .collect();
-        let mut want: Vec<(u32, u32)> = base_row.iter().map(|(&v, &s)| (v, s.to_bits())).collect();
-        got.sort_unstable();
-        want.sort_unstable();
+        let want: Vec<(u32, u32)> = want.iter().map(|&(v, s)| (v, s.to_bits())).collect();
         assert_eq!(got, want, "{what}: PARITY MISMATCH in score row {u}");
     }
 }
@@ -269,21 +141,45 @@ fn assert_scores_match_baseline(
 // Measurement helpers.
 // ---------------------------------------------------------------------------
 
-/// Times `f` over `reps` repetitions, returning (ms per rep, last result).
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let start = Instant::now();
-    let mut out = f();
+/// Median and min–max spread of `reps` timed runs, in milliseconds.
+#[derive(Clone, Copy)]
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+    samples: usize,
+}
+
+/// Times each of `reps` runs of `f` on its own, returning the timing and the
+/// last result.
+fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (Timing, R) {
+    let mut run = || {
+        let start = Instant::now();
+        let out = f();
+        (start.elapsed().as_secs_f64() * 1e3, out)
+    };
+    let (first_ms, mut out) = run();
+    let mut ms = vec![first_ms];
     for _ in 1..reps {
-        out = f();
+        let (t, r) = run();
+        ms.push(t);
+        out = r;
     }
-    (start.elapsed().as_secs_f64() * 1e3 / reps as f64, out)
+    ms.sort_by(f64::total_cmp);
+    let timing = Timing {
+        median: ms[ms.len() / 2],
+        min: ms[0],
+        max: ms[ms.len() - 1],
+        samples: ms.len(),
+    };
+    (timing, out)
 }
 
 struct KernelRow {
     kernel: &'static str,
     implementation: &'static str,
     threads: usize,
-    ms: f64,
+    timing: Timing,
     parity: &'static str,
 }
 
@@ -376,16 +272,16 @@ fn main() {
     }
     balance_table.print("Partition balance on the skewed operator (max range nnz / ideal share)");
 
-    // -- Scalar baselines (timed once, serial by construction). -------------
+    // -- Scalar references (serial by construction). ------------------------
     let mut kernel_rows: Vec<KernelRow> = Vec::new();
     let (base_spmm_ms, base_spmm) = time_ms(reps, || baseline_spmm(&operator, &features));
     let (base_spmmt_ms, base_spmmt) =
         time_ms(reps, || baseline_spmm_transpose(&operator, &features));
     let (base_spgemm_ms, base_spgemm) = time_ms(reps, || baseline_spgemm(&operator, &operator));
-    let (base_push_ms, base_push) = time_ms(1, || {
-        baseline_localpush(&push_graph, simrank_cfg.decay, simrank_cfg.epsilon)
+    let (base_push_ms, base_push) = time_ms(reps, || {
+        localpush_reference(&push_graph, simrank_cfg, usize::MAX)
     });
-    for (kernel, ms) in [
+    for (kernel, timing) in [
         ("spmm", base_spmm_ms),
         ("spmm_transpose", base_spmmt_ms),
         ("spgemm", base_spgemm_ms),
@@ -395,21 +291,24 @@ fn main() {
             kernel,
             implementation: "baseline_scalar",
             threads: 1,
-            ms,
+            timing,
             parity: "ref",
         });
     }
 
-    // -- Optimised kernels at 1/2/4 threads, parity-asserted. ---------------
+    // -- Optimised kernels across the thread sweep, parity-asserted. --------
+    let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
+    let (sweep, skipped): (Vec<usize>, Vec<usize>) =
+        THREAD_SWEEP.iter().partition(|&&threads| threads <= cores);
     let mut table = TablePrinter::new(vec![
         "kernel",
         "threads",
-        "baseline (ms)",
-        "optimised (ms)",
+        "reference (ms)",
+        "optimised (ms, min-max)",
         "speed-up",
         "parity",
     ]);
-    for threads in THREAD_SWEEP {
+    for &threads in &sweep {
         sigma_parallel::set_global_threads(threads);
 
         let (spmm_ms, spmm_out) = time_ms(reps, || operator.spmm(&features).unwrap());
@@ -421,10 +320,10 @@ fn main() {
         let (spgemm_ms, spgemm_out) = time_ms(reps, || operator.spgemm(&operator).unwrap());
         assert_eq!(base_spgemm, spgemm_out, "spgemm PARITY MISMATCH");
 
-        let (push_ms, push_scores) = time_ms(1, || {
+        let (push_ms, push_scores) = time_ms(reps, || {
             LocalPush::new(&push_graph, simrank_cfg).unwrap().run()
         });
-        assert_scores_match_baseline(&push_scores, &base_push, "localpush");
+        assert_scores_match_reference(&push_scores, &base_push.rows, "localpush");
 
         for (kernel, base_ms, ms) in [
             ("spmm", base_spmm_ms, spmm_ms),
@@ -435,32 +334,30 @@ fn main() {
             table.add_row(vec![
                 kernel.to_string(),
                 threads.to_string(),
-                format!("{base_ms:.2}"),
-                format!("{ms:.2}"),
-                format!("{:.2}x", base_ms / ms.max(1e-9)),
+                format!("{:.2}", base_ms.median),
+                format!("{:.2} ({:.2}-{:.2})", ms.median, ms.min, ms.max),
+                format!("{:.2}x", base_ms.median / ms.median.max(1e-9)),
                 "ok".to_string(),
             ]);
             kernel_rows.push(KernelRow {
                 kernel,
                 implementation: "optimised",
                 threads,
-                ms,
+                timing: ms,
                 parity: "ok",
             });
         }
     }
     sigma_parallel::set_global_threads(0);
-    table.print("Kernel micro-optimisations vs the scalar baseline (skewed graph)");
+    table.print("Kernel micro-optimisations vs the scalar reference (skewed graph)");
 
-    let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
-    println!("all parity assertions passed: optimised kernels are bitwise-identical to the");
-    println!("pre-optimisation scalar path at every thread count. this host reports {cores}");
-    println!("available core(s); on a single core, multi-thread speed-ups flatten toward 1x");
-    println!("by construction — the partition-balance table is the machine-independent signal.");
+    println!("all parity assertions passed: optimised kernels are bitwise-identical to their");
+    println!("scalar references at {sweep:?} thread(s). this host reports {cores} available");
+    println!("core(s); thread counts {skipped:?} exceed it and were skipped.");
 
     emit_json(
         quick,
-        cores,
+        (cores, &skipped),
         (n, operator.nnz(), max_row_nnz),
         (push_n, push_graph.num_edges()),
         &balance_rows,
@@ -470,7 +367,7 @@ fn main() {
 
 fn emit_json(
     quick: bool,
-    cores: usize,
+    (cores, skipped): (usize, &[usize]),
     (nodes, nnz, max_row_nnz): (usize, usize, usize),
     (push_nodes, push_edges): (usize, usize),
     balance: &[BalanceRow],
@@ -480,11 +377,12 @@ fn emit_json(
     out.push_str("  \"bench\": \"kernel_microopt\",\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"host_cores\": {cores},\n"));
+    out.push_str(&format!("  \"threads_skipped\": {skipped:?},\n"));
     out.push_str(
-        "  \"note\": \"parity is asserted (optimised kernels bitwise-identical to the scalar \
-         baseline at 1/2/4 threads); on a single-core host the thread speed-ups flatten toward \
-         1x by construction and the partition balance rows carry the machine-independent \
-         signal\",\n",
+        "  \"note\": \"parity is asserted (optimised kernels bitwise-identical to their scalar \
+         references at every swept thread count); ms is the median of `samples` runs, min_ms and \
+         max_ms its spread; thread counts above host_cores are skipped; the localpush reference \
+         is the dense nested-loop one in sigma-testutil\",\n",
     );
     out.push_str(&format!(
         "  \"spmm_graph\": {{\"nodes\": {nodes}, \"nnz\": {nnz}, \"max_row_nnz\": {max_row_nnz}}},\n"
@@ -508,11 +406,14 @@ fn emit_json(
     for (i, k) in kernels.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"impl\": \"{}\", \"threads\": {}, \"ms\": {:.3}, \
-             \"parity\": \"{}\"}}{}\n",
+             \"min_ms\": {:.3}, \"max_ms\": {:.3}, \"samples\": {}, \"parity\": \"{}\"}}{}\n",
             k.kernel,
             k.implementation,
             k.threads,
-            k.ms,
+            k.timing.median,
+            k.timing.min,
+            k.timing.max,
+            k.timing.samples,
             k.parity,
             if i + 1 == kernels.len() { "" } else { "," }
         ));

@@ -860,8 +860,8 @@ fn handle_stats(shared: &Shared) -> Response {
          \"read_timeouts\": {}, \"handler_panics\": {}, \"coalesced_predicts\": {}, \
          \"batch_flushes\": {}, \"reloads\": {}, \"queue_depth\": {}, \"inflight\": {}}},\n\
          \"engine\": {{\"queries\": {}, \"similar_queries\": {}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"batches_served\": {}, \"rows_sliced\": {}, \
-         \"stale_serves\": {}}},\n\
+         \"cache_misses\": {}, \"batches_served\": {}, \"rows_invalidated\": {}, \
+         \"snapshot_reloads\": {}}},\n\
          \"registry\": {}}}",
         d.connections_accepted,
         d.connections_shed,

@@ -229,8 +229,45 @@ fn stats_and_metrics_endpoints_parse() {
             .unwrap()
             >= 1
     );
-    assert!(value.get("engine").is_some());
     assert!(value.get("registry").is_some());
+
+    // Engine counters travel under their own names: an edge update on the
+    // node just served drops its cached row, and a reload is counted.
+    let engine_stat = |key: &str| {
+        let stats = wire::get(addr, "/v1/stats").expect("stats");
+        let value = json::parse(&stats.body).expect("stats body is valid JSON");
+        let engine = value.get("engine").expect("engine section");
+        assert!(engine.get("rows_sliced").is_none() && engine.get("stale_serves").is_none());
+        engine
+            .get(key)
+            .and_then(json::Json::as_index)
+            .unwrap_or_else(|| panic!("engine.{key} missing"))
+    };
+    assert_eq!(engine_stat("rows_invalidated"), 0);
+    assert_eq!(engine_stat("snapshot_reloads"), 0);
+    let resp = wire::post_json(
+        addr,
+        "/v1/edges",
+        "{\"updates\": [{\"op\": \"insert\", \"u\": 1, \"v\": 9}]}",
+    )
+    .expect("edges");
+    assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+    assert!(engine_stat("rows_invalidated") >= 1);
+    assert_eq!(engine_stat("snapshot_reloads"), 0);
+    let path = std::env::temp_dir().join(format!(
+        "sigma-daemon-stats-{}-{}.snapshot",
+        std::process::id(),
+        std::env::var("SIGMA_NUM_THREADS").unwrap_or_default()
+    ));
+    fixture.snapshot.save(&path).expect("save snapshot");
+    let resp = wire::post_json(
+        addr,
+        "/v1/reload",
+        &format!("{{\"path\": {}}}", json::quote(path.to_str().unwrap())),
+    )
+    .expect("reload");
+    assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+    assert_eq!(engine_stat("snapshot_reloads"), 1);
 
     let metrics = wire::get(addr, "/metrics").expect("metrics");
     assert_eq!(metrics.status, 200);
@@ -252,6 +289,7 @@ fn stats_and_metrics_endpoints_parse() {
         }
     }
     daemon.shutdown();
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

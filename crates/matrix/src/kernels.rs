@@ -9,9 +9,9 @@
 //!
 //! ## The canonical-reduction-order contract
 //!
-//! Element-wise kernels ([`axpy`], [`scale`]) have no cross-lane reduction:
-//! each output element is a pure function of the matching input elements, so
-//! their results are bit-identical to the naive `zip` loop by construction.
+//! The element-wise kernel ([`axpy`]) has no cross-lane reduction: each
+//! output element is a pure function of the matching input elements, so its
+//! results are bit-identical to the naive `zip` loop by construction.
 //!
 //! Reducing kernels ([`dot`]) fix **one canonical order** and never deviate
 //! from it: lane `l` accumulates elements `l, l + 8, l + 16, …` in index
@@ -49,27 +49,6 @@ pub fn axpy(out: &mut [f32], s: f32, x: &[f32]) {
     }
     for (o, &v) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
         *o += s * v;
-    }
-}
-
-/// `out[i] = s * x[i]` — the scaling half of an axpy, used where the
-/// products are consumed by a scatter rather than added in place (LocalPush
-/// materialises one neighbour row's push contributions through this before
-/// scattering them into its residual map).
-///
-/// Element-wise: bit-identical to the naive loop at any vector width.
-#[inline]
-pub fn scale(out: &mut [f32], s: f32, x: &[f32]) {
-    debug_assert_eq!(out.len(), x.len(), "scale operands must match");
-    let mut oc = out.chunks_exact_mut(LANES);
-    let mut xc = x.chunks_exact(LANES);
-    for (ov, xv) in oc.by_ref().zip(xc.by_ref()) {
-        for (o, &v) in ov.iter_mut().zip(xv.iter()) {
-            *o = s * v;
-        }
-    }
-    for (o, &v) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *o = s * v;
     }
 }
 
@@ -160,19 +139,6 @@ mod tests {
             }
             for (a, b) in fast.iter().zip(&naive) {
                 assert_eq!(a.to_bits(), b.to_bits(), "len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn scale_matches_naive_loop_bitwise() {
-        for len in [0usize, 3, 8, 17, 256] {
-            let x = noise(len, 3);
-            let s = -1.83f32;
-            let mut fast = vec![0.0f32; len];
-            scale(&mut fast, s, &x);
-            for (o, &v) in fast.iter().zip(&x) {
-                assert_eq!(o.to_bits(), (s * v).to_bits(), "len {len}");
             }
         }
     }

@@ -33,8 +33,8 @@
 //!   total nnz per range instead of near-equal row counts — and power-law
 //!   graphs stop serialising behind their heaviest rows.
 //! * **Scratch reuse.** Kernels that need per-task working buffers (spgemm's
-//!   Gustavson accumulator, LocalPush's push-round buffers) recycle them
-//!   through a [`ScratchPool`] instead of allocating per call.
+//!   Gustavson accumulator) recycle them through a [`ScratchPool`] instead
+//!   of allocating per call.
 //! * **Panic propagation.** A panic inside a task is caught, the scope still
 //!   joins every sibling task, and the payload is re-raised on the
 //!   submitting thread. Workers survive panics. When the panicking task was
@@ -715,47 +715,6 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Maps fixed-size chunks of `items` through `f` in parallel, returning
-    /// results in chunk order.
-    ///
-    /// The chunk boundaries depend only on `chunk_len` and `items.len()` —
-    /// **not** on the thread count — so a caller that merges the results in
-    /// chunk order gets bitwise-identical output at every thread count. This
-    /// is the primitive behind the deterministic parallel LocalPush.
-    pub fn par_map_chunks<T, R, F>(&self, items: &[T], chunk_len: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let chunk_len = chunk_len.max(1);
-        if items.len() <= chunk_len || self.num_threads() == 1 {
-            return items
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(i, c)| f(i, c))
-                .collect();
-        }
-        let num_chunks = items.len().div_ceil(chunk_len);
-        let mut slots: Vec<Option<R>> = (0..num_chunks).map(|_| None).collect();
-        {
-            let f = &f;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
-                .chunks(chunk_len)
-                .zip(slots.iter_mut())
-                .enumerate()
-                .map(|(i, (chunk, slot))| {
-                    Box::new(move || *slot = Some(f(i, chunk))) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.run(tasks);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every chunk task ran to completion"))
-            .collect()
-    }
-
     /// Spawns workers until at least `target` are alive (capped by
     /// [`MAX_THREADS`]).
     fn ensure_workers(&self, target: usize) {
@@ -1017,16 +976,6 @@ mod tests {
         let serial =
             ThreadPool::with_threads(1).par_map_ranges_weighted(&unit, |r| r.sum::<usize>());
         assert_eq!(serial.iter().sum::<usize>(), (0..1000).sum::<usize>());
-    }
-
-    #[test]
-    fn par_map_chunks_is_thread_count_independent() {
-        let items: Vec<u64> = (0..997).collect();
-        let f = |i: usize, chunk: &[u64]| (i, chunk.iter().sum::<u64>());
-        let a = ThreadPool::with_threads(1).par_map_chunks(&items, 64, f);
-        let b = ThreadPool::with_threads(4).par_map_chunks(&items, 64, f);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 997usize.div_ceil(64));
     }
 
     #[test]

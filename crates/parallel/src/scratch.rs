@@ -1,12 +1,10 @@
 //! Reusable scratch buffers for hot-path kernels.
 //!
-//! Several kernels need a working buffer per task — spgemm's dense Gustavson
-//! accumulator, LocalPush's per-chunk absorb/delta buffers — and allocating
-//! them per call (or worse, per round) puts the allocator on the hot path.
-//! A [`ScratchPool`] is a tiny free-list of such buffers: a task takes one
-//! (or creates it on first use), works with it, and its return to the pool
-//! hands the allocation — grown capacity, hash-map load factor and all — to
-//! the next task.
+//! Some kernels need a working buffer per task — spgemm's dense Gustavson
+//! accumulator — and allocating it per call puts the allocator on the hot
+//! path. A [`ScratchPool`] is a tiny free-list of such buffers: a task takes
+//! one (or creates it on first use), works with it, and its return to the
+//! pool hands the allocation, grown capacity and all, to the next task.
 //!
 //! The pool is deliberately *not* part of the determinism story: buffers are
 //! only ever scratch space whose logical content is reset by the user (each
@@ -26,8 +24,8 @@ static SCRATCH_MISSES: StaticCounter = StaticCounter::new(
     "scratch-pool takes that had to build a fresh buffer",
 );
 
-/// Default cap on how many buffers a pool retains; takes beyond the cap are
-/// still served (freshly built), returns beyond it are dropped. Matches the
+/// Cap on how many buffers a pool retains; takes beyond the cap are still
+/// served (freshly built), returns beyond it are dropped. Matches the
 /// maximum concurrency a pool-wide kernel can reach.
 pub const DEFAULT_RETAINED: usize = crate::MAX_THREADS;
 
@@ -52,20 +50,13 @@ pub const DEFAULT_RETAINED: usize = crate::MAX_THREADS;
 /// "all-zero", "cleared"), because the next taker relies on it.
 pub struct ScratchPool<T: Send> {
     free: Mutex<Vec<T>>,
-    max_retained: usize,
 }
 
 impl<T: Send> ScratchPool<T> {
     /// An empty pool retaining up to [`DEFAULT_RETAINED`] buffers.
     pub const fn new() -> Self {
-        Self::with_max_retained(DEFAULT_RETAINED)
-    }
-
-    /// An empty pool retaining at most `max_retained` returned buffers.
-    pub const fn with_max_retained(max_retained: usize) -> Self {
         Self {
             free: Mutex::new(Vec::new()),
-            max_retained,
         }
     }
 
@@ -97,7 +88,7 @@ impl<T: Send> ScratchPool<T> {
     /// retains its maximum).
     pub fn put(&self, value: T) {
         let mut free = self.free.lock().expect("scratch pool poisoned");
-        if free.len() < self.max_retained {
+        if free.len() < DEFAULT_RETAINED {
             free.push(value);
         }
     }
@@ -118,7 +109,6 @@ impl<T: Send> std::fmt::Debug for ScratchPool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScratchPool")
             .field("retained", &self.retained())
-            .field("max_retained", &self.max_retained)
             .finish()
     }
 }
@@ -128,13 +118,6 @@ impl<T: Send> std::fmt::Debug for ScratchPool<T> {
 pub struct ScratchGuard<'p, T: Send> {
     pool: &'p ScratchPool<T>,
     value: Option<T>,
-}
-
-impl<T: Send> ScratchGuard<'_, T> {
-    /// Detaches the buffer from the pool (it will not be returned).
-    pub fn into_inner(mut self) -> T {
-        self.value.take().expect("guard value present until drop")
-    }
 }
 
 impl<T: Send> Deref for ScratchGuard<'_, T> {
@@ -186,20 +169,11 @@ mod tests {
 
     #[test]
     fn retention_is_capped() {
-        let pool: ScratchPool<Vec<u8>> = ScratchPool::with_max_retained(2);
-        for _ in 0..5 {
+        let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
+        for _ in 0..DEFAULT_RETAINED + 5 {
             pool.put(Vec::new());
         }
-        assert_eq!(pool.retained(), 2);
-    }
-
-    #[test]
-    fn into_inner_detaches() {
-        let pool: ScratchPool<String> = ScratchPool::new();
-        let guard = pool.take_or_else(|| String::from("x"));
-        let owned = guard.into_inner();
-        assert_eq!(owned, "x");
-        assert_eq!(pool.retained(), 0);
+        assert_eq!(pool.retained(), DEFAULT_RETAINED);
     }
 
     #[test]

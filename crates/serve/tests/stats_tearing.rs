@@ -3,8 +3,8 @@
 //! individually monotone and exact, cross-counter identities hold once the
 //! engine quiesces, and nothing more is promised while queries are in
 //! flight. Also covers the counters this PR added (`cache_evictions`,
-//! `repair_dirty_seeds`) and, with the `obs` feature on, the engine's
-//! registration in the process-wide metrics registry.
+//! `repair_dirty_seeds`); the engine's registration in the process-wide
+//! metrics registry is pinned by `registry_counters.rs`, a binary of its own.
 
 use sigma_serve::{EngineConfig, EngineStats, InferenceEngine, ServeSnapshot};
 use sigma_simrank::EdgeUpdate;
@@ -170,30 +170,4 @@ fn repair_accounts_dirty_seeds() {
         after.repair_dirty_seeds > before.repair_dirty_seeds,
         "an edge insert must dirty at least the endpoint seeds"
     );
-}
-
-#[cfg(feature = "obs")]
-#[test]
-fn engine_counters_appear_in_the_global_registry() {
-    let graph = random_graph(16, 8, 5);
-    let fixture = serving_fixture(&graph, 4, 5);
-    let n = graph.num_nodes();
-    let engine = engine(&fixture.snapshot, n);
-    let before = sigma_obs::snapshot().counter("sigma_serve_nodes_served_total");
-    let all: Vec<usize> = (0..n).collect();
-    let _ = engine.predict_batch(&all).expect("query");
-    let after = sigma_obs::snapshot().counter("sigma_serve_nodes_served_total");
-    assert!(
-        after >= before + n as u64,
-        "engine serving must surface in the process-wide registry ({before} -> {after})"
-    );
-    // The latency histograms registered and recorded too.
-    let snap = sigma_obs::snapshot();
-    match snap
-        .get("sigma_serve_predict_batch_ns")
-        .expect("batch latency histogram registered")
-    {
-        sigma_obs::MetricValue::Histogram(h) => assert!(h.count > 0),
-        other => panic!("expected a histogram, got {other:?}"),
-    }
 }

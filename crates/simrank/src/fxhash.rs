@@ -1,7 +1,8 @@
 //! A minimal Fx-style hasher for the hot push loops.
 //!
-//! The LocalPush solver ([`crate::LocalPush`]) spends most of its time in
-//! hash-map probes keyed by node-pair identifiers. The standard library's
+//! The seed-decomposed LocalPush ([`crate::LocalPush::run_decomposed`])
+//! spends most of its time in hash-map probes keyed by node-pair
+//! identifiers. The standard library's
 //! SipHash is collision-resistant but an order of magnitude slower than
 //! needed for trusted integer keys, so this module provides the classic
 //! "Fx" multiply-rotate hash used by the Rust compiler: one wrapping

@@ -29,7 +29,7 @@
 //! served logits at 1 and 4 threads.
 
 use crate::fxhash::{pair_key, unpack_pair, FxHashMap, FxHashSet};
-use crate::localpush::{SparseScores, RELATIVE_PRUNE_FRACTION};
+use crate::localpush::{inverse_degrees, sum_by_column, SparseScores};
 use crate::SimRankConfig;
 use sigma_graph::Graph;
 use sigma_parallel::ThreadPool;
@@ -171,18 +171,18 @@ impl DecomposedScores {
     /// same row of [`DecomposedScores::assemble`] on an equal decomposition.
     pub fn assemble_rows_into(&self, scores: &mut SparseScores, rows: &[usize]) {
         for &u in rows {
-            let mut row: FxHashMap<u32, f32> = FxHashMap::default();
             let target = u as u32;
-            for run in &self.seeds {
-                if let Ok(i) = run.rows.binary_search_by_key(&target, |&(r, _)| r) {
-                    for &(v, s) in &run.rows[i].1 {
-                        *row.entry(v).or_insert(0.0) += s;
-                    }
-                }
-            }
+            let contributions = self.seeds.iter().filter_map(|run| {
+                let i = run.rows.binary_search_by_key(&target, |&(r, _)| r).ok()?;
+                Some(run.rows[i].1.as_slice())
+            });
+            // One exactly-sized allocation per row: growing the row by
+            // appends made a concurrent reader thread 40 % slower for the
+            // length of the repair (`repair_churn`, PR 14).
+            let mut row = contributions.collect::<Vec<_>>().concat();
+            sum_by_column(&mut row);
             scores.set_row(u, row);
         }
-        scores.prune_rows_relative(rows, RELATIVE_PRUNE_FRACTION);
     }
 }
 
@@ -202,19 +202,9 @@ pub(crate) fn run_seeds(
     budget: usize,
     seeds: &[u32],
 ) -> Vec<SeedRun> {
-    let n = graph.num_nodes();
     let c = config.decay as f32;
     let threshold = ((1.0 - config.decay) * config.epsilon) as f32;
-    let inv_deg: Vec<f32> = (0..n)
-        .map(|v| {
-            let d = graph.degree(v);
-            if d == 0 {
-                0.0
-            } else {
-                1.0 / d as f32
-            }
-        })
-        .collect();
+    let inv_deg = inverse_degrees(graph);
     let weights: Vec<usize> = seeds
         .iter()
         .map(|&w| {

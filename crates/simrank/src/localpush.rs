@@ -38,25 +38,42 @@
 //!
 //! ## Parallel execution
 //!
-//! The push process is scheduled in *rounds*: every pair whose residual
-//! exceeds the threshold forms the round's frontier, the frontier is cut
-//! into fixed-size chunks, and each chunk is pushed independently on the
-//! shared [`sigma_parallel::ThreadPool`] with a chunk-local residual-delta
-//! buffer. The buffers are merged into the global residual in chunk order.
-//! Because the chunk boundaries and the merge order depend only on the
-//! frontier — never on the thread count — the resulting scores are **bitwise
-//! identical** for every `SIGMA_NUM_THREADS` setting (enforced by
-//! `crates/simrank/tests/parallel_parity.rs`). Any round schedule is a valid
-//! LocalPush schedule, so Lemma III.5's work and `‖Ŝ − S‖_max < ε` error
-//! bounds carry over unchanged.
+//! The push process runs in *rounds*: every pair whose residual exceeds the
+//! threshold forms the round's frontier, and the round is a **row-wise
+//! sparse product**. Each row `x` with a frontier row among its neighbours
+//! *pulls*
+//!
+//! ```text
+//! Δ(x, y) = c/|N_x| · 1/|N_y| · Σ_{a ∈ N_x} Σ_{(a,b) ∈ frontier, y ∈ N_b} R(a, b)
+//! ```
+//!
+//! into a dense accumulator with a touched list (the Gustavson shape of
+//! `spgemm`), merges it with the residual the row carries, and hands back the
+//! pairs that crossed the threshold; rows no frontier row touches are not
+//! visited. Rows are cut across the shared [`sigma_parallel::ThreadPool`] by
+//! pull work and each is **owned by exactly one task**, which sums in one
+//! canonical order — `a ∈ N_x` ascending, the frontier pairs of `a` by
+//! column, `N_b` in adjacency order, the degree factors applied to the
+//! finished sum — so the scores are **bitwise identical** at every
+//! `SIGMA_NUM_THREADS` by construction (`tests/parallel_parity.rs` pins them
+//! to the nested-loop reference in `sigma-testutil`). A pair is absorbed into
+//! `Ŝ` when it crosses the threshold and propagated by the next round if the
+//! push budget allows; any round schedule is a valid LocalPush schedule, so
+//! Lemma III.5's work and `‖Ŝ − S‖_max < ε` bounds carry over unchanged.
+//!
+//! PR 14 replaced a keyed hash-map scatter with these rounds: same schedule
+//! and push counts, but a delta is now scaled once per finished sum instead
+//! of once per contribution, so coupled-run score bits differ from earlier
+//! revisions. [`LocalPush::run_decomposed`] is unchanged.
 
-use crate::fxhash::{pair_key, FxHashMap};
 use crate::incremental::{DecomposedScores, RepairReport, SeedRun};
 use crate::{Result, SimRankConfig};
 use sigma_graph::Graph;
-use sigma_matrix::{kernels, CsrMatrix};
+use sigma_matrix::CsrMatrix;
 use sigma_obs::StaticCounter;
-use sigma_parallel::{ScratchGuard, ScratchPool, ThreadPool};
+use sigma_parallel::ThreadPool;
+use std::cmp::Ordering;
+use std::sync::Mutex;
 
 static LOCALPUSH_RUNS: StaticCounter = StaticCounter::new(
     "sigma_localpush_runs_total",
@@ -71,25 +88,49 @@ static LOCALPUSH_PUSHES: StaticCounter = StaticCounter::new(
     "residual pushes performed across all LocalPush runs",
 );
 
+/// One sparse row: `(column, value)` pairs, strictly column-ascending.
+type SparseRow = Vec<(u32, f32)>;
+
 /// Sparse, symmetric similarity scores produced by [`LocalPush`].
 #[derive(Debug, Clone)]
 pub struct SparseScores {
     num_nodes: usize,
-    /// Per-row score maps: `rows[u][v] = Ŝ(u, v)`.
-    rows: Vec<FxHashMap<u32, f32>>,
+    /// `rows[u]` holds `(v, Ŝ(u, v))`, strictly column-ascending.
+    rows: Vec<SparseRow>,
 }
 
 /// Fraction of a row's largest off-diagonal score below which entries are
 /// pruned (the density-robust counterpart of Algorithm 1's `ε/10` floor).
 /// Shared by the coupled run, the seed-decomposed run, and incremental
 /// repair so every path prunes identically.
-pub(crate) const RELATIVE_PRUNE_FRACTION: f32 = 0.01;
+const RELATIVE_PRUNE_FRACTION: f32 = 0.01;
+
+/// Collapses `(column, value)` contributions into one strictly
+/// column-ascending row. The sort is stable and each column's run is summed
+/// left to right, so every entry is the sum of its contributions in the
+/// order they were listed.
+pub(crate) fn sum_by_column(entries: &mut SparseRow) {
+    entries.sort_by_key(|&(v, _)| v);
+    entries.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+}
+
+/// The top-k selection order: score descending, column ascending on ties —
+/// a total order, so the kept set is a pure function of the row.
+fn by_score_then_column(a: &(u32, f32), b: &(u32, f32)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
 
 impl SparseScores {
     pub(crate) fn new(num_nodes: usize) -> Self {
         Self {
             num_nodes,
-            rows: vec![FxHashMap::default(); num_nodes],
+            rows: vec![Vec::new(); num_nodes],
         }
     }
 
@@ -100,27 +141,27 @@ impl SparseScores {
 
     /// Approximate SimRank score `Ŝ(u, v)` (0.0 if not stored).
     pub fn get(&self, u: usize, v: usize) -> f32 {
-        self.rows
-            .get(u)
-            .and_then(|r| r.get(&(v as u32)))
-            .copied()
-            .unwrap_or(0.0)
+        let (Some(row), Ok(v)) = (self.rows.get(u), u32::try_from(v)) else {
+            return 0.0;
+        };
+        row.binary_search_by_key(&v, |&(col, _)| col)
+            .map_or(0.0, |i| row[i].1)
     }
 
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        self.rows.iter().map(FxHashMap::len).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
-    /// Iterator over the stored entries of one row.
+    /// Iterator over the stored entries of one row, column-ascending.
     pub fn row(&self, u: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-        self.rows[u].iter().map(|(&v, &s)| (v as usize, s))
+        self.rows[u].iter().map(|&(v, s)| (v as usize, s))
     }
 
     /// Drops entries strictly below `threshold` (Algorithm 1 pruning step).
     pub fn prune(&mut self, threshold: f32) {
         for row in &mut self.rows {
-            row.retain(|_, v| *v >= threshold);
+            row.retain(|&(_, s)| s >= threshold);
         }
     }
 
@@ -128,33 +169,23 @@ impl SparseScores {
     /// largest off-diagonal score. Diagonal entries are always kept. This is
     /// the density-robust counterpart of Algorithm 1's absolute `ε/10` floor.
     pub fn prune_relative(&mut self, fraction: f32) {
-        for u in 0..self.num_nodes {
-            Self::prune_row_relative(u, &mut self.rows[u], fraction);
+        for (u, row) in self.rows.iter_mut().enumerate() {
+            Self::prune_row_relative(u, row, fraction);
         }
     }
 
-    /// Applies the relative pruning rule to the listed rows only (the
-    /// incremental-repair path, where untouched rows are already pruned).
-    pub(crate) fn prune_rows_relative(&mut self, rows: &[usize], fraction: f32) {
-        for &u in rows {
-            Self::prune_row_relative(u, &mut self.rows[u], fraction);
-        }
-    }
-
-    /// Per-row body of [`SparseScores::prune_relative`]. Every aggregate it
-    /// computes (the max, the retain predicate) is order-independent, so the
-    /// outcome is a pure function of the row's contents.
-    fn prune_row_relative(u: usize, row: &mut FxHashMap<u32, f32>, fraction: f32) {
+    /// Per-row body of [`SparseScores::prune_relative`].
+    fn prune_row_relative(u: usize, row: &mut SparseRow, fraction: f32) {
         let row_max = row
             .iter()
-            .filter(|(&v, _)| v as usize != u)
-            .map(|(_, &s)| s)
+            .filter(|&&(v, _)| v as usize != u)
+            .map(|&(_, s)| s)
             .fold(0.0f32, f32::max);
         if row_max <= 0.0 {
             return;
         }
         let floor = fraction * row_max;
-        row.retain(|&v, s| v as usize == u || *s >= floor);
+        row.retain(|&(v, s)| v as usize == u || s >= floor);
     }
 
     /// Materialises the scores as a CSR operator, optionally keeping only the
@@ -164,8 +195,8 @@ impl SparseScores {
     /// shared [`sigma_parallel::ThreadPool`] and concatenated in range order;
     /// top-k ties break towards the smaller column index. Both make the
     /// operator a pure function of the scores — independent of thread count
-    /// and of hash-map iteration order — which is what lets incremental
-    /// repair patch individual rows bitwise-identically to a full rebuild.
+    /// — which is what lets incremental repair patch individual rows
+    /// bitwise-identically to a full rebuild.
     pub fn to_csr(&self, top_k: Option<usize>) -> CsrMatrix {
         let rows: Vec<usize> = (0..self.num_nodes).collect();
         self.rows_to_csr(&rows, top_k)
@@ -209,149 +240,55 @@ impl SparseScores {
         let mut row_nnz = Vec::with_capacity(rows.len());
         let mut indices: Vec<u32> = Vec::new();
         let mut values: Vec<f32> = Vec::new();
-        let mut row_buf: Vec<(u32, f32)> = Vec::new();
+        let mut select_buf: SparseRow = Vec::new();
         for &u in rows {
-            row_buf.clear();
-            row_buf.extend(self.rows[u].iter().map(|(&v, &s)| (v, s)));
-            if let Some(k) = top_k {
-                if row_buf.len() > k {
-                    // Canonical selection: score descending, column ascending
-                    // on ties — a total order, so the kept set does not
-                    // depend on the (hash-map) traversal order above.
-                    row_buf.sort_unstable_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.0.cmp(&b.0))
-                    });
-                    row_buf.truncate(k);
+            let row = &self.rows[u];
+            // Rows are stored column-ascending, so selecting is a filter
+            // against the k-th entry of the selection order: the kept
+            // entries come out in CSR order with no re-sort.
+            let cutoff = top_k.filter(|&k| k < row.len()).map(|k| {
+                select_buf.clear();
+                select_buf.extend_from_slice(row);
+                *select_buf
+                    .select_nth_unstable_by(k - 1, by_score_then_column)
+                    .1
+            });
+            for entry in row {
+                if cutoff.is_none_or(|kth| by_score_then_column(entry, &kth).is_le()) {
+                    indices.push(entry.0);
+                    values.push(entry.1);
                 }
-            }
-            row_buf.sort_unstable_by_key(|&(v, _)| v);
-            for &(v, s) in &row_buf {
-                indices.push(v);
-                values.push(s);
             }
             row_nnz.push(indices.len());
         }
         (row_nnz, indices, values)
     }
 
-    fn add(&mut self, u: u32, v: u32, value: f32) {
-        *self.rows[u as usize].entry(v).or_insert(0.0) += value;
-    }
-
-    /// Replaces row `u` wholesale (the incremental-repair patch path).
-    pub(crate) fn set_row(&mut self, u: usize, row: FxHashMap<u32, f32>) {
+    /// Replaces row `u` wholesale with the relative-pruned `row` (the
+    /// incremental-repair patch path).
+    pub(crate) fn set_row(&mut self, u: usize, mut row: SparseRow) {
+        debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row not sorted");
+        Self::prune_row_relative(u, &mut row, RELATIVE_PRUNE_FRACTION);
         self.rows[u] = row;
     }
 
     /// The largest stored score in row `u` (0.0 for an empty row), used by
     /// the adaptive pruning heuristics and tests.
     pub fn row_max(&self, u: usize) -> f32 {
-        self.rows
-            .get(u)
-            .map(|r| r.values().copied().fold(0.0f32, f32::max))
-            .unwrap_or(0.0)
+        let row = self.rows.get(u).map_or(&[][..], Vec::as_slice);
+        row.iter().map(|&(_, s)| s).fold(0.0f32, f32::max)
     }
 }
 
-/// Frontier pairs per parallel work unit. The chunk boundaries are a pure
-/// function of the frontier (never of the thread count), which is what makes
-/// the parallel schedule bitwise deterministic; the value trades dispatch
-/// overhead against load balance.
-const PUSH_CHUNK: usize = 128;
-
-/// One chunk's working set, recycled across push rounds through the scratch
-/// pool: the absorbed-pair list and residual-delta map that used to be
-/// allocated per chunk per round, plus the gather/product buffers of the
-/// axpy-style push update. Site invariant: buffers return to the pool with
-/// `absorbed` empty and `delta` drained (capacity — including the hash
-/// map's table — survives the round trip).
-#[derive(Default)]
-struct ChunkScratch {
-    /// Pairs whose residual was absorbed, in chunk order.
-    absorbed: Vec<(u64, f32)>,
-    /// Residual deltas generated by this chunk's pushes.
-    delta: FxHashMap<u64, f32>,
-    /// `1 / deg(y)` for each neighbour `y` of the pair's `b` endpoint,
-    /// gathered once per pair instead of once per `(x, y)` combination.
-    inv_nb: Vec<f32>,
-    /// `scale_x · inv_nb[j]` for the current `x` — one SIMD-width
-    /// [`kernels::scale`] per neighbour row, consumed by the scatter below.
-    products: Vec<f32>,
-}
-
-/// Free list of [`ChunkScratch`] buffers shared by all push rounds (and, on
-/// the global pool, by concurrent solvers — the buffers are pure scratch,
-/// so sharing is safe). Retention is bounded twice: at most 32 buffers
-/// (a round can return one guard per frontier chunk, far more than ever
-/// run concurrently), and oversized delta tables are dropped rather than
-/// returned (see [`DELTA_RETAIN_CAP`]) so one hub-heavy refresh cannot pin
-/// huge hash tables in this process-lifetime static.
-static PUSH_SCRATCH: ScratchPool<ChunkScratch> = ScratchPool::with_max_retained(32);
-
-/// Delta maps whose table grew beyond this many entries are not returned to
-/// [`PUSH_SCRATCH`]: a single hub pair can fan out to millions of keys, and
-/// retaining such tables after the run would hold tens of megabytes of dead
-/// capacity for the life of the process.
-const DELTA_RETAIN_CAP: usize = 1 << 18;
-
-/// Pushes one frontier chunk against the round's immutable residual map.
-///
-/// All mutation is confined to the returned scratch buffers, so chunks run
-/// in parallel; [`LocalPush::run`] merges them in chunk order and the drop
-/// of each guard recycles its buffers for the next round.
-///
-/// The inner update is restructured as a gather + [`kernels::scale`] (the
-/// axpy-style row update shared with the spmm family) followed by a scatter
-/// into the delta map: per element it computes exactly the historical
-/// `scale_x · inv_deg[y]` product, so the scores are bit-identical to the
-/// nested-loop formulation.
-fn push_chunk(
-    graph: &Graph,
-    inv_deg: &[f32],
-    residual: &FxHashMap<u64, f32>,
-    chunk: &[u64],
-    c: f32,
-    threshold: f32,
-) -> ScratchGuard<'static, ChunkScratch> {
-    let mut scratch = PUSH_SCRATCH.take_or_else(ChunkScratch::default);
-    debug_assert!(scratch.absorbed.is_empty(), "pooled absorb list dirty");
-    debug_assert!(scratch.delta.is_empty(), "pooled delta map dirty");
-    let ChunkScratch {
-        absorbed,
-        delta,
-        inv_nb,
-        products,
-    } = &mut *scratch;
-    for &key in chunk {
-        let r = match residual.get(&key) {
-            Some(&r) if r > threshold => r,
-            _ => continue,
-        };
-        absorbed.push((key, r));
-        let (a, b) = crate::fxhash::unpack_pair(key);
-        let nbrs_b = graph.neighbors(b as usize);
-        // Hoist the `1/deg(y)` gather out of the x-loop: one random-access
-        // pass per pair instead of one per (x, y) combination.
-        inv_nb.clear();
-        inv_nb.extend(nbrs_b.iter().map(|&y| inv_deg[y as usize]));
-        products.resize(inv_nb.len(), 0.0);
-        let push_base = c * r;
-        for &x in graph.neighbors(a as usize) {
-            let scale_x = push_base * inv_deg[x as usize];
-            kernels::scale(products, scale_x, inv_nb);
-            for (&y, &p) in nbrs_b.iter().zip(products.iter()) {
-                if x == y {
-                    // Diagonal pairs are pinned to 1 in the exact recursion
-                    // and never accumulate residual.
-                    continue;
-                }
-                *delta.entry(pair_key(x, y)).or_insert(0.0) += p;
-            }
-        }
-    }
-    scratch
+/// `1 / deg(v)` per node (0 for isolated nodes), cached once instead of
+/// re-derived from the CSR offsets in the push loops.
+pub(crate) fn inverse_degrees(graph: &Graph) -> Vec<f32> {
+    (0..graph.num_nodes())
+        .map(|v| match graph.degree(v) {
+            0 => 0.0,
+            d => 1.0 / d as f32,
+        })
+        .collect()
 }
 
 /// The LocalPush solver (paper Algorithm 1).
@@ -363,6 +300,14 @@ pub struct LocalPush {
     /// far below this for the configurations used in the reproduction.
     max_pushes: usize,
     pushes_performed: usize,
+}
+
+/// One worker's Gustavson working set: a dense per-column sum and the
+/// columns it touched. `sums` is all zero and `touched` empty between rows.
+#[derive(Default)]
+struct Accumulator {
+    sums: Vec<f32>,
+    touched: Vec<u32>,
 }
 
 impl LocalPush {
@@ -391,113 +336,169 @@ impl LocalPush {
     /// Runs the push process and returns the pruned approximate scores.
     ///
     /// The push threshold is the paper's `(1−c)·ε`, so the Lemma III.5 work
-    /// bound `O(d²/(c(1−c)²ε))` applies unchanged. Pushes are executed in
-    /// deterministic frontier rounds chunked across the shared thread pool
-    /// (see the module docs); results are bitwise identical for every thread
-    /// count. After the push loop all remaining sub-threshold residual mass
-    /// is swept into `Ŝ`, which keeps the top-k structure resolvable on
-    /// dense graphs while only reducing the approximation error.
+    /// bound `O(d²/(c(1−c)²ε))` applies unchanged. Pushes run in deterministic
+    /// row-wise rounds on the shared thread pool (see the module docs), with
+    /// bitwise identical results at every thread count. The remaining
+    /// sub-threshold residual is then swept into `Ŝ`, which keeps the top-k
+    /// structure resolvable on dense graphs and only reduces the error.
     pub fn run(&mut self) -> SparseScores {
-        let n = self.graph.num_nodes();
-        let c = self.config.decay as f32;
-        let threshold = ((1.0 - self.config.decay) * self.config.epsilon) as f32;
+        let graph = &self.graph;
+        let n = graph.num_nodes();
+        let inv_deg = inverse_degrees(graph);
+        // `R = I` and every valid threshold is below 1: all diagonal pairs
+        // cross it at once. Until the final sweep a score row is the log of
+        // what its row absorbed, in round order.
         let mut scores = SparseScores::new(n);
-        // Inverse degrees are read `deg(a)·deg(b)` times per push; cache them
-        // once instead of re-deriving them from the CSR offsets in the loop.
-        let inv_deg: Vec<f32> = (0..n)
-            .map(|v| {
-                let d = self.graph.degree(v);
-                if d == 0 {
-                    0.0
-                } else {
-                    1.0 / d as f32
-                }
-            })
-            .collect();
-        // Residuals keyed by the packed pair id. The Fx hash keeps the probe
-        // cost to a couple of ALU operations, which dominates the push loop
-        // on dense graphs.
-        let mut residual: FxHashMap<u64, f32> = FxHashMap::default();
-        residual.reserve(n * 4);
-        let mut frontier: Vec<u64> = (0..n as u32).map(|u| pair_key(u, u)).collect();
-        for &key in &frontier {
-            residual.insert(key, 1.0);
-        }
+        let mut frontier: Vec<SparseRow> = (0..n as u32).map(|u| vec![(u, 1.0)]).collect();
+        scores.rows.clone_from(&frontier);
+        let mut frontier_rows: Vec<u32> = (0..n as u32).collect();
+        let mut residual: Vec<SparseRow> = vec![Vec::new(); n];
+        // Scatter-adds each row's pull will perform this round (0 = the row
+        // receives nothing), and the rows where that is non-zero.
+        let mut pull_work = vec![0usize; n];
+        let mut active: Vec<u32> = Vec::new();
+        let accumulators = Mutex::new(Vec::new());
         self.pushes_performed = 0;
         LOCALPUSH_RUNS.inc();
         let _span = sigma_obs::span!("localpush_run", n);
         let pool = ThreadPool::global();
 
-        while !frontier.is_empty() {
+        while !frontier_rows.is_empty() {
             LOCALPUSH_ROUNDS.inc();
-            let remaining = self.max_pushes.saturating_sub(self.pushes_performed);
-            if remaining == 0 {
+            // Budget safety valve: push a row-major prefix of the frontier,
+            // then stop (the cut pairs stay absorbed, exactly as the final
+            // sweep would have absorbed them).
+            let mut budget = self.max_pushes.saturating_sub(self.pushes_performed);
+            if budget == 0 {
                 break;
             }
-            if frontier.len() > remaining {
-                // Budget safety valve: process a deterministic prefix, then
-                // stop (the sweep below absorbs what is left, exactly like
-                // the unbounded run absorbs sub-threshold residuals).
-                frontier.truncate(remaining);
-            }
-            // Push every frontier chunk in parallel against the *immutable*
-            // residual map; all writes land in chunk-local buffers.
-            let graph = &self.graph;
-            let residual_ref = &residual;
-            let inv_deg_ref = &inv_deg;
-            let outputs = pool.par_map_chunks(&frontier, PUSH_CHUNK, |_, chunk| {
-                push_chunk(graph, inv_deg_ref, residual_ref, chunk, c, threshold)
+            let before = budget;
+            frontier_rows.retain(|&a| {
+                let row = &mut frontier[a as usize];
+                row.truncate(budget);
+                budget -= row.len();
+                !row.is_empty()
             });
-            // Merge pass 1 (chunk order = frontier order): absorb pushed mass
-            // into Ŝ and zero the pushed residuals, before any deltas land.
-            let mut frontier_len_processed = 0usize;
-            for out in &outputs {
-                for &(key, r) in &out.absorbed {
-                    let (a, b) = crate::fxhash::unpack_pair(key);
-                    scores.add(a, b, r);
-                    residual.insert(key, 0.0);
-                }
-                frontier_len_processed += out.absorbed.len();
-            }
-            self.pushes_performed += frontier_len_processed;
-            LOCALPUSH_PUSHES.add(frontier_len_processed as u64);
-            // Merge pass 2 (chunk order): apply residual deltas. Distinct
-            // keys touch independent accumulators and same-key contributions
-            // are applied in chunk order, so the merged residual is
-            // independent of how chunks were scheduled across threads.
-            // Draining (rather than consuming) the maps lets each guard
-            // return its buffers to the scratch pool for the next round.
-            let mut candidates: Vec<u64> = Vec::new();
-            for mut out in outputs {
-                for (key, delta) in out.delta.drain() {
-                    *residual.entry(key).or_insert(0.0) += delta;
-                    candidates.push(key);
-                }
-                out.absorbed.clear();
-                if out.delta.capacity() > DELTA_RETAIN_CAP {
-                    // Detach instead of pooling: a hub fan-out grew this
-                    // table too large to keep alive past the run.
-                    drop(out.into_inner());
+            self.pushes_performed += before - budget;
+            LOCALPUSH_PUSHES.add((before - budget) as u64);
+
+            for &a in &frontier_rows {
+                let row = &frontier[a as usize];
+                let work: usize = row.iter().map(|&(b, _)| graph.degree(b as usize)).sum();
+                for &x in graph.neighbors(a as usize) {
+                    if pull_work[x as usize] == 0 {
+                        active.push(x);
+                    }
+                    // `+ 1`: the row's merge, and a non-zero mark.
+                    pull_work[x as usize] += work + 1;
                 }
             }
-            // Next frontier: every touched pair now above the threshold, in
-            // canonical (sorted, deduplicated) order.
-            candidates.sort_unstable();
-            candidates.dedup();
-            candidates.retain(|key| residual.get(key).copied().unwrap_or(0.0) > threshold);
-            frontier = candidates;
+            active.sort_unstable();
+            let weights: Vec<usize> = active
+                .iter()
+                .map(|&x| std::mem::take(&mut pull_work[x as usize]))
+                .collect();
+            let pull = |rows: &[u32]| -> Vec<(SparseRow, SparseRow)> {
+                let spare = || accumulators.lock().expect("accumulator pool lock poisoned");
+                let mut acc: Accumulator = spare().pop().unwrap_or_default();
+                acc.sums.resize(n, 0.0);
+                let pull_row = |&x| self.pull_row(&inv_deg, &frontier, &residual, x, &mut acc);
+                let out = rows.iter().map(pull_row).collect();
+                spare().push(acc);
+                out
+            };
+            let pulled = if active.len() > 1 && pool.should_parallelize(weights.iter().sum()) {
+                pool.par_map_ranges_weighted(&weights, |range| pull(&active[range]))
+            } else {
+                vec![pull(&active)]
+            };
+
+            for &a in &frontier_rows {
+                frontier[a as usize].clear();
+            }
+            frontier_rows.clear();
+            for (x, (kept, crossed)) in active.drain(..).zip(pulled.into_iter().flatten()) {
+                residual[x as usize] = kept;
+                if !crossed.is_empty() {
+                    scores.rows[x as usize].extend_from_slice(&crossed);
+                    frontier[x as usize] = crossed;
+                    frontier_rows.push(x);
+                }
+            }
         }
         // Residual sweep: absorb all remaining sub-threshold mass so dense
-        // graphs keep their (small but informative) first-order scores.
-        for (&key, &r) in residual.iter() {
-            if r > 0.0 {
-                let (a, b) = crate::fxhash::unpack_pair(key);
-                scores.add(a, b, r);
+        // graphs keep their (small but informative) first-order scores, then
+        // drop entries that are trivial relative to their row.
+        let weights: Vec<usize> = (0..n)
+            .map(|x| scores.rows[x].len() + residual[x].len())
+            .collect();
+        let finish = |first: usize, block: &mut [SparseRow]| {
+            for (x, row) in (first..).zip(block) {
+                row.extend_from_slice(&residual[x]);
+                sum_by_column(row);
+                SparseScores::prune_row_relative(x, row, RELATIVE_PRUNE_FRACTION);
+            }
+        };
+        if pool.should_parallelize(weights.iter().sum()) {
+            pool.par_row_blocks_mut_weighted(&mut scores.rows, 1, &weights, finish);
+        } else {
+            finish(0, &mut scores.rows);
+        }
+        scores
+    }
+
+    /// Pulls one round's delta into row `x` (see the module docs), returning
+    /// the row's new carried residual and the pairs that crossed the
+    /// threshold. `frontier[a]` holds the pairs `(a, b)` the round pushes with
+    /// their residual; `residual[x]` is the sub-threshold mass row `x` holds.
+    fn pull_row(
+        &self,
+        inv_deg: &[f32],
+        frontier: &[SparseRow],
+        residual: &[SparseRow],
+        x: u32,
+        acc: &mut Accumulator,
+    ) -> (SparseRow, SparseRow) {
+        for &a in self.graph.neighbors(x as usize) {
+            for &(b, r) in &frontier[a as usize] {
+                for &y in self.graph.neighbors(b as usize) {
+                    let sum = &mut acc.sums[y as usize];
+                    // Pushed residuals are positive, so a zero sum means
+                    // "not touched yet".
+                    if *sum == 0.0 {
+                        acc.touched.push(y);
+                    }
+                    *sum += r;
+                }
             }
         }
-        // Pruning: drop entries that are trivial relative to their row.
-        scores.prune_relative(RELATIVE_PRUNE_FRACTION);
-        scores
+        acc.touched.sort_unstable();
+        let threshold = ((1.0 - self.config.decay) * self.config.epsilon) as f32;
+        let scale_x = self.config.decay as f32 * inv_deg[x as usize];
+        let carried = &residual[x as usize];
+        let mut kept = Vec::with_capacity(carried.len() + acc.touched.len());
+        let mut crossed = Vec::new();
+        let mut old = carried.iter().copied().peekable();
+        for y in acc.touched.drain(..) {
+            let sum = std::mem::take(&mut acc.sums[y as usize]);
+            if y == x {
+                // Diagonal pairs are pinned to 1 in the exact recursion and
+                // never accumulate residual.
+                continue;
+            }
+            kept.extend(std::iter::from_fn(|| old.next_if(|&(v, _)| v < y)));
+            let delta = scale_x * inv_deg[y as usize] * sum;
+            let r = old
+                .next_if(|&(v, _)| v == y)
+                .map_or(delta, |(_, r)| r + delta);
+            if r > threshold {
+                crossed.push((y, r));
+            } else {
+                kept.push((y, r));
+            }
+        }
+        kept.extend(old);
+        (kept, crossed)
     }
 
     /// Convenience: runs the solver and materialises the top-k CSR operator
@@ -588,7 +589,6 @@ impl LocalPush {
         self.max_pushes.div_ceil(self.graph.num_nodes().max(1))
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -799,6 +799,81 @@ mod tests {
             for (v, s) in scores.row(u) {
                 assert!((csr.get(u, v) - s).abs() < 1e-6);
             }
+        }
+    }
+
+    fn strictly_sorted(scores: &SparseScores) -> bool {
+        scores
+            .rows
+            .iter()
+            .all(|row| row.windows(2).all(|w| w[0].0 < w[1].0))
+    }
+
+    #[test]
+    fn rows_stay_sorted_through_runs_repairs_and_pruning() {
+        let g = karate_like_graph();
+        let cfg = SimRankConfig::new(0.6, 0.005, None).unwrap();
+        // Multi-round coupled run: rows are merged from several absorb
+        // rounds plus the residual sweep.
+        let mut solver = LocalPush::new(&g, cfg).unwrap();
+        let mut scores = solver.run();
+        assert!(solver.pushes_performed() > g.num_nodes());
+        assert!(strictly_sorted(&scores));
+        scores.prune_relative(0.3);
+        scores.prune(0.01);
+        assert!(strictly_sorted(&scores));
+
+        // Decomposed assembly, then a repair that re-assembles some rows.
+        let mut decomposed = solver.run_decomposed();
+        let mut assembled = decomposed.assemble();
+        assert!(strictly_sorted(&assembled));
+        let mut edges: Vec<(usize, usize)> = g.edges().collect();
+        edges.push((1, 7));
+        let edited = Graph::from_edges(12, &edges).unwrap();
+        let report = LocalPush::new(&edited, cfg)
+            .unwrap()
+            .repair(&mut decomposed, &[1, 7])
+            .unwrap();
+        assert!(!report.changed_rows.is_empty());
+        decomposed.assemble_rows_into(&mut assembled, &report.changed_rows);
+        assert!(strictly_sorted(&assembled));
+    }
+
+    #[test]
+    fn absent_and_out_of_range_pairs_score_zero() {
+        let mut scores = SparseScores::new(3);
+        scores.set_row(1, vec![(0, 0.25), (1, 1.0)]);
+        assert_eq!(scores.get(1, 0), 0.25);
+        assert_eq!(scores.get(1, 2), 0.0);
+        assert_eq!(scores.get(0, 1), 0.0);
+        assert_eq!(scores.get(3, 0), 0.0);
+        assert_eq!(scores.get(1, 3), 0.0);
+        // Beyond u32: must not alias a stored column.
+        assert_eq!(scores.get(1, (1usize << 32) + 1), 0.0);
+        assert_eq!(scores.row_max(1), 1.0);
+        assert_eq!(scores.row_max(7), 0.0);
+    }
+
+    #[test]
+    fn top_k_breaks_score_ties_towards_the_smaller_column() {
+        let mut scores = SparseScores::new(7);
+        let row = vec![(0, 0.2), (1, 0.5), (2, 0.2), (3, 1.0), (4, 0.5), (6, 0.2)];
+        scores.set_row(3, row.clone());
+        scores.set_row(5, row);
+        assert_eq!(
+            scores.to_csr(Some(4)).row_iter(3).collect::<Vec<_>>(),
+            vec![(0, 0.2), (1, 0.5), (3, 1.0), (4, 0.5)]
+        );
+        for k in 1..=7 {
+            assert_eq!(
+                scores.to_csr(Some(k)),
+                scores.to_csr(None).top_k_per_row(k),
+                "k = {k}"
+            );
+            assert_eq!(
+                scores.rows_to_csr(&[5, 3], Some(k)).row_iter(0).count(),
+                k.min(6)
+            );
         }
     }
 }

@@ -1,18 +1,19 @@
 //! Serial/parallel parity for the LocalPush SimRank solver.
 //!
-//! The parallel LocalPush cuts each frontier round into fixed-size chunks
-//! whose boundaries and merge order depend only on the frontier — never on
-//! the thread count — so the approximate scores must be **bitwise
-//! identical** under any `SIGMA_NUM_THREADS`. These tests force the global
-//! pool to 1 and 4 threads and compare `f32` bit patterns, push counts, and
-//! the materialised top-k operator.
+//! A LocalPush round is a row-wise sparse product: every output row is owned
+//! by exactly one task that sums in one canonical order, so the approximate
+//! scores must be **bitwise identical** under any `SIGMA_NUM_THREADS` — and
+//! identical to the nested-loop reference of that order in `sigma-testutil`.
+//! These tests force the global pool to 1, 2 and 4 threads and compare `f32`
+//! bit patterns, push counts, and the materialised top-k operator.
 
 use sigma_graph::Graph;
 use sigma_simrank::{LocalPush, SimRankConfig, SparseScores};
+use sigma_testutil::power_law_graph;
+use sigma_testutil::reference::localpush_reference;
 
-/// A 200-node ring with six chord offsets: every frontier exceeds the
-/// 128-pair push chunk, so rounds genuinely split into multiple chunks and
-/// the chunk-ordered merge path is exercised.
+/// A 200-node ring with six chord offsets: the first round's pull work
+/// exceeds the pool's dispatch floor, so rounds genuinely split across tasks.
 fn chorded_ring(n: usize) -> Graph {
     let mut edges = Vec::new();
     for u in 0..n {
@@ -161,7 +162,7 @@ fn decomposed_run_and_repair_are_bitwise_identical_across_thread_counts() {
 /// A hub-dominated ("skewed-degree") graph: a few hubs adjacent to large
 /// spoke fans plus a connecting ring. Seed costs and score-row widths are
 /// maximally uneven, exercising the weighted seed scheduler, the
-/// nnz-balanced `rows_to_csr` planner, and the pooled push scratch.
+/// nnz-balanced `rows_to_csr` planner, and the work-weighted row pull.
 fn hub_graph(n: usize, hubs: usize) -> Graph {
     let mut edges = Vec::new();
     for u in 0..n {
@@ -215,5 +216,81 @@ fn localpush_push_budget_is_thread_count_independent() {
         assert_eq!(serial.pushes_performed(), parallel.pushes_performed());
         assert!(serial.pushes_performed() <= budget);
         assert_scores_bitwise_eq(&serial_scores, &parallel_scores, "budgeted run");
+    }
+}
+
+/// `run()` at 1, 2 and 4 threads against the nested-loop reference of the
+/// canonical summation order: same score bits, same push count.
+fn assert_matches_reference(g: &Graph, cfg: SimRankConfig, max_pushes: usize, what: &str) {
+    let reference = localpush_reference(g, cfg, max_pushes);
+    for threads in [1usize, 2, 4] {
+        sigma_parallel::set_global_threads(threads);
+        let mut solver = LocalPush::new(g, cfg).unwrap().with_max_pushes(max_pushes);
+        let scores = solver.run();
+        sigma_parallel::set_global_threads(0);
+        assert_eq!(
+            solver.pushes_performed(),
+            reference.pushes,
+            "{what}: pushes at {threads} threads"
+        );
+        for (u, want) in reference.rows.iter().enumerate() {
+            let got: Vec<(u32, u32)> = scores
+                .row(u)
+                .map(|(v, s)| (v as u32, s.to_bits()))
+                .collect();
+            let want: Vec<(u32, u32)> = want.iter().map(|&(v, s)| (v, s.to_bits())).collect();
+            assert_eq!(got, want, "{what}: row {u} at {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn localpush_matches_the_reference_on_a_power_law_graph() {
+    // Σ deg² is far above the pool's dispatch floor, so the first round
+    // splits across tasks with very uneven row weights.
+    let g = power_law_graph(500, 150, 47);
+    assert_matches_reference(&g, SimRankConfig::default(), usize::MAX, "power law");
+}
+
+#[test]
+fn localpush_matches_the_reference_over_many_sparse_rounds() {
+    // Degree 2–3 and a tight ε: off-diagonal pairs stay above the threshold
+    // for several rounds, so rows carry residual from round to round and
+    // most rows sit out the late rounds.
+    let mut edges: Vec<(usize, usize)> = (0..300).map(|u| (u, (u + 1) % 300)).collect();
+    edges.extend((0..300).step_by(7).map(|u| (u, (u + 40) % 300)));
+    let g = Graph::from_edges(300, &edges).unwrap();
+    let cfg = SimRankConfig::new(0.6, 0.005, None).unwrap();
+    let reference = localpush_reference(&g, cfg, usize::MAX);
+    assert!(reference.rounds >= 3, "only {} rounds", reference.rounds);
+    assert!(
+        reference.pushes > g.num_nodes(),
+        "no off-diagonal pair was pushed"
+    );
+    assert_matches_reference(&g, cfg, usize::MAX, "sparse rounds");
+}
+
+#[test]
+fn localpush_matches_the_reference_when_the_budget_cuts_a_round() {
+    let g = chorded_ring(150);
+    let cfg = SimRankConfig::new(0.6, 0.01, None).unwrap();
+    let unbounded = localpush_reference(&g, cfg, usize::MAX);
+    assert!(unbounded.rounds >= 2);
+    // Inside the first round, and part-way through the row-major frontier
+    // of the second.
+    for budget in [97, g.num_nodes() + (unbounded.pushes - g.num_nodes()) / 3] {
+        assert!(budget < unbounded.pushes);
+        assert_eq!(localpush_reference(&g, cfg, budget).pushes, budget);
+        assert_matches_reference(&g, cfg, budget, "budgeted");
+    }
+}
+
+#[test]
+fn localpush_matches_the_reference_with_isolated_nodes() {
+    for cfg in [
+        SimRankConfig::default(),
+        SimRankConfig::new(0.8, 0.005, None).unwrap(),
+    ] {
+        assert_matches_reference(&irregular_graph(), cfg, usize::MAX, "isolated nodes");
     }
 }

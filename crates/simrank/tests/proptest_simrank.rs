@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sigma_graph::Graph;
 use sigma_simrank::{
     exact_simrank, forward_push_ppr, power_iteration_ppr, power_iteration_simrank, DynamicSimRank,
-    EdgeUpdate, LocalPush, PprConfig, SimRankConfig,
+    EdgeUpdate, LocalPush, PprConfig, SimRankConfig, SparseScores,
 };
 
 const MAX_NODES: usize = 14;
@@ -21,8 +21,44 @@ fn random_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Every row strictly column-ascending, hence duplicate-free.
+fn rows_are_strictly_sorted(scores: &SparseScores) -> bool {
+    (0..scores.num_nodes()).all(|u| {
+        let cols: Vec<usize> = scores.row(u).map(|(v, _)| v).collect();
+        cols.windows(2).all(|w| w[0] < w[1])
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sparse_scores_keep_sorted_rows_and_select_top_k_like_csr(
+        g in random_graph(), k in 1usize..6, tight in any::<bool>()
+    ) {
+        // Small symmetric graphs are full of exactly tied scores, so the
+        // top-k comparison exercises the column-ascending tie-break.
+        let cfg = SimRankConfig::new(0.6, if tight { 0.005 } else { 0.1 }, None).unwrap();
+        let n = g.num_nodes();
+        let mut solver = LocalPush::new(&g, cfg).unwrap();
+        for mut scores in [solver.run(), solver.run_decomposed().assemble()] {
+            prop_assert!(rows_are_strictly_sorted(&scores));
+            prop_assert_eq!(scores.to_csr(Some(k)), scores.to_csr(None).top_k_per_row(k));
+            prop_assert_eq!(scores.get(0, n), 0.0);
+            prop_assert_eq!(scores.get(n, 0), 0.0);
+            prop_assert_eq!(scores.get(0, usize::MAX), 0.0);
+            let stored: usize = (0..n).map(|u| scores.row(u).count()).sum();
+            prop_assert_eq!(scores.nnz(), stored);
+            scores.prune_relative(0.5);
+            prop_assert!(rows_are_strictly_sorted(&scores));
+            scores.prune(0.05);
+            prop_assert!(rows_are_strictly_sorted(&scores));
+            for u in 0..n {
+                prop_assert!(scores.row(u).all(|(_, s)| s >= 0.05));
+                prop_assert!((scores.get(u, u) - 1.0).abs() < 1e-6);
+            }
+        }
+    }
 
     #[test]
     fn exact_simrank_is_a_similarity_matrix(g in random_graph()) {

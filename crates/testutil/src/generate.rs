@@ -51,6 +51,28 @@ pub fn random_graph(num_nodes: usize, extra_edges: usize, seed: u64) -> Graph {
     Graph::from_edges(num_nodes, &edges).expect("generated edges are in bounds")
 }
 
+/// A power-law graph: a sparse ring base plus head nodes whose degree
+/// decays harmonically from `max_deg` — the degree skew of the paper's
+/// pokec-style scalability graphs, concentrated enough that equal-row-count
+/// partitioning visibly serialises behind the head.
+pub fn power_law_graph(n: usize, max_deg: usize, seed: u64) -> Graph {
+    let mut edges = Vec::new();
+    for u in 0..n {
+        edges.push((u, (u + 1) % n));
+        edges.push((u, (u + 7) % n));
+    }
+    for i in 0..n {
+        let extra = max_deg / (i + 1);
+        for e in 0..extra {
+            let j = (i + 11 + e * 13 + (seed as usize % 17)) % n;
+            if i != j {
+                edges.push((i, j));
+            }
+        }
+    }
+    Graph::from_edges(n, &edges).expect("in-bounds edges")
+}
+
 /// A random edit trace over `graph`, deterministic in `seed`.
 ///
 /// The generator tracks the evolving edge set so deletions usually hit live

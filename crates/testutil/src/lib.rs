@@ -3,10 +3,13 @@
 //! Shared test harnesses for the SIGMA reproduction, centred on the
 //! **differential oracle** that proves incremental operator repair correct:
 //!
-//! * [`generate`] — seeded random graph and edge-edit-trace generators, so
-//!   property tests across crates draw structurally varied inputs from one
-//!   implementation (including the delete-then-readd and no-op edit shapes
-//!   that stress repair bookkeeping);
+//! * [`generate`] — seeded random and power-law graph generators and an
+//!   edge-edit-trace generator, so property tests across crates draw
+//!   structurally varied inputs from one implementation (including the
+//!   delete-then-readd and no-op edit shapes that stress repair bookkeeping);
+//! * [`reference`] — scalar reference kernels (the nested-loop LocalPush in
+//!   the coupled solver's canonical summation order) shared by the parity
+//!   tests and the `kernel_microopt` bench;
 //! * [`oracle`] — a serving fixture (graph → trained-shape model snapshot →
 //!   [`sigma_serve::InferenceEngine`] + in-sync
 //!   [`sigma_simrank::DynamicSimRank`]) and [`oracle::replay_differential`],
@@ -30,9 +33,10 @@
 
 pub mod generate;
 pub mod oracle;
+pub mod reference;
 pub mod wire;
 
-pub use generate::{random_graph, random_trace, TraceShape};
+pub use generate::{power_law_graph, random_graph, random_trace, TraceShape};
 pub use oracle::{
     assert_similar_bitwise_eq, replay_differential, replay_differential_sharded, serving_fixture,
     DifferentialReport, ServingFixture, ShardedDifferentialReport,

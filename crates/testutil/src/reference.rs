@@ -1,0 +1,111 @@
+//! Scalar reference implementations the optimised kernels are pinned to,
+//! bit for bit, by parity tests and by the `kernel_microopt` bench.
+
+use sigma_graph::Graph;
+use sigma_simrank::SimRankConfig;
+
+/// What [`localpush_reference`] computed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LocalPushReference {
+    /// Pruned score rows: `(column, Ŝ(row, column))`, column-ascending.
+    pub rows: Vec<Vec<(u32, f32)>>,
+    /// Pairs pushed, the counterpart of `LocalPush::pushes_performed`.
+    pub pushes: usize,
+    /// Rounds that pushed at least one pair.
+    pub rounds: usize,
+}
+
+/// The coupled LocalPush of `sigma_simrank::LocalPush::run` as nested loops
+/// over dense `n × n` matrices, in the solver's canonical summation order.
+///
+/// Every round absorbs the pairs whose residual exceeds `(1−c)·ε` into `Ŝ`
+/// (row-major), pushes the row-major prefix of them the budget allows, and
+/// adds to each `R(x, y)`, `x ≠ y`, the delta
+/// `c/|N_x| · 1/|N_y| · Σ_{a ∈ N_x} Σ_{(a,b) pushed, y ∈ N_b} R(a, b)`,
+/// summed with `a` ascending, `b` ascending, `N_b` in adjacency order and
+/// scaled once at the end. The remaining residual is then swept into `Ŝ`
+/// and each row pruned relative to its largest off-diagonal score.
+pub fn localpush_reference(
+    graph: &Graph,
+    config: SimRankConfig,
+    max_pushes: usize,
+) -> LocalPushReference {
+    let n = graph.num_nodes();
+    let c = config.decay as f32;
+    let threshold = ((1.0 - config.decay) * config.epsilon) as f32;
+    let inv_deg: Vec<f32> = (0..n)
+        .map(|v| match graph.degree(v) {
+            0 => 0.0,
+            d => 1.0 / d as f32,
+        })
+        .collect();
+    let mut scores = vec![vec![0.0f32; n]; n];
+    let mut residual = vec![vec![0.0f32; n]; n];
+    for (u, row) in residual.iter_mut().enumerate() {
+        row[u] = 1.0;
+    }
+    let (mut pushes, mut rounds) = (0usize, 0usize);
+    loop {
+        let mut frontier: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
+        for a in 0..n {
+            for b in 0..n {
+                let r = residual[a][b];
+                if r > threshold {
+                    scores[a][b] += r;
+                    residual[a][b] = 0.0;
+                    frontier[a].push((b, r));
+                }
+            }
+        }
+        let mut budget = max_pushes - pushes;
+        for row in &mut frontier {
+            row.truncate(budget);
+            budget -= row.len();
+        }
+        let pushed = max_pushes - pushes - budget;
+        if pushed == 0 {
+            break;
+        }
+        pushes += pushed;
+        rounds += 1;
+        for x in 0..n {
+            let mut sums = vec![0.0f32; n];
+            for &a in graph.neighbors(x) {
+                for &(b, r) in &frontier[a as usize] {
+                    for &y in graph.neighbors(b) {
+                        sums[y as usize] += r;
+                    }
+                }
+            }
+            for y in 0..n {
+                if y != x && sums[y] != 0.0 {
+                    residual[x][y] += c * inv_deg[x] * inv_deg[y] * sums[y];
+                }
+            }
+        }
+    }
+    let rows = (0..n)
+        .map(|x| {
+            for y in 0..n {
+                if residual[x][y] > 0.0 {
+                    scores[x][y] += residual[x][y];
+                }
+            }
+            let stored = || (0..n).filter(|&y| scores[x][y] > 0.0);
+            let row_max = stored()
+                .filter(|&y| y != x)
+                .map(|y| scores[x][y])
+                .fold(0.0f32, f32::max);
+            let floor = 0.01 * row_max;
+            stored()
+                .filter(|&y| y == x || scores[x][y] >= floor)
+                .map(|y| (y as u32, scores[x][y]))
+                .collect()
+        })
+        .collect();
+    LocalPushReference {
+        rows,
+        pushes,
+        rounds,
+    }
+}
