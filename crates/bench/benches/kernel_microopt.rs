@@ -3,7 +3,7 @@
 //! (power-law) fig5-style graphs, at every thread count of the sweep the
 //! host has cores for.
 //!
-//! Three things are measured and one thing is *proven* on every run:
+//! Four things are measured and one thing is *proven* on every run:
 //!
 //! * **reference/optimised timings** for `spmm`, `spmm_transpose`, `spgemm`
 //!   and LocalPush — the reference is a self-contained scalar
@@ -14,8 +14,14 @@
 //! * **planner balance**: the maximum range weight of the equal-row-count
 //!   split versus the nnz-balanced planner on the skewed operator, a
 //!   machine-independent utilisation proxy;
+//! * **incremental repair vs starting over**: on the `repair_churn`
+//!   benchmark's graph family, `DynamicSimRank::repair` after batches of
+//!   1–64 edits at ε ∈ {0.1, 0.02} — repair time, dirty seeds and rows
+//!   patched — beside a coupled `LocalPush::run` + `to_csr` on the same
+//!   edited graph, at one pool thread;
 //! * **bit-parity**: every optimised kernel result is asserted bitwise
-//!   identical to its scalar reference, at every thread count. A mismatch
+//!   identical to its scalar reference, at every thread count, and every
+//!   repaired state to a fresh `run_decomposed` on its graph. A mismatch
 //!   aborts the bench (CI runs this in `--quick` mode).
 //!
 //! Thread counts above `host_cores` are skipped, not reported: more pool
@@ -23,10 +29,13 @@
 //! emitted as `BENCH_kernels.json` at the repository root.
 
 use sigma_bench::TablePrinter;
-use sigma_graph::sym_normalized_adjacency;
+use sigma_datasets::DatasetPreset;
+use sigma_graph::{sym_normalized_adjacency, Graph};
 use sigma_matrix::{CsrMatrix, DenseMatrix};
 use sigma_parallel::partition_by_weight;
-use sigma_simrank::{LocalPush, SimRankConfig, SparseScores};
+use sigma_simrank::{
+    DynamicSimRank, EdgeUpdate, LocalPush, RepairOutcome, SimRankConfig, SparseScores,
+};
 use sigma_testutil::power_law_graph;
 use sigma_testutil::reference::localpush_reference;
 use std::time::Instant;
@@ -181,6 +190,102 @@ struct KernelRow {
     threads: usize,
     timing: Timing,
     parity: &'static str,
+}
+
+/// One cell of the repair sweep.
+struct RepairRow {
+    edits: usize,
+    epsilon: f64,
+    repair: Timing,
+    /// Dirty seeds and rows patched by the median-sized round.
+    dirty_seeds: usize,
+    rows_patched: usize,
+    coupled_run: Timing,
+    coupled_to_csr: Timing,
+}
+
+/// The `k`-th batch of a sweep cell: inserts of pseudo-random pairs
+/// alternating with deletes of the graph's own edges (the shape of the
+/// `repair_churn` benchmark's batches).
+fn edit_batch(graph: &Graph, edges: &[(usize, usize)], edits: usize, k: usize) -> Vec<EdgeUpdate> {
+    let n = graph.num_nodes();
+    let pick = |i: usize, salt: u64, modulus: usize| {
+        let unit = (pseudo(k * edits + i, edits, salt) as f64 + 1.0) / 2.0;
+        ((unit * modulus as f64) as usize).min(modulus - 1)
+    };
+    (0..edits)
+        .map(|i| {
+            if i % 2 == 0 {
+                let u = pick(i, 11, n);
+                EdgeUpdate::Insert(u, (u + 1 + pick(i, 13, n - 1)) % n)
+            } else {
+                let (u, v) = edges[pick(i, 17, edges.len())];
+                EdgeUpdate::Delete(u, v)
+            }
+        })
+        .collect()
+}
+
+/// Times `reps` successive repairs of `edits`-edit batches, then a coupled
+/// run + materialisation on the graph they left, and asserts the repaired
+/// state bitwise equal to a fresh decomposed run on that graph.
+fn repair_cell(graph: &Graph, epsilon: f64, edits: usize, reps: usize) -> RepairRow {
+    let config = SimRankConfig::new(0.6, epsilon, Some(16)).expect("valid sweep config");
+    let edges: Vec<(usize, usize)> = graph.edges().collect();
+    let mut maintainer =
+        DynamicSimRank::new(graph.clone(), config, usize::MAX).expect("valid sweep config");
+    maintainer.operator().expect("initial operator");
+    let mut rounds: Vec<(f64, usize, usize)> = (0..reps)
+        .map(|k| {
+            maintainer
+                .apply_batch(&edit_batch(graph, &edges, edits, k))
+                .expect("in-bounds edits");
+            let start = Instant::now();
+            let outcome = maintainer.repair().expect("repair");
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            match outcome {
+                RepairOutcome::Patched(p) => (ms, p.dirty_seeds, p.changed_rows.len()),
+                RepairOutcome::FullRefresh => panic!("a sweep round fell back to a full refresh"),
+            }
+        })
+        .collect();
+    rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (_, dirty_seeds, rows_patched) = rounds[rounds.len() / 2];
+    let repair = Timing {
+        median: rounds[rounds.len() / 2].0,
+        min: rounds[0].0,
+        max: rounds[rounds.len() - 1].0,
+        samples: rounds.len(),
+    };
+
+    let edited = maintainer.graph().clone();
+    let (coupled_run, coupled_scores) =
+        time_ms(reps, || LocalPush::new(&edited, config).unwrap().run());
+    let (coupled_to_csr, _) = time_ms(reps, || coupled_scores.to_csr(config.top_k));
+
+    let fresh = LocalPush::new(&edited, config)
+        .unwrap()
+        .run_decomposed()
+        .assemble();
+    let what = format!("repair (edits {edits}, epsilon {epsilon})");
+    let fresh_rows: Vec<Vec<(u32, f32)>> = (0..fresh.num_nodes())
+        .map(|u| fresh.row(u).map(|(v, s)| (v as u32, s)).collect())
+        .collect();
+    assert_scores_match_reference(maintainer.scores().expect("scores"), &fresh_rows, &what);
+    assert_eq!(
+        maintainer.operator().expect("operator"),
+        fresh.to_csr(config.top_k),
+        "{what}: PARITY MISMATCH in the repaired operator"
+    );
+    RepairRow {
+        edits,
+        epsilon,
+        repair,
+        dirty_seeds,
+        rows_patched,
+        coupled_run,
+        coupled_to_csr,
+    }
 }
 
 struct BalanceRow {
@@ -351,17 +456,63 @@ fn main() {
     sigma_parallel::set_global_threads(0);
     table.print("Kernel micro-optimisations vs the scalar reference (skewed graph)");
 
+    // -- Incremental repair vs a coupled re-run, one pool thread. -----------
+    sigma_parallel::set_global_threads(1);
+    let repair_graph = DatasetPreset::Pokec
+        .build(if quick { 0.15 } else { 1.0 }, 47)
+        .expect("pokec preset")
+        .graph;
+    let mut repair_rows = Vec::new();
+    let mut repair_table = TablePrinter::new(vec![
+        "epsilon",
+        "edits",
+        "repair (ms, min-max)",
+        "dirty seeds",
+        "rows patched",
+        "coupled run + to_csr (ms)",
+        "parity",
+    ]);
+    for epsilon in [0.1, 0.02] {
+        for edits in [1usize, 4, 16, 64] {
+            let row = repair_cell(&repair_graph, epsilon, edits, reps);
+            repair_table.add_row(vec![
+                epsilon.to_string(),
+                edits.to_string(),
+                format!(
+                    "{:.2} ({:.2}-{:.2})",
+                    row.repair.median, row.repair.min, row.repair.max
+                ),
+                row.dirty_seeds.to_string(),
+                row.rows_patched.to_string(),
+                format!(
+                    "{:.2} + {:.2}",
+                    row.coupled_run.median, row.coupled_to_csr.median
+                ),
+                "ok".to_string(),
+            ]);
+            repair_rows.push(row);
+        }
+    }
+    sigma_parallel::set_global_threads(0);
+    repair_table.print(&format!(
+        "Incremental repair vs starting over ({} nodes, {} edges, 1 thread)",
+        repair_graph.num_nodes(),
+        repair_graph.num_edges()
+    ));
+
     println!("all parity assertions passed: optimised kernels are bitwise-identical to their");
-    println!("scalar references at {sweep:?} thread(s). this host reports {cores} available");
-    println!("core(s); thread counts {skipped:?} exceed it and were skipped.");
+    println!("scalar references at {sweep:?} thread(s), and every repaired state to a fresh");
+    println!("decomposed run. this host reports {cores} available core(s); thread counts");
+    println!("{skipped:?} exceed it and were skipped.");
 
     emit_json(
         quick,
         (cores, &skipped),
         (n, operator.nnz(), max_row_nnz),
-        (push_n, push_graph.num_edges()),
+        (&push_graph, &repair_graph),
         &balance_rows,
         &kernel_rows,
+        &repair_rows,
     );
 }
 
@@ -369,9 +520,10 @@ fn emit_json(
     quick: bool,
     (cores, skipped): (usize, &[usize]),
     (nodes, nnz, max_row_nnz): (usize, usize, usize),
-    (push_nodes, push_edges): (usize, usize),
+    (push_graph, repair_graph): (&Graph, &Graph),
     balance: &[BalanceRow],
     kernels: &[KernelRow],
+    repairs: &[RepairRow],
 ) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"kernel_microopt\",\n");
@@ -382,14 +534,22 @@ fn emit_json(
         "  \"note\": \"parity is asserted (optimised kernels bitwise-identical to their scalar \
          references at every swept thread count); ms is the median of `samples` runs, min_ms and \
          max_ms its spread; thread counts above host_cores are skipped; the localpush reference \
-         is the dense nested-loop one in sigma-testutil\",\n",
+         is the dense nested-loop one in sigma-testutil; each repair row times `samples` \
+         successive DynamicSimRank::repair calls after batches of `edits` edits at one pool \
+         thread, reports the dirty seeds and rows patched of the median round beside a coupled \
+         LocalPush::run and to_csr on the graph those batches left, and asserts the repaired \
+         scores and operator bitwise equal to a fresh run_decomposed\",\n",
     );
     out.push_str(&format!(
         "  \"spmm_graph\": {{\"nodes\": {nodes}, \"nnz\": {nnz}, \"max_row_nnz\": {max_row_nnz}}},\n"
     ));
-    out.push_str(&format!(
-        "  \"localpush_graph\": {{\"nodes\": {push_nodes}, \"edges\": {push_edges}}},\n"
-    ));
+    for (name, graph) in [("localpush", push_graph), ("repair", repair_graph)] {
+        out.push_str(&format!(
+            "  \"{name}_graph\": {{\"nodes\": {}, \"edges\": {}}},\n",
+            graph.num_nodes(),
+            graph.num_edges()
+        ));
+    }
     out.push_str("  \"partition_balance\": [\n");
     for (i, b) in balance.iter().enumerate() {
         out.push_str(&format!(
@@ -416,6 +576,26 @@ fn emit_json(
             k.timing.samples,
             k.parity,
             if i + 1 == kernels.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"repair\": [\n");
+    for (i, r) in repairs.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"edits\": {}, \"epsilon\": {}, \"repair_ms\": {:.3}, \"min_ms\": {:.3}, \
+             \"max_ms\": {:.3}, \"samples\": {}, \"dirty_seeds\": {}, \"rows_patched\": {}, \
+             \"coupled_run_ms\": {:.3}, \"coupled_to_csr_ms\": {:.3}, \"parity\": \"ok\"}}{}\n",
+            r.edits,
+            r.epsilon,
+            r.repair.median,
+            r.repair.min,
+            r.repair.max,
+            r.repair.samples,
+            r.dirty_seeds,
+            r.rows_patched,
+            r.coupled_run.median,
+            r.coupled_to_csr.median,
+            if i + 1 == repairs.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");

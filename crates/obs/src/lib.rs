@@ -144,6 +144,24 @@ impl Stopwatch {
         }
     }
 
+    /// Nanoseconds since the start or the previous lap, restarting the
+    /// watch (0 without `obs`): consecutive laps add up to the time between
+    /// the first start and the last lap.
+    #[inline]
+    pub fn lap(&mut self) -> u64 {
+        #[cfg(feature = "obs")]
+        {
+            let now = monotonic_ns();
+            let elapsed = now.saturating_sub(self.start_ns);
+            self.start_ns = now;
+            elapsed
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            0
+        }
+    }
+
     /// Nanoseconds since [`Stopwatch::start`] (0 without `obs`).
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
@@ -234,6 +252,20 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"obs_test_export_total\": 9"));
         assert!(json.contains("\"count\": 3"));
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn stopwatch_laps_add_up() {
+        let mut sw = Stopwatch::start();
+        let whole = sw;
+        std::hint::black_box((0..1000u64).sum::<u64>());
+        let first = sw.lap();
+        std::hint::black_box((0..1000u64).sum::<u64>());
+        let second = sw.lap();
+        // The laps tile the interval: together they are what a watch
+        // started at the same instant reads now, or a little less.
+        assert!(first + second <= whole.elapsed_ns());
     }
 
     #[cfg(feature = "obs")]

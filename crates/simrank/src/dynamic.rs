@@ -1,32 +1,42 @@
-//! Dynamic SimRank maintenance with lazy recomputation.
+//! Dynamic SimRank maintenance: buffered edits, exact repair, lazy refresh.
 //!
 //! The paper's conclusion names dynamic graphs as the main future-work
 //! direction: SIGMA's aggregation operator is constant during training, so
-//! when edges arrive or disappear the SimRank matrix must be refreshed
-//! without redoing the full precomputation on every edit. This module
-//! implements the *lazy update* strategy the paper sketches:
+//! when edges arrive or disappear the SimRank matrix must be brought up to
+//! date without redoing the full precomputation on every edit.
+//! [`DynamicSimRank`] keeps a graph, the seed-decomposed scores behind it and
+//! their top-k operator, and offers two ways forward after edits:
 //!
-//! * edge insertions/deletions are buffered and applied to the graph
-//!   immediately, but the cached score matrix is only recomputed when a
-//!   caller asks for the operator **and** the accumulated edits exceed a
-//!   configurable staleness budget;
-//! * between recomputations the maintainer tracks exactly which nodes are
-//!   *affected* (endpoints of edited edges plus their neighbours — the only
-//!   rows whose first-order SimRank terms can change), so callers can bound
-//!   how stale a particular query is and tests can verify the locality
-//!   argument.
-//!
-//! This trades a small, controllable amount of staleness for amortised
-//! `O(edits)` bookkeeping, mirroring the incremental-update literature the
-//! paper cites (Wang et al., ICDE'18) without reproducing its full
-//! differential push machinery.
+//! * **Repair** ([`DynamicSimRank::repair`]) — exact and incremental. Edits
+//!   are applied to the graph a batch at a time (one graph rebuild per
+//!   batch); the endpoints whose adjacency really changed are the dirtiness
+//!   source. A repair then costs, stage by stage: a dirty scan over the seed
+//!   footprints (`O(Σ |footprint|)`), one re-push per dirty seed, the
+//!   re-summing of the score rows those seeds contribute to
+//!   (`O(contributions of the changed rows)`, see [`crate::DecomposedScores`])
+//!   and **one** top-k materialisation of those rows, spliced into the
+//!   cached operator. [`DynamicSimRank::operator_rows`] gathers the patch
+//!   consumers splice into their own copies from that cache, so a row is
+//!   selected once however many shards ask. The result is bitwise identical
+//!   to a full recomputation on the edited graph.
+//! * **Lazy refresh** ([`DynamicSimRank::scores`], [`DynamicSimRank::operator`])
+//!   — the strategy the paper sketches: queries keep reading the cached,
+//!   slightly stale scores until the edits since the last refresh or repair
+//!   exceed a staleness budget, then recompute everything. Between
+//!   recomputations the maintainer tracks which nodes are *affected*
+//!   (endpoints of edited edges plus their neighbours — the only rows whose
+//!   first-order SimRank terms can change), so callers can bound how stale a
+//!   particular query is.
 
-use crate::fxhash::FxHashSet;
-use crate::incremental::DecomposedScores;
+use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::incremental::{
+    DecomposedScores, REPAIR_ASSEMBLE_NS, REPAIR_ENTRIES, REPAIR_MATERIALISE_NS, REPAIR_ROWS,
+};
 use crate::localpush::LocalPush;
 use crate::{Result, SimRankConfig, SimRankError, SparseScores};
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
+use sigma_obs::Stopwatch;
 
 /// A buffered edge edit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,54 +178,71 @@ impl DynamicSimRank {
 
     /// Applies one edge update to the graph and records the affected region.
     pub fn apply(&mut self, update: EdgeUpdate) -> Result<()> {
-        let (u, v, insert) = match update {
-            EdgeUpdate::Insert(u, v) => (u, v, true),
-            EdgeUpdate::Delete(u, v) => (u, v, false),
-        };
-        let n = self.graph.num_nodes();
-        if u >= n || v >= n {
-            return Err(SimRankError::NodeOutOfBounds {
-                node: u.max(v),
-                num_nodes: n,
-            });
-        }
-        // No-op edits (duplicate inserts, self-loops, missing deletes) leave
-        // the topology — and therefore the scores — untouched; record
-        // nothing so they neither burn staleness budget nor dirty repairs.
-        let changes = if insert {
-            u != v && !self.graph.has_edge(u, v)
-        } else {
-            self.graph.has_edge(u, v)
-        };
-        if !changes {
-            return Ok(());
-        }
-        // Mark the endpoints and their current neighbourhoods stale *before*
-        // rebuilding, so deletions also record the old neighbours.
-        for &endpoint in &[u, v] {
-            self.affected.insert(endpoint as u32);
-            self.edited.insert(endpoint as u32);
-            for &w in self.graph.neighbors(endpoint) {
-                self.affected.insert(w);
-            }
-        }
-        let mut edges: Vec<(usize, usize)> = self.graph.edges().collect();
-        if insert {
-            edges.push((u, v));
-        } else {
-            edges.retain(|&(a, b)| !((a == u && b == v) || (a == v && b == u)));
-        }
-        self.graph = Graph::from_edges(n, &edges)?;
-        self.pending_edits += 1;
-        Ok(())
+        self.apply_batch(&[update])
     }
 
-    /// Applies a batch of updates.
+    /// Applies a batch of updates, in order, and rebuilds the graph once.
+    ///
+    /// Equivalent to applying the updates one by one — each is judged
+    /// against the edge set its predecessors left, and an out-of-bounds
+    /// update stops the batch after the ones before it took effect.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<()> {
+        let n = self.graph.num_nodes();
+        // Presence of every edge this batch changed, keyed `(min, max)`;
+        // edges not listed are as `self.graph` has them.
+        let mut overlay: FxHashMap<(usize, usize), bool> = FxHashMap::default();
+        let mut outcome = Ok(());
         for &update in updates {
-            self.apply(update)?;
+            let (u, v, insert) = match update {
+                EdgeUpdate::Insert(u, v) => (u, v, true),
+                EdgeUpdate::Delete(u, v) => (u, v, false),
+            };
+            if u >= n || v >= n {
+                outcome = Err(SimRankError::NodeOutOfBounds {
+                    node: u.max(v),
+                    num_nodes: n,
+                });
+                break;
+            }
+            // No-op edits (duplicate inserts, self-loops, missing deletes)
+            // leave the topology — and therefore the scores — untouched;
+            // record nothing so they neither burn staleness budget nor
+            // dirty repairs.
+            let edge = (u.min(v), u.max(v));
+            let present = overlay
+                .get(&edge)
+                .copied()
+                .unwrap_or_else(|| self.graph.has_edge(u, v));
+            if u == v || present == insert {
+                continue;
+            }
+            overlay.insert(edge, insert);
+            // Mark the endpoints and their neighbourhoods stale. The
+            // batch-start neighbourhood is enough: a neighbour gained or
+            // lost earlier in the batch was an endpoint then, so it is
+            // already marked.
+            for endpoint in [u, v] {
+                self.affected.insert(endpoint as u32);
+                self.edited.insert(endpoint as u32);
+                self.affected.extend(self.graph.neighbors(endpoint));
+            }
+            self.pending_edits += 1;
         }
-        Ok(())
+        if !overlay.is_empty() {
+            let edges: Vec<(usize, usize)> = self
+                .graph
+                .edges()
+                .filter(|edge| !overlay.contains_key(edge))
+                .chain(
+                    overlay
+                        .iter()
+                        .filter(|&(_, &present)| present)
+                        .map(|(&edge, _)| edge),
+                )
+                .collect();
+            self.graph = Graph::from_edges(n, &edges)?;
+        }
+        outcome
     }
 
     /// Whether the cached scores are stale enough that the next operator
@@ -258,22 +285,29 @@ impl DynamicSimRank {
             self.affected.clear();
             return Ok(RepairOutcome::Patched(ScoreRepair::empty()));
         }
+        let mut clock = Stopwatch::start();
         let edited = self.edited_nodes();
         let mut solver = LocalPush::new(&self.graph, self.config)?;
         let decomposed = self
             .decomposed
             .as_mut()
             .expect("checked above: decomposition exists");
-        let report = solver.repair(decomposed, &edited)?;
+        let report = solver.repair_staged(decomposed, &edited, &mut clock)?;
         let cached = self
             .cached
             .as_mut()
             .expect("a decomposition is always assembled into cached scores");
-        decomposed.assemble_rows_into(cached, &report.changed_rows);
+        let work = decomposed.assemble_rows_into(cached, &report.changed_rows);
+        REPAIR_ASSEMBLE_NS.record(clock.lap());
+        REPAIR_ROWS.add(report.changed_rows.len() as u64);
+        REPAIR_ENTRIES.add(work.entries as u64);
+        // The one materialisation of the patch: `operator_rows` hands
+        // consumers these rows back out of the spliced cache.
         if let Some(operator) = &self.operator_cache {
             let patch = cached.rows_to_csr(&report.changed_rows, self.config.top_k);
             self.operator_cache = Some(operator.replace_rows(&report.changed_rows, &patch)?);
         }
+        REPAIR_MATERIALISE_NS.record(clock.lap());
         self.pending_edits = 0;
         self.affected.clear();
         self.edited.clear();
@@ -303,20 +337,22 @@ impl DynamicSimRank {
         if self.needs_refresh() {
             self.refresh()?;
         }
-        if self.operator_cache.is_none() {
-            let scores = self.cached.as_ref().expect("refresh populates the cache");
-            self.operator_cache = Some(scores.to_csr(self.config.top_k));
-        }
-        Ok(self
-            .operator_cache
-            .clone()
-            .expect("materialised immediately above"))
+        Ok(self.materialised_operator().clone())
     }
 
-    /// Materialises the top-k operator rows for the listed score rows as a
+    /// The top-k materialisation of the cached scores, built on first use.
+    fn materialised_operator(&mut self) -> &CsrMatrix {
+        let scores = self.cached.as_ref().expect("callers refresh first");
+        self.operator_cache
+            .get_or_insert_with(|| scores.to_csr(self.config.top_k))
+    }
+
+    /// The top-k operator rows for the listed score rows as a
     /// `rows.len() × n` CSR patch against the *current* cached scores —
     /// the row payload consumers splice in with `CsrMatrix::replace_rows`
-    /// after a [`DynamicSimRank::repair`].
+    /// after a [`DynamicSimRank::repair`]. The rows are gathered from the
+    /// cached operator, which `repair` has already brought up to date, so a
+    /// patch is top-k-selected once however many consumers ask for it.
     pub fn operator_rows(&mut self, rows: &[usize]) -> Result<CsrMatrix> {
         let n = self.graph.num_nodes();
         for &row in rows {
@@ -330,8 +366,7 @@ impl DynamicSimRank {
         if self.cached.is_none() {
             self.refresh()?;
         }
-        let scores = self.cached.as_ref().expect("refresh populates the cache");
-        Ok(scores.rows_to_csr(rows, self.config.top_k))
+        Ok(self.materialised_operator().gather_rows(rows)?)
     }
 }
 
@@ -445,6 +480,90 @@ mod tests {
         let edited = dyn_sim.edited_nodes();
         assert!(edited.windows(2).all(|w| w[0] < w[1]), "{edited:?}");
         assert_eq!(edited, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_batch_is_equivalent_to_applying_its_edits_one_by_one() {
+        use std::collections::BTreeSet;
+        use EdgeUpdate::{Delete, Insert};
+        let traces: [&[EdgeUpdate]; 4] = [
+            // Duplicate inserts, a delete of a just-inserted edge, self-loops.
+            &[
+                Insert(0, 6),
+                Insert(6, 0),
+                Insert(3, 3),
+                Delete(0, 6),
+                Insert(2, 9),
+            ],
+            // Delete-then-re-add of an original edge, a missing delete, and
+            // an insert-delete-insert of one new edge.
+            &[
+                Delete(0, 1),
+                Insert(1, 0),
+                Delete(4, 9),
+                Insert(5, 8),
+                Delete(8, 5),
+                Insert(5, 8),
+            ],
+            // An out-of-bounds edit stops the batch after its predecessors.
+            &[Insert(1, 7), Delete(2, 3), Insert(0, 99), Insert(4, 10)],
+            &[],
+        ];
+        for trace in traces {
+            // The model: the edge set edit by edit, with neighbourhoods read
+            // off it at edit time.
+            let mut edges: BTreeSet<(usize, usize)> = ring(12).edges().collect();
+            let (mut edited, mut affected) = (BTreeSet::new(), BTreeSet::new());
+            let (mut pending, mut in_bounds) = (0, true);
+            for &update in trace {
+                let (Insert(u, v) | Delete(u, v)) = update;
+                if u.max(v) >= 12 {
+                    in_bounds = false;
+                    break;
+                }
+                let edge = (u.min(v), u.max(v));
+                let insert = matches!(update, Insert(..));
+                if u == v || edges.contains(&edge) == insert {
+                    continue;
+                }
+                for &(a, b) in &edges {
+                    if a == u || a == v {
+                        affected.insert(b);
+                    }
+                    if b == u || b == v {
+                        affected.insert(a);
+                    }
+                }
+                affected.extend([u, v]);
+                edited.extend([u, v]);
+                pending += 1;
+                if insert {
+                    edges.insert(edge);
+                } else {
+                    edges.remove(&edge);
+                }
+            }
+            let edges: Vec<(usize, usize)> = edges.into_iter().collect();
+            let graph = Graph::from_edges(12, &edges).unwrap();
+
+            let (mut batched, mut sequential) = (maintainer(10), maintainer(10));
+            assert_eq!(batched.apply_batch(trace).is_ok(), in_bounds, "{trace:?}");
+            let one_by_one = trace.iter().try_for_each(|&u| sequential.apply(u));
+            assert_eq!(one_by_one.is_ok(), in_bounds, "{trace:?}");
+            for maintainer in [batched, sequential] {
+                assert_eq!(maintainer.graph().indptr(), graph.indptr(), "{trace:?}");
+                assert_eq!(maintainer.graph().indices(), graph.indices(), "{trace:?}");
+                assert!(maintainer
+                    .edited_nodes()
+                    .into_iter()
+                    .eq(edited.iter().copied()));
+                assert!(maintainer
+                    .affected_nodes()
+                    .into_iter()
+                    .eq(affected.iter().copied()));
+                assert_eq!(maintainer.pending_edits(), pending, "{trace:?}");
+            }
+        }
     }
 
     fn scores_bits(s: &SparseScores) -> Vec<Vec<(usize, u32)>> {

@@ -24,23 +24,83 @@
 //!   recomputation — the repair only has to re-assemble rows touched by a
 //!   dirty seed, before or after the edit.
 //!
+//! ## What a repair costs
+//!
+//! Every stage is paid per thing that changed, and each has a histogram
+//! (`sigma_simrank_repair_{dirty_scan,repush,assemble,materialise}_ns`):
+//!
+//! 1. **Dirty scan** — each seed's sorted footprint is merged against the
+//!    sorted edit endpoints: `O(Σ |footprint|)`, no graph access.
+//! 2. **Re-push** — one [`SeedRun`] per dirty seed, scheduled on the shared
+//!    pool; the push and sweep order is the full run's, the two hash tables
+//!    a process works in are reused from seed to seed.
+//! 3. **Assembly** — [`DecomposedScores`] keeps, beside the seed runs, the
+//!    transposed *row → contributing seeds* index. Swapping in the re-pushed
+//!    runs moves each dirty seed from the rows it left to the rows it
+//!    entered; re-summing a changed row then reads exactly the runs the
+//!    index lists for it, into one reusable dense accumulator:
+//!    `O(contributions of the changed rows)`, independent of the number of
+//!    seeds. [`AssemblyWork`] reports the count.
+//! 4. **Materialisation** — top-k selection over the changed rows, once
+//!    ([`crate::DynamicSimRank`] splices the result into its cached operator
+//!    and serves consumers' row requests from there).
+//!
 //! The differential harness in `sigma-testutil` replays random edit traces
 //! through both paths and asserts bitwise equality of scores, operators and
-//! served logits at 1 and 4 threads.
+//! served logits at 1 and 4 threads; `tests/incremental_repair.rs` pins the
+//! assembly to the scan-every-seed reference and the index to one rebuilt
+//! from scratch after every round.
 
 use crate::fxhash::{pair_key, unpack_pair, FxHashMap, FxHashSet};
-use crate::localpush::{inverse_degrees, sum_by_column, SparseScores};
+use crate::localpush::{inverse_degrees, Accumulator, SparseScores};
 use crate::SimRankConfig;
 use sigma_graph::Graph;
-use sigma_parallel::ThreadPool;
+use sigma_obs::{StaticCounter, StaticHistogram};
+use sigma_parallel::{ScratchPool, ThreadPool};
+
+// One repair laps a single `sigma_obs::Stopwatch` through these four, so the
+// stage samples of a repair add up to its duration.
+pub(crate) static REPAIR_DIRTY_SCAN_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_simrank_repair_dirty_scan_ns",
+    "repair stage 1: solver set-up and the footprint scan that finds dirty seeds",
+);
+pub(crate) static REPAIR_REPUSH_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_simrank_repair_repush_ns",
+    "repair stage 2: re-running the push process of every dirty seed",
+);
+pub(crate) static REPAIR_ASSEMBLE_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_simrank_repair_assemble_ns",
+    "repair stage 3: row -> seed index patch and re-summing the changed score rows",
+);
+pub(crate) static REPAIR_MATERIALISE_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_simrank_repair_materialise_ns",
+    "repair stage 4: top-k selection of the changed rows and their splice into the operator",
+);
+pub(crate) static REPAIR_ROWS: StaticCounter = StaticCounter::new(
+    "sigma_simrank_repair_rows_total",
+    "score rows re-assembled by incremental repairs",
+);
+pub(crate) static REPAIR_ENTRIES: StaticCounter = StaticCounter::new(
+    "sigma_simrank_repair_entries_total",
+    "seed contributions re-summed by incremental repairs",
+);
 
 /// The outcome of one seed's independent push process.
+///
+/// Contributions are stored CSR-style — one entry array plus row offsets —
+/// so re-summing a row walks contiguous memory instead of chasing one small
+/// allocation per (seed, row).
 #[derive(Debug, Clone)]
 pub struct SeedRun {
-    /// Score contributions grouped by output row (sorted by row id); within
-    /// a row, entries keep the canonical absorb-then-sweep order, which is
-    /// the summation order row assembly replays.
-    rows: Vec<(u32, Vec<(u32, f32)>)>,
+    /// Ids of the output rows this seed contributes to, ascending.
+    row_ids: Vec<u32>,
+    /// `entries[row_ptr[i]..row_ptr[i + 1]]` are the contributions to row
+    /// `row_ids[i]`.
+    row_ptr: Vec<usize>,
+    /// `(column, value)` score contributions; within a row they keep the
+    /// canonical absorb-then-sweep order, which is the summation order row
+    /// assembly replays.
+    entries: Vec<(u32, f32)>,
     /// Sorted ids of every node whose adjacency or degree this run read. A
     /// graph edit is invisible to the run iff neither endpoint is listed.
     footprint: Vec<u32>,
@@ -49,6 +109,30 @@ pub struct SeedRun {
 }
 
 impl SeedRun {
+    /// Groups an absorb-order log of `(row, column, value)` contributions by
+    /// row. The sort is stable, so each row keeps its absorb order.
+    fn new(mut absorbed: Vec<(u32, u32, f32)>, footprint: Vec<u32>, pushes: usize) -> Self {
+        absorbed.sort_by_key(|&(row, _, _)| row);
+        let mut row_ids = Vec::new();
+        let mut row_ptr = Vec::new();
+        let mut entries = Vec::with_capacity(absorbed.len());
+        for (row, col, value) in absorbed {
+            if row_ids.last() != Some(&row) {
+                row_ids.push(row);
+                row_ptr.push(entries.len());
+            }
+            entries.push((col, value));
+        }
+        row_ptr.push(entries.len());
+        Self {
+            row_ids,
+            row_ptr,
+            entries,
+            footprint,
+            pushes,
+        }
+    }
+
     /// Number of residual absorptions this run performed.
     pub fn pushes(&self) -> usize {
         self.pushes
@@ -57,6 +141,20 @@ impl SeedRun {
     /// Sorted ids of the nodes whose adjacency or degree the run read.
     pub fn footprint(&self) -> &[u32] {
         &self.footprint
+    }
+
+    /// Ids of the score rows this run contributes to, ascending.
+    pub fn rows(&self) -> &[u32] {
+        &self.row_ids
+    }
+
+    /// This run's `(column, value)` contributions to score row `row`, in
+    /// absorb order (empty if it contributes nothing there).
+    pub fn contributions(&self, row: u32) -> &[(u32, f32)] {
+        match self.row_ids.binary_search(&row) {
+            Ok(i) => &self.entries[self.row_ptr[i]..self.row_ptr[i + 1]],
+            Err(_) => &[],
+        }
     }
 
     /// Whether any of `sorted_nodes` (sorted ascending) is in the footprint.
@@ -84,6 +182,10 @@ impl SeedRun {
 pub struct DecomposedScores {
     num_nodes: usize,
     seeds: Vec<SeedRun>,
+    /// `row_seeds[u]`: ascending ids of the seeds contributing to score row
+    /// `u` — the transpose of the seeds' row lists, kept in step with them
+    /// by [`DecomposedScores::replace_seed_runs`].
+    row_seeds: Vec<Vec<u32>>,
 }
 
 /// What a [`crate::LocalPush::repair`] call actually did.
@@ -99,10 +201,30 @@ pub struct RepairReport {
     pub pushes: usize,
 }
 
+/// The work one [`DecomposedScores::assemble_rows_into`] call did — counts,
+/// not clocks, so tests can pin the cost model.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AssemblyWork {
+    /// Seed runs read: one per (assembled row, seed contributing to it).
+    pub runs_visited: usize,
+    /// Score contributions summed.
+    pub entries: usize,
+}
+
 impl DecomposedScores {
     pub(crate) fn new(num_nodes: usize, seeds: Vec<SeedRun>) -> Self {
         debug_assert_eq!(num_nodes, seeds.len());
-        Self { num_nodes, seeds }
+        let mut row_seeds = vec![Vec::new(); num_nodes];
+        for (w, run) in seeds.iter().enumerate() {
+            for &row in &run.row_ids {
+                row_seeds[row as usize].push(w as u32);
+            }
+        }
+        Self {
+            num_nodes,
+            seeds,
+            row_seeds,
+        }
     }
 
     /// Number of nodes (score-matrix dimension).
@@ -113,6 +235,16 @@ impl DecomposedScores {
     /// Total residual absorptions across all cached seed runs.
     pub fn total_pushes(&self) -> usize {
         self.seeds.iter().map(SeedRun::pushes).sum()
+    }
+
+    /// The cached push process of every seed, indexed by seed id.
+    pub fn seed_runs(&self) -> &[SeedRun] {
+        &self.seeds
+    }
+
+    /// Ascending ids of the seeds whose runs contribute to score row `row`.
+    pub fn contributing_seeds(&self, row: usize) -> &[u32] {
+        &self.row_seeds[row]
     }
 
     /// Seeds whose footprint intersects `affected` (sorted seed ids). These
@@ -130,28 +262,38 @@ impl DecomposedScores {
             .collect()
     }
 
-    /// Swaps in re-pushed runs for the listed seeds and returns the sorted
-    /// ids of every score row either version of a swapped seed contributed
-    /// to — the rows a caller must re-assemble.
+    /// Swaps in re-pushed runs for the listed seeds, moves each seed in the
+    /// row → seed index from the rows it left to the rows it entered, and
+    /// returns the sorted ids of every score row either version of a
+    /// swapped seed contributed to — the rows a caller must re-assemble.
     pub(crate) fn replace_seed_runs(
         &mut self,
         dirty: &[usize],
         new_runs: Vec<SeedRun>,
     ) -> Vec<usize> {
         debug_assert_eq!(dirty.len(), new_runs.len());
-        let mut changed: FxHashSet<u32> = FxHashSet::default();
+        let mut changed: Vec<u32> = Vec::new();
         for (&w, new_run) in dirty.iter().zip(new_runs) {
-            for (row, _) in &self.seeds[w].rows {
-                changed.insert(*row);
+            let old_run = std::mem::replace(&mut self.seeds[w], new_run);
+            let new_run = &self.seeds[w];
+            let seed = w as u32;
+            for &row in &old_run.row_ids {
+                if new_run.row_ids.binary_search(&row).is_err() {
+                    self.row_seeds[row as usize].retain(|&s| s != seed);
+                }
             }
-            for (row, _) in &new_run.rows {
-                changed.insert(*row);
+            for &row in &new_run.row_ids {
+                let seeds = &mut self.row_seeds[row as usize];
+                if let Err(i) = seeds.binary_search(&seed) {
+                    seeds.insert(i, seed);
+                }
             }
-            self.seeds[w] = new_run;
+            changed.extend_from_slice(&old_run.row_ids);
+            changed.extend_from_slice(&new_run.row_ids);
         }
-        let mut changed: Vec<usize> = changed.into_iter().map(|r| r as usize).collect();
         changed.sort_unstable();
-        changed
+        changed.dedup();
+        changed.into_iter().map(|row| row as usize).collect()
     }
 
     /// Assembles the full pruned score matrix (the decomposed counterpart of
@@ -165,24 +307,39 @@ impl DecomposedScores {
 
     /// Re-assembles the listed score rows of `scores` from the cached seed
     /// contributions, replacing whatever the rows held, and re-prunes them.
+    /// Only the seeds the row → seed index lists for a row are read, so the
+    /// cost is the number of contributions re-summed (reported back as
+    /// [`AssemblyWork`]), not rows × seeds.
     ///
     /// Summation replays the canonical order (seeds ascending, entries in
-    /// absorb order), so a row assembled here is bitwise identical to the
-    /// same row of [`DecomposedScores::assemble`] on an equal decomposition.
-    pub fn assemble_rows_into(&self, scores: &mut SparseScores, rows: &[usize]) {
+    /// absorb order) into a dense per-column accumulator, so a row assembled
+    /// here is bitwise identical to the same row of
+    /// [`DecomposedScores::assemble`] on an equal decomposition.
+    pub fn assemble_rows_into(&self, scores: &mut SparseScores, rows: &[usize]) -> AssemblyWork {
+        let mut acc = Accumulator::default();
+        acc.resize(self.num_nodes);
+        let mut work = AssemblyWork::default();
+        let mut slices: Vec<&[(u32, f32)]> = Vec::new();
         for &u in rows {
-            let target = u as u32;
-            let contributions = self.seeds.iter().filter_map(|run| {
-                let i = run.rows.binary_search_by_key(&target, |&(r, _)| r).ok()?;
-                Some(run.rows[i].1.as_slice())
-            });
-            // One exactly-sized allocation per row: growing the row by
-            // appends made a concurrent reader thread 40 % slower for the
-            // length of the repair (`repair_churn`, PR 14).
-            let mut row = contributions.collect::<Vec<_>>().concat();
-            sum_by_column(&mut row);
-            scores.set_row(u, row);
+            // Look every slice up before summing any: the lookups are
+            // independent cache misses, which overlap only when no
+            // accumulation sits between them.
+            slices.clear();
+            let seeds = self.row_seeds[u].iter();
+            slices.extend(seeds.map(|&w| self.seeds[w as usize].contributions(u as u32)));
+            work.runs_visited += slices.len();
+            for contributions in &slices {
+                work.entries += contributions.len();
+                for &(col, value) in *contributions {
+                    acc.add(col, value);
+                }
+            }
+            // `take_row` makes one exactly-sized allocation per row: growing
+            // the row by appends made a concurrent reader thread 40 % slower
+            // for the length of the repair (`repair_churn`, PR 14).
+            scores.set_row(u, acc.take_row());
         }
+        work
     }
 }
 
@@ -219,6 +376,17 @@ pub(crate) fn run_seeds(
     })
 }
 
+/// The hash tables one push process works in, reused from seed to seed so a
+/// re-push does not grow two tables from empty per dirty seed. Invariant:
+/// both are empty whenever the scratch is in the pool.
+#[derive(Default)]
+struct SeedScratch {
+    residual: FxHashMap<u64, f32>,
+    footprint: FxHashSet<u32>,
+}
+
+static SEED_SCRATCH: ScratchPool<SeedScratch> = ScratchPool::new();
+
 /// One seed's complete push process: rounds of threshold-exceeding frontier
 /// pairs, absorbed in canonical (sorted-frontier) order, followed by a
 /// sweep of the remaining residual in sorted-pair order.
@@ -230,9 +398,13 @@ fn seed_run(
     threshold: f32,
     budget: usize,
 ) -> SeedRun {
-    let mut residual: FxHashMap<u64, f32> = FxHashMap::default();
-    let mut rows: FxHashMap<u32, Vec<(u32, f32)>> = FxHashMap::default();
-    let mut footprint: FxHashSet<u32> = FxHashSet::default();
+    let mut scratch = SEED_SCRATCH.take_or_else(SeedScratch::default);
+    let SeedScratch {
+        residual,
+        footprint,
+    } = &mut *scratch;
+    // `(row, column, value)` in absorb order.
+    let mut absorbed: Vec<(u32, u32, f32)> = Vec::new();
     footprint.insert(seed);
     residual.insert(pair_key(seed, seed), 1.0);
     let mut frontier: Vec<u64> = vec![pair_key(seed, seed)];
@@ -254,13 +426,19 @@ fn seed_run(
                 _ => continue,
             };
             let (a, b) = unpack_pair(key);
-            rows.entry(a).or_default().push((b, r));
+            absorbed.push((a, b, r));
             residual.insert(key, 0.0);
             pushes += 1;
             let push_base = c * r;
-            for &x in graph.neighbors(a as usize) {
+            let (near_a, near_b) = (graph.neighbors(a as usize), graph.neighbors(b as usize));
+            // A neighbour is read iff it forms an off-diagonal pair with
+            // some neighbour of the other endpoint.
+            let pairs_off = |v: u32, others: &[u32]| others.iter().any(|&o| o != v);
+            footprint.extend(near_a.iter().filter(|&&x| pairs_off(x, near_b)));
+            footprint.extend(near_b.iter().filter(|&&y| pairs_off(y, near_a)));
+            for &x in near_a {
                 let scale_x = push_base * inv_deg[x as usize];
-                for &y in graph.neighbors(b as usize) {
+                for &y in near_b {
                     if x == y {
                         // Diagonal pairs are pinned to 1 in the exact
                         // recursion and never accumulate residual.
@@ -269,8 +447,6 @@ fn seed_run(
                     let target = pair_key(x, y);
                     *residual.entry(target).or_insert(0.0) += scale_x * inv_deg[y as usize];
                     candidates.push(target);
-                    footprint.insert(x);
-                    footprint.insert(y);
                 }
             }
         }
@@ -288,19 +464,13 @@ fn seed_run(
         .collect();
     leftovers.sort_unstable();
     for key in leftovers {
-        let r = residual[&key];
         let (a, b) = unpack_pair(key);
-        rows.entry(a).or_default().push((b, r));
+        absorbed.push((a, b, residual[&key]));
     }
-    let mut rows: Vec<(u32, Vec<(u32, f32)>)> = rows.into_iter().collect();
-    rows.sort_unstable_by_key(|&(r, _)| r);
-    let mut footprint: Vec<u32> = footprint.into_iter().collect();
+    let mut footprint: Vec<u32> = footprint.drain().collect();
     footprint.sort_unstable();
-    SeedRun {
-        rows,
-        footprint,
-        pushes,
-    }
+    residual.clear();
+    SeedRun::new(absorbed, footprint, pushes)
 }
 
 #[cfg(test)]
@@ -353,7 +523,7 @@ mod tests {
             .unwrap()
             .run_decomposed();
         for run in &decomposed.seeds {
-            for (row, _) in &run.rows {
+            for row in run.rows() {
                 assert!(run.footprint.binary_search(row).is_ok());
             }
         }
@@ -412,6 +582,56 @@ mod tests {
         // Locality in push work too: strictly less than a full run.
         let full = LocalPush::new(&edited, cfg).unwrap().run_decomposed();
         assert!(report.pushes < full.total_pushes());
+    }
+
+    #[test]
+    fn assembly_visits_only_the_runs_the_index_lists() {
+        // The two-component graph again, as a count: re-assembling the
+        // edited component's rows reads one run per (row, listed seed) and
+        // no run of the other component — a rows × seeds scan would read
+        // `changed_rows.len() * 12`.
+        let mut edges: Vec<(usize, usize)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+        edges.extend((0..6).map(|i| (6 + i, 6 + (i + 1) % 6)));
+        let cfg = SimRankConfig::default();
+        let g = Graph::from_edges(12, &edges).unwrap();
+        let mut decomposed = LocalPush::new(&g, cfg).unwrap().run_decomposed();
+        let mut scores = decomposed.assemble();
+        edges.push((0, 3));
+        let edited = Graph::from_edges(12, &edges).unwrap();
+        let report = LocalPush::new(&edited, cfg)
+            .unwrap()
+            .repair(&mut decomposed, &[0, 3])
+            .unwrap();
+        assert!(!report.changed_rows.is_empty());
+        let work = decomposed.assemble_rows_into(&mut scores, &report.changed_rows);
+        let listed = report
+            .changed_rows
+            .iter()
+            .map(|&row| decomposed.contributing_seeds(row));
+        assert!(listed.clone().flatten().all(|&seed| seed < 6));
+        assert_eq!(work.runs_visited, listed.map(<[u32]>::len).sum::<usize>());
+        assert!(work.runs_visited < report.changed_rows.len() * 12);
+        let entries = |row: &usize| -> usize {
+            let runs = decomposed.seed_runs().iter();
+            runs.map(|run| run.contributions(*row as u32).len()).sum()
+        };
+        assert_eq!(
+            work.entries,
+            report.changed_rows.iter().map(entries).sum::<usize>()
+        );
+    }
+
+    #[test]
+    fn a_neighbour_that_only_pairs_with_itself_is_not_in_the_footprint() {
+        // Star: a leaf seed's one push meets only the diagonal pair
+        // (centre, centre), which is skipped, so it reads nothing but
+        // itself; the centre's push pairs every leaf with another leaf.
+        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        let decomposed = LocalPush::new(&g, SimRankConfig::default())
+            .unwrap()
+            .run_decomposed();
+        assert_eq!(decomposed.seed_runs()[1].footprint(), [1]);
+        assert_eq!(decomposed.seed_runs()[0].footprint(), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use config::SimRankConfig;
 pub use dynamic::{DynamicSimRank, EdgeUpdate, RepairOutcome, ScoreRepair};
 pub use error::SimRankError;
 pub use exact::{exact_simrank, exact_simrank_iterations};
-pub use incremental::{DecomposedScores, RepairReport, SeedRun};
+pub use incremental::{AssemblyWork, DecomposedScores, RepairReport, SeedRun};
 pub use localpush::{LocalPush, SparseScores};
 pub use pairwise::pairwise_walk_simrank;
 pub use power::power_iteration_simrank;

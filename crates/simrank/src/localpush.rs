@@ -66,11 +66,13 @@
 //! of once per contribution, so coupled-run score bits differ from earlier
 //! revisions. [`LocalPush::run_decomposed`] is unchanged.
 
-use crate::incremental::{DecomposedScores, RepairReport, SeedRun};
+use crate::incremental::{
+    DecomposedScores, RepairReport, SeedRun, REPAIR_DIRTY_SCAN_NS, REPAIR_REPUSH_NS,
+};
 use crate::{Result, SimRankConfig};
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
-use sigma_obs::StaticCounter;
+use sigma_obs::{StaticCounter, Stopwatch};
 use sigma_parallel::ThreadPool;
 use std::cmp::Ordering;
 use std::sync::Mutex;
@@ -109,7 +111,7 @@ const RELATIVE_PRUNE_FRACTION: f32 = 0.01;
 /// column-ascending row. The sort is stable and each column's run is summed
 /// left to right, so every entry is the sum of its contributions in the
 /// order they were listed.
-pub(crate) fn sum_by_column(entries: &mut SparseRow) {
+fn sum_by_column(entries: &mut SparseRow) {
     entries.sort_by_key(|&(v, _)| v);
     entries.dedup_by(|next, kept| {
         let same = next.0 == kept.0;
@@ -302,12 +304,63 @@ pub struct LocalPush {
     pushes_performed: usize,
 }
 
-/// One worker's Gustavson working set: a dense per-column sum and the
-/// columns it touched. `sums` is all zero and `touched` empty between rows.
+/// A Gustavson working set: a dense per-column sum and the columns it
+/// touched. `sums` and `marks` are all zero and `touched` empty between rows.
 #[derive(Default)]
-struct Accumulator {
+pub(crate) struct Accumulator {
     sums: Vec<f32>,
     touched: Vec<u32>,
+    /// One bit per column, set only inside [`Accumulator::take_row`].
+    marks: Vec<u64>,
+}
+
+impl Accumulator {
+    /// Grows a clear accumulator to `columns` columns.
+    pub(crate) fn resize(&mut self, columns: usize) {
+        self.sums.resize(columns, 0.0);
+        self.marks.resize(columns.div_ceil(64), 0);
+    }
+
+    /// Adds `value` to `col`'s sum. Residuals and score contributions are
+    /// positive, so a zero sum means "not touched yet" — and the first add
+    /// is `0.0 + value`, exactly `value`.
+    #[inline]
+    pub(crate) fn add(&mut self, col: u32, value: f32) {
+        debug_assert!(value > 0.0, "accumulated values must be positive");
+        let sum = &mut self.sums[col as usize];
+        if *sum == 0.0 {
+            self.touched.push(col);
+        }
+        *sum += value;
+    }
+
+    /// Takes the touched columns and their sums as one column-ascending
+    /// row, exactly sized, leaving the accumulator clear.
+    pub(crate) fn take_row(&mut self) -> SparseRow {
+        let touched = self.touched.len();
+        let mut row = Vec::with_capacity(touched);
+        let mut take = |col: u32| row.push((col, std::mem::take(&mut self.sums[col as usize])));
+        // Columns come out ascending either by sorting the touched list or
+        // by marking them in a bitmap and reading its set bits in order;
+        // the bitmap costs a word per 64 columns and no comparisons, so it
+        // wins unless the row is very sparse.
+        if self.marks.len() <= touched * (touched.max(1).ilog2() as usize) {
+            for col in self.touched.drain(..) {
+                self.marks[col as usize / 64] |= 1 << (col % 64);
+            }
+            for (word, bits) in self.marks.iter_mut().enumerate() {
+                let mut bits = std::mem::take(bits);
+                while bits != 0 {
+                    take(word as u32 * 64 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            self.touched.sort_unstable();
+            self.touched.drain(..).for_each(take);
+        }
+        row
+    }
 }
 
 impl LocalPush {
@@ -401,7 +454,7 @@ impl LocalPush {
             let pull = |rows: &[u32]| -> Vec<(SparseRow, SparseRow)> {
                 let spare = || accumulators.lock().expect("accumulator pool lock poisoned");
                 let mut acc: Accumulator = spare().pop().unwrap_or_default();
-                acc.sums.resize(n, 0.0);
+                acc.resize(n);
                 let pull_row = |&x| self.pull_row(&inv_deg, &frontier, &residual, x, &mut acc);
                 let out = rows.iter().map(pull_row).collect();
                 spare().push(acc);
@@ -462,13 +515,7 @@ impl LocalPush {
         for &a in self.graph.neighbors(x as usize) {
             for &(b, r) in &frontier[a as usize] {
                 for &y in self.graph.neighbors(b as usize) {
-                    let sum = &mut acc.sums[y as usize];
-                    // Pushed residuals are positive, so a zero sum means
-                    // "not touched yet".
-                    if *sum == 0.0 {
-                        acc.touched.push(y);
-                    }
-                    *sum += r;
+                    acc.add(y, r);
                 }
             }
         }
@@ -552,6 +599,18 @@ impl LocalPush {
         prior: &mut DecomposedScores,
         affected: &[usize],
     ) -> Result<RepairReport> {
+        self.repair_staged(prior, affected, &mut Stopwatch::start())
+    }
+
+    /// [`LocalPush::repair`] on the caller's stage clock: laps the dirty
+    /// scan and the re-push, and leaves the index patch on the clock for the
+    /// caller's assembly lap.
+    pub(crate) fn repair_staged(
+        &mut self,
+        prior: &mut DecomposedScores,
+        affected: &[usize],
+        clock: &mut Stopwatch,
+    ) -> Result<RepairReport> {
         let n = self.graph.num_nodes();
         if prior.num_nodes() != n {
             return Err(crate::SimRankError::NodeOutOfBounds {
@@ -565,6 +624,7 @@ impl LocalPush {
             }
         }
         let dirty = prior.dirty_seeds(affected);
+        REPAIR_DIRTY_SCAN_NS.record(clock.lap());
         let dirty_u32: Vec<u32> = dirty.iter().map(|&w| w as u32).collect();
         let new_runs = crate::incremental::run_seeds(
             &self.graph,
@@ -574,6 +634,7 @@ impl LocalPush {
         );
         self.pushes_performed = new_runs.iter().map(SeedRun::pushes).sum();
         let pushes = self.pushes_performed;
+        REPAIR_REPUSH_NS.record(clock.lap());
         let changed_rows = prior.replace_seed_runs(&dirty, new_runs);
         Ok(RepairReport {
             dirty_seeds: dirty,
@@ -837,6 +898,33 @@ mod tests {
         assert!(!report.changed_rows.is_empty());
         decomposed.assemble_rows_into(&mut assembled, &report.changed_rows);
         assert!(strictly_sorted(&assembled));
+    }
+
+    #[test]
+    fn accumulator_rows_come_out_ascending_and_leave_it_clear() {
+        // 4 096 columns = 64 bitmap words: three touched columns take the
+        // sort path, a few hundred the bitmap path; both must agree with
+        // the obvious answer and leave nothing behind.
+        let mut acc = Accumulator::default();
+        acc.resize(4096);
+        for touched in [3usize, 700] {
+            let cols: Vec<u32> = (0..touched as u32)
+                .map(|i| (i * 2311 + 17) % 4096)
+                .collect();
+            for &col in cols.iter().chain(&cols[..touched / 2]) {
+                acc.add(col, 0.25);
+            }
+            let mut want: Vec<(u32, f32)> = cols
+                .iter()
+                .enumerate()
+                .map(|(i, &col)| (col, if i < touched / 2 { 0.5 } else { 0.25 }))
+                .collect();
+            want.sort_by_key(|&(col, _)| col);
+            assert_eq!(acc.take_row(), want);
+            assert!(acc.take_row().is_empty());
+            assert!(acc.sums.iter().all(|&s| s == 0.0));
+            assert!(acc.marks.iter().all(|&m| m == 0));
+        }
     }
 
     #[test]
