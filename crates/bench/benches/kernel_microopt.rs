@@ -3,7 +3,7 @@
 //! (power-law) fig5-style graphs, at every thread count of the sweep the
 //! host has cores for.
 //!
-//! Four things are measured and one thing is *proven* on every run:
+//! Five things are measured and one thing is *proven* on every run:
 //!
 //! * **reference/optimised timings** for `spmm`, `spmm_transpose`, `spgemm`
 //!   and LocalPush — the reference is a self-contained scalar
@@ -19,25 +19,35 @@
 //!   1–64 edits at ε ∈ {0.1, 0.02} — repair time, dirty seeds and rows
 //!   patched — beside a coupled `LocalPush::run` + `to_csr` on the same
 //!   edited graph, at one pool thread;
+//! * **snapshot checksums**: the table-free bitwise CRC32 of
+//!   `sigma-testutil` over every section payload of a snapshot image,
+//!   beside `MappedSnapshot::verify` on the same image (the format's sliced
+//!   two-lane CRC32 plus the CSR structure check — the routine is private
+//!   to `sigma-serve`, so it is timed through the call that ships), at
+//!   images of about 10 KB, 1 MiB and 16 MiB, in MB/s;
 //! * **bit-parity**: every optimised kernel result is asserted bitwise
-//!   identical to its scalar reference, at every thread count, and every
-//!   repaired state to a fresh `run_decomposed` on its graph. A mismatch
+//!   identical to its scalar reference, at every thread count, every
+//!   repaired state to a fresh `run_decomposed` on its graph, and every
+//!   CRC the snapshot writer stamped to the bitwise definition. A mismatch
 //!   aborts the bench (CI runs this in `--quick` mode).
 //!
 //! Thread counts above `host_cores` are skipped, not reported: more pool
 //! threads than cores measures the scheduler, not the kernel. Results are
 //! emitted as `BENCH_kernels.json` at the repository root.
 
+use sigma::snapshot::ModelSnapshot;
+use sigma::AggregatorKind;
 use sigma_bench::TablePrinter;
 use sigma_datasets::DatasetPreset;
 use sigma_graph::{sym_normalized_adjacency, Graph};
 use sigma_matrix::{CsrMatrix, DenseMatrix};
 use sigma_parallel::partition_by_weight;
+use sigma_serve::{MappedSnapshot, ServeSnapshot};
 use sigma_simrank::{
     DynamicSimRank, EdgeUpdate, LocalPush, RepairOutcome, SimRankConfig, SparseScores,
 };
 use sigma_testutil::power_law_graph;
-use sigma_testutil::reference::localpush_reference;
+use sigma_testutil::reference::{crc32_bitwise, localpush_reference};
 use std::time::Instant;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
@@ -159,6 +169,18 @@ struct Timing {
     samples: usize,
 }
 
+impl Timing {
+    fn of(mut ms: Vec<f64>) -> Self {
+        ms.sort_by(f64::total_cmp);
+        Timing {
+            median: ms[ms.len() / 2],
+            min: ms[0],
+            max: ms[ms.len() - 1],
+            samples: ms.len(),
+        }
+    }
+}
+
 /// Times each of `reps` runs of `f` on its own, returning the timing and the
 /// last result.
 fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (Timing, R) {
@@ -174,14 +196,7 @@ fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (Timing, R) {
         ms.push(t);
         out = r;
     }
-    ms.sort_by(f64::total_cmp);
-    let timing = Timing {
-        median: ms[ms.len() / 2],
-        min: ms[0],
-        max: ms[ms.len() - 1],
-        samples: ms.len(),
-    };
-    (timing, out)
+    (Timing::of(ms), out)
 }
 
 struct KernelRow {
@@ -285,6 +300,98 @@ fn repair_cell(graph: &Graph, epsilon: f64, edits: usize, reps: usize) -> Repair
         rows_patched,
         coupled_run,
         coupled_to_csr,
+    }
+}
+
+/// One snapshot image of the checksum family.
+struct CrcRow {
+    bytes: usize,
+    sections: usize,
+    reference: Timing,
+    verify: Timing,
+}
+
+/// A serving-snapshot image of `n` nodes (16 features, hidden 8, 4 classes,
+/// the normalised adjacency standing in for the operator): about 170 bytes
+/// a node behind a 2 KB floor.
+fn snapshot_image(n: usize) -> Vec<u8> {
+    let layer = |rows: usize, cols: usize, seed: u64| {
+        (
+            DenseMatrix::from_fn(rows, cols, |i, j| pseudo(i, j, seed) * 0.2),
+            DenseMatrix::from_fn(1, cols, |_, j| pseudo(j, 1, seed) * 0.05),
+        )
+    };
+    let graph = power_law_graph(n, 8, 53);
+    let model = ModelSnapshot {
+        delta: 0.6,
+        alpha: 0.25,
+        alpha_raw: None,
+        dropout: 0.0,
+        aggregator: AggregatorKind::SimRank,
+        operator: Some(sym_normalized_adjacency(&graph)),
+        mlp_a: vec![layer(n, 8, 1), layer(8, 8, 2)],
+        mlp_x: vec![layer(16, 8, 3), layer(8, 8, 4)],
+        mlp_h: vec![layer(8, 4, 5)],
+    };
+    let features = DenseMatrix::from_fn(n, 16, |i, j| pseudo(i, j, 6));
+    let snapshot = ServeSnapshot::new("crc32-bench", model, features, graph.to_adjacency())
+        .expect("valid snapshot");
+    let mut image = Vec::new();
+    snapshot.write_to(&mut image).expect("in-memory write");
+    image
+}
+
+/// Times the bitwise CRC32 over every section payload of `image` against
+/// `MappedSnapshot::verify` on a fresh file mapping of it, and asserts each CRC
+/// the writer stamped into the header table (16-byte prelude, 32-byte
+/// entries of `tag[8] offset[8] len[8] crc[4] pad[4]`) equal to the
+/// bitwise one.
+fn crc_cell(image: &[u8], reps: usize) -> CrcRow {
+    let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let entries: Vec<usize> = (0..image[12] as usize).map(|i| 16 + i * 32).collect();
+    let payloads: Vec<&[u8]> = entries
+        .iter()
+        .map(|&p| &image[word(p + 8)..word(p + 8) + word(p + 16)])
+        .collect();
+    let (reference, crcs) = time_ms(reps, || {
+        payloads
+            .iter()
+            .map(|payload| crc32_bitwise(payload))
+            .collect::<Vec<u32>>()
+    });
+    for (&p, crc) in entries.iter().zip(crcs) {
+        let stamped = u32::from_le_bytes(image[p + 24..p + 28].try_into().unwrap());
+        assert_eq!(
+            stamped,
+            crc,
+            "crc32 PARITY MISMATCH in section {}",
+            String::from_utf8_lossy(&image[p..p + 8])
+        );
+    }
+    // `verify` caches its success, so every sample maps the file afresh —
+    // the cold start a serving process pays.
+    let path = std::env::temp_dir().join(format!(
+        "sigma-kernel-microopt-{}-{}.snapshot",
+        std::process::id(),
+        image.len()
+    ));
+    std::fs::write(&path, image).expect("write the image");
+    let verify = Timing::of(
+        (0..reps)
+            .map(|_| {
+                let mapped = MappedSnapshot::open(&path).expect("valid image");
+                let start = Instant::now();
+                mapped.verify().expect("crc32 PARITY MISMATCH: verify");
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    );
+    let _ = std::fs::remove_file(&path);
+    CrcRow {
+        bytes: image.len(),
+        sections: entries.len(),
+        reference,
+        verify,
     }
 }
 
@@ -500,6 +607,33 @@ fn main() {
         repair_graph.num_edges()
     ));
 
+    // -- Snapshot checksums: the bitwise definition vs the shipped pass. -----
+    let mut crc_rows = Vec::new();
+    let mut crc_table = TablePrinter::new(vec![
+        "image bytes",
+        "sections",
+        "bitwise crc32 (MB/s)",
+        "verify (MB/s)",
+        "verify (ms, min-max)",
+        "parity",
+    ]);
+    for nodes in [48usize, 6_000, 96_000] {
+        let row = crc_cell(&snapshot_image(nodes), reps);
+        crc_table.add_row(vec![
+            row.bytes.to_string(),
+            row.sections.to_string(),
+            format!("{:.0}", mb_per_s(row.bytes, row.reference)),
+            format!("{:.0}", mb_per_s(row.bytes, row.verify)),
+            format!(
+                "{:.4} ({:.4}-{:.4})",
+                row.verify.median, row.verify.min, row.verify.max
+            ),
+            "ok".to_string(),
+        ]);
+        crc_rows.push(row);
+    }
+    crc_table.print("Snapshot checksums: bitwise CRC32 of every section vs MappedSnapshot::verify");
+
     println!("all parity assertions passed: optimised kernels are bitwise-identical to their");
     println!("scalar references at {sweep:?} thread(s), and every repaired state to a fresh");
     println!("decomposed run. this host reports {cores} available core(s); thread counts");
@@ -512,8 +646,13 @@ fn main() {
         (&push_graph, &repair_graph),
         &balance_rows,
         &kernel_rows,
-        &repair_rows,
+        (&repair_rows, &crc_rows),
     );
+}
+
+/// Megabytes (10^6 bytes) a second at a timing's median.
+fn mb_per_s(bytes: usize, timing: Timing) -> f64 {
+    bytes as f64 / 1e3 / timing.median.max(1e-9)
 }
 
 fn emit_json(
@@ -523,7 +662,7 @@ fn emit_json(
     (push_graph, repair_graph): (&Graph, &Graph),
     balance: &[BalanceRow],
     kernels: &[KernelRow],
-    repairs: &[RepairRow],
+    (repairs, crcs): (&[RepairRow], &[CrcRow]),
 ) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"kernel_microopt\",\n");
@@ -538,7 +677,11 @@ fn emit_json(
          successive DynamicSimRank::repair calls after batches of `edits` edits at one pool \
          thread, reports the dirty seeds and rows patched of the median round beside a coupled \
          LocalPush::run and to_csr on the graph those batches left, and asserts the repaired \
-         scores and operator bitwise equal to a fresh run_decomposed\",\n",
+         scores and operator bitwise equal to a fresh run_decomposed; each crc32 row times the \
+         table-free bitwise CRC32 of sigma-testutil over every section payload of one snapshot \
+         image against MappedSnapshot::verify on a fresh file mapping of the same image (sliced \
+         two-lane CRC32 plus the CSR structure check), MB/s = bytes / 1e6 / median s, and asserts \
+         every header-table CRC the writer stamped equal to the bitwise one\",\n",
     );
     out.push_str(&format!(
         "  \"spmm_graph\": {{\"nodes\": {nodes}, \"nnz\": {nnz}, \"max_row_nnz\": {max_row_nnz}}},\n"
@@ -596,6 +739,26 @@ fn emit_json(
             r.coupled_run.median,
             r.coupled_to_csr.median,
             if i + 1 == repairs.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"crc32\": [\n");
+    for (i, c) in crcs.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"bytes\": {}, \"sections\": {}, \"bitwise_ms\": {:.4}, \
+             \"bitwise_mb_per_s\": {:.1}, \"verify_ms\": {:.4}, \"verify_min_ms\": {:.4}, \
+             \"verify_max_ms\": {:.4}, \"verify_mb_per_s\": {:.1}, \"samples\": {}, \
+             \"parity\": \"ok\"}}{}\n",
+            c.bytes,
+            c.sections,
+            c.reference.median,
+            mb_per_s(c.bytes, c.reference),
+            c.verify.median,
+            c.verify.min,
+            c.verify.max,
+            mb_per_s(c.bytes, c.verify),
+            c.verify.samples,
+            if i + 1 == crcs.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");

@@ -260,6 +260,25 @@ fn stats_and_metrics_endpoints_parse() {
         std::env::var("SIGMA_NUM_THREADS").unwrap_or_default()
     ));
     fixture.snapshot.save(&path).expect("save snapshot");
+    // The reload's content pass is visible in the registry: one more
+    // verify sample, the file's bytes more verified (at least — the
+    // registry is process-wide and other tests reload too).
+    let verify_stats = || {
+        let stats = wire::get(addr, "/v1/stats").expect("stats");
+        let value = json::parse(&stats.body).expect("stats body is valid JSON");
+        let registry = value.get("registry").expect("registry section");
+        let samples = registry
+            .get("histograms")
+            .and_then(|h| h.get("sigma_serve_snapshot_verify_ns"))
+            .and_then(|h| h.get("count"))
+            .and_then(json::Json::as_index);
+        let bytes = registry
+            .get("counters")
+            .and_then(|c| c.get("sigma_serve_snapshot_verified_bytes_total"))
+            .and_then(json::Json::as_index);
+        (samples.unwrap_or(0), bytes.unwrap_or(0))
+    };
+    let (samples_before, bytes_before) = verify_stats();
     let resp = wire::post_json(
         addr,
         "/v1/reload",
@@ -268,6 +287,12 @@ fn stats_and_metrics_endpoints_parse() {
     .expect("reload");
     assert_eq!(resp.status, 200, "body: {}", resp.body_str());
     assert_eq!(engine_stat("snapshot_reloads"), 1);
+    if sigma_obs::ENABLED {
+        let (samples, bytes) = verify_stats();
+        let file_len = std::fs::metadata(&path).expect("saved snapshot").len() as usize;
+        assert!(samples > samples_before, "{samples} verify samples");
+        assert!(bytes >= bytes_before + file_len, "{bytes} verified bytes");
+    }
 
     let metrics = wire::get(addr, "/metrics").expect("metrics");
     assert_eq!(metrics.status, 200);

@@ -404,6 +404,72 @@ fn mid_flight_reload_never_fails_an_in_flight_request() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Points `POST /v1/reload` of a daemon serving snapshot A at `path`
+/// (removed afterwards) and asserts the refusal contract: a 422
+/// `snapshot_format` whose message contains `reason`, no reload counted,
+/// and every node still served from A bit for bit.
+fn assert_reload_is_refused_and_serving_is_untouched(path: &std::path::Path, reason: &str) {
+    let fixture = serving_fixture(&fixture_graph(42), 4, 42);
+    let reference =
+        InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("reference A");
+    let (daemon, _engine) = start_daemon(42, DaemonConfig::default());
+    let addr = daemon.local_addr();
+
+    let resp = wire::post_json(
+        addr,
+        "/v1/reload",
+        &format!("{{\"path\": {}}}", json::quote(path.to_str().unwrap())),
+    )
+    .expect("reload");
+    let _ = std::fs::remove_file(path);
+    assert_eq!(resp.status, 422, "body: {}", resp.body_str());
+    let value = json::parse(&resp.body).expect("error body parses");
+    assert_eq!(
+        value.get("error").and_then(json::Json::as_str),
+        Some("snapshot_format")
+    );
+    assert!(
+        resp.body_str().contains(reason),
+        "body: {}",
+        resp.body_str()
+    );
+    assert_eq!(daemon.stats().reloads, 0);
+
+    // Still snapshot A, bit for bit.
+    for node in 0..fixture.snapshot.num_nodes() {
+        assert_eq!(
+            wire_logit_bits(addr, node),
+            engine_logit_bits(&reference, node),
+            "node {node} must still be served from A"
+        );
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn reload_naming_a_file_truncated_on_disk_is_a_422_and_serving_is_untouched() {
+    // A published snapshot that lost its tail (a partial copy, a writer
+    // that truncated in place): the header survives, the payload pages do
+    // not. The reload must refuse it from the header pass, never map and
+    // fault on the missing pages.
+    let path = std::env::temp_dir().join(format!(
+        "sigma-daemon-truncated-{}.snapshot",
+        std::process::id()
+    ));
+    serving_fixture(&fixture_graph(43), 4, 43)
+        .snapshot
+        .save(&path)
+        .expect("save snapshot B");
+    let len = std::fs::metadata(&path).expect("saved snapshot").len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("reopen for truncation")
+        .set_len(len / 2)
+        .expect("truncate");
+    assert_reload_is_refused_and_serving_is_untouched(&path, "file ends before");
+}
+
 #[test]
 fn reload_naming_a_retired_v1_file_is_a_422_and_serving_is_untouched() {
     // A streamed-v1 prelude: magic, version 1, a length-prefixed tag. The
@@ -417,35 +483,5 @@ fn reload_naming_a_retired_v1_file_is_a_422_and_serving_is_untouched() {
         std::process::id()
     ));
     std::fs::write(&path, &v1).expect("write v1 prelude");
-
-    let fixture = serving_fixture(&fixture_graph(42), 4, 42);
-    let reference =
-        InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("reference A");
-    let (daemon, _engine) = start_daemon(42, DaemonConfig::default());
-    let addr = daemon.local_addr();
-
-    let resp = wire::post_json(
-        addr,
-        "/v1/reload",
-        &format!("{{\"path\": {}}}", json::quote(path.to_str().unwrap())),
-    )
-    .expect("reload");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(resp.status, 422, "body: {}", resp.body_str());
-    let value = json::parse(&resp.body).expect("error body parses");
-    assert_eq!(
-        value.get("error").and_then(json::Json::as_str),
-        Some("snapshot_format")
-    );
-    assert_eq!(daemon.stats().reloads, 0);
-
-    // Still snapshot A, bit for bit.
-    for node in 0..fixture.snapshot.num_nodes() {
-        assert_eq!(
-            wire_logit_bits(addr, node),
-            engine_logit_bits(&reference, node),
-            "node {node} must still be served from A"
-        );
-    }
-    daemon.shutdown();
+    assert_reload_is_refused_and_serving_is_untouched(&path, "version 1");
 }

@@ -251,32 +251,53 @@ impl<'a, P: PrefixWord> CsrView<'a, P> {
     /// O(nnz) structural invariant check: `indptr` monotone non-decreasing,
     /// column indices `< cols` and sorted ascending within each row.
     ///
+    /// One row-ordered pass that reads `indptr` and `indices` once. A
+    /// matrix breaking several invariants is reported by the highest-ranked
+    /// one — `indptr` before range before order — wherever each occurs, so
+    /// a lower-ranked finding is held while the rows after it are checked
+    /// for what outranks it. The reported row is the first, in row order,
+    /// to break that invariant.
+    ///
     /// Snapshot loaders run this once per mapped section instead of
     /// trusting the file; the parallel kernels rely on within-row
     /// sortedness for their column-window binary searches.
     pub fn validate_structure(&self) -> Result<()> {
-        if self.indptr.windows(2).any(|w| w[1] < w[0]) {
-            return Err(MatrixError::InvalidShape {
-                rows: self.rows,
-                cols: self.cols,
-                len: self.indices.len(),
-            });
-        }
-        for &c in self.indices {
-            if c as usize >= self.cols {
-                return Err(MatrixError::IndexOutOfBounds {
-                    row: 0,
-                    col: c as usize,
-                    shape: self.shape(),
+        let mut held: Option<MatrixError> = None;
+        let mut start = 0usize;
+        for r in 0..self.rows {
+            let end = self.indptr[r + 1].as_usize();
+            // `new` pinned the last pointer to `indices.len()`, so one above
+            // it is followed by a decrease: the same violation, found early.
+            if end < start || end > self.indices.len() {
+                return Err(MatrixError::InvalidShape {
+                    rows: self.rows,
+                    cols: self.cols,
+                    len: self.indices.len(),
                 });
             }
-        }
-        for r in 0..self.rows {
-            if self.row_cols(r).windows(2).any(|w| w[1] < w[0]) {
-                return Err(MatrixError::UnsortedRow { row: r });
+            let row = &self.indices[start..end];
+            start = end;
+            if matches!(held, Some(MatrixError::IndexOutOfBounds { .. })) {
+                continue;
+            }
+            let (mut prev, mut sorted) = (0u32, true);
+            for &c in row {
+                if c as usize >= self.cols {
+                    held = Some(MatrixError::IndexOutOfBounds {
+                        row: r,
+                        col: c as usize,
+                        shape: self.shape(),
+                    });
+                    break;
+                }
+                sorted &= c >= prev;
+                prev = c;
+            }
+            if !sorted && held.is_none() {
+                held = Some(MatrixError::UnsortedRow { row: r });
             }
         }
-        Ok(())
+        held.map_or(Ok(()), Err)
     }
 
     /// Copies the view into an owned [`CsrMatrix`] (widening `indptr` to
@@ -694,17 +715,54 @@ mod tests {
             v.validate_structure(),
             Err(MatrixError::InvalidShape { .. })
         ));
-        // Column out of bounds.
+        // Column out of bounds, reported with the row it sits in.
         let v = CsrView::<u32>::new(2, 2, &[0, 1, 2], &[0, 7], &[1.0, 1.0]).unwrap();
         assert!(matches!(
             v.validate_structure(),
-            Err(MatrixError::IndexOutOfBounds { .. })
+            Err(MatrixError::IndexOutOfBounds {
+                row: 1,
+                col: 7,
+                shape: (2, 2)
+            })
         ));
         // Unsorted columns within a row.
         let v = CsrView::<u32>::new(1, 3, &[0, 2], &[2, 0], &[1.0, 1.0]).unwrap();
         assert!(matches!(
             v.validate_structure(),
             Err(MatrixError::UnsortedRow { row: 0 })
+        ));
+    }
+
+    #[test]
+    fn validate_structure_ranks_indptr_before_range_before_order() {
+        // Row 0 unsorted, row 2 out of range, row 3 unsorted: range wins,
+        // with its own row.
+        let indices = [2u32, 1, 0, 9, 3, 2];
+        let values = [1.0f32; 6];
+        let v = CsrView::<u32>::new(4, 4, &[0, 2, 3, 4, 6], &indices, &values).unwrap();
+        assert!(matches!(
+            v.validate_structure(),
+            Err(MatrixError::IndexOutOfBounds { row: 2, col: 9, .. })
+        ));
+        // The same columns under an indptr that dips after them: indptr wins.
+        let v = CsrView::<u32>::new(4, 4, &[0, 2, 4, 3, 6], &indices, &values).unwrap();
+        assert!(matches!(
+            v.validate_structure(),
+            Err(MatrixError::InvalidShape { .. })
+        ));
+        // A pointer past the end is the same violation (it must come back
+        // down to reach the pinned endpoint) and never slices out of bounds.
+        let v = CsrView::<u32>::new(4, 4, &[0, 2, 7, 7, 6], &indices, &values).unwrap();
+        assert!(matches!(
+            v.validate_structure(),
+            Err(MatrixError::InvalidShape { .. })
+        ));
+        // Only order broken: the first unsorted row is named.
+        let indices = [1u32, 2, 0, 3, 3, 2];
+        let v = CsrView::<u32>::new(4, 4, &[0, 2, 3, 4, 6], &indices, &values).unwrap();
+        assert!(matches!(
+            v.validate_structure(),
+            Err(MatrixError::UnsortedRow { row: 3 })
         ));
     }
 

@@ -6,7 +6,7 @@
 //! normalization.
 
 use proptest::prelude::*;
-use sigma_matrix::{CsrMatrix, DenseMatrix};
+use sigma_matrix::{CsrMatrix, CsrView, DenseMatrix, MatrixError};
 
 const MAX_DIM: usize = 10;
 
@@ -35,8 +35,67 @@ fn dense_from_seed(rows: usize, cols: usize, seed: &[f32]) -> DenseMatrix {
     })
 }
 
+/// `CsrView::validate_structure` as three whole-array sweeps — every
+/// `indptr` step, then every column's range, then every row's order — the
+/// ranking the one-pass check must reproduce, with the offending row named.
+fn validate_by_sweeps(
+    (rows, cols): (usize, usize),
+    indptr: &[u32],
+    indices: &[u32],
+) -> Result<(), MatrixError> {
+    if indptr.windows(2).any(|w| w[1] < w[0]) {
+        return Err(MatrixError::InvalidShape {
+            rows,
+            cols,
+            len: indices.len(),
+        });
+    }
+    let row_cols = |r: usize| &indices[indptr[r] as usize..indptr[r + 1] as usize];
+    for r in 0..rows {
+        if let Some(&c) = row_cols(r).iter().find(|&&c| c as usize >= cols) {
+            return Err(MatrixError::IndexOutOfBounds {
+                row: r,
+                col: c as usize,
+                shape: (rows, cols),
+            });
+        }
+    }
+    for r in 0..rows {
+        if row_cols(r).windows(2).any(|w| w[1] < w[0]) {
+            return Err(MatrixError::UnsortedRow { row: r });
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn one_pass_structure_check_agrees_with_three_sweeps(
+        rows in 1..MAX_DIM, cols in 1..MAX_DIM,
+        trips in raw_triplets(),
+        damage in prop::collection::vec((0u32..2, 0usize..64, 0u32..24), 0..4),
+    ) {
+        let m = CsrMatrix::from_triplets(rows, cols, &remap(&trips, rows, cols)).unwrap();
+        let mut indptr: Vec<u32> = m.indptr().iter().map(|&p| p as u32).collect();
+        let mut indices = m.indices().to_vec();
+        // Overwrite interior row pointers (the endpoints are `new`'s to
+        // check) and column indices with arbitrary small values.
+        for (target, at, value) in damage {
+            if target == 0 && rows > 1 {
+                indptr[1 + at % (rows - 1)] = value;
+            } else if !indices.is_empty() {
+                let slot = at % indices.len();
+                indices[slot] = value;
+            }
+        }
+        let view = CsrView::<u32>::new(rows, cols, &indptr, &indices, m.values()).unwrap();
+        prop_assert_eq!(
+            view.validate_structure(),
+            validate_by_sweeps((rows, cols), &indptr, &indices)
+        );
+    }
 
     #[test]
     fn spmm_agrees_with_dense_matmul(

@@ -25,6 +25,25 @@
 //! encoding; `MODEL` stores the [`ModelSnapshot`] with its operator
 //! *stripped* (the operator lives in the `OP_*` array sections and is
 //! re-attached on decode).
+//!
+//! ## Checksums
+//!
+//! Each section's `crc32` is the IEEE CRC32 of its payload (reflected
+//! polynomial `0xEDB8_8320`, all-ones initial register, final complement —
+//! zlib's and PNG's), and [`crc32`] is the one routine that computes it,
+//! for the writer and for `MappedSnapshot::verify`. It reads sixteen
+//! 256-entry tables built at compile time: `T[0][i]` is the register after
+//! shifting byte `i` out bit by bit, and `T[k][i]` is `T[k-1][i]` pushed
+//! through one more zero byte, `(T[k-1][i] >> 8) ^ T[0][T[k-1][i] & 0xFF]` —
+//! so `T[k][i]` is what byte `i` contributes to the register `k` bytes
+//! later. A 16-byte block then costs sixteen independent lookups XORed
+//! together (byte `p` in `T[15-p]`, the register folded into the first
+//! four bytes) instead of sixteen dependent steps; what is left of a slice
+//! after its last whole block goes through `T[0]` a byte at a time. The
+//! lookups of one block still wait on the previous block's register, so
+//! two slices are checksummed at a time, their blocks interleaved, which
+//! keeps a second chain of loads in flight: sections have their own CRCs
+//! already, so nothing has to be combined afterwards.
 
 use crate::codec;
 use crate::{Result, ServeError};
@@ -68,8 +87,12 @@ pub(crate) fn tag_str(tag: &[u8; 8]) -> String {
     String::from_utf8_lossy(tag).trim_end().to_string()
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// How many bytes one step of [`crc32`] consumes, and so how many tables
+/// it reads: table `k` is the CRC of a byte followed by `k` zero bytes.
+const SLICES: usize = 16;
+
+const fn slice_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -82,21 +105,106 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; SLICES] = slice_tables();
 
-/// IEEE CRC32 (the zlib/PNG polynomial) of a byte slice.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+/// Folds one 16-byte block into a CRC register: the register meets the
+/// first four bytes, and byte `p` of the block reads table `15 - p`.
+#[inline(always)]
+fn fold_block(crc: u32, b: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let head = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    t[15][(head & 0xFF) as usize]
+        ^ t[14][((head >> 8) & 0xFF) as usize]
+        ^ t[13][((head >> 16) & 0xFF) as usize]
+        ^ t[12][(head >> 24) as usize]
+        ^ t[11][b[4] as usize]
+        ^ t[10][b[5] as usize]
+        ^ t[9][b[6] as usize]
+        ^ t[8][b[7] as usize]
+        ^ t[7][b[8] as usize]
+        ^ t[6][b[9] as usize]
+        ^ t[5][b[10] as usize]
+        ^ t[4][b[11] as usize]
+        ^ t[3][b[12] as usize]
+        ^ t[2][b[13] as usize]
+        ^ t[1][b[14] as usize]
+        ^ t[0][b[15] as usize]
+}
+
+/// One slice being checksummed: where its CRC goes, the bytes not yet
+/// folded in, and the register.
+struct Lane<'a> {
+    slot: usize,
+    rest: &'a [u8],
+    crc: u32,
+}
+
+impl Lane<'_> {
+    /// Runs the lane alone to the end of its slice — whole blocks, then the
+    /// tail a byte at a time — and stores the CRC in the lane's slot.
+    fn finish(mut self, out: &mut [u32]) {
+        let mut blocks = self.rest.chunks_exact(SLICES);
+        for b in &mut blocks {
+            self.crc = fold_block(self.crc, b);
+        }
+        for &b in blocks.remainder() {
+            self.crc = (self.crc >> 8) ^ CRC_TABLES[0][((self.crc ^ b as u32) & 0xFF) as usize];
+        }
+        out[self.slot] = !self.crc;
     }
-    !crc
+}
+
+/// IEEE CRC32 (the zlib/PNG polynomial) of each slice, slice-by-16, two
+/// slices in flight at a time — the one checksum routine of the format,
+/// behind both [`SectionWriter::write_to`] and `MappedSnapshot::verify`.
+pub(crate) fn crc32(slices: &[&[u8]]) -> Vec<u32> {
+    let mut out = vec![0u32; slices.len()];
+    let mut pending = slices.iter().enumerate().map(|(slot, &rest)| Lane {
+        slot,
+        rest,
+        crc: !0,
+    });
+    let mut lanes = [pending.next(), pending.next()];
+    while let [Some(x), Some(y)] = &mut lanes {
+        // Both lanes advance, block by block in turn, through as many whole
+        // blocks as the shorter one has left.
+        let shared = x.rest.len().min(y.rest.len()) / SLICES * SLICES;
+        let (xs, ys) = (&x.rest[..shared], &y.rest[..shared]);
+        for (p, q) in xs.chunks_exact(SLICES).zip(ys.chunks_exact(SLICES)) {
+            x.crc = fold_block(x.crc, p);
+            y.crc = fold_block(y.crc, q);
+        }
+        x.rest = &x.rest[shared..];
+        y.rest = &y.rest[shared..];
+        // The shorter lane (both, on a tie) is down to its tail: finish it
+        // and start the next slice in its place.
+        for lane in &mut lanes {
+            if let Some(done) = lane.take_if(|l| l.rest.len() < SLICES) {
+                done.finish(&mut out);
+                *lane = pending.next();
+            }
+        }
+    }
+    for last in lanes.into_iter().flatten() {
+        last.finish(&mut out);
+    }
+    out
 }
 
 /// Rounds `n` up to the next multiple of [`SECTION_ALIGN`].
@@ -128,12 +236,13 @@ impl SectionWriter {
         codec::write_u32(w, self.sections.len() as u32)?;
         // Header table: offsets are assigned in push order, each payload
         // starting on the next 64-byte boundary after the previous one.
+        let payloads: Vec<&[u8]> = self.sections.iter().map(|(_, p)| &p[..]).collect();
         let mut offset = align_up(table_end);
-        for (tag, payload) in &self.sections {
+        for ((tag, payload), crc) in self.sections.iter().zip(crc32(&payloads)) {
             w.write_all(tag)?;
             codec::write_u64(w, offset as u64)?;
             codec::write_u64(w, payload.len() as u64)?;
-            codec::write_u32(w, crc32(payload))?;
+            codec::write_u32(w, crc)?;
             codec::write_u32(w, 0)?;
             offset = align_up(offset + payload.len());
         }
@@ -355,6 +464,13 @@ pub(crate) fn decode_model_blob(mut bytes: &[u8]) -> Result<ModelSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sigma_testutil::reference::crc32_bitwise;
+
+    /// The shipped routine on one slice.
+    fn crc32(data: &[u8]) -> u32 {
+        super::crc32(&[data])[0]
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -365,6 +481,85 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn every_table_entry_agrees_with_the_bitwise_definition() {
+        // One 16-byte block reads one entry of each table: byte `p` indexes
+        // table `15 - p` (the first four through the all-ones initial
+        // register, which permutes the 256 values without dropping any), so
+        // sweeping each byte over every value touches all 16 × 256 entries.
+        let base: [u8; 16] = *b"sigma-snapshot!!";
+        for p in 0..SLICES {
+            for v in 0..=255u8 {
+                let mut block = base;
+                block[p] = v;
+                assert_eq!(crc32(&block), crc32_bitwise(&block), "byte {p} = {v}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every length 0…80 at every start alignment 0…15 of one shared
+        /// buffer: empty input, tail only, body only, and up to five blocks
+        /// with every tail length, wherever the slice starts.
+        #[test]
+        fn crc32_matches_the_bitwise_definition_at_every_length_and_alignment(
+            buf in prop::collection::vec(any::<u8>(), 96),
+        ) {
+            for start in 0..SLICES {
+                for len in 0..=80 {
+                    let slice = &buf[start..start + len];
+                    prop_assert!(
+                        crc32(slice) == crc32_bitwise(slice),
+                        "start {}, len {}",
+                        start,
+                        len
+                    );
+                }
+            }
+        }
+
+        /// Multi-kilobyte buffers whose length lands on, just before and
+        /// just after a block boundary.
+        #[test]
+        fn crc32_matches_the_bitwise_definition_on_long_buffers(
+            buf in prop::collection::vec(any::<u8>(), 2048usize..6144),
+            start in 0usize..16,
+            blocks in 100usize..120,
+            tail in 0usize..16,
+        ) {
+            for len in [blocks * SLICES - 1, blocks * SLICES, blocks * SLICES + tail] {
+                let slice = &buf[start..start + len];
+                prop_assert!(
+                    crc32(slice) == crc32_bitwise(slice),
+                    "start {}, len {}",
+                    start,
+                    len
+                );
+            }
+            let rest = &buf[start..];
+            prop_assert_eq!(crc32(rest), crc32_bitwise(rest));
+        }
+
+        /// Any list of slices — empty ones, tails only, equal lengths that
+        /// retire both lanes at once, one long slice outliving several
+        /// short ones — gets each slice's own CRC, in order.
+        #[test]
+        fn crc32_of_a_slice_list_is_each_slices_own_crc(
+            buf in prop::collection::vec(any::<u8>(), 1024),
+            cuts in prop::collection::vec((0usize..512, 0usize..512), 0..9),
+            twin in 0usize..9,
+        ) {
+            let mut slices: Vec<&[u8]> = cuts.iter().map(|&(at, len)| &buf[at..at + len]).collect();
+            if let Some(&(_, len)) = cuts.get(twin) {
+                slices.push(&buf[7..7 + len]);
+            }
+            let want: Vec<u32> = slices.iter().map(|s| crc32_bitwise(s)).collect();
+            prop_assert_eq!(super::crc32(&slices), want);
+        }
     }
 
     #[test]

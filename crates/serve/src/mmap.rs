@@ -10,8 +10,26 @@
 //!   and a cross-check of every array section's byte length against the
 //!   dimensions META declares (plus the O(1) `indptr` endpoint checks).
 //! * **[`MappedSnapshot::verify`]** — O(bytes): per-section CRC32 and the
-//!   O(nnz) CSR structural invariants. Runs once; success is cached, so
-//!   repeated engine builds off one mapping pay it once.
+//!   O(nnz) CSR structural invariants, 0.3–0.4 ms per MB. Runs once;
+//!   success is cached, so repeated engine builds off one mapping pay it
+//!   once.
+//!
+//! ## A file must not change under its mapping
+//!
+//! A mapping reads the file's pages, not a copy of them: bytes rewritten
+//! in place show through it, and a page past a shrunken end of file raises
+//! SIGBUS in whichever thread touches it. So **snapshots are immutable
+//! once published** — write a new one beside the old and `rename` it into
+//! place (the old inode, and every mapping of it, lives until its last
+//! mapping is dropped), never truncate or rewrite a served file.
+//! [`MappedSnapshot::open`] keeps the file it mapped open, and `verify`
+//! re-reads that descriptor's length before it touches a payload page: a
+//! file that changed length since `open` is refused with
+//! [`SnapshotError::Truncated`] instead of faulting, and one rewritten at
+//! the same length fails its checksums. What remains is the window after
+//! `verify` has passed — a file truncated *then* still faults the serving
+//! thread that next reads a dropped page — which only the publishing rule
+//! closes.
 //!
 //! The array sections are little-endian; a big-endian host gets a typed
 //! [`SnapshotError::UnsupportedPlatform`] instead of silently reinterpreted
@@ -24,10 +42,20 @@ use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::{Result, ServeSnapshot, SnapshotError};
 use sigma::snapshot::ModelSnapshot;
 use sigma_matrix::{CsrView, CsrViewAny, DenseView};
+use sigma_obs::{StaticCounter, StaticHistogram, Stopwatch};
 use std::fs::File;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+
+static VERIFY_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_serve_snapshot_verify_ns",
+    "one full MappedSnapshot::verify pass (CRC32 + CSR structure) that succeeded",
+);
+static VERIFIED_BYTES: StaticCounter = StaticCounter::new(
+    "sigma_serve_snapshot_verified_bytes_total",
+    "snapshot bytes that passed MappedSnapshot::verify",
+);
 
 /// A 64-byte-aligned heap buffer: the non-mmap backing. `Vec<u8>` only
 /// guarantees byte alignment, which would break the `&[u64]` section views,
@@ -104,6 +132,9 @@ enum Backing {
     Mmap {
         ptr: *mut u8,
         len: usize,
+        /// The mapped file, held so its length can be re-read: pages past
+        /// a shrunken end of file fault with SIGBUS.
+        file: File,
     },
     Heap(AlignedBytes),
 }
@@ -113,16 +144,32 @@ impl Backing {
         match self {
             #[cfg(unix)]
             // SAFETY: the mapping is live for as long as self.
-            Backing::Mmap { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            Backing::Mmap { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
             Backing::Heap(buf) => buf.bytes(),
         }
+    }
+
+    /// Refuses a mapping whose file no longer has the length that was
+    /// mapped (a heap copy has no file to change).
+    fn check_file_len(&self) -> Result<()> {
+        #[cfg(unix)]
+        if let Backing::Mmap { len, file, .. } = self {
+            let now = file.metadata()?.len();
+            if now != *len as u64 {
+                return Err(SnapshotError::Truncated {
+                    what: format!("{len}-byte mapping (the file is {now} bytes now)"),
+                }
+                .into());
+            }
+        }
+        Ok(())
     }
 }
 
 impl Drop for Backing {
     fn drop(&mut self) {
         #[cfg(unix)]
-        if let Backing::Mmap { ptr, len } = self {
+        if let Backing::Mmap { ptr, len, .. } = self {
             // SAFETY: exactly the region mmap returned.
             unsafe { sys::munmap(*ptr as *mut std::ffi::c_void, *len) };
         }
@@ -190,8 +237,8 @@ impl MappedSnapshot {
         #[cfg(unix)]
         {
             use std::os::unix::io::AsRawFd;
-            // SAFETY: read-only private mapping of a file we hold open; the
-            // fd may be closed after mmap returns (the mapping persists).
+            // SAFETY: read-only private mapping of a file we hold open, of
+            // the length its metadata just reported.
             let ptr = unsafe {
                 sys::mmap(
                     std::ptr::null_mut(),
@@ -206,6 +253,7 @@ impl MappedSnapshot {
                 return Self::from_backing(Backing::Mmap {
                     ptr: ptr as *mut u8,
                     len,
+                    file,
                 });
             }
         }
@@ -460,16 +508,25 @@ impl MappedSnapshot {
         })
     }
 
-    /// Verifies section contents: every header-table CRC32, plus the
-    /// O(nnz) CSR structural invariants of the adjacency and operator.
-    /// Runs once — success is cached, later calls return immediately.
+    /// Verifies section contents: every header-table CRC32, then the
+    /// O(nnz) CSR structural invariants of the adjacency and operator, each
+    /// in one pass over its sections. A file mapping is first refused if
+    /// its file changed length since [`MappedSnapshot::open`]. Runs once —
+    /// success is cached, later calls return immediately.
     pub fn verify(&self) -> Result<()> {
         if self.verified.load(Ordering::Acquire) {
             return Ok(());
         }
+        let clock = Stopwatch::start();
+        self.backing.check_file_len()?;
         let bytes = self.backing.bytes();
-        for s in &self.sections {
-            if format::crc32(&bytes[s.offset..s.offset + s.len]) != s.crc {
+        let payloads: Vec<&[u8]> = self
+            .sections
+            .iter()
+            .map(|s| &bytes[s.offset..s.offset + s.len])
+            .collect();
+        for (s, crc) in self.sections.iter().zip(format::crc32(&payloads)) {
+            if crc != s.crc {
                 return Err(SnapshotError::ChecksumMismatch {
                     tag: format::tag_str(&s.tag),
                 }
@@ -488,6 +545,8 @@ impl MappedSnapshot {
             check(op, "operator")?;
         }
         self.verified.store(true, Ordering::Release);
+        VERIFY_NS.record(clock.elapsed_ns());
+        VERIFIED_BYTES.add(bytes.len() as u64);
         Ok(())
     }
 

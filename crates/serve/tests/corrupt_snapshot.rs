@@ -10,8 +10,14 @@
 //! (the O(#sections) pass); payload damage fails at
 //! [`MappedSnapshot::verify`] (the O(bytes) pass).
 
-use sigma_serve::{MappedSnapshot, ServeError, ServeSnapshot, SnapshotError};
+use sigma_serve::{
+    EngineConfig, InferenceEngine, MappedSnapshot, ServeError, ServeSnapshot, SnapshotError,
+};
+// The re-stamping tests checksum their own corruption with the table-free
+// definition, not with the code under test.
+use sigma_testutil::reference::crc32_bitwise as crc32;
 use sigma_testutil::{random_graph, serving_fixture};
+use std::sync::Arc;
 
 const PRELUDE_LEN: usize = 16;
 const ENTRY_LEN: usize = 32;
@@ -43,23 +49,6 @@ fn entry_len(image: &[u8], tag: &[u8; 8]) -> usize {
     u64::from_le_bytes(image[p + 16..p + 24].try_into().unwrap()) as usize
 }
 
-/// Independent IEEE CRC32 implementation, so the re-stamping tests do not
-/// trust the code under test to checksum its own corruption.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-        }
-    }
-    !crc
-}
-
 fn open_err(image: &[u8]) -> SnapshotError {
     match MappedSnapshot::from_bytes(image) {
         Err(ServeError::Snapshot(e)) => e,
@@ -75,6 +64,42 @@ fn verify_err(image: &[u8]) -> SnapshotError {
         Ok(()) => panic!("corrupt payload passed verification"),
         Err(other) => panic!("expected a typed SnapshotError, got {other:?}"),
     }
+}
+
+/// The writer's bytes are part of the format: the image of a fixed-seed
+/// fixture is pinned to what the last commit with the byte-at-a-time CRC
+/// (PR 18) wrote for it — length, whole-image checksum (by the table-free
+/// definition) and the header table's CRC column. A deliberate change to
+/// the fixture, the model initialiser or the layout re-captures these; a
+/// change to the checksum routine must not move them.
+#[test]
+fn written_image_is_byte_identical_to_the_pinned_parent_image() {
+    let image = v2_image();
+    assert_eq!(image.len(), 9236);
+    assert_eq!(crc32(&image), 0x50EE_1787);
+    let pinned: [(&[u8; 8], u32); 9] = [
+        (b"META    ", 0xF29E_3329),
+        (b"ADJ_PTR ", 0x9238_A947),
+        (b"ADJ_IDX ", 0xAD55_576B),
+        (b"ADJ_VAL ", 0x2351_D6E2),
+        (b"OP_PTR  ", 0xB457_BC3E),
+        (b"OP_IDX  ", 0x4693_99D1),
+        (b"OP_VAL  ", 0xDAAC_FBD3),
+        (b"FEAT    ", 0x140D_E98F),
+        (b"MODEL   ", 0x43A2_3932),
+    ];
+    assert_eq!(image[12] as usize, pinned.len());
+    for (tag, crc) in pinned {
+        let p = entry_pos(&image, tag);
+        let stamped = u32::from_le_bytes(image[p + 24..p + 28].try_into().unwrap());
+        assert_eq!(stamped, crc, "section {}", String::from_utf8_lossy(tag));
+    }
+    // With the optional embedding section present.
+    let mut fixture = serving_fixture(&random_graph(30, 14, 71), 6, 71);
+    fixture.snapshot.precompute_embeddings().unwrap();
+    let mut image = Vec::new();
+    fixture.snapshot.write_to(&mut image).unwrap();
+    assert_eq!((image.len(), crc32(&image)), (9684, 0xB145_3AA7));
 }
 
 #[test]
@@ -310,6 +335,60 @@ fn out_of_range_column_index_is_rejected_at_verify() {
             ..
         }
     ));
+    // The detail names the row the bad column sits in: the first entry is
+    // row 0's (every fixture node has a ring edge) …
+    let at = format!("index (0, {})", u32::MAX);
+    assert!(matches!(
+        verify_err(&image),
+        SnapshotError::InvalidCsr { detail, .. } if detail.contains(&at)
+    ));
+    // … and the last entry is the last row's.
+    let mut image = v2_image();
+    let last = offset + len - 4;
+    image[last..last + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let crc = crc32(&image[offset..offset + len]);
+    image[p + 24..p + 28].copy_from_slice(&crc.to_le_bytes());
+    let at = format!("index (29, {})", u32::MAX);
+    assert!(matches!(
+        verify_err(&image),
+        SnapshotError::InvalidCsr { section: "adjacency", detail } if detail.contains(&at)
+    ));
+}
+
+#[test]
+fn file_truncated_under_a_live_mapping_is_refused_not_faulted() {
+    // Pages past a shrunken end of file raise SIGBUS when touched, so the
+    // content pass must notice the new length before it reads anything.
+    let image = v2_image();
+    let path = std::env::temp_dir().join(format!(
+        "sigma-truncated-under-map-{}.snapshot",
+        std::process::id()
+    ));
+    std::fs::write(&path, &image).unwrap();
+    let mapped = Arc::new(MappedSnapshot::open(&path).unwrap());
+    // Keep the header and drop every payload page behind it.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(4096)
+        .unwrap();
+    let refused = [
+        mapped.verify(),
+        InferenceEngine::from_mapped(mapped.clone(), EngineConfig::default()).map(drop),
+    ];
+    // A fresh open of the short file fails in the header pass instead.
+    let reopened = MappedSnapshot::open(&path).map(drop);
+    let _ = std::fs::remove_file(&path);
+    for result in refused.into_iter().chain([reopened]) {
+        assert!(
+            matches!(
+                result,
+                Err(ServeError::Snapshot(SnapshotError::Truncated { .. }))
+            ),
+            "got {result:?}"
+        );
+    }
 }
 
 #[test]

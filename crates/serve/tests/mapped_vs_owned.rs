@@ -8,7 +8,7 @@
 //! any divergence is a real divergence of the storage paths, since every
 //! other input is shared.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use sigma_serve::{
     EngineConfig, EngineStats, InferenceEngine, MappedSnapshot, Prediction, ServeSnapshot,
@@ -49,9 +49,17 @@ fn serving_counters(stats: &EngineStats) -> [u64; 8] {
     ]
 }
 
+/// The pool width is process-wide and `predict_batch` reads it on every
+/// call to decide whether to chunk (one `batches_served` per chunk), so two
+/// differentials at different widths must not overlap: a width flipped
+/// between the owned and the mapped engine's call is a counter divergence
+/// that neither storage path caused.
+static POOL_WIDTH: Mutex<()> = Mutex::new(());
+
 /// Drives an owned-storage and a mapped-storage engine through the same
 /// query + edit + repair schedule and asserts equality after every step.
 fn run_differential(threads: usize, seed: u64) {
+    let _width = POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
     sigma_parallel::set_global_threads(threads);
     let graph = random_graph(36, 20, seed);
     let n = graph.num_nodes();

@@ -9,8 +9,8 @@
 //!   delete-then-readd and no-op edit shapes that stress repair bookkeeping);
 //! * [`reference`] — scalar reference kernels (the nested-loop LocalPush in
 //!   the coupled solver's canonical summation order, the scan-every-seed
-//!   row assembly of a decomposition) shared by the parity tests and the
-//!   `kernel_microopt` bench;
+//!   row assembly of a decomposition, the table-free bitwise CRC32) shared
+//!   by the parity tests and the `kernel_microopt` bench;
 //! * [`oracle`] — a serving fixture (graph → trained-shape model snapshot →
 //!   [`sigma_serve::InferenceEngine`] + in-sync
 //!   [`sigma_simrank::DynamicSimRank`]) and [`oracle::replay_differential`],

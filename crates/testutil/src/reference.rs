@@ -154,3 +154,21 @@ pub fn row_seed_index_reference(decomposed: &DecomposedScores) -> Vec<Vec<u32>> 
     }
     index
 }
+
+/// IEEE CRC32 (the zlib/PNG polynomial, reflected, `0xEDB8_8320`) from its
+/// definition: one byte folded in at a time, one bit shifted out at a time,
+/// no table. The snapshot format's sliced kernel is pinned to this.
+pub fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
