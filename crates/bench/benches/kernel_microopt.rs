@@ -3,14 +3,17 @@
 //! (power-law) fig5-style graphs, at every thread count of the sweep the
 //! host has cores for.
 //!
-//! Five things are measured and one thing is *proven* on every run:
+//! Six things are measured and one thing is *proven* on every run:
 //!
 //! * **reference/optimised timings** for `spmm`, `spmm_transpose`, `spgemm`
-//!   and LocalPush — the reference is a self-contained scalar
-//!   re-implementation of each kernel's canonical accumulation order (the
-//!   LocalPush one lives in `sigma-testutil`, shared with the parity tests),
-//!   "optimised" is the library kernel; every row is the median of `reps`
-//!   runs with its min–max spread;
+//!   and LocalPush — the reference is the scalar re-implementation of each
+//!   kernel's canonical accumulation order in `sigma_testutil::reference`
+//!   (shared with the parity tests), "optimised" is the library kernel;
+//!   every row is the median of `reps` runs, after `WARM_UP_RUNS`
+//!   discarded ones, with its min–max spread;
+//! * **the row slice**: `spmm_rows` on a batch of `n / 64` rows beside the
+//!   full `spmm` it is a slice of — asserted bitwise equal to those rows of
+//!   the product and at least 4x cheaper than computing all of it;
 //! * **planner balance**: the maximum range weight of the equal-row-count
 //!   split versus the nnz-balanced planner on the skewed operator, a
 //!   machine-independent utilisation proxy;
@@ -40,14 +43,16 @@ use sigma::AggregatorKind;
 use sigma_bench::TablePrinter;
 use sigma_datasets::DatasetPreset;
 use sigma_graph::{sym_normalized_adjacency, Graph};
-use sigma_matrix::{CsrMatrix, DenseMatrix};
+use sigma_matrix::DenseMatrix;
 use sigma_parallel::partition_by_weight;
 use sigma_serve::{MappedSnapshot, ServeSnapshot};
 use sigma_simrank::{
     DynamicSimRank, EdgeUpdate, LocalPush, RepairOutcome, SimRankConfig, SparseScores,
 };
 use sigma_testutil::power_law_graph;
-use sigma_testutil::reference::{crc32_bitwise, localpush_reference};
+use sigma_testutil::reference::{
+    crc32_bitwise, localpush_reference, spgemm_reference, spmm_reference, spmm_transpose_reference,
+};
 use std::time::Instant;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
@@ -62,72 +67,6 @@ fn pseudo(i: usize, j: usize, seed: u64) -> f32 {
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     ((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
-}
-
-// ---------------------------------------------------------------------------
-// Scalar baselines: the pre-optimisation kernels, re-implemented verbatim.
-// ---------------------------------------------------------------------------
-
-fn baseline_spmm(m: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
-    let f = x.cols();
-    let mut out = DenseMatrix::zeros(m.rows(), f);
-    for r in 0..m.rows() {
-        for (c, v) in m.row_iter(r) {
-            let x_row = x.row(c);
-            let out_row = out.row_mut(r);
-            for j in 0..f {
-                out_row[j] += v * x_row[j];
-            }
-        }
-    }
-    out
-}
-
-fn baseline_spmm_transpose(m: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
-    let f = x.cols();
-    let mut out = DenseMatrix::zeros(m.cols(), f);
-    for r in 0..m.rows() {
-        for (c, v) in m.row_iter(r) {
-            let x_row = x.row(r);
-            let out_row = out.row_mut(c);
-            for j in 0..f {
-                out_row[j] += v * x_row[j];
-            }
-        }
-    }
-    out
-}
-
-fn baseline_spgemm(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-    let mut triplet_indptr = vec![0usize];
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<f32> = Vec::new();
-    // Fresh Gustavson working set per call (the pre-pool behaviour).
-    let mut acc = vec![0.0f32; b.cols()];
-    let mut touched: Vec<u32> = Vec::new();
-    for r in 0..a.rows() {
-        touched.clear();
-        for (k, v) in a.row_iter(r) {
-            for (c, bv) in b.row_iter(k) {
-                if acc[c] == 0.0 {
-                    touched.push(c as u32);
-                }
-                acc[c] += v * bv;
-            }
-        }
-        touched.sort_unstable();
-        for &c in &touched {
-            let v = acc[c as usize];
-            if v != 0.0 {
-                indices.push(c);
-                values.push(v);
-            }
-            acc[c as usize] = 0.0;
-        }
-        triplet_indptr.push(indices.len());
-    }
-    CsrMatrix::from_raw(a.rows(), b.cols(), triplet_indptr, indices, values)
-        .expect("baseline produces valid CSR")
 }
 
 // ---------------------------------------------------------------------------
@@ -181,21 +120,28 @@ impl Timing {
     }
 }
 
-/// Times each of `reps` runs of `f` on its own, returning the timing and the
-/// last result.
+/// Runs discarded before the timed ones. One is not enough: a kernel that
+/// returns a multi-megabyte matrix pays the allocator's ramp first — glibc
+/// maps the first outputs afresh and faults every page in, and with the
+/// previous output still alive it is the fifth call that first reuses warm
+/// memory (`spmm` reference samples read 9.7, 11.5, 8.7, 4.0, 3.7 ms after
+/// one warm-up; 1.8–1.9 ms from the fifth call on).
+const WARM_UP_RUNS: usize = 4;
+
+/// Times each of `reps` runs of `f` on its own after [`WARM_UP_RUNS`]
+/// discarded ones, returning the timing and the last result.
 fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (Timing, R) {
-    let mut run = || {
-        let start = Instant::now();
-        let out = f();
-        (start.elapsed().as_secs_f64() * 1e3, out)
-    };
-    let (first_ms, mut out) = run();
-    let mut ms = vec![first_ms];
-    for _ in 1..reps {
-        let (t, r) = run();
-        ms.push(t);
-        out = r;
+    let mut out = f();
+    for _ in 1..WARM_UP_RUNS {
+        out = f();
     }
+    let ms = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            out = f();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
     (Timing::of(ms), out)
 }
 
@@ -486,10 +432,10 @@ fn main() {
 
     // -- Scalar references (serial by construction). ------------------------
     let mut kernel_rows: Vec<KernelRow> = Vec::new();
-    let (base_spmm_ms, base_spmm) = time_ms(reps, || baseline_spmm(&operator, &features));
+    let (base_spmm_ms, base_spmm) = time_ms(reps, || spmm_reference(&operator, &features));
     let (base_spmmt_ms, base_spmmt) =
-        time_ms(reps, || baseline_spmm_transpose(&operator, &features));
-    let (base_spgemm_ms, base_spgemm) = time_ms(reps, || baseline_spgemm(&operator, &operator));
+        time_ms(reps, || spmm_transpose_reference(&operator, &features));
+    let (base_spgemm_ms, base_spgemm) = time_ms(reps, || spgemm_reference(&operator, &operator));
     let (base_push_ms, base_push) = time_ms(reps, || {
         localpush_reference(&push_graph, simrank_cfg, usize::MAX)
     });
@@ -520,11 +466,30 @@ fn main() {
         "speed-up",
         "parity",
     ]);
+    let slice: Vec<usize> = (0..n / 64).map(|i| (i * 97) % n).collect();
+    let base_spmm_slice = base_spmm.select_rows(&slice).expect("in-range rows");
     for &threads in &sweep {
         sigma_parallel::set_global_threads(threads);
 
         let (spmm_ms, spmm_out) = time_ms(reps, || operator.spmm(&features).unwrap());
         assert_dense_bitwise(&base_spmm, &spmm_out, "spmm");
+
+        // The serving claim: a slice of b = n/64 rows equals those rows of
+        // the full product and costs O(b·k·f), far below the O(n·k·f) of
+        // computing all of it. The margin is 4x on the quietest sample of
+        // each side, not 64x: the slice's rows carry more than their share
+        // of the skewed nnz, and a fixed per-call cost (output allocation,
+        // dispatch) is most of a 23-row call in quick mode.
+        let (rows_ms, rows_out) = time_ms(reps, || operator.spmm_rows(&slice, &features).unwrap());
+        assert_dense_bitwise(&base_spmm_slice, &rows_out, "spmm_rows");
+        assert!(
+            rows_ms.min * 4.0 < spmm_ms.min,
+            "spmm_rows on {} rows ({:.4} ms) should be at least 4x faster than the full \
+             spmm over {n} ({:.4} ms) at {threads} thread(s)",
+            slice.len(),
+            rows_ms.min,
+            spmm_ms.min
+        );
 
         let (spmmt_ms, spmmt_out) = time_ms(reps, || operator.spmm_transpose(&features).unwrap());
         assert_dense_bitwise(&base_spmmt, &spmmt_out, "spmm_transpose");
@@ -539,6 +504,7 @@ fn main() {
 
         for (kernel, base_ms, ms) in [
             ("spmm", base_spmm_ms, spmm_ms),
+            ("spmm_rows", spmm_ms, rows_ms),
             ("spmm_transpose", base_spmmt_ms, spmmt_ms),
             ("spgemm", base_spgemm_ms, spgemm_ms),
             ("localpush", base_push_ms, push_ms),
@@ -671,9 +637,12 @@ fn emit_json(
     out.push_str(&format!("  \"threads_skipped\": {skipped:?},\n"));
     out.push_str(
         "  \"note\": \"parity is asserted (optimised kernels bitwise-identical to their scalar \
-         references at every swept thread count); ms is the median of `samples` runs, min_ms and \
-         max_ms its spread; thread counts above host_cores are skipped; the localpush reference \
-         is the dense nested-loop one in sigma-testutil; each repair row times `samples` \
+         references at every swept thread count); ms is the median of `samples` runs after four \
+         discarded warm-up runs, min_ms and max_ms its spread; thread counts above host_cores are \
+         skipped; the references are the scalar ones in sigma-testutil; the spmm_rows rows time a \
+         slice of nodes/64 rows, asserted bitwise equal to those rows of the full spmm and at \
+         least 4x faster than it (min_ms against min_ms at the same thread count); each repair \
+         row times `samples` \
          successive DynamicSimRank::repair calls after batches of `edits` edits at one pool \
          thread, reports the dirty seeds and rows patched of the median round beside a coupled \
          LocalPush::run and to_csr on the graph those batches left, and asserts the repaired \

@@ -1,7 +1,7 @@
 //! Dynamic micro-batching for single-node predicts.
 //!
 //! SIGMA's row-sliced kernel amortises per-call overhead across the rows of
-//! one batch (`kernel_row_slice` measures exactly this), so concurrent
+//! one batch (`kernel_microopt`'s `spmm_rows` rows measure it), so concurrent
 //! `POST /v1/predict` requests are worth coalescing: the first arrival arms
 //! a configurable window, everything that lands within it is drained into
 //! **one** engine `predict_batch` call, and the per-request predictions are

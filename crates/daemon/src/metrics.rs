@@ -1,237 +1,75 @@
-//! Daemon-level metric families, following the engine's `EngineMetrics`
-//! idiom: plain relaxed atomics that are always functional (so
-//! [`crate::Daemon::stats`] works with the `obs` feature off), additionally
-//! registered with the process-wide [`Registry`] under `sigma_daemon_*`
-//! names when `obs` is on — where they appear in the `GET /metrics`
-//! exposition the daemon itself serves.
+//! Daemon-level metric families: one `metric_set!` table, so
+//! [`crate::Daemon::stats`] counts with the `obs` feature off and the same
+//! handles appear as `sigma_daemon_*` in the `GET /metrics` exposition the
+//! daemon itself serves when it is on.
 
-use sigma_obs::{Counter, Gauge, Histogram, Registry};
-use std::sync::Arc;
-
-/// Live daemon counters; snapshot with [`DaemonMetrics::snapshot`].
-pub struct DaemonMetrics {
-    /// Connections accepted into the admission queue.
-    pub connections_accepted: Arc<Counter>,
-    /// Connections refused with `429` because the queue was full.
-    pub connections_shed: Arc<Counter>,
-    /// Requests fully parsed off a connection.
-    pub requests: Arc<Counter>,
-    /// Responses written, by status class index (2→2xx, 4→4xx, 5→5xx).
-    pub responses_2xx: Arc<Counter>,
-    /// 4xx responses written.
-    pub responses_4xx: Arc<Counter>,
-    /// 5xx responses written.
-    pub responses_5xx: Arc<Counter>,
-    /// Requests shed with `504` because their deadline expired before any
-    /// engine work was done.
-    pub deadline_shed: Arc<Counter>,
-    /// Requests shed with `429` at the micro-batch queue.
-    pub batch_shed: Arc<Counter>,
-    /// Malformed requests rejected with a typed 4xx/5xx parse status.
-    pub parse_rejects: Arc<Counter>,
-    /// Slow-loris style read timeouts (`408` or silent close).
-    pub read_timeouts: Arc<Counter>,
-    /// Connection-handler panics contained (connection killed, process
-    /// alive).
-    pub handler_panics: Arc<Counter>,
-    /// Single-node predicts that went through the micro-batcher.
-    pub coalesced_predicts: Arc<Counter>,
-    /// Micro-batch flushes (engine `predict_batch` calls made on behalf of
-    /// coalesced predicts).
-    pub batch_flushes: Arc<Counter>,
-    /// Snapshot hot reloads served through `POST /v1/reload`.
-    pub reloads: Arc<Counter>,
-    /// Queued connections awaiting a worker (admission queue depth).
-    pub queue_depth: Arc<Gauge>,
-    /// Requests currently being served by workers.
-    pub inflight: Arc<Gauge>,
-    /// End-to-end request wall time (parse → response flushed), ns.
-    pub request_ns: Arc<Histogram>,
-    /// Coalesced micro-batch sizes (1 = a predict that rode alone).
-    pub batch_size: Arc<Histogram>,
-}
-
-/// A torn-but-monotone snapshot of [`DaemonMetrics`] — same per-field
-/// guarantees as the engine's `EngineStats` (each field individually exact
-/// and monotone; no cross-field consistency while traffic is in flight).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    /// Connections accepted into the admission queue.
-    pub connections_accepted: u64,
-    /// Connections refused with `429` (queue full).
-    pub connections_shed: u64,
-    /// Requests fully parsed.
-    pub requests: u64,
-    /// 2xx responses written.
-    pub responses_2xx: u64,
-    /// 4xx responses written.
-    pub responses_4xx: u64,
-    /// 5xx responses written.
-    pub responses_5xx: u64,
-    /// Requests shed with `504` before engine work.
-    pub deadline_shed: u64,
-    /// Requests shed with `429` at the micro-batch queue.
-    pub batch_shed: u64,
-    /// Typed parse rejections.
-    pub parse_rejects: u64,
-    /// Read timeouts observed.
-    pub read_timeouts: u64,
-    /// Handler panics contained.
-    pub handler_panics: u64,
-    /// Predicts served through the micro-batcher.
-    pub coalesced_predicts: u64,
-    /// Micro-batch flushes.
-    pub batch_flushes: u64,
-    /// Hot reloads applied.
-    pub reloads: u64,
-    /// Current admission-queue depth.
-    pub queue_depth: i64,
-    /// Requests currently in flight.
-    pub inflight: i64,
+sigma_obs::metric_set! {
+    /// Live daemon counters; snapshot with [`DaemonMetrics::snapshot`].
+    pub struct DaemonMetrics;
+    /// A torn-but-monotone snapshot of [`DaemonMetrics`] — same per-field
+    /// guarantees as the engine's `EngineStats` (each field individually
+    /// exact and monotone; no cross-field consistency while traffic is in
+    /// flight).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DaemonStats {}
+    counters {
+        /// Connections accepted into the admission queue.
+        connections_accepted: "sigma_daemon_connections_accepted_total",
+            "connections admitted into the bounded queue";
+        /// Connections refused with `429` because the queue was full.
+        connections_shed: "sigma_daemon_connections_shed_total",
+            "connections refused with 429 because the admission queue was full";
+        /// Requests fully parsed off a connection.
+        requests: "sigma_daemon_requests_total", "requests fully parsed off accepted connections";
+        /// 2xx responses written.
+        responses_2xx: "sigma_daemon_responses_2xx_total", "successful responses written";
+        /// 4xx responses written.
+        responses_4xx: "sigma_daemon_responses_4xx_total", "client-error responses written";
+        /// 5xx responses written.
+        responses_5xx: "sigma_daemon_responses_5xx_total", "server-error responses written";
+        /// Requests shed with `504` because their deadline expired before
+        /// any engine work was done.
+        deadline_shed: "sigma_daemon_deadline_shed_total",
+            "requests shed with 504 before any engine work";
+        /// Requests shed with `429` at the micro-batch queue.
+        batch_shed: "sigma_daemon_batch_shed_total",
+            "requests shed with 429 at the micro-batch queue";
+        /// Malformed requests rejected with a typed 4xx/5xx parse status.
+        parse_rejects: "sigma_daemon_parse_rejects_total",
+            "malformed requests rejected with a typed status";
+        /// Slow-loris style read timeouts (`408` or silent close).
+        read_timeouts: "sigma_daemon_read_timeouts_total",
+            "socket reads that timed out mid-request (slow-loris defence)";
+        /// Connection-handler panics contained (connection killed, process
+        /// alive).
+        handler_panics: "sigma_daemon_handler_panics_total",
+            "connection-handler panics contained without killing the process";
+        /// Single-node predicts that went through the micro-batcher.
+        coalesced_predicts: "sigma_daemon_coalesced_predicts_total",
+            "single-node predicts served through the micro-batcher";
+        /// Micro-batch flushes (engine `predict_batch` calls made on behalf
+        /// of coalesced predicts).
+        batch_flushes: "sigma_daemon_batch_flushes_total",
+            "micro-batch flushes (one engine predict_batch per flush)";
+        /// Snapshot hot reloads served through `POST /v1/reload`.
+        reloads: "sigma_daemon_reloads_total",
+            "snapshot hot reloads served through POST /v1/reload";
+    }
+    gauges {
+        /// Queued connections awaiting a worker (admission queue depth).
+        queue_depth: "sigma_daemon_queue_depth", "connections waiting in the admission queue";
+        /// Requests currently being served by workers.
+        inflight: "sigma_daemon_inflight_requests", "requests currently being served";
+    }
+    histograms {
+        /// End-to-end request wall time (parse → response flushed), ns.
+        request_ns: "sigma_daemon_request_ns", "end-to-end request wall time in nanoseconds";
+        /// Coalesced micro-batch sizes (1 = a predict that rode alone).
+        batch_size: "sigma_daemon_batch_size", "coalesced micro-batch sizes";
+    }
 }
 
 impl DaemonMetrics {
-    /// Fresh counters, registered with the global registry when `obs` is
-    /// compiled in.
-    pub fn new() -> Self {
-        let metrics = Self {
-            connections_accepted: Arc::new(Counter::new()),
-            connections_shed: Arc::new(Counter::new()),
-            requests: Arc::new(Counter::new()),
-            responses_2xx: Arc::new(Counter::new()),
-            responses_4xx: Arc::new(Counter::new()),
-            responses_5xx: Arc::new(Counter::new()),
-            deadline_shed: Arc::new(Counter::new()),
-            batch_shed: Arc::new(Counter::new()),
-            parse_rejects: Arc::new(Counter::new()),
-            read_timeouts: Arc::new(Counter::new()),
-            handler_panics: Arc::new(Counter::new()),
-            coalesced_predicts: Arc::new(Counter::new()),
-            batch_flushes: Arc::new(Counter::new()),
-            reloads: Arc::new(Counter::new()),
-            queue_depth: Arc::new(Gauge::new()),
-            inflight: Arc::new(Gauge::new()),
-            request_ns: Arc::new(Histogram::new()),
-            batch_size: Arc::new(Histogram::new()),
-        };
-        if sigma_obs::ENABLED {
-            let registry = Registry::global();
-            registry.register_arc_counter(
-                "sigma_daemon_connections_accepted_total",
-                "connections admitted into the bounded queue",
-                &metrics.connections_accepted,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_connections_shed_total",
-                "connections refused with 429 because the admission queue was full",
-                &metrics.connections_shed,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_requests_total",
-                "requests fully parsed off accepted connections",
-                &metrics.requests,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_responses_2xx_total",
-                "successful responses written",
-                &metrics.responses_2xx,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_responses_4xx_total",
-                "client-error responses written",
-                &metrics.responses_4xx,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_responses_5xx_total",
-                "server-error responses written",
-                &metrics.responses_5xx,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_deadline_shed_total",
-                "requests shed with 504 before any engine work",
-                &metrics.deadline_shed,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_batch_shed_total",
-                "requests shed with 429 at the micro-batch queue",
-                &metrics.batch_shed,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_parse_rejects_total",
-                "malformed requests rejected with a typed status",
-                &metrics.parse_rejects,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_read_timeouts_total",
-                "socket reads that timed out mid-request (slow-loris defence)",
-                &metrics.read_timeouts,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_handler_panics_total",
-                "connection-handler panics contained without killing the process",
-                &metrics.handler_panics,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_coalesced_predicts_total",
-                "single-node predicts served through the micro-batcher",
-                &metrics.coalesced_predicts,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_batch_flushes_total",
-                "micro-batch flushes (one engine predict_batch per flush)",
-                &metrics.batch_flushes,
-            );
-            registry.register_arc_counter(
-                "sigma_daemon_reloads_total",
-                "snapshot hot reloads served through POST /v1/reload",
-                &metrics.reloads,
-            );
-            registry.register_arc_gauge(
-                "sigma_daemon_queue_depth",
-                "connections waiting in the admission queue",
-                &metrics.queue_depth,
-            );
-            registry.register_arc_gauge(
-                "sigma_daemon_inflight_requests",
-                "requests currently being served",
-                &metrics.inflight,
-            );
-            registry.register_arc_histogram(
-                "sigma_daemon_request_ns",
-                "end-to-end request wall time in nanoseconds",
-                &metrics.request_ns,
-            );
-            registry.register_arc_histogram(
-                "sigma_daemon_batch_size",
-                "coalesced micro-batch sizes",
-                &metrics.batch_size,
-            );
-        }
-        metrics
-    }
-
-    /// Independent relaxed loads of every counter.
-    pub fn snapshot(&self) -> DaemonStats {
-        DaemonStats {
-            connections_accepted: self.connections_accepted.get(),
-            connections_shed: self.connections_shed.get(),
-            requests: self.requests.get(),
-            responses_2xx: self.responses_2xx.get(),
-            responses_4xx: self.responses_4xx.get(),
-            responses_5xx: self.responses_5xx.get(),
-            deadline_shed: self.deadline_shed.get(),
-            batch_shed: self.batch_shed.get(),
-            parse_rejects: self.parse_rejects.get(),
-            read_timeouts: self.read_timeouts.get(),
-            handler_panics: self.handler_panics.get(),
-            coalesced_predicts: self.coalesced_predicts.get(),
-            batch_flushes: self.batch_flushes.get(),
-            reloads: self.reloads.get(),
-            queue_depth: self.queue_depth.get(),
-            inflight: self.inflight.get(),
-        }
-    }
-
     /// Bumps the response-class counter for `status`.
     pub fn count_response(&self, status: u16) {
         match status / 100 {
@@ -240,11 +78,5 @@ impl DaemonMetrics {
             5 => self.responses_5xx.inc(),
             _ => {}
         }
-    }
-}
-
-impl Default for DaemonMetrics {
-    fn default() -> Self {
-        Self::new()
     }
 }

@@ -849,44 +849,18 @@ fn handle_reload(shared: &Shared, request: &Request) -> Response {
     }
 }
 
+/// `{"field": value, …}` out of a stats struct's generated `fields()`.
+fn stats_object(fields: impl Iterator<Item = (&'static str, i128)>) -> String {
+    let pairs: Vec<String> = fields.map(|(key, v)| format!("\"{key}\": {v}")).collect();
+    format!("{{{}}}", pairs.join(", "))
+}
+
 fn handle_stats(shared: &Shared) -> Response {
-    let d = shared.metrics.snapshot();
-    let e = shared.backend.engine_stats();
-    let registry = sigma_obs::snapshot().to_json();
     let body = format!(
-        "{{\n\"daemon\": {{\"connections_accepted\": {}, \"connections_shed\": {}, \
-         \"requests\": {}, \"responses_2xx\": {}, \"responses_4xx\": {}, \"responses_5xx\": {}, \
-         \"deadline_shed\": {}, \"batch_shed\": {}, \"parse_rejects\": {}, \
-         \"read_timeouts\": {}, \"handler_panics\": {}, \"coalesced_predicts\": {}, \
-         \"batch_flushes\": {}, \"reloads\": {}, \"queue_depth\": {}, \"inflight\": {}}},\n\
-         \"engine\": {{\"queries\": {}, \"similar_queries\": {}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"batches_served\": {}, \"rows_invalidated\": {}, \
-         \"snapshot_reloads\": {}}},\n\
-         \"registry\": {}}}",
-        d.connections_accepted,
-        d.connections_shed,
-        d.requests,
-        d.responses_2xx,
-        d.responses_4xx,
-        d.responses_5xx,
-        d.deadline_shed,
-        d.batch_shed,
-        d.parse_rejects,
-        d.read_timeouts,
-        d.handler_panics,
-        d.coalesced_predicts,
-        d.batch_flushes,
-        d.reloads,
-        d.queue_depth,
-        d.inflight,
-        e.nodes_served,
-        e.similar_queries,
-        e.cache_hits,
-        e.cache_misses,
-        e.batches_served,
-        e.rows_invalidated,
-        e.snapshot_reloads,
-        registry,
+        "{{\n\"daemon\": {},\n\"engine\": {},\n\"registry\": {}}}",
+        stats_object(shared.metrics.snapshot().fields()),
+        stats_object(shared.backend.engine_stats().fields()),
+        sigma_obs::snapshot().to_json(),
     );
     Response::json(200, body)
 }

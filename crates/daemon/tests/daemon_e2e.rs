@@ -6,9 +6,12 @@
 //! the same snapshot. Runs under `SIGMA_NUM_THREADS=1` and `=4` in CI; the
 //! contract is thread-count independent.
 
-use sigma_daemon::{json, Backend, Daemon, DaemonConfig};
+use sigma_daemon::{json, Backend, Daemon, DaemonConfig, DaemonMetrics, DaemonStats};
 use sigma_graph::Graph;
-use sigma_serve::{EngineConfig, InferenceEngine, Prediction, ShardRouter, ShardRouterConfig};
+use sigma_serve::{
+    EngineConfig, EngineStats, InferenceEngine, Prediction, ShardRouter, ShardRouterConfig,
+};
+use sigma_testutil::metrics::{assert_fields_match_struct, assert_metric_set_exposed};
 use sigma_testutil::wire;
 use sigma_testutil::{random_graph, serving_fixture};
 use std::sync::Arc;
@@ -315,6 +318,71 @@ fn stats_and_metrics_endpoints_parse() {
     }
     daemon.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn daemon_metric_set_is_declared_once_and_exposed_once() {
+    let metrics = DaemonMetrics::new();
+    metrics.requests.inc();
+    metrics.count_response(204);
+    metrics.inflight.add(2);
+    let stats = metrics.snapshot();
+    assert_eq!(
+        (stats.requests, stats.responses_2xx, stats.inflight),
+        (1, 1, 2)
+    );
+    assert_metric_set_exposed(DaemonStats::METRICS);
+    assert_eq!(DaemonStats::METRICS.len(), 14 + 2 + 2);
+    assert_fields_match_struct(
+        &format!("{stats:#?}"),
+        0,
+        stats.fields(),
+        DaemonStats::METRICS,
+    );
+}
+
+#[test]
+fn stats_endpoint_lists_every_stats_field_under_its_own_name() {
+    let fixture = serving_fixture(&fixture_graph(23), 4, 23);
+    let engine =
+        Arc::new(InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("engine"));
+    let daemon =
+        Daemon::start(Backend::Engine(engine), None, DaemonConfig::default()).expect("daemon");
+    let addr = daemon.local_addr();
+    let _ = wire::post_json(addr, "/v1/predict", "{\"node\": 2}").expect("predict");
+
+    let stats = wire::get(addr, "/v1/stats").expect("stats");
+    let value = json::parse(&stats.body).expect("stats body is valid JSON");
+    let keys = |section: &str| -> Vec<&str> {
+        match value.get(section) {
+            Some(json::Json::Obj(members)) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("{section} section: {other:?}"),
+        }
+    };
+    fn names(fields: impl Iterator<Item = (&'static str, i128)>) -> Vec<&'static str> {
+        fields.map(|(name, _)| name).collect()
+    }
+    assert_eq!(keys("daemon"), names(DaemonStats::default().fields()));
+    assert_eq!(keys("engine"), names(EngineStats::default().fields()));
+    let engine_obj = value.get("engine").expect("engine section");
+    assert_eq!(
+        engine_obj
+            .get("nodes_served")
+            .and_then(json::Json::as_index),
+        Some(1)
+    );
+
+    // The same process exports both sets through `/metrics`.
+    let metrics = wire::get(addr, "/metrics").expect("metrics");
+    for m in DaemonStats::METRICS.iter().chain(EngineStats::METRICS) {
+        assert_eq!(
+            metrics.body_str().contains(&format!("# HELP {} ", m.name)),
+            sigma_obs::ENABLED,
+            "{} over the wire",
+            m.name
+        );
+    }
+    daemon.shutdown();
 }
 
 #[test]

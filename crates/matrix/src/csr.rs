@@ -282,24 +282,6 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Scales every row `r` by `factors[r]` in place.
-    pub fn scale_rows(&mut self, factors: &[f32]) -> Result<()> {
-        if factors.len() != self.rows {
-            return Err(MatrixError::InvalidShape {
-                rows: self.rows,
-                cols: 1,
-                len: factors.len(),
-            });
-        }
-        for (r, &factor) in factors.iter().enumerate() {
-            let (start, end) = (self.indptr[r], self.indptr[r + 1]);
-            for v in &mut self.values[start..end] {
-                *v *= factor;
-            }
-        }
-        Ok(())
-    }
-
     /// Multiplies all stored values by `s`.
     pub fn scale(&mut self, s: f32) {
         self.values.iter_mut().for_each(|v| *v *= s);
@@ -688,15 +670,6 @@ impl CsrMatrix {
     pub fn frobenius_norm(&self) -> f32 {
         self.values.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
-
-    /// Average number of stored entries per row.
-    pub fn avg_row_nnz(&self) -> f32 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            self.nnz() as f32 / self.rows as f32
-        }
-    }
 }
 
 /// Concatenates per-row-range CSR fragments — `(cumulative per-row nnz,
@@ -945,14 +918,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_rows_and_scale() {
+    fn scale_multiplies_every_stored_value() {
         let mut m = sample();
-        m.scale_rows(&[2.0, 0.5, 1.0]).unwrap();
-        assert_eq!(m.get(0, 1), 4.0);
-        assert_eq!(m.get(1, 2), 1.5);
         m.scale(2.0);
-        assert_eq!(m.get(0, 1), 8.0);
-        assert!(m.scale_rows(&[1.0]).is_err());
+        assert_eq!(m.get(0, 1), 4.0);
+        assert_eq!(m.get(1, 2), 6.0);
     }
 
     #[test]
@@ -1164,7 +1134,5 @@ mod tests {
     fn stats_helpers() {
         let m = sample();
         assert!((m.frobenius_norm() - (4.0f32 + 1.0 + 9.0).sqrt()).abs() < 1e-6);
-        assert!((m.avg_row_nnz() - 1.0).abs() < 1e-6);
-        assert_eq!(CsrMatrix::identity(0).avg_row_nnz(), 0.0);
     }
 }

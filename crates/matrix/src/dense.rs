@@ -138,24 +138,12 @@ impl DenseMatrix {
     /// Returns the element at `(row, col)`.
     ///
     /// # Panics
-    /// Panics if the index is out of bounds (internal invariant violation in
-    /// callers; use [`DenseMatrix::try_get`] for checked access).
+    /// Panics if the index is out of bounds (an internal invariant
+    /// violation in the caller).
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> f32 {
         debug_assert!(row < self.rows && col < self.cols);
         self.data[row * self.cols + col]
-    }
-
-    /// Checked element access.
-    pub fn try_get(&self, row: usize, col: usize) -> Result<f32> {
-        if row >= self.rows || col >= self.cols {
-            return Err(MatrixError::IndexOutOfBounds {
-                row,
-                col,
-                shape: self.shape(),
-            });
-        }
-        Ok(self.data[row * self.cols + col])
     }
 
     /// Sets the element at `(row, col)`.
@@ -178,17 +166,8 @@ impl DenseMatrix {
     }
 
     /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
+    fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Copies the contents of `other` into `self`.
-    ///
-    /// Returns an error if shapes differ. Reuses the existing allocation.
-    pub fn copy_from(&mut self, other: &DenseMatrix) -> Result<()> {
-        self.check_same_shape("copy_from", other)?;
-        self.data.copy_from_slice(&other.data);
-        Ok(())
     }
 
     /// Sets every element to zero (keeps the allocation).
@@ -199,11 +178,6 @@ impl DenseMatrix {
     /// Sets every element to `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|v| *v = value);
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        self.data.iter_mut().for_each(|v| *v = f(*v));
     }
 
     /// Returns a new matrix with `f` applied to every element.
@@ -487,11 +461,6 @@ impl DenseMatrix {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
-    /// L2 norm of one row.
-    pub fn row_norm(&self, row: usize) -> f32 {
-        self.row(row).iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Euclidean distance between two rows of this matrix.
     pub fn row_distance(&self, a: usize, b: usize) -> f32 {
         self.row(a)
@@ -701,7 +670,6 @@ mod tests {
     fn norms_and_distances() {
         let a = DenseMatrix::from_rows(&[&[3.0, 4.0], &[0.0, 0.0]]).unwrap();
         assert!(approx_eq(a.frobenius_norm(), 5.0));
-        assert!(approx_eq(a.row_norm(0), 5.0));
         assert!(approx_eq(a.row_distance(0, 1), 5.0));
     }
 
@@ -733,16 +701,6 @@ mod tests {
         assert!(b.as_slice().iter().all(|&v| v == 2.0));
         a.scale(0.5);
         assert!(a.as_slice().iter().all(|&v| v == -1.0));
-    }
-
-    #[test]
-    fn copy_from_requires_same_shape() {
-        let mut a = DenseMatrix::zeros(2, 2);
-        let b = DenseMatrix::filled(2, 2, 7.0);
-        a.copy_from(&b).unwrap();
-        assert_eq!(a, b);
-        let c = DenseMatrix::zeros(3, 2);
-        assert!(a.copy_from(&c).is_err());
     }
 
     #[test]

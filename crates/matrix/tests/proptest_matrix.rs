@@ -3,10 +3,13 @@
 //! These check the algebraic identities the rest of the SIGMA reproduction
 //! relies on: agreement between sparse and dense kernels, transpose
 //! involution, and shape/structure invariants of top-k pruning and row
-//! normalization.
+//! normalization — and pin the shipped sparse kernels, bit for bit and at
+//! every pool width, to the scalar references in `sigma-testutil`.
 
 use proptest::prelude::*;
 use sigma_matrix::{CsrMatrix, CsrView, DenseMatrix, MatrixError};
+use sigma_testutil::reference::{spgemm_reference, spmm_reference, spmm_transpose_reference};
+use std::sync::Mutex;
 
 const MAX_DIM: usize = 10;
 
@@ -244,6 +247,64 @@ proptest! {
         prop_assert_eq!(sel.rows(), idx.len());
         for (dst, &src) in idx.iter().enumerate() {
             prop_assert_eq!(sel.row(dst), a.row(src));
+        }
+    }
+}
+
+/// The pool width is process-wide: cases that set it take this lock so each
+/// kernel call below runs at the width its assertion names.
+static POOL_WIDTH: Mutex<()> = Mutex::new(());
+
+const PIN_DIM: usize = 480;
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Sized so that `2 · nnz` (the `spgemm` estimate; `nnz · f` for the
+    /// other two) clears `sigma_parallel::MIN_PARALLEL_WORK` and the fan-out
+    /// really runs at 2 and 4 threads, with rows skewed towards the low ids
+    /// so the nnz-balanced planner cuts uneven ranges.
+    #[test]
+    fn shipped_kernels_equal_the_scalar_references_at_every_pool_width(
+        n in 400usize..PIN_DIM, f in 8usize..25,
+        trips in prop::collection::vec((0..PIN_DIM, 0..PIN_DIM, -5.0f32..5.0), 24_000..28_000),
+        seed in prop::collection::vec(-3.0f32..3.0, 1..32),
+    ) {
+        let skewed: Vec<(usize, usize, f32)> = trips
+            .iter()
+            .map(|&(r, c, v)| ((r * r / PIN_DIM) % n, c % n, v))
+            .collect();
+        let m = CsrMatrix::from_triplets(n, n, &skewed).unwrap();
+        assert!(2 * m.nnz() >= sigma_parallel::MIN_PARALLEL_WORK, "nnz {}", m.nnz());
+        let x = dense_from_seed(n, f, &seed);
+        let want_spmm = bits(spmm_reference(&m, &x).as_slice());
+        let want_spmm_transpose = bits(spmm_transpose_reference(&m, &x).as_slice());
+        let want_spgemm = spgemm_reference(&m, &m);
+
+        let _width = POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in [1usize, 2, 4] {
+            sigma_parallel::set_global_threads(threads);
+            let spmm = bits(m.spmm(&x).unwrap().as_slice());
+            let spmm_transpose = bits(m.spmm_transpose(&x).unwrap().as_slice());
+            let spgemm = m.spgemm(&m).unwrap();
+            sigma_parallel::set_global_threads(0);
+            prop_assert!(spmm == want_spmm, "spmm at {} thread(s)", threads);
+            prop_assert!(
+                spmm_transpose == want_spmm_transpose,
+                "spmm_transpose at {} thread(s)",
+                threads
+            );
+            prop_assert_eq!(spgemm.indptr(), want_spgemm.indptr());
+            prop_assert_eq!(spgemm.indices(), want_spgemm.indices());
+            prop_assert!(
+                bits(spgemm.values()) == bits(want_spgemm.values()),
+                "spgemm at {} thread(s)",
+                threads
+            );
         }
     }
 }

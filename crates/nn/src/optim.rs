@@ -110,25 +110,6 @@ impl Adam {
         self
     }
 
-    /// Validates and sets custom betas.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Result<Self> {
-        if !(0.0..1.0).contains(&beta1) {
-            return Err(NnError::InvalidHyperParameter {
-                name: "beta1",
-                value: beta1 as f64,
-            });
-        }
-        if !(0.0..1.0).contains(&beta2) {
-            return Err(NnError::InvalidHyperParameter {
-                name: "beta2",
-                value: beta2 as f64,
-            });
-        }
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        Ok(self)
-    }
-
     /// Number of completed steps (diagnostics).
     pub fn steps(&self) -> i32 {
         self.t
@@ -263,13 +244,6 @@ mod tests {
         let mut opt = Sgd::new(0.5).with_weight_decay(0.1);
         opt.update(0, &mut p, &g).unwrap();
         assert!(p.get(0, 0) < 1.0);
-    }
-
-    #[test]
-    fn invalid_betas_rejected() {
-        assert!(Adam::new(0.1).with_betas(1.5, 0.9).is_err());
-        assert!(Adam::new(0.1).with_betas(0.9, -0.1).is_err());
-        assert!(Adam::new(0.1).with_betas(0.8, 0.99).is_ok());
     }
 
     #[test]

@@ -23,6 +23,59 @@
 //!   in the hot kernels, proven determinism-neutral by running the parity
 //!   suites in both modes.
 //!
+//! ## Declaring a metric set
+//!
+//! A component whose counters are part of its API — the engine's
+//! `EngineStats`, the router's `RouterStats`, the daemon's `DaemonStats` —
+//! writes each metric once, as a row of a [`metric_set!`] table: a row is
+//! `field: "exposition_name", "help text";` under a doc comment, in one of
+//! the sections `counters`, `gauges`, `histograms` (all three present, in
+//! that order, possibly empty).
+//!
+//! ```
+//! sigma_obs::metric_set! {
+//!     /// Live handles: what the hot path bumps.
+//!     pub struct QueueMetrics;
+//!     /// Plain values read out of [`QueueMetrics`].
+//!     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+//!     pub struct QueueStats {}
+//!     counters {
+//!         /// Items pushed.
+//!         pushed: "doc_queue_pushed_total", "items pushed onto the queue";
+//!     }
+//!     gauges {
+//!         /// Items waiting.
+//!         depth: "doc_queue_depth", "items waiting in the queue";
+//!     }
+//!     histograms {
+//!         /// Time an item waited, nanoseconds.
+//!         wait_ns: "doc_queue_wait_ns", "queue wait in nanoseconds";
+//!     }
+//! }
+//!
+//! let metrics = QueueMetrics::new();
+//! metrics.pushed.inc();
+//! metrics.depth.add(3);
+//! metrics.wait_ns.record(250);
+//! let mut stats = metrics.snapshot();
+//! stats += &metrics.snapshot();
+//! let fields: Vec<String> = stats.fields().map(|(k, v)| format!("{k}={v}")).collect();
+//! assert_eq!(fields, ["pushed=2", "depth=6"]);
+//! assert_eq!(QueueStats::METRICS[2].name, "doc_queue_wait_ns");
+//! ```
+//!
+//! * The **handle struct** holds one `Arc<Counter | Gauge | Histogram>` per
+//!   row, with the struct's own visibility. `new()` zeroes them and, when
+//!   [`ENABLED`], registers each with [`Registry::global`] (same-name
+//!   sources merge, so several instances export one series); with `obs`
+//!   off they are the same relaxed atomics, unregistered.
+//! * The **stats struct** holds a `pub u64` per counter and a `pub i64` per
+//!   gauge, in table order, after any hand-written leading fields given in
+//!   its braces (`name: Type,` each); `snapshot()` on the handle fills it,
+//!   taking the leading fields' values as arguments. `fields()` lists
+//!   `(field name, value)` in the same order, `METRICS` every row as a
+//!   [`MetricDecl`], and a struct without leading fields gets `+= &other`.
+//!
 //! ## Determinism
 //!
 //! Instrumentation only ever reads the clock and bumps atomics; it never
@@ -33,6 +86,7 @@
 #![deny(missing_docs)]
 
 mod histogram;
+mod metric_set;
 mod registry;
 mod span;
 mod statics;
@@ -40,6 +94,7 @@ mod statics;
 pub use histogram::{
     bucket_high, bucket_index, bucket_low, Histogram, HistogramSnapshot, NUM_BUCKETS, SUB_BUCKETS,
 };
+pub use metric_set::{MetricDecl, MetricKind};
 pub use registry::{MetricValue, MetricsSnapshot, Registry, SnapshotEntry};
 pub use span::{flush_thread_spans, recent_spans, take_panic_span, SpanGuard, SpanRecord};
 pub use statics::{StaticCounter, StaticCounterFamily, StaticGauge, StaticHistogram};
@@ -336,7 +391,7 @@ mod tests {
     #[cfg(not(feature = "obs"))]
     #[test]
     fn disabled_build_is_inert() {
-        assert!(!ENABLED);
+        const { assert!(!ENABLED) };
         static C: StaticCounter = StaticCounter::new("obs_test_disabled_total", "no-op");
         C.add(5);
         assert_eq!(C.get(), 0);

@@ -37,7 +37,7 @@ use crate::snapshot::ServeSnapshot;
 use crate::store::{CsrSection, CsrStore, DenseSection, DenseStore, ModelRef};
 use crate::{Result, ServeError};
 use sigma_matrix::{CsrMatrix, CsrViewAny, DenseMatrix};
-use sigma_obs::{Counter, Histogram, Registry, Stopwatch};
+use sigma_obs::Stopwatch;
 use sigma_parallel::ThreadPool;
 use sigma_simrank::{DynamicSimRank, EdgeUpdate, RepairOutcome};
 use std::collections::HashSet;
@@ -146,221 +146,90 @@ pub struct SimilarNode {
     pub score: f32,
 }
 
-/// Monotone serving counters, read with [`InferenceEngine::stats`].
-///
-/// # Tearing semantics
-///
-/// A snapshot is assembled from independent relaxed loads of live counters,
-/// **not** taken under any lock. Two guarantees hold:
-///
-/// * **Per-counter monotonicity.** Each field is an actually-attained value
-///   of its counter, and successive snapshots never observe a field
-///   decreasing.
-/// * **No cross-counter consistency.** A snapshot taken while queries are in
-///   flight may *tear* between fields: a batch bumps `cache_misses` before
-///   `nodes_served`, so derived identities (e.g. `cache_hits + cache_misses
-///   == nodes_served`) can be transiently off by in-flight requests. They
-///   hold exactly once the engine quiesces.
-///
-/// This is deliberate: serving never pays a stats lock. Tests that assert
-/// cross-field identities must stop issuing queries first (see
-/// `stats_tearing.rs` in this crate's test suite).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Total nodes served.
-    pub nodes_served: u64,
-    /// Total batches served.
-    pub batches_served: u64,
-    /// Aggregated rows found in the cache.
-    pub cache_hits: u64,
-    /// Aggregated rows recomputed via the row-sliced kernel.
-    pub cache_misses: u64,
-    /// Cached rows displaced by LRU capacity pressure (distinct from
-    /// `rows_invalidated`, which counts correctness-driven drops).
-    pub cache_evictions: u64,
-    /// Cached rows dropped by edge-update invalidation or repair.
-    pub rows_invalidated: u64,
-    /// Operator swap-ins from a refreshed maintainer (whole-operator path;
-    /// drops the entire cache).
-    pub operator_refreshes: u64,
-    /// Incremental repairs applied by [`InferenceEngine::repair_from`]
-    /// (row-patch path; keeps unaffected cache entries).
-    pub operator_repairs: u64,
-    /// Operator rows patched in place across all repairs.
-    pub rows_repaired: u64,
-    /// Embedding (`H`) rows recomputed in place across all repairs.
-    pub embedding_rows_repaired: u64,
-    /// Dirty seed pairs re-pushed by the maintainer across all incremental
-    /// repairs driven through [`InferenceEngine::repair_from`].
-    pub repair_dirty_seeds: u64,
-    /// Whole-snapshot hot reloads applied via
-    /// [`InferenceEngine::hot_reload_mapped`].
-    pub snapshot_reloads: u64,
-    /// Top-k similarity queries served ([`InferenceEngine::most_similar`]
-    /// and [`InferenceEngine::most_similar_batch`], counted per query).
-    /// Similarity traffic reads operator rows directly and never touches
-    /// the `Ẑ` cache, so this counter moves while `cache_hits`/`cache_misses`
-    /// stay put — the cache-profile difference the serving bench records.
-    pub similar_queries: u64,
-}
-
-/// The engine's live counters and latency histograms, built on `sigma_obs`
-/// primitives.
-///
-/// The counters are always functional (they are plain relaxed atomics, so
-/// [`InferenceEngine::stats`] works identically with the `obs` feature
-/// off); when `obs` is enabled they are additionally registered with the
-/// process-wide [`Registry`] under `sigma_serve_*` names, where several
-/// engines in one process merge by summation. The latency histograms are
-/// only *recorded into* when `obs` is on — with it off the stopwatch reads
-/// compile to nothing and the histograms stay empty.
-struct EngineMetrics {
-    nodes_served: Arc<Counter>,
-    batches_served: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    rows_invalidated: Arc<Counter>,
-    operator_refreshes: Arc<Counter>,
-    operator_repairs: Arc<Counter>,
-    rows_repaired: Arc<Counter>,
-    embedding_rows_repaired: Arc<Counter>,
-    repair_dirty_seeds: Arc<Counter>,
-    snapshot_reloads: Arc<Counter>,
-    similar_queries: Arc<Counter>,
-    /// Wall time of [`InferenceEngine::predict`] calls, nanoseconds.
-    predict_ns: Arc<Histogram>,
-    /// Wall time of [`InferenceEngine::predict_batch`] calls, nanoseconds.
-    predict_batch_ns: Arc<Histogram>,
-    /// Wall time of [`InferenceEngine::most_similar`] /
-    /// [`InferenceEngine::most_similar_batch`] calls, nanoseconds.
-    similar_ns: Arc<Histogram>,
-}
-
-impl EngineMetrics {
-    fn new() -> Self {
-        let metrics = Self {
-            nodes_served: Arc::new(Counter::new()),
-            batches_served: Arc::new(Counter::new()),
-            cache_hits: Arc::new(Counter::new()),
-            cache_misses: Arc::new(Counter::new()),
-            cache_evictions: Arc::new(Counter::new()),
-            rows_invalidated: Arc::new(Counter::new()),
-            operator_refreshes: Arc::new(Counter::new()),
-            operator_repairs: Arc::new(Counter::new()),
-            rows_repaired: Arc::new(Counter::new()),
-            embedding_rows_repaired: Arc::new(Counter::new()),
-            repair_dirty_seeds: Arc::new(Counter::new()),
-            snapshot_reloads: Arc::new(Counter::new()),
-            similar_queries: Arc::new(Counter::new()),
-            predict_ns: Arc::new(Histogram::new()),
-            predict_batch_ns: Arc::new(Histogram::new()),
-            similar_ns: Arc::new(Histogram::new()),
-        };
-        if sigma_obs::ENABLED {
-            let registry = Registry::global();
-            registry.register_arc_counter(
-                "sigma_serve_nodes_served_total",
-                "nodes served across all batches",
-                &metrics.nodes_served,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_batches_served_total",
-                "serve_batch calls completed",
-                &metrics.batches_served,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_cache_hits_total",
-                "aggregated rows served from the LRU cache",
-                &metrics.cache_hits,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_cache_misses_total",
-                "aggregated rows recomputed via the row-sliced kernel",
-                &metrics.cache_misses,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_cache_evictions_total",
-                "cached rows displaced by LRU capacity pressure",
-                &metrics.cache_evictions,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_rows_invalidated_total",
-                "cached rows dropped by edge-update invalidation or repair",
-                &metrics.rows_invalidated,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_operator_refreshes_total",
-                "whole-operator swap-ins (cache-dropping path)",
-                &metrics.operator_refreshes,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_operator_repairs_total",
-                "incremental row-patch repairs applied",
-                &metrics.operator_repairs,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_rows_repaired_total",
-                "operator rows patched in place across all repairs",
-                &metrics.rows_repaired,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_embedding_rows_repaired_total",
-                "embedding rows re-encoded in place across all repairs",
-                &metrics.embedding_rows_repaired,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_repair_dirty_seeds_total",
-                "dirty seed pairs re-pushed by the maintainer during repairs",
-                &metrics.repair_dirty_seeds,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_snapshot_reloads_total",
-                "whole-snapshot hot reloads applied",
-                &metrics.snapshot_reloads,
-            );
-            registry.register_arc_histogram(
-                "sigma_serve_predict_ns",
-                "single-node predict latency in nanoseconds",
-                &metrics.predict_ns,
-            );
-            registry.register_arc_histogram(
-                "sigma_serve_predict_batch_ns",
-                "predict_batch latency in nanoseconds",
-                &metrics.predict_batch_ns,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_similar_queries_total",
-                "top-k similarity queries served off operator rows",
-                &metrics.similar_queries,
-            );
-            registry.register_arc_histogram(
-                "sigma_serve_similar_ns",
-                "most_similar query latency in nanoseconds",
-                &metrics.similar_ns,
-            );
-        }
-        metrics
+sigma_obs::metric_set! {
+    /// The engine's live counters and latency histograms, exported as
+    /// `sigma_serve_*` (several engines in one process merge by summation).
+    /// The histograms are only *recorded into* when `obs` is on — with it
+    /// off the stopwatch reads compile to nothing and they stay empty.
+    struct EngineMetrics;
+    /// Monotone serving counters, read with [`InferenceEngine::stats`].
+    ///
+    /// # Tearing semantics
+    ///
+    /// A snapshot is assembled from independent relaxed loads of live
+    /// counters, **not** taken under any lock. Two guarantees hold:
+    ///
+    /// * **Per-counter monotonicity.** Each field is an actually-attained
+    ///   value of its counter, and successive snapshots never observe a
+    ///   field decreasing.
+    /// * **No cross-counter consistency.** A snapshot taken while queries
+    ///   are in flight may *tear* between fields: a batch bumps
+    ///   `cache_misses` before `nodes_served`, so derived identities (e.g.
+    ///   `cache_hits + cache_misses == nodes_served`) can be transiently off
+    ///   by in-flight requests. They hold exactly once the engine quiesces.
+    ///
+    /// This is deliberate: serving never pays a stats lock. Tests that
+    /// assert cross-field identities must stop issuing queries first (see
+    /// `stats_tearing.rs` in this crate's test suite).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineStats {}
+    counters {
+        /// Total nodes served.
+        nodes_served: "sigma_serve_nodes_served_total", "nodes served across all batches";
+        /// Total batches served.
+        batches_served: "sigma_serve_batches_served_total", "serve_batch calls completed";
+        /// Aggregated rows found in the cache.
+        cache_hits: "sigma_serve_cache_hits_total", "aggregated rows served from the LRU cache";
+        /// Aggregated rows recomputed via the row-sliced kernel.
+        cache_misses: "sigma_serve_cache_misses_total",
+            "aggregated rows recomputed via the row-sliced kernel";
+        /// Cached rows displaced by LRU capacity pressure (distinct from
+        /// `rows_invalidated`, which counts correctness-driven drops).
+        cache_evictions: "sigma_serve_cache_evictions_total",
+            "cached rows displaced by LRU capacity pressure";
+        /// Cached rows dropped by edge-update invalidation or repair.
+        rows_invalidated: "sigma_serve_rows_invalidated_total",
+            "cached rows dropped by edge-update invalidation or repair";
+        /// Operator swap-ins from a refreshed maintainer (whole-operator
+        /// path; drops the entire cache).
+        operator_refreshes: "sigma_serve_operator_refreshes_total",
+            "whole-operator swap-ins (cache-dropping path)";
+        /// Incremental repairs applied by [`InferenceEngine::repair_from`]
+        /// (row-patch path; keeps unaffected cache entries).
+        operator_repairs: "sigma_serve_operator_repairs_total",
+            "incremental row-patch repairs applied";
+        /// Operator rows patched in place across all repairs.
+        rows_repaired: "sigma_serve_rows_repaired_total",
+            "operator rows patched in place across all repairs";
+        /// Embedding (`H`) rows recomputed in place across all repairs.
+        embedding_rows_repaired: "sigma_serve_embedding_rows_repaired_total",
+            "embedding rows re-encoded in place across all repairs";
+        /// Dirty seed pairs re-pushed by the maintainer across all
+        /// incremental repairs driven through
+        /// [`InferenceEngine::repair_from`].
+        repair_dirty_seeds: "sigma_serve_repair_dirty_seeds_total",
+            "dirty seed pairs re-pushed by the maintainer during repairs";
+        /// Whole-snapshot hot reloads applied via
+        /// [`InferenceEngine::hot_reload_mapped`].
+        snapshot_reloads: "sigma_serve_snapshot_reloads_total",
+            "whole-snapshot hot reloads applied";
+        /// Top-k similarity queries served ([`InferenceEngine::most_similar`]
+        /// and [`InferenceEngine::most_similar_batch`], counted per query).
+        /// Similarity traffic reads operator rows directly and never touches
+        /// the `Ẑ` cache, so this counter moves while `cache_hits` /
+        /// `cache_misses` stay put (`sigma_testutil::oracle` asserts it).
+        similar_queries: "sigma_serve_similar_queries_total",
+            "top-k similarity queries served off operator rows";
     }
-
-    /// Independent relaxed loads; see [`EngineStats`] for the exact tearing
-    /// guarantees.
-    fn snapshot(&self) -> EngineStats {
-        EngineStats {
-            nodes_served: self.nodes_served.get(),
-            batches_served: self.batches_served.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            cache_evictions: self.cache_evictions.get(),
-            rows_invalidated: self.rows_invalidated.get(),
-            operator_refreshes: self.operator_refreshes.get(),
-            operator_repairs: self.operator_repairs.get(),
-            rows_repaired: self.rows_repaired.get(),
-            embedding_rows_repaired: self.embedding_rows_repaired.get(),
-            repair_dirty_seeds: self.repair_dirty_seeds.get(),
-            snapshot_reloads: self.snapshot_reloads.get(),
-            similar_queries: self.similar_queries.get(),
-        }
+    gauges {}
+    histograms {
+        /// Wall time of [`InferenceEngine::predict`] calls, nanoseconds.
+        predict_ns: "sigma_serve_predict_ns", "single-node predict latency in nanoseconds";
+        /// Wall time of [`InferenceEngine::predict_batch`] calls, nanoseconds.
+        predict_batch_ns: "sigma_serve_predict_batch_ns", "predict_batch latency in nanoseconds";
+        /// Wall time of [`InferenceEngine::most_similar`] /
+        /// [`InferenceEngine::most_similar_batch`] calls, nanoseconds.
+        similar_ns: "sigma_serve_similar_ns", "most_similar query latency in nanoseconds";
     }
 }
 

@@ -43,7 +43,6 @@ use crate::mmap::MappedSnapshot;
 use crate::snapshot::ServeSnapshot;
 use crate::{Result, ServeError};
 use sigma_matrix::{CsrMatrix, CsrViewAny};
-use sigma_obs::{Counter, Histogram, Registry};
 use sigma_simrank::{DynamicSimRank, EdgeUpdate, RepairOutcome};
 use std::ops::Range;
 use std::sync::Arc;
@@ -147,143 +146,68 @@ pub struct RouterRepair {
     pub skipped: usize,
 }
 
-/// Aggregated router counters, read with [`ShardRouter::stats`].
-///
-/// The `engines` field sums the per-shard [`EngineStats`] field-wise; the
-/// same tearing semantics apply (each field individually monotone, no
-/// cross-field consistency while traffic is in flight). Cache hit/miss and
-/// eviction sums match a single engine's counters exactly when every shard
-/// cache is as large as its range (the differential oracle asserts this);
-/// `embedding_rows_repaired` sums *per-shard* re-encodes and therefore
-/// over-counts a single engine's by up to the repair fan-out, and
-/// `repair_dirty_seeds` is tracked at router level instead (the maintainer
-/// runs once per round, not once per shard).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Field-wise sum of the per-shard engine counters.
-    pub engines: EngineStats,
-    /// Each shard's own counters, in shard order.
-    pub per_shard: Vec<EngineStats>,
-    /// `predict`/`predict_batch` calls routed.
-    pub batches_routed: u64,
-    /// Nodes routed across all batches.
-    pub queries_routed: u64,
-    /// Per-shard sub-batches dispatched (≥ `batches_routed`; the per-batch
-    /// query fan-out is also recorded in the `sigma_shard_query_fanout`
-    /// histogram when `obs` is enabled).
-    pub shard_batches_dispatched: u64,
-    /// Shards that received repair traffic across all `repair_from` rounds.
-    pub repair_fanout: u64,
-    /// Shards skipped across all `repair_from` rounds.
-    pub repair_skipped: u64,
-    /// Dirty seed pairs re-pushed by the maintainer across all rounds
-    /// (router-level: the maintainer repairs once per round).
-    pub repair_dirty_seeds: u64,
-    /// Shards that received edge-update invalidation traffic.
-    pub edge_update_fanout: u64,
-    /// Shards skipped by edge-update fan-out.
-    pub edge_update_skipped: u64,
-    /// `most_similar`/`most_similar_batch` calls routed.
-    pub similar_routed: u64,
-    /// Per-shard similarity sub-batches dispatched (each query's operator
-    /// row lives whole on its owner shard, so this counts owner-shard
-    /// dispatches — never cross-shard merges).
-    pub similar_subbatches_dispatched: u64,
-}
-
-/// Router-level counters, registered under `sigma_shard_*` names when the
-/// `obs` feature is on (several routers in one process merge by
-/// summation), always functional as plain relaxed atomics otherwise —
-/// mirroring the engine's `EngineMetrics`.
-struct RouterMetrics {
-    batches_routed: Arc<Counter>,
-    queries_routed: Arc<Counter>,
-    shard_batches: Arc<Counter>,
-    repair_fanout: Arc<Counter>,
-    repair_skipped: Arc<Counter>,
-    repair_dirty_seeds: Arc<Counter>,
-    edge_update_fanout: Arc<Counter>,
-    edge_update_skipped: Arc<Counter>,
-    similar_routed: Arc<Counter>,
-    similar_subbatches: Arc<Counter>,
-    /// Shards touched per routed batch (prediction and similarity alike).
-    query_fanout: Arc<Histogram>,
-}
-
-impl RouterMetrics {
-    fn new() -> Self {
-        let metrics = Self {
-            batches_routed: Arc::new(Counter::new()),
-            queries_routed: Arc::new(Counter::new()),
-            shard_batches: Arc::new(Counter::new()),
-            repair_fanout: Arc::new(Counter::new()),
-            repair_skipped: Arc::new(Counter::new()),
-            repair_dirty_seeds: Arc::new(Counter::new()),
-            edge_update_fanout: Arc::new(Counter::new()),
-            edge_update_skipped: Arc::new(Counter::new()),
-            similar_routed: Arc::new(Counter::new()),
-            similar_subbatches: Arc::new(Counter::new()),
-            query_fanout: Arc::new(Histogram::new()),
-        };
-        if sigma_obs::ENABLED {
-            let registry = Registry::global();
-            registry.register_arc_counter(
-                "sigma_shard_batches_routed_total",
-                "predict/predict_batch calls routed across shards",
-                &metrics.batches_routed,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_queries_routed_total",
-                "nodes routed across all batches",
-                &metrics.queries_routed,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_subbatches_total",
-                "per-shard sub-batches dispatched by the router",
-                &metrics.shard_batches,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_repair_fanout_total",
-                "shards that received repair traffic",
-                &metrics.repair_fanout,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_repair_skipped_total",
-                "shards skipped by footprint-sparse repair fan-out",
-                &metrics.repair_skipped,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_repair_dirty_seeds_total",
-                "dirty seed pairs re-pushed by the router's maintainer rounds",
-                &metrics.repair_dirty_seeds,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_edge_update_fanout_total",
-                "shards that received edge-update invalidation traffic",
-                &metrics.edge_update_fanout,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_edge_update_skipped_total",
-                "shards skipped by edge-update fan-out",
-                &metrics.edge_update_skipped,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_similar_routed_total",
-                "most_similar calls routed across shards",
-                &metrics.similar_routed,
-            );
-            registry.register_arc_counter(
-                "sigma_shard_similar_subbatches_total",
-                "per-shard similarity sub-batches dispatched by the router",
-                &metrics.similar_subbatches,
-            );
-            registry.register_arc_histogram(
-                "sigma_shard_query_fanout",
-                "shards touched per routed batch",
-                &metrics.query_fanout,
-            );
-        }
-        metrics
+sigma_obs::metric_set! {
+    /// Router-level counters and the fan-out histogram, exported as
+    /// `sigma_shard_*` (several routers in one process merge by summation).
+    struct RouterMetrics;
+    /// Aggregated router counters, read with [`ShardRouter::stats`].
+    ///
+    /// The `engines` field sums the per-shard [`EngineStats`] field-wise;
+    /// the same tearing semantics apply (each field individually monotone,
+    /// no cross-field consistency while traffic is in flight). Cache
+    /// hit/miss and eviction sums match a single engine's counters exactly
+    /// when every shard cache is as large as its range (the differential
+    /// oracle asserts this); `embedding_rows_repaired` sums *per-shard*
+    /// re-encodes and therefore over-counts a single engine's by up to the
+    /// repair fan-out, and `repair_dirty_seeds` is tracked at router level
+    /// instead (the maintainer runs once per round, not once per shard).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct RouterStats {
+        /// Field-wise sum of the per-shard engine counters.
+        engines: EngineStats,
+        /// Each shard's own counters, in shard order.
+        per_shard: Vec<EngineStats>,
+    }
+    counters {
+        /// `predict`/`predict_batch` calls routed.
+        batches_routed: "sigma_shard_batches_routed_total",
+            "predict/predict_batch calls routed across shards";
+        /// Nodes routed across all batches.
+        queries_routed: "sigma_shard_queries_routed_total", "nodes routed across all batches";
+        /// Per-shard sub-batches dispatched (≥ `batches_routed`; the
+        /// per-batch query fan-out is also recorded in the
+        /// `sigma_shard_query_fanout` histogram when `obs` is enabled).
+        shard_batches_dispatched: "sigma_shard_subbatches_total",
+            "per-shard sub-batches dispatched by the router";
+        /// Shards that received repair traffic across all `repair_from`
+        /// rounds.
+        repair_fanout: "sigma_shard_repair_fanout_total", "shards that received repair traffic";
+        /// Shards skipped across all `repair_from` rounds.
+        repair_skipped: "sigma_shard_repair_skipped_total",
+            "shards skipped by footprint-sparse repair fan-out";
+        /// Dirty seed pairs re-pushed by the maintainer across all rounds
+        /// (router-level: the maintainer repairs once per round).
+        repair_dirty_seeds: "sigma_shard_repair_dirty_seeds_total",
+            "dirty seed pairs re-pushed by the router's maintainer rounds";
+        /// Shards that received edge-update invalidation traffic.
+        edge_update_fanout: "sigma_shard_edge_update_fanout_total",
+            "shards that received edge-update invalidation traffic";
+        /// Shards skipped by edge-update fan-out.
+        edge_update_skipped: "sigma_shard_edge_update_skipped_total",
+            "shards skipped by edge-update fan-out";
+        /// `most_similar`/`most_similar_batch` calls routed.
+        similar_routed: "sigma_shard_similar_routed_total",
+            "most_similar calls routed across shards";
+        /// Per-shard similarity sub-batches dispatched (each query's
+        /// operator row lives whole on its owner shard, so this counts
+        /// owner-shard dispatches — never cross-shard merges).
+        similar_subbatches_dispatched: "sigma_shard_similar_subbatches_total",
+            "per-shard similarity sub-batches dispatched by the router";
+    }
+    gauges {}
+    histograms {
+        /// Shards touched per routed batch (prediction and similarity alike).
+        query_fanout: "sigma_shard_query_fanout", "shards touched per routed batch";
     }
 }
 
@@ -473,7 +397,7 @@ impl ShardRouter {
         let prediction = self.engines[self.plan.shard_of(node)].predict(node)?;
         self.metrics.batches_routed.inc();
         self.metrics.queries_routed.inc();
-        self.metrics.shard_batches.inc();
+        self.metrics.shard_batches_dispatched.inc();
         if sigma_obs::ENABLED {
             self.metrics.query_fanout.record(1);
         }
@@ -518,7 +442,7 @@ impl ShardRouter {
         }
         self.metrics.batches_routed.inc();
         self.metrics.queries_routed.add(nodes.len() as u64);
-        self.metrics.shard_batches.add(fanout);
+        self.metrics.shard_batches_dispatched.add(fanout);
         if sigma_obs::ENABLED {
             self.metrics.query_fanout.record(fanout);
         }
@@ -553,7 +477,7 @@ impl ShardRouter {
             .most_similar(node, k)
             .map_err(|e| shard_error(shard, e))?;
         self.metrics.similar_routed.inc();
-        self.metrics.similar_subbatches.inc();
+        self.metrics.similar_subbatches_dispatched.inc();
         if sigma_obs::ENABLED {
             self.metrics.query_fanout.record(1);
         }
@@ -601,7 +525,7 @@ impl ShardRouter {
             }
         }
         self.metrics.similar_routed.inc();
-        self.metrics.similar_subbatches.add(fanout);
+        self.metrics.similar_subbatches_dispatched.add(fanout);
         if sigma_obs::ENABLED {
             self.metrics.query_fanout.record(fanout);
         }
@@ -844,35 +768,10 @@ impl ShardRouter {
     pub fn stats(&self) -> RouterStats {
         let per_shard: Vec<EngineStats> = self.engines.iter().map(|e| e.stats()).collect();
         let mut engines = EngineStats::default();
-        for s in &per_shard {
-            engines.nodes_served += s.nodes_served;
-            engines.batches_served += s.batches_served;
-            engines.cache_hits += s.cache_hits;
-            engines.cache_misses += s.cache_misses;
-            engines.cache_evictions += s.cache_evictions;
-            engines.rows_invalidated += s.rows_invalidated;
-            engines.operator_refreshes += s.operator_refreshes;
-            engines.operator_repairs += s.operator_repairs;
-            engines.rows_repaired += s.rows_repaired;
-            engines.embedding_rows_repaired += s.embedding_rows_repaired;
-            engines.repair_dirty_seeds += s.repair_dirty_seeds;
-            engines.snapshot_reloads += s.snapshot_reloads;
-            engines.similar_queries += s.similar_queries;
+        for shard in &per_shard {
+            engines += shard;
         }
-        RouterStats {
-            engines,
-            per_shard,
-            batches_routed: self.metrics.batches_routed.get(),
-            queries_routed: self.metrics.queries_routed.get(),
-            shard_batches_dispatched: self.metrics.shard_batches.get(),
-            repair_fanout: self.metrics.repair_fanout.get(),
-            repair_skipped: self.metrics.repair_skipped.get(),
-            repair_dirty_seeds: self.metrics.repair_dirty_seeds.get(),
-            edge_update_fanout: self.metrics.edge_update_fanout.get(),
-            edge_update_skipped: self.metrics.edge_update_skipped.get(),
-            similar_routed: self.metrics.similar_routed.get(),
-            similar_subbatches_dispatched: self.metrics.similar_subbatches.get(),
-        }
+        self.metrics.snapshot(engines, per_shard)
     }
 }
 

@@ -27,12 +27,16 @@
 //!   score bits, before and after each repair), and exact per-shard
 //!   hit/eviction accounting, plus footprint-sparse repair fan-out.
 //!
+//! [`metrics`] checks a `sigma_obs::metric_set!` table against the registry
+//! exposition and the stats struct it generated.
+//!
 //! The crate is a regular (non-dev) dependency of test targets only; it
 //! ships no production code paths.
 
 #![deny(missing_docs)]
 
 pub mod generate;
+pub mod metrics;
 pub mod oracle;
 pub mod reference;
 pub mod wire;

@@ -2,7 +2,79 @@
 //! bit for bit, by parity tests and by the `kernel_microopt` bench.
 
 use sigma_graph::Graph;
+use sigma_matrix::{CsrMatrix, DenseMatrix};
 use sigma_simrank::{DecomposedScores, SimRankConfig};
+
+/// `m · x` as the plain row-by-row scalar loop: each output row accumulates
+/// `v · x[c]` over the stored `(c, v)` of its operator row, in storage
+/// order. `CsrMatrix::spmm` is pinned to this at every pool width.
+pub fn spmm_reference(m: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
+    let f = x.cols();
+    let mut out = DenseMatrix::zeros(m.rows(), f);
+    for r in 0..m.rows() {
+        for (c, v) in m.row_iter(r) {
+            let x_row = x.row(c);
+            let out_row = out.row_mut(r);
+            for j in 0..f {
+                out_row[j] += v * x_row[j];
+            }
+        }
+    }
+    out
+}
+
+/// `mᵀ · x` as the serial scatter: operator rows ascending, each stored
+/// `(c, v)` of row `r` adding `v · x[r]` into output row `c`.
+/// `CsrMatrix::spmm_transpose` is pinned to this at every pool width.
+pub fn spmm_transpose_reference(m: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
+    let f = x.cols();
+    let mut out = DenseMatrix::zeros(m.cols(), f);
+    for r in 0..m.rows() {
+        for (c, v) in m.row_iter(r) {
+            let x_row = x.row(r);
+            let out_row = out.row_mut(c);
+            for j in 0..f {
+                out_row[j] += v * x_row[j];
+            }
+        }
+    }
+    out
+}
+
+/// `a · b` by Gustavson's row-wise accumulation with one dense accumulator:
+/// products summed in `a`-row then `b`-row storage order, columns emitted
+/// ascending, exact zeros dropped. `CsrMatrix::spgemm` is pinned to this at
+/// every pool width.
+pub fn spgemm_reference(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+    let mut indptr = vec![0usize];
+    let mut indices: Vec<u32> = Vec::new();
+    let mut values: Vec<f32> = Vec::new();
+    let mut acc = vec![0.0f32; b.cols()];
+    let mut touched: Vec<u32> = Vec::new();
+    for r in 0..a.rows() {
+        touched.clear();
+        for (k, v) in a.row_iter(r) {
+            for (c, bv) in b.row_iter(k) {
+                if acc[c] == 0.0 {
+                    touched.push(c as u32);
+                }
+                acc[c] += v * bv;
+            }
+        }
+        touched.sort_unstable();
+        for &c in &touched {
+            let v = acc[c as usize];
+            if v != 0.0 {
+                indices.push(c);
+                values.push(v);
+            }
+            acc[c as usize] = 0.0;
+        }
+        indptr.push(indices.len());
+    }
+    CsrMatrix::from_raw(a.rows(), b.cols(), indptr, indices, values)
+        .expect("the reference produces valid CSR")
+}
 
 /// What [`localpush_reference`] computed.
 #[derive(Debug, Clone, PartialEq)]

@@ -102,11 +102,7 @@ pub struct WireClient {
 impl WireClient {
     /// Connects with generous (5 s) socket timeouts.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Self::connect_with_timeout(addr, Duration::from_secs(5))
-    }
-
-    /// Connects with explicit socket timeouts.
-    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Self> {
+        let timeout = Duration::from_secs(5);
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
@@ -144,11 +140,6 @@ impl WireClient {
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.writer.write_all(bytes)?;
         self.writer.flush()
-    }
-
-    /// Half-closes the write side (simulates a peer hanging up mid-body).
-    pub fn shutdown_write(&mut self) -> io::Result<()> {
-        self.writer.shutdown(std::net::Shutdown::Write)
     }
 
     /// Reads one response after raw writes.
