@@ -1,31 +1,44 @@
-//! Dynamic micro-batching for single-node predicts.
+//! Demand-driven micro-batching for single-node predicts.
 //!
 //! SIGMA's row-sliced kernel amortises per-call overhead across the rows of
 //! one batch (`kernel_microopt`'s `spmm_rows` rows measure it), so concurrent
-//! `POST /v1/predict` requests are worth coalescing: the first arrival arms
-//! a configurable window, everything that lands within it is drained into
-//! **one** engine `predict_batch` call, and the per-request predictions are
-//! scattered back to their waiting connections in submission order.
+//! `POST /v1/predict` requests are worth coalescing — when there is something
+//! to coalesce with. There is no batching thread and no timer: submitters
+//! run the flushes, and a batch is whatever queued up behind the last one.
 //!
-//! Robustness rules:
+//! * **Leader.** A submitter that finds no flush in flight takes the leader
+//!   role, drains the front of the queue (its own entry included, up to
+//!   `max_batch`) and makes that flush's **one** engine `predict_batch` call
+//!   on its own thread — no hand-off, no wait. It drains again only while
+//!   its own entry is still queued, then releases the role.
+//! * **Follower.** A submitter that finds a flush in flight queues behind it
+//!   and parks until a leader has drained its entry (the reply arrives on
+//!   its channel when that flush completes), or the role is free and it is
+//!   still queued (it leads; what queued behind the last flush is its
+//!   batch), or it has waited `window` — then it flushes the front of the
+//!   queue itself, beside the flush in flight. `window` is the most a
+//!   request waits for a batch to form; `0` means never wait.
+//!
+//! Replies keep submission order. Robustness rules:
 //!
 //! * the pending queue is **bounded** — a full queue sheds the new arrival
-//!   with [`SubmitError::Shed`] (`429` on the wire), never grows without
-//!   limit;
+//!   with [`SubmitError::Shed`] (`429` on the wire);
 //! * entries whose deadline expired while queued are answered
 //!   [`BatchFailure::Deadline`] (`504`) at flush time, *before* the engine
-//!   sees them — an overloaded window never spends kernel time on requests
-//!   nobody is waiting for;
+//!   sees them — a backlog buys no kernel time for abandoned requests;
 //! * an engine error fails every request of that flush with the same
-//!   shared cause (the engine itself is unpoisoned — errors here are
-//!   query-shaped, not state-shaped).
+//!   shared cause (errors here are query-shaped, not state-shaped);
+//! * the leader role is released by a drop guard: a flush that unwinds
+//!   (the server contains handler panics) hangs up on the entries it had
+//!   drained — `recv` fails at once, `503` on the wire — and the next
+//!   queued follower leads.
 
 use crate::backend::Backend;
 use crate::metrics::DaemonMetrics;
 use sigma_serve::{Prediction, ServeError};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why a coalesced predict did not produce a prediction.
@@ -36,8 +49,8 @@ pub enum BatchFailure {
     /// The engine call serving this flush failed; the cause is shared by
     /// every request of the flush.
     Engine(Arc<ServeError>),
-    /// The batcher stopped while the request was queued (terminal drain at
-    /// shutdown) — the request was never served.
+    /// The batcher stopped while the request was queued — the request was
+    /// never served.
     Stopped,
 }
 
@@ -56,30 +69,59 @@ pub enum SubmitError {
 struct Pending {
     node: usize,
     deadline: Instant,
+    submitted: Instant,
+    ticket: u64,
     reply: mpsc::Sender<BatchReply>,
 }
 
-struct Inner {
-    queue: Mutex<Vec<Pending>>,
-    arrived: Condvar,
-    stop: AtomicBool,
+struct State {
+    queue: VecDeque<Pending>,
+    /// Entries taken off the queue so far. Tickets are issued in FIFO
+    /// order, so this is the front's ticket, and an entry is still queued
+    /// exactly when its ticket is not below it.
+    drained_upto: u64,
+    /// A leader's flush is in flight: new arrivals park behind it.
+    leading: bool,
+    stop: bool,
+}
+
+/// The engine call of one flush — [`Backend::predict_batch`] outside tests.
+type EngineCall = Box<dyn Fn(&[usize]) -> Result<Vec<Prediction>, ServeError> + Send + Sync>;
+
+/// The coalescing front end over a [`Backend`]; owned by the daemon, run by
+/// the threads that submit to it.
+pub struct MicroBatcher {
+    state: Mutex<State>,
+    /// Signalled whenever a flusher finishes, and at shutdown.
+    moved: Condvar,
+    engine: EngineCall,
+    metrics: Arc<DaemonMetrics>,
+    window: Duration,
+    max_batch: usize,
     capacity: usize,
 }
 
-/// The coalescing front end over a [`Backend`]; owned by the daemon, one
-/// flusher thread.
-pub struct MicroBatcher {
-    inner: Arc<Inner>,
-    /// The flusher's join handle, behind a lock so [`MicroBatcher::shutdown`]
-    /// works through `&self` (the shutdown-race regression test shuts down
-    /// from one thread while another submits).
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
+/// One submitter's turn at flushing. Dropping it — also when the flush
+/// unwinds — frees the leader role if this turn took it and wakes the
+/// parked followers, so none is left behind a role nobody holds.
+struct Turn<'a> {
+    batcher: &'a MicroBatcher,
+    leads: bool,
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        if self.leads {
+            self.batcher.lock().leading = false;
+        }
+        self.batcher.moved.notify_all();
+    }
 }
 
 impl MicroBatcher {
-    /// Starts the flusher thread. `window` is how long the first arrival
-    /// waits for company; `max_batch` caps one flush; `capacity` bounds the
-    /// pending queue.
+    /// Builds the batcher over `backend`. `window` is the longest a
+    /// request waits behind a flush in flight for its batch to form;
+    /// `max_batch` caps one flush; `capacity` bounds the pending queue.
     pub fn start(
         backend: Arc<Backend>,
         metrics: Arc<DaemonMetrics>,
@@ -87,179 +129,150 @@ impl MicroBatcher {
         max_batch: usize,
         capacity: usize,
     ) -> Self {
-        let inner = Arc::new(Inner {
-            queue: Mutex::new(Vec::new()),
-            arrived: Condvar::new(),
-            stop: AtomicBool::new(false),
-            capacity,
-        });
-        let flusher_inner = inner.clone();
-        let flusher = std::thread::Builder::new()
-            .name("sigma-daemon-batcher".into())
-            .spawn(move || flusher_loop(flusher_inner, backend, metrics, window, max_batch))
-            .expect("spawn micro-batcher thread");
+        let engine = Box::new(move |nodes: &[usize]| backend.predict_batch(nodes));
+        Self::over(engine, metrics, window, max_batch, capacity)
+    }
+
+    fn over(
+        engine: EngineCall,
+        metrics: Arc<DaemonMetrics>,
+        window: Duration,
+        max_batch: usize,
+        capacity: usize,
+    ) -> Self {
         Self {
-            inner,
-            flusher: Mutex::new(Some(flusher)),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                drained_upto: 0,
+                leading: false,
+                stop: false,
+            }),
+            moved: Condvar::new(),
+            engine,
+            metrics,
+            window,
+            max_batch,
+            capacity,
         }
     }
 
-    /// Enqueues one node; the returned receiver yields the prediction (or
-    /// failure) when its flush completes.
+    /// Nothing can panic while this lock is held, so a poisoned one still
+    /// guards a valid queue — and refusing it would strand parked followers.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueues one node and returns once it has been drained into a flush
+    /// — by this call itself whenever no other flush was in flight, and then
+    /// the reply is already waiting. The returned receiver yields the
+    /// prediction (or failure) when that flush completes.
     pub fn submit(
         &self,
         node: usize,
         deadline: Instant,
     ) -> Result<mpsc::Receiver<BatchReply>, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut queue = self.inner.queue.lock().expect("batcher queue poisoned");
-            // `stop` must be checked *under the queue lock*: the flusher's
-            // decision to exit is taken under this same lock (empty queue
-            // and `stop` observed together), so in the mutex's total order
-            // either this push precedes that final check — and is drained
-            // before the flusher exits — or this section follows it, in
-            // which case the `stop` store is visible here and the caller is
-            // refused. Checking before the lock (as this once did) left a
-            // window where a late push was never flushed and the connection
-            // hung in `rx.recv()` forever.
-            if self.inner.stop.load(Ordering::Acquire) {
-                return Err(SubmitError::Stopped);
-            }
-            if queue.len() >= self.inner.capacity {
-                return Err(SubmitError::Shed);
-            }
-            queue.push(Pending {
-                node,
-                deadline,
-                reply: tx,
-            });
+        let (reply, rx) = mpsc::channel();
+        let submitted = Instant::now();
+        let mut state = self.lock();
+        // `stop` lives under the queue lock: in the lock's total order a
+        // submit either precedes `shutdown` — and is flushed or answered
+        // `Stopped` by it — or follows it and is refused here.
+        if state.stop {
+            return Err(SubmitError::Stopped);
         }
-        self.inner.arrived.notify_one();
+        if state.queue.len() >= self.capacity {
+            return Err(SubmitError::Shed);
+        }
+        let ticket = state.drained_upto + state.queue.len() as u64;
+        state.queue.push_back(Pending {
+            node,
+            deadline,
+            submitted,
+            ticket,
+            reply,
+        });
+        // Follower: a flush is in flight, and what queues up behind it is
+        // the next batch. Wait for it to form, at most `window`.
+        while state.leading && ticket >= state.drained_upto {
+            let left = self.window.saturating_sub(submitted.elapsed());
+            if left.is_zero() {
+                break;
+            }
+            let waited = self.moved.wait_timeout(state, left);
+            state = waited.unwrap_or_else(PoisonError::into_inner).0;
+        }
+        if ticket < state.drained_upto {
+            return Ok(rx);
+        }
+        // Still queued: flush — as the leader if the role is free, beside
+        // the leader if `window` ran out.
+        let turn = Turn {
+            batcher: self,
+            leads: !state.leading,
+        };
+        state.leading = true;
+        while ticket >= state.drained_upto {
+            let take = state.queue.len().min(self.max_batch);
+            let batch: Vec<Pending> = state.queue.drain(..take).collect();
+            state.drained_upto += take as u64;
+            drop(state);
+            self.flush(batch, ticket);
+            state = self.lock();
+        }
+        drop(state);
+        drop(turn);
         Ok(rx)
     }
 
-    /// Stops the flusher after it drains everything already queued.
-    /// Idempotent and callable from any thread.
+    /// Refuses every later submit and answers whatever is still queued
+    /// [`BatchFailure::Stopped`]; a flush in flight completes. Idempotent
+    /// and callable from any thread.
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::Release);
-        self.inner.arrived.notify_all();
-        let handle = self
-            .flusher
-            .lock()
-            .expect("batcher flusher handle poisoned")
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
+        let mut state = self.lock();
+        state.stop = true;
+        state.drained_upto += state.queue.len() as u64;
+        for pending in state.queue.drain(..) {
+            let _ = pending.reply.send(Err(BatchFailure::Stopped));
         }
+        self.moved.notify_all();
     }
-}
 
-impl Drop for MicroBatcher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn flusher_loop(
-    inner: Arc<Inner>,
-    backend: Arc<Backend>,
-    metrics: Arc<DaemonMetrics>,
-    window: Duration,
-    max_batch: usize,
-) {
-    let mut previous_drain_full = false;
-    'run: loop {
-        // Wait for the first arrival (or shutdown), and observe whether the
-        // queue is already ripe (≥ one full batch waiting).
-        let ripe = {
-            let mut queue = inner.queue.lock().expect("batcher queue poisoned");
-            if queue.is_empty() {
-                // The burst is over — the next first arrival deserves a
-                // fresh coalescing window.
-                previous_drain_full = false;
-            }
-            while queue.is_empty() {
-                if inner.stop.load(Ordering::Acquire) {
-                    break 'run;
-                }
-                let (guard, _) = inner
-                    .arrived
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .expect("batcher queue poisoned");
-                queue = guard;
-            }
-            queue.len() >= max_batch
-        };
-        // Arm the coalescing window: everything arriving within it joins
-        // this flush. A zero window degenerates to per-arrival flushing.
-        // Skip the window entirely when the previous drain was full or the
-        // queue already holds a full batch — those leftovers are ripe, and
-        // re-arming would add one window of latency per extra `max_batch`
-        // chunk of a burst.
-        if !window.is_zero() && !previous_drain_full && !ripe {
-            std::thread::sleep(window);
-        }
-        let drained: Vec<Pending> = {
-            let mut queue = inner.queue.lock().expect("batcher queue poisoned");
-            let take = queue.len().min(max_batch);
-            queue.drain(..take).collect()
-        };
-        previous_drain_full = !drained.is_empty() && drained.len() == max_batch;
-        if drained.is_empty() {
-            continue;
-        }
-        flush(&backend, &metrics, drained);
-    }
-    // Terminal drain: the loop only exits after observing an empty queue
-    // together with `stop` under the lock, and `submit` refuses once `stop`
-    // is visible under that same lock — so leftovers here should be
-    // impossible. Belt and braces: anything found anyway is answered with a
-    // terminal failure instead of being leaked with its sender alive (which
-    // would hang the waiting connection forever).
-    let leftovers: Vec<Pending> = {
-        let mut queue = inner.queue.lock().expect("batcher queue poisoned");
-        queue.drain(..).collect()
-    };
-    for pending in leftovers {
-        let _ = pending.reply.send(Err(BatchFailure::Stopped));
-    }
-}
-
-/// Serves one drained batch: expired entries are answered `Deadline`
-/// without engine work; the rest ride one `predict_batch` call.
-fn flush(backend: &Backend, metrics: &DaemonMetrics, drained: Vec<Pending>) {
-    let now = Instant::now();
-    let mut live: Vec<Pending> = Vec::with_capacity(drained.len());
-    for pending in drained {
-        if now >= pending.deadline {
-            metrics.deadline_shed.inc();
+    /// Serves one drained batch: expired entries are answered `Deadline`
+    /// without engine work; the rest ride one engine call. `leader` is the
+    /// flushing submitter's own ticket.
+    fn flush(&self, batch: Vec<Pending>, leader: u64) {
+        let now = Instant::now();
+        let (live, expired): (Vec<Pending>, Vec<Pending>) =
+            batch.into_iter().partition(|p| now < p.deadline);
+        for pending in expired {
+            self.metrics.deadline_shed.inc();
             let _ = pending.reply.send(Err(BatchFailure::Deadline));
-        } else {
-            live.push(pending);
         }
-    }
-    if live.is_empty() {
-        return;
-    }
-    let nodes: Vec<usize> = live.iter().map(|p| p.node).collect();
-    metrics.batch_flushes.inc();
-    metrics.coalesced_predicts.add(live.len() as u64);
-    if sigma_obs::ENABLED {
-        metrics.batch_size.record(live.len() as u64);
-    }
-    match backend.predict_batch(&nodes) {
-        Ok(predictions) => {
-            for (pending, prediction) in live.into_iter().zip(predictions) {
-                let _ = pending.reply.send(Ok(prediction));
+        if live.is_empty() {
+            return;
+        }
+        let nodes: Vec<usize> = live.iter().map(|p| p.node).collect();
+        self.metrics.batch_flushes.inc();
+        self.metrics.coalesced_predicts.add(live.len() as u64);
+        let joins = live.iter().filter(|p| p.ticket != leader).count() as u64;
+        self.metrics.batch_joins.add(joins);
+        if sigma_obs::ENABLED {
+            self.metrics.batch_size.record(live.len() as u64);
+            for pending in &live {
+                let waited = now.saturating_duration_since(pending.submitted);
+                self.metrics.batch_wait_ns.record(waited.as_nanos() as u64);
             }
         }
-        Err(e) => {
-            let shared = Arc::new(e);
-            for pending in live {
-                let _ = pending
-                    .reply
-                    .send(Err(BatchFailure::Engine(shared.clone())));
+        match (self.engine)(&nodes).map_err(Arc::new) {
+            Ok(predictions) => {
+                for (pending, prediction) in live.into_iter().zip(predictions) {
+                    let _ = pending.reply.send(Ok(prediction));
+                }
+            }
+            Err(cause) => {
+                for pending in live {
+                    let _ = pending.reply.send(Err(BatchFailure::Engine(cause.clone())));
+                }
             }
         }
     }
@@ -270,6 +283,7 @@ mod tests {
     use super::*;
     use sigma_serve::{EngineConfig, InferenceEngine};
     use sigma_testutil::{random_graph, serving_fixture};
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn backend() -> Arc<Backend> {
         let fixture = serving_fixture(&random_graph(12, 6, 7), 4, 7);
@@ -310,61 +324,369 @@ mod tests {
         }
     }
 
-    /// Regression for the re-armed window: a burst of 3×`max_batch`
-    /// requests used to pay the full coalescing window per chunk (~3
-    /// windows total) because the flusher slept again before draining
-    /// already-ripe leftovers. Fixed, the burst pays one window and the
-    /// leftover chunks drain back to back.
-    #[test]
-    fn overfull_queue_drains_without_rearming_the_window() {
-        let window = Duration::from_millis(150);
-        let batcher = MicroBatcher::start(backend(), Arc::new(DaemonMetrics::new()), window, 4, 64);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let start = Instant::now();
-        let receivers: Vec<_> = (0..12)
-            .map(|i| batcher.submit(i % 12, deadline).expect("queue has room"))
-            .collect();
-        for rx in receivers {
-            let reply = rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("flusher answers every submit");
-            assert!(reply.is_ok(), "healthy engine serves every node");
+    // ---- Schedule tests -------------------------------------------------
+    //
+    // The engine call is a rendezvous: every flush announces its nodes and
+    // then blocks until the test says how it ends, so each test below walks
+    // one exact interleaving. Nothing is asserted on elapsed time; `PATIENCE`
+    // only turns a protocol bug into a failure instead of a hung suite, and
+    // `FOREVER` is a window no follower outlasts.
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+    const FOREVER: Duration = Duration::from_secs(3600);
+
+    /// How a held flush ends.
+    enum Then {
+        Serve,
+        Fail,
+        Panic,
+    }
+
+    type Submitted = std::thread::Result<Result<mpsc::Receiver<BatchReply>, SubmitError>>;
+
+    struct Rig {
+        batcher: Arc<MicroBatcher>,
+        metrics: Arc<DaemonMetrics>,
+        entered: mpsc::Receiver<Vec<usize>>,
+        then: mpsc::Sender<Then>,
+    }
+
+    /// A deadline nothing here outlives.
+    fn far() -> Instant {
+        Instant::now() + FOREVER
+    }
+
+    fn fake(node: usize) -> Prediction {
+        Prediction {
+            node,
+            logits: vec![node as f32],
+            label: 0,
+            cached: false,
+            stale: false,
         }
-        let elapsed = start.elapsed();
-        // Old behaviour: three armed windows ≥ 450ms. Fixed: one window
-        // plus flush time. 375ms splits the two with wide margins both
-        // ways, so the assertion stays robust on slow CI machines.
-        assert!(
-            elapsed < Duration::from_millis(375),
-            "a 3-chunk burst must not re-arm the {window:?} window per chunk (took {elapsed:?})"
+    }
+
+    impl Rig {
+        fn new(window: Duration, max_batch: usize, capacity: usize) -> Rig {
+            let (entered_tx, entered) = mpsc::channel();
+            let (then, then_rx) = mpsc::channel();
+            let then_rx = Mutex::new(then_rx);
+            let engine = Box::new(move |nodes: &[usize]| {
+                entered_tx.send(nodes.to_vec()).expect("rig alive");
+                let then = then_rx.lock().expect("rig lock").recv_timeout(PATIENCE);
+                match then.expect("the test ends every flush it lets start") {
+                    Then::Serve => Ok(nodes.iter().map(|&n| fake(n)).collect()),
+                    Then::Fail => Err(ServeError::NoOperator),
+                    Then::Panic => panic!("injected flush panic"),
+                }
+            });
+            let metrics = Arc::new(DaemonMetrics::new());
+            let batcher = MicroBatcher::over(engine, metrics.clone(), window, max_batch, capacity);
+            Rig {
+                batcher: Arc::new(batcher),
+                metrics,
+                entered,
+                then,
+            }
+        }
+
+        /// Submits on a thread of its own (a follower blocks in `submit`).
+        fn submit(&self, node: usize) -> mpsc::Receiver<Submitted> {
+            self.submit_due(node, far())
+        }
+
+        fn submit_due(&self, node: usize, deadline: Instant) -> mpsc::Receiver<Submitted> {
+            let (tx, rx) = mpsc::channel();
+            let batcher = self.batcher.clone();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    batcher.submit(node, deadline)
+                }));
+                let _ = tx.send(outcome);
+            });
+            rx
+        }
+
+        /// Submits a follower and returns once it is parked as the `n`th
+        /// queued entry. (Push and park happen under one hold of the state
+        /// lock, so seeing the entry queued is seeing its thread parked.)
+        fn park(&self, node: usize, n: usize) -> mpsc::Receiver<Submitted> {
+            self.park_due(node, far(), n)
+        }
+
+        fn park_due(&self, node: usize, deadline: Instant, n: usize) -> mpsc::Receiver<Submitted> {
+            let rx = self.submit_due(node, deadline);
+            let give_up = Instant::now() + PATIENCE;
+            while self.batcher.lock().queue.len() != n {
+                assert!(Instant::now() < give_up, "node {node} never queued");
+                std::thread::yield_now();
+            }
+            rx
+        }
+
+        /// The nodes of the next flush to reach the engine.
+        fn flush_entered(&self) -> Vec<usize> {
+            self.entered
+                .recv_timeout(PATIENCE)
+                .expect("a flush reaches the engine")
+        }
+
+        fn end_flush(&self, then: Then) {
+            self.then.send(then).expect("rig alive");
+        }
+
+        fn no_flush_pending(&self) {
+            assert!(self.entered.try_recv().is_err(), "an unexpected flush ran");
+        }
+    }
+
+    /// Waits for `submit` to return and for the one reply on its channel.
+    fn reply_of(submitted: &mpsc::Receiver<Submitted>) -> BatchReply {
+        let rx = submitted
+            .recv_timeout(PATIENCE)
+            .expect("submit returns")
+            .expect("submit does not panic")
+            .expect("submit is accepted");
+        let reply = rx.recv_timeout(PATIENCE).expect("exactly one reply");
+        assert!(rx.try_recv().is_err(), "a second reply arrived");
+        reply
+    }
+
+    fn served(submitted: &mpsc::Receiver<Submitted>) -> usize {
+        reply_of(submitted).expect("served").node
+    }
+
+    /// (1) Batching emerges from contention: what queues up behind a flush
+    /// in flight is the next flush, whole and in submission order.
+    #[test]
+    fn followers_behind_a_held_leader_become_one_batch_in_submission_order() {
+        let rig = Rig::new(FOREVER, 8, 16);
+        let a = rig.submit(10);
+        assert_eq!(rig.flush_entered(), [10], "a lone submit leads at once");
+        let b = rig.park(11, 1);
+        let c = rig.park(12, 2);
+        let d = rig.park(13, 3);
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&a), 10);
+        assert_eq!(rig.flush_entered(), [11, 12, 13]);
+        rig.end_flush(Then::Serve);
+        assert_eq!([served(&b), served(&c), served(&d)], [11, 12, 13]);
+        rig.no_flush_pending();
+        let stats = rig.metrics.snapshot();
+        assert_eq!(stats.batch_flushes, 2);
+        assert_eq!(stats.coalesced_predicts, 4);
+        assert_eq!(
+            stats.batch_joins, 2,
+            "one of the three led the second flush"
         );
     }
 
-    /// Shutdown drains whatever is already queued before the flusher
-    /// exits: accepted submits are answered even when shutdown lands
-    /// between acceptance and the first flush.
+    /// (2) An entry whose deadline passes while it is parked is answered
+    /// `Deadline` at flush time and the engine never sees its node.
     #[test]
-    fn shutdown_answers_everything_already_queued() {
-        let batcher = MicroBatcher::start(
-            backend(),
-            Arc::new(DaemonMetrics::new()),
-            Duration::from_millis(500),
-            4,
-            64,
-        );
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let receivers: Vec<_> = (0..6)
-            .map(|i| batcher.submit(i, deadline).expect("queue has room"))
-            .collect();
-        batcher.shutdown();
-        for rx in receivers {
-            let _reply = rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("queued submits are answered through shutdown");
+    fn deadline_expiring_behind_a_held_leader_is_shed_before_the_engine() {
+        let rig = Rig::new(FOREVER, 8, 16);
+        let a = rig.submit(10);
+        assert_eq!(rig.flush_entered(), [10]);
+        let soon = Instant::now() + Duration::from_millis(5);
+        let b = rig.park_due(11, soon, 1);
+        let c = rig.park(12, 2);
+        while Instant::now() < soon {
+            std::thread::yield_now();
         }
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&a), 10);
+        assert_eq!(rig.flush_entered(), [12], "the expired node is not served");
+        rig.end_flush(Then::Serve);
+        assert!(matches!(reply_of(&b), Err(BatchFailure::Deadline)));
+        assert_eq!(served(&c), 12);
+        let stats = rig.metrics.snapshot();
+        assert_eq!(stats.deadline_shed, 1);
+        assert_eq!(stats.coalesced_predicts, 2);
+    }
+
+    /// (3) The parked queue is bounded: `capacity` followers fit, the next
+    /// arrival is shed synchronously (429 `batch_queue_full` on the wire).
+    #[test]
+    fn a_full_queue_behind_a_held_leader_sheds_the_next_submit() {
+        let rig = Rig::new(FOREVER, 8, 3);
+        let a = rig.submit(10);
+        assert_eq!(rig.flush_entered(), [10]);
+        let parked: Vec<_> = (0..3).map(|i| rig.park(11 + i, i + 1)).collect();
         assert!(matches!(
-            batcher.submit(0, deadline),
+            rig.batcher.submit(14, far()),
+            Err(SubmitError::Shed)
+        ));
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&a), 10);
+        assert_eq!(rig.flush_entered(), [11, 12, 13]);
+        rig.end_flush(Then::Serve);
+        let nodes: Vec<usize> = parked.iter().map(served).collect();
+        assert_eq!(nodes, [11, 12, 13]);
+        // Room again once the queue has drained.
+        let e = rig.submit(14);
+        assert_eq!(rig.flush_entered(), [14]);
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&e), 14);
+    }
+
+    /// (4) Shutdown with a flush in flight and followers parked: every
+    /// accepted submit gets exactly one reply, every later one is refused.
+    #[test]
+    fn shutdown_answers_parked_followers_and_lets_the_flush_in_flight_finish() {
+        let rig = Rig::new(FOREVER, 8, 16);
+        let a = rig.submit(10);
+        assert_eq!(rig.flush_entered(), [10]);
+        let b = rig.park(11, 1);
+        let c = rig.park(12, 2);
+        rig.batcher.shutdown();
+        assert!(matches!(reply_of(&b), Err(BatchFailure::Stopped)));
+        assert!(matches!(reply_of(&c), Err(BatchFailure::Stopped)));
+        assert!(matches!(
+            rig.batcher.submit(13, far()),
             Err(SubmitError::Stopped)
         ));
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&a), 10, "the flush in flight completes");
+        assert!(matches!(
+            rig.batcher.submit(14, far()),
+            Err(SubmitError::Stopped)
+        ));
+        rig.batcher.shutdown();
+        rig.no_flush_pending();
+    }
+
+    /// (5) A flush that unwinds releases the role: the entry it had drained
+    /// beside the leader's own is hung up on at once, the follower parked
+    /// behind it is promoted and served, and fresh submits keep working.
+    #[test]
+    fn a_panicking_flush_releases_the_role_and_the_next_follower_leads() {
+        let rig = Rig::new(FOREVER, 8, 16);
+        let a = rig.submit(10);
+        assert_eq!(rig.flush_entered(), [10]);
+        let b = rig.park(11, 1);
+        let c = rig.park(12, 2);
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&a), 10);
+        // Whichever of b / c woke first leads both; d parks behind them.
+        assert_eq!(rig.flush_entered(), [11, 12]);
+        let d = rig.park(13, 1);
+        rig.end_flush(Then::Panic);
+        let mut panicked = 0;
+        for submitted in [&b, &c] {
+            match submitted.recv_timeout(PATIENCE).expect("submit returns") {
+                Err(_panic) => panicked += 1,
+                Ok(accepted) => {
+                    let rx = accepted.expect("the co-rider was accepted");
+                    assert_eq!(
+                        rx.recv_timeout(PATIENCE).err(),
+                        Some(RecvTimeoutError::Disconnected),
+                        "the co-rider is hung up on, not left waiting"
+                    );
+                }
+            }
+        }
+        assert_eq!(panicked, 1, "only the leader's own call unwinds");
+        assert_eq!(rig.flush_entered(), [13], "the parked follower is promoted");
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&d), 13);
+        let e = rig.submit(14);
+        assert_eq!(rig.flush_entered(), [14]);
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&e), 14);
+    }
+
+    /// (6) `window` is the most a follower waits: past it, it flushes the
+    /// front of the queue itself while the leader's flush is still held —
+    /// and a zero window never parks at all.
+    #[test]
+    fn a_follower_out_of_patience_flushes_beside_the_held_leader() {
+        for window in [Duration::from_millis(2), Duration::ZERO] {
+            let rig = Rig::new(window, 8, 16);
+            let a = rig.submit(10);
+            assert_eq!(rig.flush_entered(), [10]);
+            let b = rig.submit(11);
+            // `a`'s flush has not been ended, so this one runs beside it.
+            assert_eq!(rig.flush_entered(), [11], "window {window:?}");
+            rig.end_flush(Then::Serve);
+            rig.end_flush(Then::Serve);
+            assert_eq!([served(&a), served(&b)], [10, 11]);
+            let stats = rig.metrics.snapshot();
+            assert_eq!((stats.batch_flushes, stats.batch_joins), (2, 0));
+        }
+    }
+
+    /// (7) An engine error fails exactly the entries of that flush, with
+    /// one shared cause, and nobody before or after it.
+    #[test]
+    fn an_engine_error_fails_its_own_flush_with_one_shared_cause() {
+        let rig = Rig::new(FOREVER, 8, 16);
+        let a = rig.submit(10);
+        assert_eq!(rig.flush_entered(), [10]);
+        let b = rig.park(11, 1);
+        let c = rig.park(12, 2);
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&a), 10);
+        assert_eq!(rig.flush_entered(), [11, 12]);
+        rig.end_flush(Then::Fail);
+        match (reply_of(&b), reply_of(&c)) {
+            (Err(BatchFailure::Engine(x)), Err(BatchFailure::Engine(y))) => {
+                assert!(Arc::ptr_eq(&x, &y), "one cause, shared");
+                assert!(matches!(*x, ServeError::NoOperator));
+            }
+            other => panic!("both entries of the failed flush fail: {other:?}"),
+        }
+        let d = rig.submit(13);
+        assert_eq!(rig.flush_entered(), [13]);
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&d), 13);
+    }
+
+    /// A leader whose own entry sits beyond the first `max_batch` keeps
+    /// draining, in order and back to back, until it has been served — and
+    /// no further. The backlog is queued by hand: it is what a newcomer
+    /// finds when it beats just-woken followers to the lock.
+    #[test]
+    fn a_leader_queued_beyond_max_batch_drains_in_order_until_served() {
+        let rig = Rig::new(FOREVER, 2, 16);
+        let backlog: Vec<_> = (11..=13)
+            .map(|node| {
+                let (reply, rx) = mpsc::channel();
+                let mut state = rig.batcher.lock();
+                let ticket = state.drained_upto + state.queue.len() as u64;
+                state.queue.push_back(Pending {
+                    node,
+                    deadline: far(),
+                    submitted: Instant::now(),
+                    ticket,
+                    reply,
+                });
+                rx
+            })
+            .collect();
+        let d = rig.submit(14);
+        assert_eq!(rig.flush_entered(), [11, 12]);
+        let e = rig.park(15, 3);
+        rig.end_flush(Then::Serve);
+        assert_eq!(rig.flush_entered(), [13, 14]);
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&d), 14);
+        let nodes: Vec<usize> = backlog
+            .iter()
+            .map(|rx| {
+                rx.recv_timeout(PATIENCE)
+                    .expect("reply")
+                    .expect("served")
+                    .node
+            })
+            .collect();
+        assert_eq!(nodes, [11, 12, 13]);
+        // What queued up behind is the next leader's, not this one's.
+        assert_eq!(rig.flush_entered(), [15]);
+        rig.end_flush(Then::Serve);
+        assert_eq!(served(&e), 15);
+        rig.no_flush_pending();
+        let stats = rig.metrics.snapshot();
+        assert_eq!((stats.batch_flushes, stats.batch_joins), (3, 3));
     }
 }

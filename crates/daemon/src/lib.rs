@@ -27,8 +27,9 @@
 //!   requests are shed with `504` *before* any engine work.
 //! * **Admission control** — a bounded connection queue; when full, new
 //!   connections get `429` + `Retry-After` at the door.
-//! * **Micro-batching** — concurrent single-node predicts coalesce into one
-//!   row-sliced `predict_batch` (see [`batch`]).
+//! * **Micro-batching** — single-node predicts that arrive while a flush is
+//!   in flight coalesce into one row-sliced `predict_batch`; a lone predict
+//!   waits for nobody (see [`batch`]).
 //! * **Graceful drain** — [`Daemon::shutdown`] stops accepting, drains
 //!   in-flight work within a deadline, then answers stragglers `503`.
 //! * **Panic isolation** — a handler panic kills that connection only

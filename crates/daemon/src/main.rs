@@ -6,6 +6,11 @@
 //!              [--window-us N] [--deadline-ms N] [--queue N] [--debug]
 //! ```
 //!
+//! `--window-us` is the longest a `/v1/predict` waits behind a micro-batch
+//! flush already in flight for its own batch to form (default 200); a
+//! request that finds none in flight is served at once, and `0` means
+//! never wait.
+//!
 //! The process serves until stdin reaches EOF (the conventional
 //! supervisor-friendly shutdown signal for a process with no signal
 //! handling of its own), then drains gracefully and exits 0.
@@ -20,7 +25,9 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage: sigma-daemon <snapshot-path> [--port N] [--workers N] [--shards N] \
-         [--window-us N] [--deadline-ms N] [--queue N] [--debug]"
+         [--window-us N] [--deadline-ms N] [--queue N] [--debug]\n  \
+         --window-us N  longest a predict waits behind a flush in flight for its \
+         micro-batch to form (default 200; 0 = never wait)"
     );
     std::process::exit(2);
 }

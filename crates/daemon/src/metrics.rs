@@ -51,6 +51,10 @@ sigma_obs::metric_set! {
         /// of coalesced predicts).
         batch_flushes: "sigma_daemon_batch_flushes_total",
             "micro-batch flushes (one engine predict_batch per flush)";
+        /// Coalesced predicts served by a flush another request led
+        /// (0 while nothing coalesces).
+        batch_joins: "sigma_daemon_batch_joins_total",
+            "coalesced predicts served by a flush another request led";
         /// Snapshot hot reloads served through `POST /v1/reload`.
         reloads: "sigma_daemon_reloads_total",
             "snapshot hot reloads served through POST /v1/reload";
@@ -66,6 +70,10 @@ sigma_obs::metric_set! {
         request_ns: "sigma_daemon_request_ns", "end-to-end request wall time in nanoseconds";
         /// Coalesced micro-batch sizes (1 = a predict that rode alone).
         batch_size: "sigma_daemon_batch_size", "coalesced micro-batch sizes";
+        /// Submit → start of the flush that served it, ns (near zero for
+        /// a predict that led its own flush).
+        batch_wait_ns: "sigma_daemon_batch_wait_ns",
+            "nanoseconds a coalesced predict waited for its flush to start";
     }
 }
 

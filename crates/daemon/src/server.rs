@@ -13,8 +13,8 @@
 //!   [`std::panic::catch_unwind`]: a handler panic kills *that connection*
 //!   (with a best-effort `500`), bumps `handler_panics`, and the worker —
 //!   and the process — live on;
-//! * **micro-batcher** — one flusher coalescing concurrent single-node
-//!   predicts (see [`crate::batch`]).
+//! * **micro-batcher** — no thread: a worker that finds no flush in flight
+//!   leads one; workers arriving meanwhile are the next batch ([`crate::batch`]).
 //!
 //! Deadlines: each request gets `min(x-sigma-deadline-ms, default)` of
 //! budget measured from the instant its bytes finished parsing. A request
@@ -68,9 +68,9 @@ pub struct DaemonConfig {
     pub write_timeout_ms: u64,
     /// Wire limits (request line, header count, body bytes).
     pub limits: HttpLimits,
-    /// Micro-batch coalescing window for `POST /v1/predict`, in
-    /// microseconds. `0` disables coalescing (predicts hit the engine
-    /// directly from the worker thread).
+    /// The longest a `POST /v1/predict` waits behind a flush in flight
+    /// for its micro-batch to form, in microseconds; a predict that finds
+    /// none in flight never waits. `0` = never wait.
     pub micro_batch_window_us: u64,
     /// Largest coalesced batch one flush may serve.
     pub micro_batch_max: usize,
@@ -143,7 +143,7 @@ struct Shared {
     backend: Arc<Backend>,
     maintainer: Option<Mutex<DynamicSimRank>>,
     metrics: Arc<DaemonMetrics>,
-    batcher: Option<MicroBatcher>,
+    batcher: MicroBatcher,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_arrived: Condvar,
     /// Soft stop: acceptor closes, responses advertise close, drain begins.
@@ -184,17 +184,13 @@ impl Daemon {
 
         let backend = Arc::new(backend);
         let metrics = Arc::new(DaemonMetrics::new());
-        let batcher = if config.micro_batch_window_us > 0 {
-            Some(MicroBatcher::start(
-                backend.clone(),
-                metrics.clone(),
-                Duration::from_micros(config.micro_batch_window_us),
-                config.micro_batch_max,
-                config.micro_batch_capacity,
-            ))
-        } else {
-            None
-        };
+        let batcher = MicroBatcher::start(
+            backend.clone(),
+            metrics.clone(),
+            Duration::from_micros(config.micro_batch_window_us),
+            config.micro_batch_max,
+            config.micro_batch_capacity,
+        );
         let shared = Arc::new(Shared {
             config: config.clone(),
             backend,
@@ -290,10 +286,7 @@ impl Daemon {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // The batcher drains its own queue before stopping (MicroBatcher
-        // shutdown runs on drop of Shared's field when the last Arc goes,
-        // but workers are gone now so trigger it deterministically).
-        // Safety: we are the only Daemon over this Shared.
+        self.shared.batcher.shutdown();
         DrainReport {
             drained_cleanly,
             queued_rejected,
@@ -571,35 +564,28 @@ fn handle_predict(shared: &Shared, request: &Request, arrival: Instant) -> Respo
     if let Some(resp) = check_deadline(shared, deadline) {
         return resp;
     }
-    match &shared.batcher {
-        Some(batcher) => match batcher.submit(node, deadline) {
-            Ok(rx) => match rx.recv() {
-                Ok(Ok(p)) => Response::json(200, prediction_json(&p)),
-                Ok(Err(BatchFailure::Deadline)) => Response::error(
-                    504,
-                    "deadline_expired",
-                    "deadline expired in the micro-batch queue",
-                ),
-                Ok(Err(BatchFailure::Engine(e))) => engine_error(&e),
-                Ok(Err(BatchFailure::Stopped)) | Err(_) => {
-                    Response::error(503, "batcher_stopped", "daemon is shutting down")
-                }
-            },
-            Err(SubmitError::Shed) => {
-                shared.metrics.batch_shed.inc();
-                let mut resp =
-                    Response::error(429, "batch_queue_full", "micro-batch queue at capacity");
-                resp.extra_headers.push(("retry-after", "1".to_string()));
-                resp
-            }
-            Err(SubmitError::Stopped) => {
-                Response::error(503, "batcher_stopped", "daemon is shutting down")
-            }
-        },
-        None => match shared.backend.predict(node) {
-            Ok(p) => Response::json(200, prediction_json(&p)),
-            Err(e) => engine_error(&e),
-        },
+    let reply = match shared.batcher.submit(node, deadline) {
+        Ok(rx) => rx.recv().unwrap_or(Err(BatchFailure::Stopped)),
+        Err(SubmitError::Stopped) => Err(BatchFailure::Stopped),
+        Err(SubmitError::Shed) => {
+            shared.metrics.batch_shed.inc();
+            let mut resp =
+                Response::error(429, "batch_queue_full", "micro-batch queue at capacity");
+            resp.extra_headers.push(("retry-after", "1".to_string()));
+            return resp;
+        }
+    };
+    match reply {
+        Ok(p) => Response::json(200, prediction_json(&p)),
+        Err(BatchFailure::Deadline) => Response::error(
+            504,
+            "deadline_expired",
+            "deadline expired in the micro-batch queue",
+        ),
+        Err(BatchFailure::Engine(e)) => engine_error(&e),
+        Err(BatchFailure::Stopped) => {
+            Response::error(503, "batcher_stopped", "daemon is shutting down")
+        }
     }
 }
 
@@ -883,4 +869,41 @@ fn handle_healthz(shared: &Shared) -> Response {
             shared.backend.num_classes()
         ),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sigma_serve::{EngineConfig, InferenceEngine};
+    use sigma_testutil::{random_graph, serving_fixture};
+
+    /// `Daemon::shutdown` stops the batcher itself rather than leaving it
+    /// to whoever drops the last `Arc<Shared>`: a handle that outlives the
+    /// daemon is refused, it does not reach the engine.
+    #[test]
+    fn shutdown_stops_the_batcher_for_handles_that_outlive_the_daemon() {
+        let fixture = serving_fixture(&random_graph(12, 6, 7), 4, 7);
+        let engine = Arc::new(
+            InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("engine"),
+        );
+        let daemon = Daemon::start(
+            Backend::Engine(engine.clone()),
+            None,
+            DaemonConfig::default(),
+        )
+        .expect("daemon");
+        let shared = daemon.shared.clone();
+        let far = Instant::now() + Duration::from_secs(60);
+        let served = shared
+            .batcher
+            .submit(0, far)
+            .expect("a live daemon accepts");
+        assert!(matches!(served.recv(), Ok(Ok(_))));
+        daemon.shutdown();
+        assert!(matches!(
+            shared.batcher.submit(0, far),
+            Err(SubmitError::Stopped)
+        ));
+        assert_eq!(engine.stats().nodes_served, 1);
+    }
 }

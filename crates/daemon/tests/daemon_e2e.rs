@@ -170,16 +170,25 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     daemon.shutdown();
 }
 
+/// The accounting of coalescing under concurrent clients: every predict
+/// goes through the batcher, every flush is exactly one engine batch, and
+/// every reply is bitwise-correct whichever flush carried it. *How many*
+/// flushes four racing clients make is a scheduling outcome; that followers
+/// behind a flush in flight become one batch is pinned on an exact
+/// interleaving in `batch.rs`.
 #[test]
 fn concurrent_predicts_coalesce_into_one_engine_batch() {
     let fixture = serving_fixture(&fixture_graph(15), 4, 15);
     let engine =
         Arc::new(InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("engine"));
-    let config = DaemonConfig {
-        micro_batch_window_us: 50_000, // 50 ms: wide enough to be deterministic
-        ..DaemonConfig::default()
-    };
-    let daemon = Daemon::start(Backend::Engine(engine.clone()), None, config).expect("daemon");
+    let reference =
+        InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("reference");
+    let daemon = Daemon::start(
+        Backend::Engine(engine.clone()),
+        None,
+        DaemonConfig::default(),
+    )
+    .expect("daemon");
     let addr = daemon.local_addr();
 
     let before = engine.stats().batches_served;
@@ -191,9 +200,12 @@ fn concurrent_predicts_coalesce_into_one_engine_batch() {
             })
         })
         .collect();
-    for handle in handles {
+    for (node, handle) in handles.into_iter().enumerate() {
         let resp = handle.join().expect("client thread");
         assert_eq!(resp.status, 200);
+        let value = json::parse(&resp.body).expect("response parses");
+        let expected = reference.predict(node).expect("reference predict");
+        assert_eq!(decode_prediction(&value), reference_bits(&expected));
     }
     let stats = daemon.stats();
     assert_eq!(stats.coalesced_predicts, 4);
@@ -202,12 +214,46 @@ fn concurrent_predicts_coalesce_into_one_engine_batch() {
         stats.batch_flushes,
         "every flush is exactly one engine batch"
     );
-    assert!(
-        stats.batch_flushes < 4,
-        "4 concurrent predicts inside a 50ms window must coalesce (got {} flushes)",
-        stats.batch_flushes
+    assert_eq!(
+        stats.batch_joins,
+        4 - stats.batch_flushes,
+        "every predict either led a flush or joined one"
     );
     daemon.shutdown();
+}
+
+/// `micro_batch_window_us` bounds a wait, it does not select a path: `0`
+/// (never wait) and the default serve the same bits through the same
+/// batcher, and both count what they served.
+#[test]
+fn zero_and_default_window_serve_identical_bits_through_the_batcher() {
+    let fixture = serving_fixture(&fixture_graph(24), 4, 24);
+    let serve_all = |window_us: u64| -> Vec<(usize, usize, Vec<u32>)> {
+        let engine = Arc::new(
+            InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("engine"),
+        );
+        let config = DaemonConfig {
+            micro_batch_window_us: window_us,
+            ..DaemonConfig::default()
+        };
+        let daemon = Daemon::start(Backend::Engine(engine), None, config).expect("daemon");
+        let addr = daemon.local_addr();
+        let nodes = fixture.snapshot.num_nodes();
+        let served = (0..nodes)
+            .map(|node| {
+                let resp = wire::post_json(addr, "/v1/predict", &format!("{{\"node\": {node}}}"))
+                    .expect("predict");
+                assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+                decode_prediction(&json::parse(&resp.body).expect("response parses"))
+            })
+            .collect();
+        let stats = daemon.stats();
+        assert_eq!(stats.coalesced_predicts, nodes as u64, "window {window_us}");
+        assert_eq!(stats.batch_flushes, nodes as u64, "window {window_us}");
+        daemon.shutdown();
+        served
+    };
+    assert_eq!(serve_all(0), serve_all(200));
 }
 
 #[test]
@@ -332,7 +378,7 @@ fn daemon_metric_set_is_declared_once_and_exposed_once() {
         (1, 1, 2)
     );
     assert_metric_set_exposed(DaemonStats::METRICS);
-    assert_eq!(DaemonStats::METRICS.len(), 14 + 2 + 2);
+    assert_eq!(DaemonStats::METRICS.len(), 15 + 2 + 3);
     assert_fields_match_struct(
         &format!("{stats:#?}"),
         0,

@@ -152,23 +152,21 @@ fn admission_queue_overflow_sheds_429_with_retry_after() {
     daemon.shutdown();
 }
 
+/// A request found expired before it is submitted is shed with `504` and
+/// buys no engine work. A zero default budget makes every request arrive
+/// expired (`x-sigma-deadline-ms: 0` itself is a `400`, see below); expiry
+/// *while queued* behind a flush is pinned on an exact interleaving in
+/// `batch.rs` — a lone request no longer waits anywhere it could expire.
 #[test]
 fn expired_deadline_sheds_504_without_engine_work() {
-    // A wide coalescing window guarantees the 40 ms deadline is long gone
-    // when the flusher inspects the queue entry.
     let config = DaemonConfig {
-        micro_batch_window_us: 300_000,
+        default_deadline_ms: 0,
         ..DaemonConfig::default()
     };
     let (daemon, engine) = start_daemon(35, config);
     let mut client = wire::WireClient::connect(daemon.local_addr()).expect("connect");
     let resp = client
-        .request(
-            "POST",
-            "/v1/predict",
-            &[("x-sigma-deadline-ms", "40")],
-            b"{\"node\": 1}",
-        )
+        .request("POST", "/v1/predict", &[], b"{\"node\": 1}")
         .expect("predict");
     assert_eq!(resp.status, 504);
     let value = json::parse(&resp.body).expect("error body parses");
@@ -176,7 +174,9 @@ fn expired_deadline_sheds_504_without_engine_work() {
         value.get("error").and_then(json::Json::as_str),
         Some("deadline_expired")
     );
-    assert_eq!(daemon.stats().deadline_shed, 1);
+    let stats = daemon.stats();
+    assert_eq!(stats.deadline_shed, 1);
+    assert_eq!(stats.coalesced_predicts, 0, "shed before the batcher");
     assert_eq!(
         engine.stats().nodes_served,
         0,

@@ -193,34 +193,35 @@ const PAR_MAP_OVERSUB: usize = 4;
 /// Runtime override installed by [`set_global_threads`] (0 = unset).
 static GLOBAL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// `SIGMA_NUM_THREADS`, read once at first use.
-static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
+/// `SIGMA_NUM_THREADS`, else the core count — read once at first use. Both
+/// are properties of the process's start; `available_parallelism` costs a
+/// `sched_getaffinity` and a walk of the cgroup quota files (~13 µs), which
+/// every `predict_batch` paid when the variable was unset.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 static GLOBAL_POOL: OnceLock<ThreadPool> = OnceLock::new();
 
-fn env_threads() -> Option<usize> {
-    *ENV_THREADS.get_or_init(|| {
+fn default_threads() -> usize {
+    *DEFAULT_THREADS.get_or_init(|| {
         std::env::var("SIGMA_NUM_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
+            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+            .unwrap_or(1)
     })
 }
 
 /// The thread count the global pool currently targets: the
 /// [`set_global_threads`] override if set, else `SIGMA_NUM_THREADS`, else
-/// [`std::thread::available_parallelism`]. Always at least 1, at most
-/// [`MAX_THREADS`].
+/// [`std::thread::available_parallelism`] (the latter two as they stood at
+/// first use). Always at least 1, at most [`MAX_THREADS`].
 pub fn current_threads() -> usize {
     let override_n = GLOBAL_OVERRIDE.load(Ordering::Relaxed);
     let n = if override_n > 0 {
         override_n
-    } else if let Some(n) = env_threads() {
-        n
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        default_threads()
     };
     n.clamp(1, MAX_THREADS)
 }
