@@ -5,9 +5,10 @@
 //! aggregation collapses to the same `Z = row_slice(S)·H` serve step), so
 //! handlers talk to a [`Backend`] rather than a concrete engine. Today two
 //! backends exist: a single [`InferenceEngine`] and an in-process
-//! [`ShardRouter`] fleet — both already proven bitwise-equal to each other
-//! by the shard differential oracle, which is what lets the daemon treat
-//! them interchangeably.
+//! [`ShardRouter`] — one serving state either way (a router adds a cache
+//! and counters per row range), checked bitwise-equal to each other by the
+//! shard differential oracle, which is what lets the daemon treat them
+//! interchangeably.
 
 use sigma_serve::{
     EngineStats, InferenceEngine, MappedSnapshot, Prediction, Result, ShardRouter, SimilarNode,
@@ -22,7 +23,7 @@ pub struct RepairSummary {
     pub full_refresh: bool,
     /// Operator rows patched (globally, across shards).
     pub operator_rows: usize,
-    /// Embedding rows re-encoded (summed across shards).
+    /// Embedding rows re-encoded (each counted once, on its owner shard).
     pub embedding_rows: usize,
     /// `(shards touched, shards skipped)` — `None` for a single engine.
     pub fanout: Option<(usize, usize)>,
@@ -124,19 +125,12 @@ impl Backend {
         }
     }
 
-    /// Whether `POST /v1/reload` can serve this backend (single engines
-    /// only — a sharded fleet reloads per shard, through whatever wire the
-    /// shards themselves will eventually expose).
-    pub fn supports_reload(&self) -> bool {
-        matches!(self, Backend::Engine(_))
-    }
-
-    /// Hot-reloads a mapped snapshot zero-copy (engine backends only;
-    /// callers gate on [`Backend::supports_reload`]).
+    /// Hot-reloads a mapped snapshot zero-copy: one state swap either way
+    /// (a router clears every lane's cache and keeps its plan).
     pub fn hot_reload_mapped(&self, snapshot: Arc<MappedSnapshot>) -> Result<()> {
         match self {
             Backend::Engine(e) => e.hot_reload_mapped(snapshot),
-            Backend::Router(_) => unreachable!("gated by supports_reload"),
+            Backend::Router(r) => r.hot_reload_mapped(snapshot),
         }
     }
 

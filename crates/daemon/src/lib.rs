@@ -16,7 +16,7 @@
 //! | `POST /v1/similar` | top-k similar nodes off the operator row |
 //! | `POST /v1/edges` | graph edits → staleness invalidations |
 //! | `POST /v1/repair` | one incremental repair round |
-//! | `POST /v1/reload` | hot snapshot swap (single-engine backends) |
+//! | `POST /v1/reload` | hot snapshot swap (either backend) |
 //! | `GET /v1/stats` | JSON counters (daemon + engine + registry) |
 //! | `GET /metrics` | Prometheus text exposition |
 //! | `GET /healthz` | liveness + serving shape |

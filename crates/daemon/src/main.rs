@@ -16,9 +16,7 @@
 //! handling of its own), then drains gracefully and exits 0.
 
 use sigma_daemon::{Backend, Daemon, DaemonConfig};
-use sigma_serve::{
-    EngineConfig, InferenceEngine, MappedSnapshot, ServeSnapshot, ShardRouter, ShardRouterConfig,
-};
+use sigma_serve::{EngineConfig, InferenceEngine, MappedSnapshot, ShardRouter};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -105,18 +103,12 @@ fn main() {
 }
 
 fn build_backend(path: &str, shards: usize) -> Result<Backend, sigma_serve::ServeError> {
+    let mapped = Arc::new(MappedSnapshot::open(path)?);
+    let config = EngineConfig::default();
     if shards > 1 {
-        let config = ShardRouterConfig {
-            shards,
-            engine: EngineConfig::default(),
-        };
-        // A sharded backend plans its shards from one decoded snapshot
-        // (`ShardRouter::from_mapped` would instead take one clone of the
-        // mapping per shard).
-        let router = ShardRouter::new(&ServeSnapshot::load(path)?, &config)?;
+        let router = ShardRouter::from_mapped(vec![mapped; shards], config)?;
         return Ok(Backend::Router(Arc::new(router)));
     }
-    let mapped = Arc::new(MappedSnapshot::open(path)?);
-    let engine = InferenceEngine::from_mapped(mapped, EngineConfig::default())?;
+    let engine = InferenceEngine::from_mapped(mapped, config)?;
     Ok(Backend::Engine(Arc::new(engine)))
 }

@@ -817,13 +817,6 @@ fn handle_reload(shared: &Shared, request: &Request) -> Response {
         Some(path) => path.to_string(),
         None => return Response::error(400, "bad_json", "field `path` (string) required"),
     };
-    if !shared.backend.supports_reload() {
-        return Response::error(
-            501,
-            "reload_unsupported",
-            "sharded backends reload per shard, not through this endpoint",
-        );
-    }
     let result = MappedSnapshot::open(&path)
         .and_then(|mapped| shared.backend.hot_reload_mapped(Arc::new(mapped)));
     match result {

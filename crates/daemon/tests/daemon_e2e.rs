@@ -9,7 +9,8 @@
 use sigma_daemon::{json, Backend, Daemon, DaemonConfig, DaemonMetrics, DaemonStats};
 use sigma_graph::Graph;
 use sigma_serve::{
-    EngineConfig, EngineStats, InferenceEngine, Prediction, ShardRouter, ShardRouterConfig,
+    EngineConfig, EngineStats, InferenceEngine, Prediction, ServeSnapshot, ShardRouter,
+    ShardRouterConfig,
 };
 use sigma_testutil::metrics::{assert_fields_match_struct, assert_metric_set_exposed};
 use sigma_testutil::wire;
@@ -434,63 +435,92 @@ fn stats_endpoint_lists_every_stats_field_under_its_own_name() {
 #[test]
 fn edges_then_repair_keeps_wire_equal_to_reference_lineage() {
     let graph = fixture_graph(17);
-    let fixture = serving_fixture(&graph, 4, 17);
-    let engine =
-        Arc::new(InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("engine"));
-    let daemon = Daemon::start(
-        Backend::Engine(engine),
-        Some(fixture.maintainer),
-        DaemonConfig::default(),
-    )
-    .expect("daemon");
-    let addr = daemon.local_addr();
+    let backends: [fn(&ServeSnapshot) -> Backend; 2] = [
+        |snapshot| {
+            let engine = InferenceEngine::new(snapshot, EngineConfig::default()).expect("engine");
+            Backend::Engine(Arc::new(engine))
+        },
+        |snapshot| {
+            let config = ShardRouterConfig {
+                shards: 2,
+                engine: EngineConfig::default(),
+            };
+            Backend::Router(Arc::new(
+                ShardRouter::new(snapshot, &config).expect("router"),
+            ))
+        },
+    ];
+    for backend in backends {
+        let fixture = serving_fixture(&graph, 4, 17);
+        let daemon = Daemon::start(
+            backend(&fixture.snapshot),
+            Some(fixture.maintainer),
+            DaemonConfig::default(),
+        )
+        .expect("daemon");
+        let addr = daemon.local_addr();
 
-    // The same lineage, in process: engine + maintainer from a twin fixture.
-    let twin = serving_fixture(&graph, 4, 17);
-    let reference =
-        InferenceEngine::new(&twin.snapshot, EngineConfig::default()).expect("reference");
-    let mut reference_maintainer = twin.maintainer;
+        // The same lineage, in process: engine + maintainer from a twin fixture.
+        let twin = serving_fixture(&graph, 4, 17);
+        let reference =
+            InferenceEngine::new(&twin.snapshot, EngineConfig::default()).expect("reference");
+        let mut reference_maintainer = twin.maintainer;
 
-    let (u, v) = (0usize, 9usize);
-    let resp = wire::post_json(
-        addr,
-        "/v1/edges",
-        &format!("{{\"updates\": [{{\"op\": \"insert\", \"u\": {u}, \"v\": {v}}}]}}"),
-    )
-    .expect("edges");
-    assert_eq!(resp.status, 200, "body: {}", resp.body_str());
-    let value = json::parse(&resp.body).expect("edges response parses");
-    assert_eq!(value.get("applied").and_then(json::Json::as_index), Some(1));
-    assert_eq!(value.get("maintainer"), Some(&json::Json::Bool(true)));
+        let (u, v) = (0usize, 9usize);
+        let resp = wire::post_json(
+            addr,
+            "/v1/edges",
+            &format!("{{\"updates\": [{{\"op\": \"insert\", \"u\": {u}, \"v\": {v}}}]}}"),
+        )
+        .expect("edges");
+        assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+        let value = json::parse(&resp.body).expect("edges response parses");
+        assert_eq!(value.get("applied").and_then(json::Json::as_index), Some(1));
+        assert_eq!(value.get("maintainer"), Some(&json::Json::Bool(true)));
 
-    let resp = wire::post_json(addr, "/v1/repair", "{}").expect("repair");
-    assert_eq!(resp.status, 200, "body: {}", resp.body_str());
-    let value = json::parse(&resp.body).expect("repair response parses");
-    assert!(value.get("operator_rows").is_some());
+        reference_maintainer
+            .apply_batch(&[sigma_simrank::EdgeUpdate::Insert(u, v)])
+            .expect("reference apply");
+        reference
+            .apply_edge_updates(&[sigma_simrank::EdgeUpdate::Insert(u, v)])
+            .expect("reference invalidate");
+        let reference_repair = reference
+            .repair_from(&mut reference_maintainer)
+            .expect("reference repair");
 
-    reference_maintainer
-        .apply_batch(&[sigma_simrank::EdgeUpdate::Insert(u, v)])
-        .expect("reference apply");
-    reference
-        .apply_edge_updates(&[sigma_simrank::EdgeUpdate::Insert(u, v)])
-        .expect("reference invalidate");
-    reference
-        .repair_from(&mut reference_maintainer)
-        .expect("reference repair");
-
-    for node in 0..graph.num_nodes() {
-        let resp = wire::post_json(addr, "/v1/predict", &format!("{{\"node\": {node}}}"))
-            .expect("predict");
-        assert_eq!(resp.status, 200);
-        let value = json::parse(&resp.body).expect("response parses");
-        let expected = reference.predict(node).expect("reference predict");
+        // The reply counts what the round did, whatever served it: a
+        // sharded backend repairs once, so each row is counted once.
+        let resp = wire::post_json(addr, "/v1/repair", "{}").expect("repair");
+        assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+        let value = json::parse(&resp.body).expect("repair response parses");
         assert_eq!(
-            decode_prediction(&value),
-            reference_bits(&expected),
-            "post-repair logits for node {node}"
+            value.get("operator_rows").and_then(json::Json::as_index),
+            Some(reference_repair.operator_rows.len()),
+            "body: {}",
+            resp.body_str()
         );
+        assert_eq!(
+            value.get("embedding_rows").and_then(json::Json::as_index),
+            Some(reference_repair.embedding_rows.len()),
+            "body: {}",
+            resp.body_str()
+        );
+        assert!(!reference_repair.embedding_rows.is_empty());
+
+        for node in 0..graph.num_nodes() {
+            let resp = wire::post_json(addr, "/v1/predict", &format!("{{\"node\": {node}}}"))
+                .expect("predict");
+            assert_eq!(resp.status, 200);
+            let value = json::parse(&resp.body).expect("response parses");
+            let expected = reference.predict(node).expect("reference predict");
+            assert_eq!(
+                decode_prediction(&value),
+                reference_bits(&expected),
+                "post-repair logits for node {node}"
+            );
+        }
+        daemon.shutdown();
     }
-    daemon.shutdown();
 }
 
 #[test]
@@ -541,30 +571,86 @@ fn reload_swaps_to_the_new_snapshot_bitwise() {
 }
 
 #[test]
-fn reload_is_not_implemented_for_sharded_backends() {
-    let fixture = serving_fixture(&fixture_graph(20), 4, 20);
+fn reload_on_a_sharded_backend_serves_the_new_snapshot() {
+    let graph = fixture_graph(20);
+    let fixture_a = serving_fixture(&graph, 4, 20);
+    let fixture_b = serving_fixture(&graph, 4, 21);
+    let smaller = serving_fixture(&random_graph(30, 40, 20), 4, 20);
+
+    let save = |snapshot: &ServeSnapshot, name: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "sigma-daemon-sharded-reload-{name}-{}-{}.snapshot",
+            std::process::id(),
+            std::env::var("SIGMA_NUM_THREADS").unwrap_or_default()
+        ));
+        snapshot.save(&path).expect("save snapshot");
+        path
+    };
+    let path_b = save(&fixture_b.snapshot, "b");
+    let path_smaller = save(&smaller.snapshot, "smaller");
+    let reload = |addr, path: &std::path::Path| {
+        let body = format!("{{\"path\": {}}}", json::quote(path.to_str().unwrap()));
+        wire::post_json(addr, "/v1/reload", &body).expect("reload")
+    };
+
     let router = ShardRouter::new(
-        &fixture.snapshot,
+        &fixture_a.snapshot,
         &ShardRouterConfig {
             shards: 2,
             engine: EngineConfig::default(),
         },
     )
     .expect("router");
+    let reference_b =
+        InferenceEngine::new(&fixture_b.snapshot, EngineConfig::default()).expect("reference B");
     let daemon = Daemon::start(
         Backend::Router(Arc::new(router)),
         None,
         DaemonConfig::default(),
     )
     .expect("daemon");
-    let resp = wire::post_json(
-        daemon.local_addr(),
-        "/v1/reload",
-        "{\"path\": \"/nonexistent\"}",
-    )
-    .expect("reload");
-    assert_eq!(resp.status, 501);
+    let addr = daemon.local_addr();
+
+    // Warm both shards' caches on snapshot A: none of it may survive.
+    let all: Vec<String> = (0..graph.num_nodes()).map(|n| n.to_string()).collect();
+    let warm = format!("{{\"nodes\": [{}]}}", all.join(", "));
+    assert_eq!(
+        wire::post_json(addr, "/v1/predict_batch", &warm)
+            .expect("warm")
+            .status,
+        200
+    );
+
+    // A snapshot of another graph size is refused, typed, and changes nothing.
+    let resp = reload(addr, &path_smaller);
+    assert!(
+        (400..500).contains(&resp.status),
+        "dimension mismatch must be a typed 4xx, got {}: {}",
+        resp.status,
+        resp.body_str()
+    );
+    assert_eq!(daemon.stats().reloads, 0);
+
+    let resp = reload(addr, &path_b);
+    assert_eq!(resp.status, 200, "body: {}", resp.body_str());
+    assert_eq!(daemon.stats().reloads, 1);
+
+    for node in 0..graph.num_nodes() {
+        let resp = wire::post_json(addr, "/v1/predict", &format!("{{\"node\": {node}}}"))
+            .expect("predict");
+        assert_eq!(resp.status, 200);
+        let value = json::parse(&resp.body).expect("response parses");
+        let expected = reference_b.predict(node).expect("reference predict");
+        assert_eq!(
+            decode_prediction(&value),
+            reference_bits(&expected),
+            "post-reload logits must come from snapshot B (node {node})"
+        );
+    }
     daemon.shutdown();
+    for path in [path_b, path_smaller] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

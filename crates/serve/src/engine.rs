@@ -29,6 +29,13 @@
 //! Maintenance calls ([`InferenceEngine::install_operator`],
 //! [`InferenceEngine::repair_from`]) may race queries freely, but must not
 //! race each other — run them from a single maintenance thread.
+//!
+//! Internally an engine is a *core* — the serving state, its operator epoch
+//! and the stale set — plus one *lane*: a row cache and counters. A
+//! [`crate::ShardRouter`] is the same core behind one lane per row range,
+//! so every maintenance path here is a function of `(core, lanes)`: the
+//! state changes once, under the one write section (`commit`), and only
+//! evictions and row counters are attributed to the lanes owning the rows.
 
 use crate::cache::LruCache;
 use crate::forward::{compute_embeddings, compute_embeddings_rows};
@@ -41,6 +48,7 @@ use sigma_obs::Stopwatch;
 use sigma_parallel::ThreadPool;
 use sigma_simrank::{DynamicSimRank, EdgeUpdate, RepairOutcome};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -286,53 +294,43 @@ struct ServingState {
     alpha: f32,
 }
 
-struct Shared {
+/// What every lane of an engine or a router reads: the one serving state
+/// and the two things that guard it. An [`InferenceEngine`] is one core and
+/// one lane; a [`crate::ShardRouter`] is one core and a lane per row range.
+pub(crate) struct Core {
     state: RwLock<ServingState>,
-    /// Node and class counts (immutable over the engine's lifetime; hot
+    /// Node and class counts (immutable over the core's lifetime; hot
     /// reloads must match them).
-    num_nodes: usize,
-    num_classes: usize,
-    /// Bounded memo of aggregated rows.
-    cache: Mutex<LruCache>,
+    pub(crate) num_nodes: usize,
+    pub(crate) num_classes: usize,
     /// Nodes whose operator rows may be stale w.r.t. applied edge updates.
     stale: Mutex<HashSet<usize>>,
-    /// Operator generation counter, bumped whenever the serving state is
-    /// mutated ([`InferenceEngine::install_operator`],
-    /// [`InferenceEngine::repair_from`]). Rows computed against generation
-    /// `g` may only enter the cache while the generation is still `g` —
-    /// otherwise a batch racing a swap could cache old-operator rows after
-    /// the swap's cache clear (or a repair's targeted eviction).
+    /// Operator generation counter, bumped by every write section
+    /// (`commit`). Rows computed against generation `g` may only enter a
+    /// cache while the generation is still `g` — otherwise a batch racing a
+    /// swap could cache old-operator rows after the swap's cache clear (or
+    /// a repair's targeted eviction).
     epoch: AtomicU64,
+}
+
+/// What is legitimately per shard: a bounded memo of the aggregated rows
+/// the lane owns, and the counters of the traffic it served.
+pub(crate) struct Lane {
+    cache: Mutex<LruCache>,
     stats: EngineMetrics,
 }
 
+/// A lane and the rows it owns. Maintenance takes every lane of a core —
+/// an engine passes its one lane with `0..n`, a router its plan's ranges
+/// (ascending, covering `0..n` once) — so the state is changed once and
+/// only the eviction and the counters are attributed by range.
+pub(crate) type LaneRange<'a> = (&'a Lane, Range<usize>);
+
 /// Online node-classification server for a snapshotted SIGMA model.
 pub struct InferenceEngine {
-    shared: Arc<Shared>,
+    core: Arc<Core>,
+    lane: Lane,
     config: EngineConfig,
-}
-
-/// The operator payload of one repair round, fed to
-/// [`InferenceEngine::apply_repair`].
-///
-/// [`InferenceEngine::repair_from`] computes this from a
-/// [`DynamicSimRank`] maintainer; a shard router computes it once and fans
-/// row-filtered `Rows` payloads to the shards whose ranges intersect the
-/// repair footprint (`DynamicSimRank::repair` consumes the pending edits,
-/// so the maintainer can be driven only once per round — the payload, not
-/// the maintainer, is what travels to each engine).
-#[derive(Debug, Clone)]
-pub enum OperatorPatch {
-    /// Replace exactly the listed operator rows with the rows of this
-    /// `rows.len() × n` payload (in the same order).
-    Rows(CsrMatrix),
-    /// Install this whole `n × n` operator (full-refresh path: first sync
-    /// with a maintainer that had no prior state). Drops the entire cache.
-    Full(CsrMatrix),
-    /// The operator is untouched this round — only the adjacency (and the
-    /// `H` rows its diff implies) need repair. Also the only valid payload
-    /// for an operator-less engine (`Ẑ = H`).
-    None,
 }
 
 /// What one [`InferenceEngine::repair_from`] call changed.
@@ -367,16 +365,182 @@ impl std::fmt::Debug for InferenceEngine {
     }
 }
 
+impl Core {
+    /// A core over a decoded snapshot: validates the configuration against
+    /// the shared thread pool and runs the encoder once over the full graph
+    /// (or adopts the snapshot's precomputed embeddings when present).
+    pub(crate) fn from_snapshot(
+        snapshot: &ServeSnapshot,
+        config: &EngineConfig,
+    ) -> Result<Arc<Self>> {
+        config.validate(ThreadPool::global())?;
+        snapshot.model.validate()?;
+        Ok(Self::over(owned_state(snapshot)?))
+    }
+
+    /// A core serving straight out of a mapped snapshot, verified first
+    /// (checksums + CSR invariants; cached, so repeated cores off one
+    /// mapping pay it once).
+    pub(crate) fn from_mapped(
+        snapshot: Arc<MappedSnapshot>,
+        config: &EngineConfig,
+    ) -> Result<Arc<Self>> {
+        config.validate(ThreadPool::global())?;
+        Ok(Self::over(mapped_state(snapshot)?))
+    }
+
+    fn over(state: ServingState) -> Arc<Self> {
+        Arc::new(Self {
+            num_nodes: state.embeddings.rows(),
+            num_classes: state.embeddings.view().cols(),
+            state: RwLock::new(state),
+            stale: Mutex::new(HashSet::new()),
+            epoch: AtomicU64::new(0),
+        })
+    }
+
+    fn read_state(&self) -> std::sync::RwLockReadGuard<'_, ServingState> {
+        self.state.read().expect("serving state poisoned")
+    }
+
+    /// Acquires the serving-state write lock without ever *queueing* behind
+    /// active readers.
+    ///
+    /// A serve batch holds the read lock while dispatching onto the shared
+    /// pool, and the pool's help-first join can hand that thread another
+    /// batch task which re-acquires the read lock. Recursive reads are only
+    /// safe while no writer is waiting (std's `RwLock` may be
+    /// writer-preferring), so maintenance writers spin on `try_write`
+    /// instead of blocking — batches are short and maintenance is rare.
+    fn write_state(&self) -> std::sync::RwLockWriteGuard<'_, ServingState> {
+        loop {
+            match self.state.try_write() {
+                Ok(guard) => return guard,
+                Err(std::sync::TryLockError::WouldBlock) => std::thread::yield_now(),
+                Err(std::sync::TryLockError::Poisoned(_)) => panic!("serving state poisoned"),
+            }
+        }
+    }
+
+    /// A copy of the aggregation operator currently served (`None` for the
+    /// operator-less `Ẑ = H` variant).
+    pub(crate) fn operator(&self) -> Option<CsrMatrix> {
+        self.read_state()
+            .operator
+            .as_ref()
+            .map(|state| state.matrix.to_matrix())
+    }
+
+    /// Nodes currently marked stale, sorted by id.
+    pub(crate) fn stale_nodes(&self) -> Vec<usize> {
+        sorted(
+            self.stale
+                .lock()
+                .expect("stale lock poisoned")
+                .iter()
+                .copied(),
+        )
+    }
+}
+
+impl Lane {
+    fn new(config: &EngineConfig) -> Self {
+        Self {
+            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            stats: EngineMetrics::new(),
+        }
+    }
+
+    /// Counts one maintenance round this lane took part in.
+    pub(crate) fn count_round(&self, full_refresh: bool) {
+        if full_refresh {
+            self.stats.operator_refreshes.inc();
+        } else {
+            self.stats.operator_repairs.inc();
+        }
+    }
+}
+
+/// Serving state for the owned (decoded) path.
+fn owned_state(snapshot: &ServeSnapshot) -> Result<ServingState> {
+    let embeddings = match &snapshot.embeddings {
+        Some(h) => {
+            if h.shape() != (snapshot.num_nodes(), snapshot.model.num_classes()) {
+                return Err(ServeError::Corrupt {
+                    reason: format!(
+                        "precomputed embeddings {:?} do not match the model's {} × {} output",
+                        h.shape(),
+                        snapshot.num_nodes(),
+                        snapshot.model.num_classes()
+                    ),
+                });
+            }
+            h.clone()
+        }
+        None => compute_embeddings(&snapshot.model, &snapshot.features, &snapshot.adjacency)?,
+    };
+    Ok(ServingState {
+        embeddings: DenseStore::Owned(embeddings),
+        adjacency: CsrStore::Owned(snapshot.adjacency.clone()),
+        operator: snapshot
+            .model
+            .operator
+            .clone()
+            .map(|m| OperatorState::new(CsrStore::Owned(m))),
+        features: DenseStore::Owned(snapshot.features.clone()),
+        model: ModelRef::Owned(Arc::new(snapshot.model.clone())),
+        alpha: snapshot.model.effective_alpha() as f32,
+    })
+}
+
+/// Serving state borrowing a verified mapping.
+fn mapped_state(snap: Arc<MappedSnapshot>) -> Result<ServingState> {
+    snap.verify()?;
+    let embeddings = if snap.has_embeddings() {
+        DenseStore::Mapped {
+            snap: snap.clone(),
+            section: DenseSection::Embeddings,
+        }
+    } else {
+        // No EMB section: encode `H` once from the mapped inputs (the
+        // O(n) fallback — write snapshots with
+        // `ServeSnapshot::precompute_embeddings` to skip it).
+        let model = snap.model()?;
+        let features = snap.features_view().to_owned_matrix();
+        let adjacency = snap.adjacency_view().to_owned_matrix()?;
+        DenseStore::Owned(compute_embeddings(&model, &features, &adjacency)?)
+    };
+    Ok(ServingState {
+        embeddings,
+        adjacency: CsrStore::Mapped {
+            snap: snap.clone(),
+            section: CsrSection::Adjacency,
+        },
+        operator: snap.has_operator().then(|| {
+            OperatorState::new(CsrStore::Mapped {
+                snap: snap.clone(),
+                section: CsrSection::Operator,
+            })
+        }),
+        features: DenseStore::Mapped {
+            snap: snap.clone(),
+            section: DenseSection::Features,
+        },
+        alpha: snap.effective_alpha() as f32,
+        model: ModelRef::Mapped(snap),
+    })
+}
+
 impl InferenceEngine {
     /// Builds an engine from a decoded snapshot: validates the
     /// configuration against the shared thread pool and runs the encoder
     /// once over the full graph (or adopts the snapshot's precomputed
     /// embeddings when present).
     pub fn new(snapshot: &ServeSnapshot, config: EngineConfig) -> Result<Self> {
-        config.validate(ThreadPool::global())?;
-        snapshot.model.validate()?;
-        let state = Self::owned_state(snapshot)?;
-        Ok(Self::from_state(state, config))
+        Ok(Self::lane_over(
+            Core::from_snapshot(snapshot, &config)?,
+            config,
+        ))
     }
 
     /// Builds an engine serving straight out of a mapped snapshot —
@@ -389,94 +553,29 @@ impl InferenceEngine {
     /// [`Arc`], pinning the mapping for its lifetime; results are bitwise
     /// identical to an engine built from the decoded snapshot.
     pub fn from_mapped(snapshot: Arc<MappedSnapshot>, config: EngineConfig) -> Result<Self> {
-        config.validate(ThreadPool::global())?;
-        let state = Self::mapped_state(snapshot)?;
-        Ok(Self::from_state(state, config))
+        Ok(Self::lane_over(
+            Core::from_mapped(snapshot, &config)?,
+            config,
+        ))
     }
 
-    /// Serving state for the owned (decoded) path.
-    fn owned_state(snapshot: &ServeSnapshot) -> Result<ServingState> {
-        let embeddings = match &snapshot.embeddings {
-            Some(h) => {
-                if h.shape() != (snapshot.num_nodes(), snapshot.model.num_classes()) {
-                    return Err(ServeError::Corrupt {
-                        reason: format!(
-                            "precomputed embeddings {:?} do not match the model's {} × {} output",
-                            h.shape(),
-                            snapshot.num_nodes(),
-                            snapshot.model.num_classes()
-                        ),
-                    });
-                }
-                h.clone()
-            }
-            None => compute_embeddings(&snapshot.model, &snapshot.features, &snapshot.adjacency)?,
-        };
-        Ok(ServingState {
-            embeddings: DenseStore::Owned(embeddings),
-            adjacency: CsrStore::Owned(snapshot.adjacency.clone()),
-            operator: snapshot
-                .model
-                .operator
-                .clone()
-                .map(|m| OperatorState::new(CsrStore::Owned(m))),
-            features: DenseStore::Owned(snapshot.features.clone()),
-            model: ModelRef::Owned(Arc::new(snapshot.model.clone())),
-            alpha: snapshot.model.effective_alpha() as f32,
-        })
+    /// One more lane — its own cache and counters — over `core`. A router
+    /// builds one per row range and sends each node only to its owner.
+    pub(crate) fn lane_over(core: Arc<Core>, config: EngineConfig) -> Self {
+        Self {
+            core,
+            lane: Lane::new(&config),
+            config,
+        }
     }
 
-    /// Serving state borrowing a verified mapping.
-    fn mapped_state(snap: Arc<MappedSnapshot>) -> Result<ServingState> {
-        snap.verify()?;
-        let embeddings = if snap.has_embeddings() {
-            DenseStore::Mapped {
-                snap: snap.clone(),
-                section: DenseSection::Embeddings,
-            }
-        } else {
-            // No EMB section: encode `H` once from the mapped inputs (the
-            // O(n) fallback — write snapshots with
-            // `ServeSnapshot::precompute_embeddings` to skip it).
-            let model = snap.model()?;
-            let features = snap.features_view().to_owned_matrix();
-            let adjacency = snap.adjacency_view().to_owned_matrix()?;
-            DenseStore::Owned(compute_embeddings(&model, &features, &adjacency)?)
-        };
-        Ok(ServingState {
-            embeddings,
-            adjacency: CsrStore::Mapped {
-                snap: snap.clone(),
-                section: CsrSection::Adjacency,
-            },
-            operator: snap.has_operator().then(|| {
-                OperatorState::new(CsrStore::Mapped {
-                    snap: snap.clone(),
-                    section: CsrSection::Operator,
-                })
-            }),
-            features: DenseStore::Mapped {
-                snap: snap.clone(),
-                section: DenseSection::Features,
-            },
-            alpha: snap.effective_alpha() as f32,
-            model: ModelRef::Mapped(snap),
-        })
+    pub(crate) fn lane(&self) -> &Lane {
+        &self.lane
     }
 
-    fn from_state(state: ServingState, config: EngineConfig) -> Self {
-        let num_nodes = state.embeddings.rows();
-        let num_classes = state.embeddings.view().cols();
-        let shared = Arc::new(Shared {
-            state: RwLock::new(state),
-            num_nodes,
-            num_classes,
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            stale: Mutex::new(HashSet::new()),
-            epoch: AtomicU64::new(0),
-            stats: EngineMetrics::new(),
-        });
-        Self { shared, config }
+    /// This engine's one lane, owning every row.
+    fn whole(&self) -> [LaneRange<'_>; 1] {
+        [(&self.lane, 0..self.core.num_nodes)]
     }
 
     /// Atomically replaces the entire served state — embeddings,
@@ -488,83 +587,37 @@ impl InferenceEngine {
     /// state or the other, never a blend. The engine serves out of the new
     /// mapping zero-copy and drops its reference to the old one.
     pub fn hot_reload_mapped(&self, snapshot: Arc<MappedSnapshot>) -> Result<()> {
-        let new_state = Self::mapped_state(snapshot)?;
-        let n = new_state.embeddings.rows();
-        let classes = new_state.embeddings.view().cols();
-        if n != self.shared.num_nodes {
-            return Err(ServeError::OperatorMismatch {
-                got: (n, n),
-                expected: self.shared.num_nodes,
-            });
-        }
-        if classes != self.shared.num_classes {
-            return Err(ServeError::Corrupt {
-                reason: format!(
-                    "reloaded snapshot serves {} classes, engine was built for {}",
-                    classes, self.shared.num_classes
-                ),
-            });
-        }
-        {
-            let mut state = self.write_state();
-            *state = new_state;
-            // Bump the generation while still holding the write lock, so an
-            // in-flight batch that computed rows against the old state
-            // observes a changed epoch and skips caching them.
-            self.shared.epoch.fetch_add(1, Ordering::SeqCst);
-            self.shared
-                .cache
-                .lock()
-                .expect("cache lock poisoned")
-                .clear();
-        }
-        self.shared
-            .stale
-            .lock()
-            .expect("stale lock poisoned")
-            .clear();
-        self.shared.stats.snapshot_reloads.inc();
-        Ok(())
+        hot_reload_mapped(&self.core, &self.whole(), snapshot)
     }
 
     /// Number of nodes the engine serves.
     pub fn num_nodes(&self) -> usize {
-        self.shared.num_nodes
+        self.core.num_nodes
     }
 
     /// Number of classes per prediction.
     pub fn num_classes(&self) -> usize {
-        self.shared.num_classes
+        self.core.num_classes
     }
 
     /// The effective `α` blended at serve time.
     pub fn alpha(&self) -> f32 {
-        self.shared
-            .state
-            .read()
-            .expect("serving state poisoned")
-            .alpha
+        self.core.read_state().alpha
     }
 
     /// A copy of the aggregation operator currently served (`None` when the
     /// engine runs the operator-less `Ẑ = H` variant). Observability hook
     /// used by the differential test harness.
     pub fn operator(&self) -> Option<CsrMatrix> {
-        self.shared
-            .state
-            .read()
-            .expect("serving state poisoned")
-            .operator
-            .as_ref()
-            .map(|state| state.matrix.to_matrix())
+        self.core.operator()
     }
 
     /// Serves a single node.
     pub fn predict(&self, node: usize) -> Result<Prediction> {
         let sw = Stopwatch::start();
-        let mut batch = serve_batch(&self.shared, &[node])?;
+        let mut batch = serve_batch(&self.core, &self.lane, &[node])?;
         if sigma_obs::ENABLED {
-            self.shared.stats.predict_ns.record(sw.elapsed_ns());
+            self.lane.stats.predict_ns.record(sw.elapsed_ns());
         }
         Ok(batch.pop().expect("one prediction per queried node"))
     }
@@ -585,7 +638,7 @@ impl InferenceEngine {
         let sw = Stopwatch::start();
         let result = self.predict_batch_inner(nodes);
         if sigma_obs::ENABLED {
-            self.shared.stats.predict_batch_ns.record(sw.elapsed_ns());
+            self.lane.stats.predict_batch_ns.record(sw.elapsed_ns());
         }
         result
     }
@@ -594,8 +647,9 @@ impl InferenceEngine {
     fn predict_batch_inner(&self, nodes: &[usize]) -> Result<Vec<Prediction>> {
         let pool = ThreadPool::global();
         let concurrency = self.config.effective_workers(pool);
+        let (core, lane) = (&*self.core, &self.lane);
         if nodes.len() <= self.config.max_chunk || concurrency <= 1 {
-            return serve_batch(&self.shared, nodes);
+            return serve_batch(core, lane, nodes);
         }
         let chunks: Vec<&[usize]> = nodes.chunks(self.config.max_chunk).collect();
         // Per-chunk cost estimate: the aggregation SpMM dominates, and its
@@ -603,7 +657,7 @@ impl InferenceEngine {
         // per node for the cache probe / blend). Out-of-range nodes weigh
         // one unit here and are rejected by `serve_batch` as before.
         let chunk_weights: Vec<usize> = {
-            let state = self.shared.state.read().expect("serving state poisoned");
+            let state = core.read_state();
             let op_view = state.operator.as_ref().map(|op| op.matrix.view());
             chunks
                 .iter()
@@ -623,7 +677,6 @@ impl InferenceEngine {
         let mut results: Vec<Option<Result<Vec<Prediction>>>> =
             (0..chunks.len()).map(|_| None).collect();
         {
-            let shared = &self.shared;
             let mut rest: &mut [Option<Result<Vec<Prediction>>>] = &mut results;
             let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(groups.len());
             for group in groups {
@@ -632,7 +685,7 @@ impl InferenceEngine {
                 let chunk_group = &chunks[group];
                 tasks.push(Box::new(move || {
                     for (chunk, slot) in chunk_group.iter().zip(slot_group.iter_mut()) {
-                        *slot = Some(serve_batch(shared, chunk));
+                        *slot = Some(serve_batch(core, lane, chunk));
                     }
                 }));
             }
@@ -668,9 +721,9 @@ impl InferenceEngine {
     /// operator-less `Ẑ = H` variant.
     pub fn most_similar(&self, node: usize, k: usize) -> Result<Vec<SimilarNode>> {
         let sw = Stopwatch::start();
-        let mut batch = similar_batch(&self.shared, &[(node, k)])?;
+        let mut batch = similar_batch(&self.core, &self.lane, &[(node, k)])?;
         if sigma_obs::ENABLED {
-            self.shared.stats.similar_ns.record(sw.elapsed_ns());
+            self.lane.stats.similar_ns.record(sw.elapsed_ns());
         }
         Ok(batch.pop().expect("one answer per similarity query"))
     }
@@ -680,9 +733,9 @@ impl InferenceEngine {
     /// contract as [`InferenceEngine::most_similar`].
     pub fn most_similar_batch(&self, queries: &[(usize, usize)]) -> Result<Vec<Vec<SimilarNode>>> {
         let sw = Stopwatch::start();
-        let result = similar_batch(&self.shared, queries);
+        let result = similar_batch(&self.core, &self.lane, queries);
         if sigma_obs::ENABLED {
-            self.shared.stats.similar_ns.record(sw.elapsed_ns());
+            self.lane.stats.similar_ns.record(sw.elapsed_ns());
         }
         result
     }
@@ -694,110 +747,7 @@ impl InferenceEngine {
     /// operator entries reference an affected node. Returns the number of
     /// cached rows invalidated.
     pub fn apply_edge_updates(&self, updates: &[EdgeUpdate]) -> Result<usize> {
-        let affected = self.edge_update_footprint(updates)?;
-        Ok(self.invalidate_nodes(&affected))
-    }
-
-    /// The first-order region a stream of edge updates touches, read off
-    /// this engine's *own* adjacency copy: each update's endpoints plus
-    /// their neighbours at snapshot time. Sorted and deduplicated.
-    ///
-    /// Routers use this per shard (shard adjacencies can lag each other
-    /// between repairs) to decide which shards an update stream must fan
-    /// out to, before committing to [`InferenceEngine::invalidate_nodes`].
-    pub fn edge_update_footprint(&self, updates: &[EdgeUpdate]) -> Result<Vec<usize>> {
-        let n = self.num_nodes();
-        let mut affected: HashSet<usize> = HashSet::new();
-        {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            let adjacency = state.adjacency.view();
-            for &update in updates {
-                let (u, v) = match update {
-                    EdgeUpdate::Insert(u, v) | EdgeUpdate::Delete(u, v) => (u, v),
-                };
-                if u >= n || v >= n {
-                    return Err(ServeError::InvalidQuery {
-                        node: u.max(v),
-                        num_nodes: n,
-                    });
-                }
-                for endpoint in [u, v] {
-                    affected.insert(endpoint);
-                    for &nb in adjacency.row_cols(endpoint) {
-                        affected.insert(nb as usize);
-                    }
-                }
-            }
-        }
-        let mut sorted: Vec<usize> = affected.into_iter().collect();
-        sorted.sort_unstable();
-        Ok(sorted)
-    }
-
-    /// Rows of the served operator whose entries reference any of `nodes`
-    /// (sorted, deduplicated; empty for an operator-less engine). These are
-    /// exactly the cached `Ẑ` rows an update to those nodes can change, so
-    /// a router may skip a shard whose range misses the affected set *only*
-    /// if this is also empty for that shard.
-    pub fn referencing_rows(&self, nodes: &[usize]) -> Vec<usize> {
-        let mut rows: HashSet<usize> = HashSet::new();
-        {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            if let Some(operator) = state.operator.as_ref() {
-                let reverse = operator.reverse();
-                for &node in nodes {
-                    if node < reverse.rows() {
-                        for (row, _) in reverse.row_iter(node) {
-                            rows.insert(row);
-                        }
-                    }
-                }
-            }
-        }
-        let mut sorted: Vec<usize> = rows.into_iter().collect();
-        sorted.sort_unstable();
-        sorted
-    }
-
-    /// Marks `affected` nodes stale and evicts every cached row whose
-    /// operator entries reference them; returns the number of cached rows
-    /// evicted. This is [`InferenceEngine::apply_edge_updates`] with the
-    /// footprint already computed — the router entry point for fanning a
-    /// pre-computed affected set to intersecting shards.
-    pub fn invalidate_nodes(&self, affected: &[usize]) -> usize {
-        if affected.is_empty() {
-            return 0;
-        }
-        // Rows whose operator entries touch an affected column.
-        let mut rows: HashSet<usize> = affected.iter().copied().collect();
-        {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            if let Some(operator) = state.operator.as_ref() {
-                let reverse = operator.reverse();
-                for &a in affected {
-                    if a < reverse.rows() {
-                        for (row, _) in reverse.row_iter(a) {
-                            rows.insert(row);
-                        }
-                    }
-                }
-            }
-        }
-        let mut invalidated = 0usize;
-        {
-            let mut cache = self.shared.cache.lock().expect("cache lock poisoned");
-            for &row in &rows {
-                if cache.invalidate(row) {
-                    invalidated += 1;
-                }
-            }
-        }
-        {
-            let mut stale = self.shared.stale.lock().expect("stale lock poisoned");
-            stale.extend(rows.iter().copied());
-        }
-        self.shared.stats.rows_invalidated.add(invalidated as u64);
-        invalidated
+        Ok(apply_edge_updates(&self.core, &self.whole(), updates)?.0)
     }
 
     /// Incrementally repairs the served state from a [`DynamicSimRank`]
@@ -813,239 +763,22 @@ impl InferenceEngine {
     ///   bitwise identical to a full re-encode),
     /// * the engine's adjacency itself.
     ///
-    /// Afterwards only the affected cache entries — patched operator rows
-    /// plus rows referencing a re-encoded node — are evicted; every other
-    /// cached row is provably still exact, so a warm cache survives the
-    /// edit. The staleness set is cleared: the engine is fully consistent
-    /// with the maintainer's graph, bitwise identical to an engine rebuilt
-    /// from scratch on it.
+    /// Before that lock is released only the affected cache entries —
+    /// patched operator rows plus rows referencing a re-encoded node — are
+    /// evicted; every other cached row is provably still exact, so a warm
+    /// cache survives the edit. The staleness set is cleared: the engine is
+    /// fully consistent with the maintainer's graph, bitwise identical to an
+    /// engine rebuilt from scratch on it.
     ///
     /// The engine's operator must have come from the same maintainer (or an
     /// equal one): row patches are relative to the served operator. The
     /// first call against a maintainer with no prior state falls back to a
     /// whole-operator install (`full_refresh` in the returned report).
     pub fn repair_from(&self, maintainer: &mut DynamicSimRank) -> Result<EngineRepair> {
-        let n = self.num_nodes();
-        let graph_nodes = maintainer.graph().num_nodes();
-        if graph_nodes != n {
-            return Err(ServeError::OperatorMismatch {
-                got: (graph_nodes, graph_nodes),
-                expected: n,
-            });
-        }
-        let outcome = maintainer.repair()?;
-        let has_operator = self
-            .shared
-            .state
-            .read()
-            .expect("serving state poisoned")
-            .operator
-            .is_some();
-        // Resolve the operator payload before taking the write lock (the
-        // maintainer materialises rows lazily).
-        let (operator_rows, patch, dirty_seeds) = match (&outcome, has_operator) {
-            (RepairOutcome::Patched(repair), true) => {
-                let rows = repair.changed_rows.clone();
-                let payload = maintainer.operator_rows(&rows)?;
-                (
-                    rows,
-                    OperatorPatch::Rows(payload),
-                    repair.dirty_seeds as u64,
-                )
-            }
-            (RepairOutcome::FullRefresh, true) => {
-                let operator = maintainer.operator()?;
-                ((0..n).collect(), OperatorPatch::Full(operator), 0)
-            }
-            // Operator-less engine (`Ẑ = H`): only the embedding needs care.
-            (RepairOutcome::Patched(repair), false) => {
-                (Vec::new(), OperatorPatch::None, repair.dirty_seeds as u64)
-            }
-            (RepairOutcome::FullRefresh, false) => (Vec::new(), OperatorPatch::None, 0),
-        };
-        let adjacency_new = maintainer.graph().to_adjacency();
-        self.apply_repair(&operator_rows, patch, adjacency_new, dirty_seeds)
-    }
-
-    /// Applies a repair round whose payload was already computed — the
-    /// maintainer-free second half of [`InferenceEngine::repair_from`].
-    ///
-    /// `operator_rows` are the rows `patch` replaces (sorted, matching the
-    /// payload's row order for [`OperatorPatch::Rows`]); `adjacency` is the
-    /// post-edit adjacency to adopt (the `H` rows to re-encode are found by
-    /// diffing it against the engine's own copy, so a lagging engine
-    /// self-heals); `dirty_seeds` is forwarded to the
-    /// `repair_dirty_seeds` counter. Everything [`repair_from`] documents —
-    /// in-place patching under one write lock, targeted eviction, epoch
-    /// bump, staleness clear — happens here.
-    ///
-    /// This is the fan-out surface for a [`crate::ShardRouter`]: the router
-    /// drives one maintainer, then calls this on each shard whose row range
-    /// intersects the repair footprint, with the payload filtered to that
-    /// shard's rows.
-    ///
-    /// [`repair_from`]: InferenceEngine::repair_from
-    pub fn apply_repair(
-        &self,
-        operator_rows: &[usize],
-        patch: OperatorPatch,
-        adjacency_new: CsrMatrix,
-        dirty_seeds: u64,
-    ) -> Result<EngineRepair> {
-        let n = self.num_nodes();
-        if adjacency_new.shape() != (n, n) {
-            return Err(ServeError::OperatorMismatch {
-                got: adjacency_new.shape(),
-                expected: n,
-            });
-        }
-        let (operator_patch, full_operator) = match patch {
-            OperatorPatch::Rows(payload) => {
-                if payload.shape() != (operator_rows.len(), n) {
-                    return Err(ServeError::OperatorMismatch {
-                        got: payload.shape(),
-                        expected: n,
-                    });
-                }
-                (Some(payload), None)
-            }
-            OperatorPatch::Full(operator) => {
-                if operator.shape() != (n, n) {
-                    return Err(ServeError::OperatorMismatch {
-                        got: operator.shape(),
-                        expected: n,
-                    });
-                }
-                (None, Some(operator))
-            }
-            OperatorPatch::None => (None, None),
-        };
-        let operator_rows = operator_rows.to_vec();
-
-        // Re-encode exactly the nodes whose adjacency rows differ. The diff
-        // is against the engine's own copy, so it also catches edits the
-        // maintainer absorbed before this engine ever synced. Both the diff
-        // and the re-encode run under the *read* lock, never the write
-        // lock: the encoder dispatches onto the shared pool, and the pool's
-        // help-first join may hand this thread a queued serve-batch task
-        // that needs the state read lock — dispatching while holding the
-        // write lock would self-deadlock. (Maintenance calls are externally
-        // serialised, and queries never mutate the state, so the diff
-        // cannot go stale between here and the write section below.)
-        let (embedding_rows, patched_h) = {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            let rows = changed_adjacency_rows(state.adjacency.view(), &adjacency_new);
-            let patched = if rows.is_empty() {
-                None
-            } else {
-                // Mapped engines decode the model here, on first repair —
-                // the one maintenance path that needs the weights.
-                let model = state.model.get()?;
-                Some(compute_embeddings_rows(
-                    &model,
-                    state.features.view(),
-                    &adjacency_new,
-                    &rows,
-                )?)
-            };
-            (rows, patched)
-        };
-
-        let full_refresh = full_operator.is_some();
-        let mut evicted = 0usize;
-        let invalidated_rows: Vec<usize>;
-        {
-            let mut state = self.write_state();
-            if let Some(patched_h) = &patched_h {
-                // Copy-on-write: a mapped embedding section is promoted to
-                // an owned matrix before the first in-place patch.
-                let embeddings = state.embeddings.make_owned();
-                for (i, &row) in embedding_rows.iter().enumerate() {
-                    embeddings.row_mut(row).copy_from_slice(patched_h.row(i));
-                }
-            }
-            state.adjacency = CsrStore::Owned(adjacency_new);
-            if let Some(operator) = full_operator {
-                state.operator = Some(OperatorState::new(CsrStore::Owned(operator)));
-            } else if let Some(patch) = operator_patch {
-                let operator = state
-                    .operator
-                    .as_mut()
-                    .expect("patch path implies an operator");
-                let matrix = operator.matrix.make_owned()?;
-                let patched = matrix.replace_rows(&operator_rows, &patch)?;
-                *matrix = patched;
-                // The cached transpose is stale now; rebuild lazily.
-                operator.reverse = OnceLock::new();
-            }
-            // Bump the generation while still holding the write lock, so an
-            // in-flight batch that computed rows against the pre-repair
-            // state observes a changed epoch and skips caching them.
-            self.shared.epoch.fetch_add(1, Ordering::SeqCst);
-
-            // Invalidation set: rows whose own operator row was patched,
-            // plus rows whose `Ẑ` reads a re-encoded `H` row.
-            let mut invalid: HashSet<usize> = operator_rows.iter().copied().collect();
-            match state.operator.as_ref() {
-                Some(operator) => {
-                    if !embedding_rows.is_empty() {
-                        let reverse = operator.reverse();
-                        for &node in &embedding_rows {
-                            for (row, _) in reverse.row_iter(node) {
-                                invalid.insert(row);
-                            }
-                        }
-                    }
-                }
-                // Without an operator a cached row is `H` itself.
-                None => invalid.extend(embedding_rows.iter().copied()),
-            }
-            let mut sorted: Vec<usize> = invalid.into_iter().collect();
-            sorted.sort_unstable();
-            invalidated_rows = sorted;
-
-            // Evict while still holding the write lock (queries acquire the
-            // cache lock only inside or after their state read section, so
-            // the state → cache order is deadlock-free): once the patched
-            // state is visible, no stale `Ẑ` row can be served against it.
-            let mut cache = self.shared.cache.lock().expect("cache lock poisoned");
-            if full_refresh {
-                cache.clear();
-            } else {
-                for &row in &invalidated_rows {
-                    if cache.invalidate(row) {
-                        evicted += 1;
-                    }
-                }
-            }
-        }
-        self.shared
-            .stale
-            .lock()
-            .expect("stale lock poisoned")
-            .clear();
-        let stats = &self.shared.stats;
-        stats.rows_invalidated.add(evicted as u64);
-        stats
-            .embedding_rows_repaired
-            .add(embedding_rows.len() as u64);
-        stats.repair_dirty_seeds.add(dirty_seeds);
-        if full_refresh {
-            stats.operator_refreshes.inc();
-        } else {
-            stats.operator_repairs.inc();
-            stats.rows_repaired.add(operator_rows.len() as u64);
-        }
-        Ok(EngineRepair {
-            operator_rows,
-            embedding_rows,
-            invalidated_rows: if full_refresh {
-                Vec::new()
-            } else {
-                invalidated_rows
-            },
-            full_refresh,
-        })
+        let round = repair_round(&self.core, &self.whole(), maintainer)?;
+        self.lane.stats.repair_dirty_seeds.add(round.dirty_seeds);
+        self.lane.count_round(round.repair.full_refresh);
+        Ok(round.repair)
     }
 
     /// Replaces the aggregation operator (e.g. after a SimRank refresh on an
@@ -1062,45 +795,22 @@ impl InferenceEngine {
         // Materialise the transpose outside the lock (as the eager path
         // always did for installs) so the write section stays short.
         new_state.reverse();
-        {
-            let mut state = self.write_state();
+        commit(&self.core, &self.whole(), |state| {
             state.operator = Some(new_state);
-            // Bump the generation while still holding the write lock, so any
-            // in-flight batch that read the old operator observes a changed
-            // epoch and skips caching its rows.
-            self.shared.epoch.fetch_add(1, Ordering::SeqCst);
-        }
-        self.shared
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .clear();
-        self.shared
-            .stale
-            .lock()
-            .expect("stale lock poisoned")
-            .clear();
-        self.shared.stats.operator_refreshes.inc();
+            Ok(Evict::All)
+        })?;
+        self.lane.stats.operator_refreshes.inc();
         Ok(())
     }
 
     /// Nodes currently marked stale, sorted by id.
     pub fn stale_nodes(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .shared
-            .stale
-            .lock()
-            .expect("stale lock poisoned")
-            .iter()
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out
+        self.core.stale_nodes()
     }
 
     /// Number of aggregated rows currently cached.
     pub fn cached_rows(&self) -> usize {
-        self.shared.cache.lock().expect("cache lock poisoned").len()
+        self.lane.cache.lock().expect("cache lock poisoned").len()
     }
 
     /// A point-in-time copy of the serving counters.
@@ -1109,27 +819,360 @@ impl InferenceEngine {
     /// is individually monotone and exact, but fields may tear against each
     /// other while queries are in flight.
     pub fn stats(&self) -> EngineStats {
-        self.shared.stats.snapshot()
+        self.lane.stats.snapshot()
     }
+}
 
-    /// Acquires the serving-state write lock without ever *queueing* behind
-    /// active readers.
-    ///
-    /// A serve batch holds the read lock while dispatching onto the shared
-    /// pool, and the pool's help-first join can hand that thread another
-    /// batch task which re-acquires the read lock. Recursive reads are only
-    /// safe while no writer is waiting (std's `RwLock` may be
-    /// writer-preferring), so maintenance writers spin on `try_write`
-    /// instead of blocking — batches are short and maintenance is rare.
-    fn write_state(&self) -> std::sync::RwLockWriteGuard<'_, ServingState> {
-        loop {
-            match self.shared.state.try_write() {
-                Ok(guard) => return guard,
-                Err(std::sync::TryLockError::WouldBlock) => std::thread::yield_now(),
-                Err(std::sync::TryLockError::Poisoned(_)) => panic!("serving state poisoned"),
+impl EngineRepair {
+    /// This report restricted to the rows in `range` — what the round did
+    /// to one shard.
+    pub(crate) fn within(&self, range: &Range<usize>) -> EngineRepair {
+        EngineRepair {
+            operator_rows: within(&self.operator_rows, range).to_vec(),
+            embedding_rows: within(&self.embedding_rows, range).to_vec(),
+            invalidated_rows: within(&self.invalidated_rows, range).to_vec(),
+            full_refresh: self.full_refresh,
+        }
+    }
+}
+
+fn sorted(nodes: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut out: Vec<usize> = nodes.into_iter().collect();
+    out.sort_unstable();
+    out
+}
+
+/// The part of a sorted row list that falls inside `range`.
+fn within<'a>(rows: &'a [usize], range: &Range<usize>) -> &'a [usize] {
+    let lo = rows.partition_point(|&r| r < range.start);
+    let hi = rows.partition_point(|&r| r < range.end);
+    &rows[lo..hi]
+}
+
+/// Which cached rows a write section drops.
+enum Evict {
+    /// Every row of every lane (whole-operator or whole-state swaps).
+    All,
+    /// Exactly these rows (sorted), each from the lane owning it.
+    Rows(Vec<usize>),
+}
+
+/// Drops `rows` (sorted) from the caches of the lanes owning them, counting
+/// each drop on its lane; returns the total dropped.
+fn evict_rows(lanes: &[LaneRange<'_>], rows: &[usize]) -> usize {
+    let mut total = 0usize;
+    for (lane, range) in lanes {
+        let own = within(rows, range);
+        if own.is_empty() {
+            continue;
+        }
+        let evicted = {
+            let mut cache = lane.cache.lock().expect("cache lock poisoned");
+            own.iter().filter(|&&row| cache.invalidate(row)).count()
+        };
+        lane.stats.rows_invalidated.add(evicted as u64);
+        total += evicted;
+    }
+    total
+}
+
+/// The one write section: every change to the serving state — operator
+/// install, incremental repair, snapshot reload — goes through here, so the
+/// protocol that keeps caches exact is written once.
+///
+/// `mutate` runs under the state write lock and says which cached rows the
+/// change outdates; if it fails it must have left what is served unchanged.
+/// Still under the lock, the generation is bumped — an in-flight batch that
+/// computed rows against the old state observes a changed epoch and skips
+/// caching them — and the rows are evicted from every lane: queries take a
+/// cache lock only inside or after their state read section, so the state →
+/// cache order is deadlock-free, and once the new state is visible no
+/// outdated `Ẑ` row can be served against it. The staleness set is cleared
+/// last (the state now matches its source) and handed back, sorted, with
+/// the eviction.
+fn commit(
+    core: &Core,
+    lanes: &[LaneRange<'_>],
+    mutate: impl FnOnce(&mut ServingState) -> Result<Evict>,
+) -> Result<(Evict, Vec<usize>)> {
+    let evict = {
+        let mut state = core.write_state();
+        let evict = mutate(&mut state)?;
+        core.epoch.fetch_add(1, Ordering::SeqCst);
+        match &evict {
+            Evict::All => {
+                for (lane, _) in lanes {
+                    lane.cache.lock().expect("cache lock poisoned").clear();
+                }
+            }
+            Evict::Rows(rows) => {
+                evict_rows(lanes, rows);
+            }
+        }
+        evict
+    };
+    let was_stale = std::mem::take(&mut *core.stale.lock().expect("stale lock poisoned"));
+    Ok((evict, sorted(was_stale)))
+}
+
+/// [`InferenceEngine::hot_reload_mapped`] over every lane of a core: one
+/// swap, every cache cleared; lanes keep their ranges (any partition of the
+/// rows is a correct one).
+pub(crate) fn hot_reload_mapped(
+    core: &Core,
+    lanes: &[LaneRange<'_>],
+    snapshot: Arc<MappedSnapshot>,
+) -> Result<()> {
+    let new_state = mapped_state(snapshot)?;
+    let n = new_state.embeddings.rows();
+    let classes = new_state.embeddings.view().cols();
+    if n != core.num_nodes {
+        return Err(ServeError::OperatorMismatch {
+            got: (n, n),
+            expected: core.num_nodes,
+        });
+    }
+    if classes != core.num_classes {
+        return Err(ServeError::Corrupt {
+            reason: format!(
+                "reloaded snapshot serves {} classes, engine was built for {}",
+                classes, core.num_classes
+            ),
+        });
+    }
+    commit(core, lanes, |state| {
+        *state = new_state;
+        Ok(Evict::All)
+    })?;
+    for (lane, _) in lanes {
+        lane.stats.snapshot_reloads.inc();
+    }
+    Ok(())
+}
+
+/// [`InferenceEngine::apply_edge_updates`] over every lane of a core.
+/// Returns the cached rows invalidated and, per lane, whether its range
+/// meets the rows the updates marked stale.
+pub(crate) fn apply_edge_updates(
+    core: &Core,
+    lanes: &[LaneRange<'_>],
+    updates: &[EdgeUpdate],
+) -> Result<(usize, Vec<bool>)> {
+    let n = core.num_nodes;
+    // The first-order region: each update's endpoints plus their neighbours
+    // at snapshot time ...
+    let mut rows: HashSet<usize> = HashSet::new();
+    {
+        let state = core.read_state();
+        let adjacency = state.adjacency.view();
+        for &update in updates {
+            let (u, v) = match update {
+                EdgeUpdate::Insert(u, v) | EdgeUpdate::Delete(u, v) => (u, v),
+            };
+            if u >= n || v >= n {
+                return Err(ServeError::InvalidQuery {
+                    node: u.max(v),
+                    num_nodes: n,
+                });
+            }
+            for endpoint in [u, v] {
+                rows.insert(endpoint);
+                for &nb in adjacency.row_cols(endpoint) {
+                    rows.insert(nb as usize);
+                }
+            }
+        }
+        // ... plus every row whose operator entries touch an affected column.
+        if let Some(operator) = state.operator.as_ref() {
+            let reverse = operator.reverse();
+            let affected: Vec<usize> = rows.iter().copied().collect();
+            for a in affected {
+                for (row, _) in reverse.row_iter(a) {
+                    rows.insert(row);
+                }
             }
         }
     }
+    let rows = sorted(rows);
+    let invalidated = evict_rows(lanes, &rows);
+    core.stale
+        .lock()
+        .expect("stale lock poisoned")
+        .extend(rows.iter().copied());
+    let touched = lanes
+        .iter()
+        .map(|(_, range)| !within(&rows, range).is_empty())
+        .collect();
+    Ok((invalidated, touched))
+}
+
+/// What one repair round did to a core.
+pub(crate) struct Round {
+    /// The whole-graph report (an engine's [`InferenceEngine::repair_from`]
+    /// answer).
+    pub(crate) repair: EngineRepair,
+    /// Per lane: whether its range meets the round's footprint — patched
+    /// rows ∪ re-encoded rows ∪ invalidated rows ∪ nodes that were stale
+    /// (every lane on a full refresh).
+    pub(crate) touched: Vec<bool>,
+    /// Dirty seed pairs the maintainer re-pushed.
+    pub(crate) dirty_seeds: u64,
+}
+
+/// [`InferenceEngine::repair_from`] over every lane of a core: the
+/// maintainer is driven once, the state patched once, and the eviction and
+/// the row counters attributed to the lanes owning the rows. The per-round
+/// counters ([`Lane::count_round`], dirty seeds) are the caller's.
+pub(crate) fn repair_round(
+    core: &Core,
+    lanes: &[LaneRange<'_>],
+    maintainer: &mut DynamicSimRank,
+) -> Result<Round> {
+    let n = core.num_nodes;
+    let graph_nodes = maintainer.graph().num_nodes();
+    if graph_nodes != n {
+        return Err(ServeError::OperatorMismatch {
+            got: (graph_nodes, graph_nodes),
+            expected: n,
+        });
+    }
+    let outcome = maintainer.repair()?;
+    let has_operator = core.read_state().operator.is_some();
+    // Resolve the operator payload before taking the write lock (the
+    // maintainer materialises rows lazily). An operator-less core
+    // (`Ẑ = H`) takes none: only its embedding needs care.
+    let mut operator_rows = Vec::new();
+    let mut row_patch = None;
+    let mut full_operator = None;
+    let mut dirty_seeds = 0u64;
+    match &outcome {
+        RepairOutcome::Patched(repair) => {
+            dirty_seeds = repair.dirty_seeds as u64;
+            if has_operator && !repair.changed_rows.is_empty() {
+                operator_rows = repair.changed_rows.clone();
+                row_patch = Some(maintainer.operator_rows(&operator_rows)?);
+            }
+        }
+        RepairOutcome::FullRefresh if has_operator => {
+            operator_rows = (0..n).collect();
+            full_operator = Some(maintainer.operator()?);
+        }
+        RepairOutcome::FullRefresh => {}
+    }
+    let adjacency_new = maintainer.graph().to_adjacency();
+
+    // Re-encode exactly the nodes whose adjacency rows differ. The diff
+    // is against the core's own copy, so it also catches edits the
+    // maintainer absorbed before this core ever synced. Both the diff
+    // and the re-encode run under the *read* lock, never the write
+    // lock: the encoder dispatches onto the shared pool, and the pool's
+    // help-first join may hand this thread a queued serve-batch task
+    // that needs the state read lock — dispatching while holding the
+    // write lock would self-deadlock. (Maintenance calls are externally
+    // serialised, and queries never mutate the state, so the diff
+    // cannot go stale between here and the write section below.)
+    let (embedding_rows, patched_h) = {
+        let state = core.read_state();
+        let rows = changed_adjacency_rows(state.adjacency.view(), &adjacency_new);
+        let patched = if rows.is_empty() {
+            None
+        } else {
+            // Mapped cores decode the model here, on first repair —
+            // the one maintenance path that needs the weights.
+            let model = state.model.get()?;
+            Some(compute_embeddings_rows(
+                &model,
+                state.features.view(),
+                &adjacency_new,
+                &rows,
+            )?)
+        };
+        (rows, patched)
+    };
+
+    let full_refresh = full_operator.is_some();
+    let (evicted, was_stale) = commit(core, lanes, |state| {
+        // The splice is the one step that can fail, so it goes first.
+        if let Some(operator) = full_operator {
+            state.operator = Some(OperatorState::new(CsrStore::Owned(operator)));
+        } else if let Some(patch) = &row_patch {
+            let operator = state
+                .operator
+                .as_mut()
+                .expect("a row patch implies an operator");
+            let matrix = operator.matrix.make_owned()?;
+            *matrix = matrix.replace_rows(&operator_rows, patch)?;
+            // The cached transpose is stale now; rebuild lazily.
+            operator.reverse = OnceLock::new();
+        }
+        if let Some(patched_h) = &patched_h {
+            // Copy-on-write: a mapped embedding section is promoted to
+            // an owned matrix before the first in-place patch.
+            let embeddings = state.embeddings.make_owned();
+            for (i, &row) in embedding_rows.iter().enumerate() {
+                embeddings.row_mut(row).copy_from_slice(patched_h.row(i));
+            }
+        }
+        state.adjacency = CsrStore::Owned(adjacency_new);
+        if full_refresh {
+            return Ok(Evict::All);
+        }
+        // Invalidation set: rows whose own operator row was patched,
+        // plus rows whose `Ẑ` reads a re-encoded `H` row.
+        let mut invalid: HashSet<usize> = operator_rows.iter().copied().collect();
+        match state.operator.as_ref() {
+            Some(operator) => {
+                if !embedding_rows.is_empty() {
+                    let reverse = operator.reverse();
+                    for &node in &embedding_rows {
+                        for (row, _) in reverse.row_iter(node) {
+                            invalid.insert(row);
+                        }
+                    }
+                }
+            }
+            // Without an operator a cached row is `H` itself.
+            None => invalid.extend(embedding_rows.iter().copied()),
+        }
+        Ok(Evict::Rows(sorted(invalid)))
+    })?;
+    let invalidated_rows = match evicted {
+        Evict::All => Vec::new(),
+        Evict::Rows(rows) => rows,
+    };
+
+    let mut touched = Vec::with_capacity(lanes.len());
+    for (lane, range) in lanes {
+        lane.stats
+            .embedding_rows_repaired
+            .add(within(&embedding_rows, range).len() as u64);
+        if !full_refresh {
+            lane.stats
+                .rows_repaired
+                .add(within(&operator_rows, range).len() as u64);
+        }
+        touched.push(
+            matches!(outcome, RepairOutcome::FullRefresh)
+                || [
+                    &operator_rows,
+                    &embedding_rows,
+                    &invalidated_rows,
+                    &was_stale,
+                ]
+                .iter()
+                .any(|rows| !within(rows, range).is_empty()),
+        );
+    }
+    Ok(Round {
+        repair: EngineRepair {
+            operator_rows,
+            embedding_rows,
+            invalidated_rows,
+            full_refresh,
+        },
+        touched,
+        dirty_seeds,
+    })
 }
 
 /// Rows on which two equal-shape CSR matrices differ (indices or values).
@@ -1147,15 +1190,19 @@ fn changed_adjacency_rows(old: CsrViewAny<'_>, new: &CsrMatrix) -> Vec<usize> {
 /// operator rows, under one read of the serving state. Validates every
 /// node before touching any row so a batch either answers fully or fails
 /// without partial work, like `serve_batch`.
-fn similar_batch(shared: &Shared, queries: &[(usize, usize)]) -> Result<Vec<Vec<SimilarNode>>> {
-    let n = shared.num_nodes;
+fn similar_batch(
+    core: &Core,
+    lane: &Lane,
+    queries: &[(usize, usize)],
+) -> Result<Vec<Vec<SimilarNode>>> {
+    let n = core.num_nodes;
     for &(node, _) in queries {
         if node >= n {
             return Err(ServeError::InvalidQuery { node, num_nodes: n });
         }
     }
     let _span = sigma_obs::span!("similar_batch", queries.len());
-    let state = shared.state.read().expect("serving state poisoned");
+    let state = core.read_state();
     let operator = state.operator.as_ref().ok_or(ServeError::NoOperator)?;
     let view = operator.matrix.view();
     let mut out = Vec::with_capacity(queries.len());
@@ -1178,15 +1225,15 @@ fn similar_batch(shared: &Shared, queries: &[(usize, usize)]) -> Result<Vec<Vec<
         row.truncate(k);
         out.push(row);
     }
-    shared.stats.similar_queries.add(queries.len() as u64);
+    lane.stats.similar_queries.add(queries.len() as u64);
     Ok(out)
 }
 
 /// Serves one batch: cache lookups, one row-sliced SpMM for the misses,
 /// Eq. 6 blending, staleness tagging.
-fn serve_batch(shared: &Shared, nodes: &[usize]) -> Result<Vec<Prediction>> {
-    let n = shared.num_nodes;
-    let classes = shared.num_classes;
+fn serve_batch(core: &Core, lane: &Lane, nodes: &[usize]) -> Result<Vec<Prediction>> {
+    let n = core.num_nodes;
+    let classes = core.num_classes;
     for &node in nodes {
         if node >= n {
             return Err(ServeError::InvalidQuery { node, num_nodes: n });
@@ -1205,12 +1252,12 @@ fn serve_batch(shared: &Shared, nodes: &[usize]) -> Result<Vec<Prediction>> {
     let mut misses: Vec<usize> = Vec::new();
     let mut miss_slots: Vec<usize> = Vec::new();
     let (computed, h_rows, computed_epoch, alpha): (DenseMatrix, DenseMatrix, u64, f32) = {
-        let state = shared.state.read().expect("serving state poisoned");
+        let state = core.read_state();
         // Capture the generation while holding the state lock, pairing the
         // epoch with the matrices the rows are computed from.
-        let epoch = shared.epoch.load(Ordering::SeqCst);
+        let epoch = core.epoch.load(Ordering::SeqCst);
         {
-            let mut cache = shared.cache.lock().expect("cache lock poisoned");
+            let mut cache = lane.cache.lock().expect("cache lock poisoned");
             for (slot, &node) in nodes.iter().enumerate() {
                 match cache.get(node) {
                     Some(row) => {
@@ -1239,18 +1286,17 @@ fn serve_batch(shared: &Shared, nodes: &[usize]) -> Result<Vec<Prediction>> {
         let h_rows = embeddings.select_rows(nodes)?;
         (computed, h_rows, epoch, state.alpha)
     };
-    shared
-        .stats
+    lane.stats
         .cache_hits
         .add((nodes.len() - misses.len()) as u64);
-    shared.stats.cache_misses.add(misses.len() as u64);
+    lane.stats.cache_misses.add(misses.len() as u64);
     if !misses.is_empty() {
         let mut evicted = 0usize;
-        let mut cache = shared.cache.lock().expect("cache lock poisoned");
+        let mut cache = lane.cache.lock().expect("cache lock poisoned");
         // If the serving state was mutated while we computed, the rows are
         // still a consistent answer for this query (it raced the update) but
         // must not poison the freshly cleared/repaired cache.
-        let cache_rows = shared.epoch.load(Ordering::SeqCst) == computed_epoch;
+        let cache_rows = core.epoch.load(Ordering::SeqCst) == computed_epoch;
         for (i, &slot) in miss_slots.iter().enumerate() {
             let row = computed.row(i).to_vec();
             if cache_rows {
@@ -1259,11 +1305,11 @@ fn serve_batch(shared: &Shared, nodes: &[usize]) -> Result<Vec<Prediction>> {
             z_hat[slot] = Some(row);
         }
         drop(cache);
-        shared.stats.cache_evictions.add(evicted as u64);
+        lane.stats.cache_evictions.add(evicted as u64);
     }
 
     // Eq. 6: Z_u = (1−α)·Ẑ_u + α·H_u, exactly as the training-side forward.
-    let stale = shared.stale.lock().expect("stale lock poisoned");
+    let stale = core.stale.lock().expect("stale lock poisoned");
     let mut out = Vec::with_capacity(nodes.len());
     for (slot, &node) in nodes.iter().enumerate() {
         let z_hat_row = z_hat[slot].take().expect("every slot resolved");
@@ -1292,7 +1338,7 @@ fn serve_batch(shared: &Shared, nodes: &[usize]) -> Result<Vec<Prediction>> {
         });
     }
     drop(stale);
-    shared.stats.nodes_served.add(nodes.len() as u64);
-    shared.stats.batches_served.inc();
+    lane.stats.nodes_served.add(nodes.len() as u64);
+    lane.stats.batches_served.inc();
     Ok(out)
 }

@@ -23,9 +23,10 @@
 //! * a staleness hook consuming [`sigma_simrank::EdgeUpdate`] streams and
 //!   [`sigma_simrank::DynamicSimRank`] refreshes, so an evolving graph
 //!   invalidates exactly the affected cached rows,
-//! * [`ShardRouter`] — N engines behind one façade, each serving a row
-//!   range of the operator cut by nnz mass, with scatter/gather queries
-//!   and footprint-sparse repair fan-out, bitwise-equal to one engine.
+//! * [`ShardRouter`] — the engine's one serving state behind N row
+//!   ranges cut by operator nnz mass, each with its own row cache and
+//!   counters: scatter/gather queries, maintenance computed once and
+//!   attributed by range, bitwise-equal to one engine.
 //!
 //! ## Example
 //!
@@ -70,8 +71,7 @@ mod store;
 
 pub use cache::LruCache;
 pub use engine::{
-    EngineConfig, EngineRepair, EngineStats, InferenceEngine, OperatorPatch, Prediction,
-    SimilarNode,
+    EngineConfig, EngineRepair, EngineStats, InferenceEngine, Prediction, SimilarNode,
 };
 pub use error::{ServeError, SnapshotError};
 pub use forward::{compute_embeddings, compute_embeddings_rows, mlp_infer_dense, mlp_infer_sparse};

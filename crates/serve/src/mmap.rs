@@ -550,6 +550,19 @@ impl MappedSnapshot {
         Ok(())
     }
 
+    /// Whether `other` holds the same artifact: the same mapping, or equal
+    /// section tables — tags, lengths and stored CRCs — which on verified
+    /// mappings means equal contents. O(#sections).
+    pub(crate) fn same_artifact(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+            || self.sections.len() == other.sections.len()
+                && self
+                    .sections
+                    .iter()
+                    .zip(&other.sections)
+                    .all(|(a, b)| (a.tag, a.len, a.crc) == (b.tag, b.len, b.crc))
+    }
+
     /// The free-form tag recorded at save time.
     pub fn tag(&self) -> &str {
         &self.meta.tag

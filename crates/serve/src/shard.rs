@@ -1,49 +1,45 @@
-//! In-process operator sharding: N engines behind one façade.
+//! In-process operator sharding: N cache lanes over one serving state.
 //!
 //! SIGMA's global aggregation is a *row*-sliced read over the constant
 //! operator `S` (`Ẑ_u` needs only row `u` of `S`, plus arbitrary rows of
-//! the small `n × C` embedding `H`), so the operator shards naturally
-//! along row ranges. [`ShardPlan`] cuts `0..n` into contiguous ranges of
-//! near-equal operator nnz mass with
-//! [`sigma_parallel::partition_by_weight`]; [`ShardRouter`] runs one
-//! [`InferenceEngine`] per range — each serving the full-shape operator
-//! with every out-of-range row empty, so shard-local caches, repairs and
-//! invalidation reuse the single-engine machinery unchanged — and:
+//! the small `n × C` embedding `H`), so serving shards naturally along row
+//! ranges — and because `S` is one constant, a shard is a row *range*, not
+//! a copy. [`ShardPlan`] cuts `0..n` into contiguous ranges of near-equal
+//! operator nnz mass with [`sigma_parallel::partition_by_weight`];
+//! [`ShardRouter`] holds the one serving state a single
+//! [`InferenceEngine`] would (adjacency, features, `H`, operator, stale
+//! set, epoch) and, per range, only what is legitimately per shard — a row
+//! cache and the counters of the traffic it served — and:
 //!
 //! * **scatter/gathers** [`ShardRouter::predict`] /
 //!   [`ShardRouter::predict_batch`] by row ownership, re-assembling
 //!   results in canonical request order (bitwise identical to one engine:
-//!   each row is computed from the same operator row and the same `H`,
-//!   and request order never affects a row's value);
-//! * fans [`ShardRouter::apply_edge_updates`] / [`ShardRouter::repair_from`]
-//!   **only to shards whose rows the edit footprint can touch** — a shard
-//!   is skipped when the changed/affected node set misses its range *and*
-//!   none of its operator rows reference an affected node *and* it holds
-//!   no stale in-range nodes (the skip-soundness conditions; see
-//!   `repair_from`);
+//!   every lane reads the same operator row and the same `H`, and request
+//!   order never affects a row's value);
+//! * runs maintenance ([`ShardRouter::apply_edge_updates`],
+//!   [`ShardRouter::repair_from`], [`ShardRouter::hot_reload_mapped`])
+//!   **once**, exactly as an engine does, evicting from the caches of the
+//!   lanes that own the outdated rows — a shard is *touched* by a round iff
+//!   its range meets the round's footprint;
 //! * aggregates per-shard [`EngineStats`] into [`RouterStats`] and
 //!   registers router-level `sigma_shard_*` metrics (query/repair fan-out,
-//!   skipped-shard counts) next to the engines' `sigma_serve_*` families.
+//!   skipped-shard counts) next to the lanes' `sigma_serve_*` families.
 //!
-//! `H` is replicated per shard rather than sliced: global aggregation
-//! reads arbitrary `H` rows (`Ẑ_u = Σ_v S_uv · H_v`), and at `n × C`
-//! (classes, not hidden width) it is the small artifact by design.
-//!
-//! The determinism contract is proven, not assumed:
+//! The determinism contract is still checked, not assumed:
 //! `sigma_testutil::replay_differential_sharded` replays seeded edit
 //! traces against a 1-engine reference and an N-shard router
 //! simultaneously, asserting per-batch bitwise equality of logits,
 //! labels, operator rows, and per-shard hit/eviction accounting.
 
 use crate::engine::{
-    EngineConfig, EngineRepair, EngineStats, InferenceEngine, OperatorPatch, Prediction,
+    self, Core, EngineConfig, EngineRepair, EngineStats, InferenceEngine, LaneRange, Prediction,
     SimilarNode,
 };
 use crate::mmap::MappedSnapshot;
 use crate::snapshot::ServeSnapshot;
 use crate::{Result, ServeError};
 use sigma_matrix::{CsrMatrix, CsrViewAny};
-use sigma_simrank::{DynamicSimRank, EdgeUpdate, RepairOutcome};
+use sigma_simrank::{DynamicSimRank, EdgeUpdate};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -73,7 +69,7 @@ impl Default for ShardRouterConfig {
 /// once, and are padded with empty `n..n` tails up to the requested shard
 /// count when the planner cannot use every shard (more shards than rows,
 /// or one row holding all the mass) — so a router always constructs
-/// exactly the configured number of engines, some possibly empty.
+/// exactly the configured number of lanes, some possibly empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     ranges: Vec<Range<usize>>,
@@ -130,17 +126,18 @@ impl ShardPlan {
 /// What one [`ShardRouter::repair_from`] round did across the fleet.
 #[derive(Debug, Clone)]
 pub struct RouterRepair {
-    /// Whether the round degenerated to a whole-operator install on every
-    /// shard (first sync with a maintainer that had no prior state).
+    /// Whether the round degenerated to a whole-operator install (first
+    /// sync with a maintainer that had no prior state).
     pub full_refresh: bool,
     /// Operator rows the maintainer reported changed, globally (sorted) —
     /// identical to what a single engine's `EngineRepair::operator_rows`
     /// would list for the same round.
     pub operator_rows: Vec<usize>,
-    /// Per-shard repair reports, in shard order: `None` for shards the
-    /// round provably did not need to touch.
+    /// Per-shard repair reports, in shard order: the round's one
+    /// [`EngineRepair`] restricted to the shard's range, `None` for shards
+    /// whose range the round's footprint misses.
     pub shard_repairs: Vec<Option<EngineRepair>>,
-    /// Shards that received repair traffic this round.
+    /// Shards the round touched.
     pub fanout: usize,
     /// Shards skipped this round (`fanout + skipped == num_shards`).
     pub skipped: usize,
@@ -156,11 +153,13 @@ sigma_obs::metric_set! {
     /// the same tearing semantics apply (each field individually monotone,
     /// no cross-field consistency while traffic is in flight). Cache
     /// hit/miss and eviction sums match a single engine's counters exactly
-    /// when every shard cache is as large as its range (the differential
-    /// oracle asserts this); `embedding_rows_repaired` sums *per-shard*
-    /// re-encodes and therefore over-counts a single engine's by up to the
-    /// repair fan-out, and `repair_dirty_seeds` is tracked at router level
-    /// instead (the maintainer runs once per round, not once per shard).
+    /// when every shard cache is as large as its range, and the repair row
+    /// counters (`rows_repaired`, `embedding_rows_repaired`,
+    /// `rows_invalidated`) are counted on the shard owning the row, so
+    /// their sums match a single engine's always (the differential oracle
+    /// asserts both); per-round events (`operator_repairs`, …) tick on
+    /// every touched shard, and `repair_dirty_seeds` is tracked at router
+    /// level instead (the maintainer runs once per round, not per shard).
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct RouterStats {
         /// Field-wise sum of the per-shard engine counters.
@@ -211,34 +210,34 @@ sigma_obs::metric_set! {
     }
 }
 
-/// N [`InferenceEngine`]s behind the single-engine façade.
+/// One serving state behind N cache lanes, one per row range of a
+/// [`ShardPlan`].
 ///
-/// Construction cuts the operator by row ranges ([`ShardPlan`]) and gives
-/// each shard the full-shape `n × n` operator with out-of-range rows
-/// empty: every engine-local mechanism (row cache keyed by node id,
-/// reverse-pattern invalidation, row-patch repair) works unchanged, and
-/// queries for a node hit exactly the shard owning its row. The public
-/// surface mirrors [`InferenceEngine`]; results are bitwise identical to
-/// a single engine over the unsharded operator at any shard count, any
-/// thread count.
+/// The state — adjacency, features, `H`, operator, stale set, operator
+/// epoch — is held once, exactly as an [`InferenceEngine`] holds it; a
+/// shard adds only its range, its row cache and its counters (a lane is an
+/// engine sharing the router's state, so chunking and latency bookkeeping
+/// are the engine's). Queries for a node go to the lane owning its row;
+/// maintenance changes the state once and evicts from the owning lanes.
+/// The public surface mirrors [`InferenceEngine`]; results are bitwise
+/// identical to a single engine at any shard count, any thread count.
 ///
 /// Like the engine, queries may race maintenance freely, but maintenance
-/// calls ([`ShardRouter::repair_from`], [`ShardRouter::apply_edge_updates`])
-/// must not race each other — run them from a single maintenance thread.
+/// calls ([`ShardRouter::repair_from`], [`ShardRouter::apply_edge_updates`],
+/// [`ShardRouter::hot_reload_mapped`]) must not race each other — run them
+/// from a single maintenance thread.
 pub struct ShardRouter {
+    core: Arc<Core>,
     plan: ShardPlan,
-    engines: Vec<InferenceEngine>,
-    num_nodes: usize,
-    num_classes: usize,
-    has_operator: bool,
+    lanes: Vec<InferenceEngine>,
     metrics: RouterMetrics,
 }
 
 impl std::fmt::Debug for ShardRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardRouter")
-            .field("num_nodes", &self.num_nodes)
-            .field("num_classes", &self.num_classes)
+            .field("num_nodes", &self.num_nodes())
+            .field("num_classes", &self.num_classes())
             .field("shards", &self.plan.num_shards())
             .field("ranges", &self.plan.ranges())
             .finish()
@@ -247,127 +246,91 @@ impl std::fmt::Debug for ShardRouter {
 
 impl ShardRouter {
     /// Builds a router over a decoded snapshot: plans ranges by operator
-    /// nnz mass, precomputes the embedding `H` once, and constructs one
-    /// engine per range over the row-masked operator. A failing shard
-    /// surfaces as [`ServeError::Shard`] naming its index.
+    /// nnz mass and builds the one serving state as
+    /// [`InferenceEngine::new`] would (one encoder run).
     pub fn new(snapshot: &ServeSnapshot, config: &ShardRouterConfig) -> Result<Self> {
-        let n = snapshot.num_nodes();
+        let operator = snapshot.model.operator.as_ref();
         let plan = plan_for(
-            snapshot
-                .model
-                .operator
-                .as_ref()
-                .map(|m| CsrViewAny::Native(m.view())),
-            n,
+            operator.map(|m| CsrViewAny::Native(m.view())),
+            snapshot.num_nodes(),
             config.shards,
         )?;
-        // One encoder run shared by every shard: `H` depends on features,
-        // adjacency and weights only, never on the operator mask.
-        let mut base = snapshot.clone();
-        base.precompute_embeddings()?;
-        let mut engines = Vec::with_capacity(plan.num_shards());
-        for (shard, range) in plan.ranges().iter().enumerate() {
-            let mut shard_snapshot = base.clone();
-            if let Some(operator) = &snapshot.model.operator {
-                shard_snapshot.model.operator = Some(masked_operator(
-                    &CsrViewAny::Native(operator.view()),
-                    range,
-                )?);
-            }
-            engines.push(
-                InferenceEngine::new(&shard_snapshot, config.engine)
-                    .map_err(|e| shard_error(shard, e))?,
-            );
-        }
-        Ok(Self::assemble(
-            plan,
-            engines,
-            snapshot.model.operator.is_some(),
-        ))
+        let core = Core::from_snapshot(snapshot, &config.engine)?;
+        Ok(Self::over(core, plan, config.engine))
     }
 
-    /// Builds a router whose shards serve out of mapped snapshots —
-    /// typically `N` clones of one `Arc<MappedSnapshot>`, sharing the
-    /// mapping zero-copy (the shard count is the vector's length). Each
-    /// shard's operator is row-masked to its range via
-    /// [`InferenceEngine::install_operator`]; features, adjacency and
-    /// embeddings stay borrowed from the mapping.
+    /// Builds a router serving out of a mapped snapshot, zero-copy: no
+    /// section is copied, so construction costs the plan's scan of the
+    /// operator's row lengths. The shard count is the vector's length —
+    /// typically `N` clones of one `Arc<MappedSnapshot>`; the state is
+    /// served from entry 0, and every entry must map the same artifact
+    /// (the same mapping, or an equal section table), else
+    /// [`ServeError::ShardConfig`] names the odd one.
     ///
-    /// Every per-shard failure — including a snapshot failing its deferred
+    /// Every per-entry failure — including a snapshot failing its deferred
     /// `verify()` — surfaces as [`ServeError::Shard`] naming the shard
     /// index, never a panic or a silently smaller fleet.
     pub fn from_mapped(
         snapshots: Vec<Arc<MappedSnapshot>>,
         engine_config: EngineConfig,
     ) -> Result<Self> {
-        if snapshots.is_empty() {
+        let Some(first) = snapshots.first() else {
             return Err(ServeError::ShardConfig {
                 shards: 0,
                 reason: "a router needs at least one shard snapshot".into(),
             });
-        }
+        };
         let shards = snapshots.len();
-        let mut engines = Vec::with_capacity(shards);
         for (shard, snap) in snapshots.iter().enumerate() {
-            engines.push(
-                InferenceEngine::from_mapped(snap.clone(), engine_config)
-                    .map_err(|e| shard_error(shard, e))?,
-            );
-        }
-        let n = engines[0].num_nodes();
-        let classes = engines[0].num_classes();
-        let has_operator = snapshots[0].has_operator();
-        for (shard, engine) in engines.iter().enumerate() {
-            if engine.num_nodes() != n
-                || engine.num_classes() != classes
-                || snapshots[shard].has_operator() != has_operator
-            {
+            snap.verify().map_err(|e| shard_error(shard, e))?;
+            if !first.same_artifact(snap) {
                 return Err(ServeError::ShardConfig {
                     shards,
                     reason: format!(
-                        "shard {shard} maps a different snapshot than shard 0 \
-                         ({} nodes × {} classes, operator: {}; expected {n} × {classes}, \
-                         operator: {has_operator}) — every shard must map the same artifact",
-                        engine.num_nodes(),
-                        engine.num_classes(),
-                        snapshots[shard].has_operator(),
+                        "shard {shard} maps a different snapshot than shard 0 (`{}` vs `{}`: \
+                         section tags, lengths or checksums differ) — every shard must map \
+                         the same artifact",
+                        snap.tag(),
+                        first.tag(),
                     ),
                 });
             }
         }
-        let plan = plan_for(snapshots[0].operator_view(), n, shards)?;
-        for (shard, (engine, range)) in engines.iter().zip(plan.ranges()).enumerate() {
-            if let Some(view) = snapshots[shard].operator_view() {
-                let masked = masked_operator(&view, range)?;
-                engine
-                    .install_operator(masked)
-                    .map_err(|e| shard_error(shard, e))?;
-            }
-        }
-        Ok(Self::assemble(plan, engines, has_operator))
+        let plan = plan_for(first.operator_view(), first.num_nodes(), shards)?;
+        let core =
+            Core::from_mapped(first.clone(), &engine_config).map_err(|e| shard_error(0, e))?;
+        Ok(Self::over(core, plan, engine_config))
     }
 
-    fn assemble(plan: ShardPlan, engines: Vec<InferenceEngine>, has_operator: bool) -> Self {
-        let num_nodes = plan.num_nodes();
-        let num_classes = engines[0].num_classes();
+    fn over(core: Arc<Core>, plan: ShardPlan, config: EngineConfig) -> Self {
+        let lanes = (0..plan.num_shards())
+            .map(|_| InferenceEngine::lane_over(core.clone(), config))
+            .collect();
         Self {
+            core,
             plan,
-            engines,
-            num_nodes,
-            num_classes,
-            has_operator,
+            lanes,
             metrics: RouterMetrics::new(),
         }
     }
 
+    /// Every lane with the range it owns, for the maintenance functions.
+    fn lane_ranges(&self) -> Vec<LaneRange<'_>> {
+        self.lanes
+            .iter()
+            .zip(self.plan.ranges())
+            .map(|(engine, range)| (engine.lane(), range.clone()))
+            .collect()
+    }
+
     /// Number of nodes the fleet serves.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.core.num_nodes
     }
 
     /// Number of classes per prediction.
     pub fn num_classes(&self) -> usize {
-        self.num_classes
+        self.core.num_classes
     }
 
     /// Number of shards (including empty tail shards).
@@ -380,21 +343,15 @@ impl ShardRouter {
         &self.plan
     }
 
-    /// The per-shard engines, in shard order (observability hook for the
-    /// differential oracle; all mutation must go through the router).
-    pub fn engines(&self) -> &[InferenceEngine] {
-        &self.engines
-    }
-
     /// Serves a single node on the shard owning its operator row.
     pub fn predict(&self, node: usize) -> Result<Prediction> {
-        if node >= self.num_nodes {
+        if node >= self.num_nodes() {
             return Err(ServeError::InvalidQuery {
                 node,
-                num_nodes: self.num_nodes,
+                num_nodes: self.num_nodes(),
             });
         }
-        let prediction = self.engines[self.plan.shard_of(node)].predict(node)?;
+        let prediction = self.lanes[self.plan.shard_of(node)].predict(node)?;
         self.metrics.batches_routed.inc();
         self.metrics.queries_routed.inc();
         self.metrics.shard_batches_dispatched.inc();
@@ -411,10 +368,10 @@ impl ShardRouter {
     /// as a single engine would.
     pub fn predict_batch(&self, nodes: &[usize]) -> Result<Vec<Prediction>> {
         for &node in nodes {
-            if node >= self.num_nodes {
+            if node >= self.num_nodes() {
                 return Err(ServeError::InvalidQuery {
                     node,
-                    num_nodes: self.num_nodes,
+                    num_nodes: self.num_nodes(),
                 });
             }
         }
@@ -433,7 +390,7 @@ impl ShardRouter {
                 continue;
             }
             fanout += 1;
-            let predictions = self.engines[shard]
+            let predictions = self.lanes[shard]
                 .predict_batch(&sub_batches[shard])
                 .map_err(|e| shard_error(shard, e))?;
             for (&slot, prediction) in slots[shard].iter().zip(predictions) {
@@ -455,17 +412,16 @@ impl ShardRouter {
     /// Top-`k` nodes most similar to `node`, served by the shard owning
     /// the node's operator row.
     ///
-    /// Rows are full-shape per shard ([`masked_operator`] keeps the whole
-    /// `(n, n)` coordinate space), so the owner shard holds the *complete*
-    /// row and no cross-shard merge is ever needed — asserted here. The
-    /// answer is bitwise identical to [`InferenceEngine::most_similar`] on
-    /// an unsharded engine: both paths rank the same row through the same
+    /// The owner lane reads the node's complete row off the shared
+    /// operator, so no cross-shard merge is ever needed, and the answer is
+    /// bitwise identical to [`InferenceEngine::most_similar`] on an
+    /// unsharded engine: both paths rank the same row through the same
     /// code, under the same pinned score-desc/id-asc tie-break.
     pub fn most_similar(&self, node: usize, k: usize) -> Result<Vec<SimilarNode>> {
-        if node >= self.num_nodes {
+        if node >= self.num_nodes() {
             return Err(ServeError::InvalidQuery {
                 node,
-                num_nodes: self.num_nodes,
+                num_nodes: self.num_nodes(),
             });
         }
         let shard = self.plan.shard_of(node);
@@ -473,7 +429,7 @@ impl ShardRouter {
             self.plan.ranges()[shard].contains(&node),
             "owner shard {shard} must hold node {node}'s complete operator row"
         );
-        let answer = self.engines[shard]
+        let answer = self.lanes[shard]
             .most_similar(node, k)
             .map_err(|e| shard_error(shard, e))?;
         self.metrics.similar_routed.inc();
@@ -490,10 +446,10 @@ impl ShardRouter {
     /// per occurrence, as a single engine would).
     pub fn most_similar_batch(&self, queries: &[(usize, usize)]) -> Result<Vec<Vec<SimilarNode>>> {
         for &(node, _) in queries {
-            if node >= self.num_nodes {
+            if node >= self.num_nodes() {
                 return Err(ServeError::InvalidQuery {
                     node,
-                    num_nodes: self.num_nodes,
+                    num_nodes: self.num_nodes(),
                 });
             }
         }
@@ -517,7 +473,7 @@ impl ShardRouter {
                 continue;
             }
             fanout += 1;
-            let answers = self.engines[shard]
+            let answers = self.lanes[shard]
                 .most_similar_batch(&sub_batches[shard])
                 .map_err(|e| shard_error(shard, e))?;
             for (&slot, answer) in slots[shard].iter().zip(answers) {
@@ -535,238 +491,97 @@ impl ShardRouter {
             .collect())
     }
 
-    /// Applies a stream of edge updates, fanning invalidation only to the
-    /// shards it can affect.
-    ///
-    /// Each shard computes the first-order footprint from its *own*
-    /// adjacency copy (shards may lag each other between repairs) and is
-    /// skipped when the footprint misses its row range and none of its
-    /// operator rows reference an affected node — exactly the rows a
-    /// single engine would touch, restricted to that shard's range.
-    /// Returns the total number of cached rows invalidated across the
-    /// fleet.
+    /// Applies a stream of edge updates exactly as
+    /// [`InferenceEngine::apply_edge_updates`] does — one footprint off the
+    /// one adjacency, one staleness update — evicting each outdated row
+    /// from the lane that owns it. A shard whose range misses every row the
+    /// updates mark stale is counted as skipped. Returns the total number of
+    /// cached rows invalidated across the fleet.
     pub fn apply_edge_updates(&self, updates: &[EdgeUpdate]) -> Result<usize> {
-        let mut total = 0usize;
-        let mut fanout = 0u64;
-        let mut skipped = 0u64;
-        for (shard, engine) in self.engines.iter().enumerate() {
-            let range = &self.plan.ranges()[shard];
-            let affected = engine
-                .edge_update_footprint(updates)
-                .map_err(|e| shard_error(shard, e))?;
-            let needs = affected.iter().any(|a| range.contains(a))
-                || !engine.referencing_rows(&affected).is_empty();
-            if needs {
-                total += engine.invalidate_nodes(&affected);
-                fanout += 1;
-            } else {
-                skipped += 1;
-            }
-        }
-        self.metrics.edge_update_fanout.add(fanout);
-        self.metrics.edge_update_skipped.add(skipped);
-        Ok(total)
+        let (invalidated, touched) =
+            engine::apply_edge_updates(&self.core, &self.lane_ranges(), updates)?;
+        let fanout = touched.iter().filter(|&&t| t).count();
+        self.metrics.edge_update_fanout.add(fanout as u64);
+        self.metrics
+            .edge_update_skipped
+            .add((touched.len() - fanout) as u64);
+        Ok(invalidated)
     }
 
-    /// Incrementally repairs the fleet from a [`DynamicSimRank`]
-    /// maintainer — the sharded [`InferenceEngine::repair_from`].
+    /// Incrementally repairs the served state from a [`DynamicSimRank`]
+    /// maintainer — [`InferenceEngine::repair_from`], run once for the
+    /// whole fleet: one maintainer round, one adjacency diff, one re-encode
+    /// of the edited `H` rows, one operator splice, one write section that
+    /// evicts each invalidated row from the lane owning it.
     ///
-    /// The maintainer is driven **once** ([`DynamicSimRank::repair`]
-    /// consumes the pending edits) and its payload is fanned out
-    /// row-filtered: shard `s` receives [`InferenceEngine::apply_repair`]
-    /// with the changed rows inside its range iff the round can touch it.
-    /// A shard is provably untouchable — and skipped — when all hold:
-    ///
-    /// 1. no changed operator row lands in its range,
-    /// 2. no edited node (changed adjacency row, hence changed `H` row)
-    ///    lands in its range (the `α·H_u` blend term),
-    /// 3. none of its operator rows reference an edited node (the
-    ///    `Σ S_uv·H_v` term, checked against the shard's reverse pattern),
-    /// 4. it holds no stale in-range nodes from earlier edge updates
-    ///    (repair must clear staleness wherever it is observable).
-    ///
-    /// A skipped shard's adjacency may lag the maintainer; that is sound
-    /// because a later repair diffs the shard's *own* adjacency copy and
-    /// re-encodes cumulatively (`apply_repair` self-heals), and a no-op
-    /// edit trace (empty `affected_nodes()`) therefore fans out to **zero**
-    /// shards. Served results remain bitwise identical to a single engine
-    /// after every round — the sharded differential oracle's contract.
+    /// A shard is *touched* by the round iff its range meets the round's
+    /// footprint — patched operator rows ∪ re-encoded rows ∪ invalidated
+    /// rows ∪ nodes that were stale — and its entry of
+    /// [`RouterRepair::shard_repairs`] is the round's report restricted to
+    /// its range. Every other shard is skipped: nothing it caches or
+    /// counts changed, so a no-op edit trace touches **zero** shards.
+    /// Served results are bitwise identical to a single engine after every
+    /// round — the sharded differential oracle's contract.
     pub fn repair_from(&self, maintainer: &mut DynamicSimRank) -> Result<RouterRepair> {
-        let n = self.num_nodes;
-        let graph_nodes = maintainer.graph().num_nodes();
-        if graph_nodes != n {
-            return Err(ServeError::OperatorMismatch {
-                got: (graph_nodes, graph_nodes),
-                expected: n,
-            });
-        }
-        let shards = self.plan.num_shards();
-        let outcome = maintainer.repair().map_err(ServeError::SimRank)?;
-        let adjacency = maintainer.graph().to_adjacency();
-        match outcome {
-            RepairOutcome::FullRefresh => {
-                let operator = if self.has_operator {
-                    Some(maintainer.operator().map_err(ServeError::SimRank)?)
-                } else {
-                    None
-                };
-                let mut shard_repairs = Vec::with_capacity(shards);
-                for (shard, engine) in self.engines.iter().enumerate() {
-                    let range = &self.plan.ranges()[shard];
-                    let (rows, patch) = match &operator {
-                        Some(op) => (
-                            range.clone().collect::<Vec<usize>>(),
-                            OperatorPatch::Full(masked_operator(
-                                &CsrViewAny::Native(op.view()),
-                                range,
-                            )?),
-                        ),
-                        None => (Vec::new(), OperatorPatch::None),
-                    };
-                    let repair = engine
-                        .apply_repair(&rows, patch, adjacency.clone(), 0)
-                        .map_err(|e| shard_error(shard, e))?;
-                    shard_repairs.push(Some(repair));
-                }
-                self.metrics.repair_fanout.add(shards as u64);
-                Ok(RouterRepair {
-                    full_refresh: self.has_operator,
-                    operator_rows: if self.has_operator {
-                        (0..n).collect()
-                    } else {
-                        Vec::new()
-                    },
-                    shard_repairs,
-                    fanout: shards,
-                    skipped: 0,
-                })
+        let round = engine::repair_round(&self.core, &self.lane_ranges(), maintainer)?;
+        let full_refresh = round.repair.full_refresh;
+        let mut shard_repairs = Vec::with_capacity(self.lanes.len());
+        for ((lane, range), &touched) in self
+            .lanes
+            .iter()
+            .zip(self.plan.ranges())
+            .zip(&round.touched)
+        {
+            if touched {
+                lane.lane().count_round(full_refresh);
             }
-            RepairOutcome::Patched(score_repair) => {
-                let changed: Vec<usize> = if self.has_operator {
-                    score_repair.changed_rows.clone()
-                } else {
-                    Vec::new()
-                };
-                let edited = &score_repair.edited_nodes;
-                // Materialise the global row payload once; shards receive
-                // gathered sub-slices.
-                let payload = if !changed.is_empty() {
-                    Some(
-                        maintainer
-                            .operator_rows(&changed)
-                            .map_err(ServeError::SimRank)?,
-                    )
-                } else {
-                    None
-                };
-                let mut shard_repairs = Vec::with_capacity(shards);
-                let mut fanout = 0usize;
-                let mut skipped = 0usize;
-                for (shard, engine) in self.engines.iter().enumerate() {
-                    let range = &self.plan.ranges()[shard];
-                    // `changed` is sorted: this shard's slice of it.
-                    let lo = changed.partition_point(|&r| r < range.start);
-                    let hi = changed.partition_point(|&r| r < range.end);
-                    let needs = lo < hi
-                        || edited.iter().any(|e| range.contains(e))
-                        || !engine.referencing_rows(edited).is_empty()
-                        || engine.stale_nodes().iter().any(|s| range.contains(s));
-                    if !needs {
-                        shard_repairs.push(None);
-                        skipped += 1;
-                        continue;
-                    }
-                    let patch = match &payload {
-                        Some(payload) if lo < hi => {
-                            let positions: Vec<usize> = (lo..hi).collect();
-                            OperatorPatch::Rows(payload.gather_rows(&positions)?)
-                        }
-                        _ => OperatorPatch::None,
-                    };
-                    let repair = engine
-                        .apply_repair(&changed[lo..hi], patch, adjacency.clone(), 0)
-                        .map_err(|e| shard_error(shard, e))?;
-                    shard_repairs.push(Some(repair));
-                    fanout += 1;
-                }
-                self.metrics.repair_fanout.add(fanout as u64);
-                self.metrics.repair_skipped.add(skipped as u64);
-                self.metrics
-                    .repair_dirty_seeds
-                    .add(score_repair.dirty_seeds as u64);
-                Ok(RouterRepair {
-                    full_refresh: false,
-                    operator_rows: changed,
-                    shard_repairs,
-                    fanout,
-                    skipped,
-                })
-            }
+            shard_repairs.push(touched.then(|| round.repair.within(range)));
         }
+        let fanout = shard_repairs.iter().flatten().count();
+        let skipped = shard_repairs.len() - fanout;
+        self.metrics.repair_fanout.add(fanout as u64);
+        self.metrics.repair_skipped.add(skipped as u64);
+        self.metrics.repair_dirty_seeds.add(round.dirty_seeds);
+        Ok(RouterRepair {
+            full_refresh,
+            operator_rows: round.repair.operator_rows,
+            shard_repairs,
+            fanout,
+            skipped,
+        })
     }
 
-    /// The aggregation operator the fleet currently serves, reassembled
-    /// from each shard's owned rows (`None` when the fleet runs the
-    /// operator-less `Ẑ = H` variant). Observability hook used by the
-    /// sharded differential oracle.
+    /// Atomically replaces the entire served state with a mapped snapshot
+    /// of the same graph dimensions — [`InferenceEngine::hot_reload_mapped`]
+    /// for the fleet: one swap, one epoch bump, every lane's cache cleared.
+    /// The plan keeps its ranges (any partition of the rows serves
+    /// correctly; only the balance was planned for the old operator).
+    pub fn hot_reload_mapped(&self, snapshot: Arc<MappedSnapshot>) -> Result<()> {
+        engine::hot_reload_mapped(&self.core, &self.lane_ranges(), snapshot)
+    }
+
+    /// A copy of the aggregation operator the fleet serves (`None` when it
+    /// runs the operator-less `Ẑ = H` variant). Observability hook used by
+    /// the sharded differential oracle.
     pub fn operator(&self) -> Option<CsrMatrix> {
-        if !self.has_operator {
-            return None;
-        }
-        let n = self.num_nodes;
-        let mut indptr = Vec::with_capacity(n + 1);
-        indptr.push(0usize);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for (shard, range) in self.plan.ranges().iter().enumerate() {
-            if range.is_empty() {
-                continue;
-            }
-            let shard_operator = self.engines[shard]
-                .operator()
-                .expect("router built with an operator keeps one on every shard");
-            for row in range.clone() {
-                let (start, end) = (
-                    shard_operator.indptr()[row],
-                    shard_operator.indptr()[row + 1],
-                );
-                indices.extend_from_slice(&shard_operator.indices()[start..end]);
-                values.extend_from_slice(&shard_operator.values()[start..end]);
-                indptr.push(indices.len());
-            }
-        }
-        Some(
-            CsrMatrix::from_raw(n, n, indptr, indices, values)
-                .expect("row-masked shard operators reassemble into a valid CSR"),
-        )
+        self.core.operator()
     }
 
-    /// Nodes currently marked stale on their owning shard, sorted by id —
-    /// the union over shards of each shard's in-range stale set, which is
-    /// exactly what a single engine's staleness set would hold.
+    /// Nodes currently marked stale, sorted by id — the one staleness set
+    /// a single engine would hold.
     pub fn stale_nodes(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (shard, range) in self.plan.ranges().iter().enumerate() {
-            out.extend(
-                self.engines[shard]
-                    .stale_nodes()
-                    .into_iter()
-                    .filter(|node| range.contains(node)),
-            );
-        }
-        out.sort_unstable();
-        out
+        self.core.stale_nodes()
     }
 
     /// Total aggregated rows cached across the fleet.
     pub fn cached_rows(&self) -> usize {
-        self.engines.iter().map(|e| e.cached_rows()).sum()
+        self.lanes.iter().map(|e| e.cached_rows()).sum()
     }
 
     /// A point-in-time copy of the router and per-shard counters. Same
     /// tearing semantics as [`InferenceEngine::stats`].
     pub fn stats(&self) -> RouterStats {
-        let per_shard: Vec<EngineStats> = self.engines.iter().map(|e| e.stats()).collect();
+        let per_shard: Vec<EngineStats> = self.lanes.iter().map(|e| e.stats()).collect();
         let mut engines = EngineStats::default();
         for shard in &per_shard {
             engines += shard;
@@ -795,29 +610,6 @@ fn plan_for(
         None => vec![0; num_nodes],
     };
     ShardPlan::from_weights(&weights, shards)
-}
-
-/// The full-shape operator with every row outside `range` empty: shard
-/// engines serve their own rows from the same `(n, n)` coordinate space,
-/// so node ids, caches and patches need no translation.
-fn masked_operator(operator: &CsrViewAny<'_>, range: &Range<usize>) -> Result<CsrMatrix> {
-    let (rows, cols) = operator.shape();
-    let mut nnz = 0usize;
-    for row in range.clone() {
-        nnz += operator.row_nnz(row);
-    }
-    let mut indptr = Vec::with_capacity(rows + 1);
-    indptr.push(0usize);
-    let mut indices = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    for row in 0..rows {
-        if range.contains(&row) {
-            indices.extend_from_slice(operator.row_cols(row));
-            values.extend_from_slice(operator.row_vals(row));
-        }
-        indptr.push(indices.len());
-    }
-    Ok(CsrMatrix::from_raw(rows, cols, indptr, indices, values)?)
 }
 
 #[cfg(test)]
@@ -872,25 +664,5 @@ mod tests {
                 assert!(plan.ranges()[owner].contains(&node));
             }
         }
-    }
-
-    #[test]
-    fn masked_operator_keeps_only_in_range_rows() {
-        let full = CsrMatrix::from_raw(
-            4,
-            4,
-            vec![0, 2, 3, 5, 6],
-            vec![0, 2, 1, 0, 3, 2],
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-        )
-        .unwrap();
-        let masked = masked_operator(&CsrViewAny::Native(full.view()), &(1..3)).unwrap();
-        assert_eq!(masked.shape(), (4, 4));
-        assert_eq!(masked.row_nnz(0), 0);
-        assert_eq!(masked.row_nnz(1), 1);
-        assert_eq!(masked.row_nnz(2), 2);
-        assert_eq!(masked.row_nnz(3), 0);
-        assert_eq!(masked.indices(), &full.indices()[2..5]);
-        assert_eq!(masked.values(), &full.values()[2..5]);
     }
 }

@@ -519,6 +519,7 @@ pub fn replay_differential_sharded(
         );
 
         let router_stats_before = router.stats();
+        let reference_stats_before = reference.stats();
         let reference_repair = reference
             .repair_from(&mut reference_maintainer)
             .expect("reference repair");
@@ -549,6 +550,46 @@ pub fn replay_differential_sharded(
             router_stats_mid.repair_skipped - router_stats_before.repair_skipped,
             router_repair.skipped as u64,
             "round {round}: sigma_shard repair skipped counter"
+        );
+
+        // Counter parity: the round is computed once and each row counted
+        // on the shard owning it, so the fleet's repair row counters move by
+        // exactly what the single engine's do.
+        let reference_stats_mid = reference.stats();
+        for (counter, fleet, single) in [
+            (
+                "rows_repaired",
+                router_stats_mid.engines.rows_repaired - router_stats_before.engines.rows_repaired,
+                reference_stats_mid.rows_repaired - reference_stats_before.rows_repaired,
+            ),
+            (
+                "embedding_rows_repaired",
+                router_stats_mid.engines.embedding_rows_repaired
+                    - router_stats_before.engines.embedding_rows_repaired,
+                reference_stats_mid.embedding_rows_repaired
+                    - reference_stats_before.embedding_rows_repaired,
+            ),
+            (
+                "rows_invalidated",
+                router_stats_mid.engines.rows_invalidated
+                    - router_stats_before.engines.rows_invalidated,
+                reference_stats_mid.rows_invalidated - reference_stats_before.rows_invalidated,
+            ),
+        ] {
+            assert_eq!(
+                fleet, single,
+                "round {round}: fleet `{counter}` must move as the single engine's does"
+            );
+        }
+        assert_eq!(
+            router_repair
+                .shard_repairs
+                .iter()
+                .flatten()
+                .map(|repair| repair.embedding_rows.len())
+                .sum::<usize>(),
+            reference_repair.embedding_rows.len(),
+            "round {round}: every re-encoded row is reported by exactly one shard"
         );
 
         // Operator parity: the reassembled fleet operator is bitwise the

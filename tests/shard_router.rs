@@ -10,10 +10,17 @@
 //! * the façade preserves the engine's typed error surface
 //!   ([`ServeError::InvalidQuery`], [`ServeError::ShardConfig`]);
 //! * edge-update fan-out invalidates exactly what one engine would, while
-//!   skipping footprint-free shards.
+//!   skipping footprint-free shards;
+//! * a router **nobody has touched** reports nothing: construction is not
+//!   a refresh, whichever constructor built it;
+//! * a mapped fleet must map **one artifact**: same dimensions are not
+//!   enough;
+//! * a repair **touches** exactly the shards whose range meets its
+//!   footprint — nodes it un-stales included.
 
 use sigma_serve::{
-    EngineConfig, InferenceEngine, Prediction, ServeError, ShardRouter, ShardRouterConfig,
+    EngineConfig, InferenceEngine, MappedSnapshot, Prediction, ServeError, ShardRouter,
+    ShardRouterConfig,
 };
 use sigma_simrank::EdgeUpdate;
 use sigma_testutil::{random_graph, serving_fixture};
@@ -223,5 +230,129 @@ fn edge_update_fanout_invalidates_exactly_what_one_engine_would() {
     assert!(
         stats.edge_update_fanout >= 1,
         "the owner shard must be touched"
+    );
+}
+
+#[test]
+fn a_fresh_router_reports_no_engine_activity() {
+    let graph = random_graph(20, 6, 17);
+    let fixture = serving_fixture(&graph, 4, 17);
+    let mut image = Vec::new();
+    fixture.snapshot.write_to(&mut image).unwrap();
+    let mapped = std::sync::Arc::new(MappedSnapshot::from_bytes(&image).unwrap());
+    for shards in [1usize, 3] {
+        let owned = ShardRouter::new(
+            &fixture.snapshot,
+            &ShardRouterConfig {
+                shards,
+                engine: engine_config(20),
+            },
+        )
+        .unwrap();
+        let zero_copy =
+            ShardRouter::from_mapped(vec![mapped.clone(); shards], engine_config(20)).unwrap();
+        for (router, how) in [(owned, "new"), (zero_copy, "from_mapped")] {
+            let stats = router.stats();
+            assert_eq!(stats.per_shard.len(), shards, "{how}, {shards} shards");
+            for (field, value) in stats.engines.fields() {
+                assert_eq!(
+                    value, 0,
+                    "{how}, {shards} shards: `{field}` moved before any call"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_mapped_fleet_of_two_different_artifacts_is_refused() {
+    let graph = random_graph(20, 6, 19);
+    let image_of = |top_k: usize, seed: u64| {
+        let mut image = Vec::new();
+        serving_fixture(&graph, top_k, seed)
+            .snapshot
+            .write_to(&mut image)
+            .unwrap();
+        image
+    };
+    let map = |image: &[u8]| std::sync::Arc::new(MappedSnapshot::from_bytes(image).unwrap());
+    let image = image_of(4, 19);
+
+    // One mapping shared, or one image mapped three times: the same artifact.
+    let shared = map(&image);
+    ShardRouter::from_mapped(vec![shared; 3], engine_config(20)).expect("clones of one Arc");
+    ShardRouter::from_mapped((0..3).map(|_| map(&image)).collect(), engine_config(20))
+        .expect("separate mappings of one image");
+
+    // Same nodes, classes and feature width — but another operator (top-k 3)
+    // or other weights under the same operator (seed 20, equal section
+    // lengths): served together they would blend two models.
+    for (other, what) in [(image_of(3, 19), "operator"), (image_of(4, 20), "weights")] {
+        assert_eq!(map(&other).num_nodes(), map(&image).num_nodes());
+        let fleet = vec![map(&image), map(&image), map(&other)];
+        let err = ShardRouter::from_mapped(fleet, engine_config(20)).unwrap_err();
+        match &err {
+            ServeError::ShardConfig { shards: 3, reason } => assert!(
+                reason.contains("shard 2"),
+                "different {what}: the refusal must name the odd shard: {reason}"
+            ),
+            other => panic!("different {what}: expected ShardConfig, got {other}"),
+        }
+    }
+}
+
+#[test]
+fn a_repair_touches_exactly_the_shards_its_footprint_meets() {
+    // One row per shard, so that no shard is touched on a neighbour's account.
+    let graph = random_graph(200, 15, 2024);
+    let shards = 200;
+    let router = ShardRouter::new(
+        &serving_fixture(&graph, 6, 2024).snapshot,
+        &ShardRouterConfig {
+            shards,
+            engine: engine_config(200),
+        },
+    )
+    .unwrap();
+    let mut router_maintainer = serving_fixture(&graph, 6, 2024).maintainer;
+    let reference_fixture = serving_fixture(&graph, 6, 2024);
+    let reference = InferenceEngine::new(&reference_fixture.snapshot, engine_config(200)).unwrap();
+    let mut reference_maintainer = reference_fixture.maintainer;
+
+    // One real edit, announced to the servers before the maintainers repair:
+    // the first-order region it marks stale is wider than what the repair
+    // then patches, re-encodes or invalidates.
+    let (u, v) = graph.edges().next().expect("graph has edges");
+    let updates = [EdgeUpdate::Delete(u, v)];
+    router.apply_edge_updates(&updates).unwrap();
+    reference.apply_edge_updates(&updates).unwrap();
+    let stale = router.stale_nodes();
+    assert_eq!(stale, reference.stale_nodes());
+    router_maintainer.apply_batch(&updates).unwrap();
+    reference_maintainer.apply_batch(&updates).unwrap();
+
+    let expected = reference.repair_from(&mut reference_maintainer).unwrap();
+    let repair = router.repair_from(&mut router_maintainer).unwrap();
+    let mut touched_by_staleness_alone = 0;
+    for (shard, range) in router.plan().ranges().iter().enumerate() {
+        let meets = |rows: &[usize]| rows.iter().any(|row| range.contains(row));
+        let repaired = meets(&expected.operator_rows)
+            || meets(&expected.embedding_rows)
+            || meets(&expected.invalidated_rows);
+        assert_eq!(
+            repair.shard_repairs[shard].is_some(),
+            repaired || meets(&stale),
+            "shard {shard} ({range:?}): touched iff its range meets the footprint"
+        );
+        touched_by_staleness_alone += usize::from(!repaired && meets(&stale));
+    }
+    assert!(
+        touched_by_staleness_alone > 0,
+        "the fixture must hold a shard only the un-staling reaches"
+    );
+    assert_eq!(repair.fanout + repair.skipped, shards);
+    assert!(
+        router.stale_nodes().is_empty(),
+        "a repair clears all staleness"
     );
 }
