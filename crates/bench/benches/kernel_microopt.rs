@@ -3,7 +3,7 @@
 //! (power-law) fig5-style graphs, at every thread count of the sweep the
 //! host has cores for.
 //!
-//! Six things are measured and one thing is *proven* on every run:
+//! Seven things are measured and one thing is *proven* on every run:
 //!
 //! * **reference/optimised timings** for `spmm`, `spmm_transpose`, `spgemm`
 //!   and LocalPush — the reference is the scalar re-implementation of each
@@ -28,6 +28,14 @@
 //!   two-lane CRC32 plus the CSR structure check — the routine is private
 //!   to `sigma-serve`, so it is timed through the call that ships), at
 //!   images of about 10 KB, 1 MiB and 16 MiB, in MB/s;
+//! * **one training step by stage** (`train_step`): a full-batch epoch of
+//!   SIGMA, GloGNN and LINKX on the `learn_pokec` benchmark's graph and
+//!   operator, driven through the `Model` trait in `Trainer::train`'s order
+//!   — training forward, loss, backward, Adam, evaluation forward — at one
+//!   pool thread, beside the work a step used to do and throw away (the
+//!   input gradients of `MLP_A(A)` and `MLP_X(X)`, the copies of `A`, `X`
+//!   and `S`) timed alone at the same shapes, so an epoch regression can be
+//!   attributed below the function before anyone sizes a kernel rewrite;
 //! * **bit-parity**: every optimised kernel result is asserted bitwise
 //!   identical to its scalar reference, at every thread count, every
 //!   repaired state to a fresh `run_decomposed` on its graph, and every
@@ -38,12 +46,15 @@
 //! threads than cores measures the scheduler, not the kernel. Results are
 //! emitted as `BENCH_kernels.json` at the repository root.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sigma::snapshot::ModelSnapshot;
-use sigma::AggregatorKind;
+use sigma::{AggregatorKind, ContextBuilder, GraphContext, ModelHyperParams, ModelKind};
 use sigma_bench::TablePrinter;
-use sigma_datasets::DatasetPreset;
+use sigma_datasets::{DatasetPreset, Split};
 use sigma_graph::{sym_normalized_adjacency, Graph};
 use sigma_matrix::DenseMatrix;
+use sigma_nn::{softmax_cross_entropy_masked, Adam, Optimizer};
 use sigma_parallel::partition_by_weight;
 use sigma_serve::{MappedSnapshot, ServeSnapshot};
 use sigma_simrank::{
@@ -377,6 +388,113 @@ fn equal_count_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
+/// One model's epoch, stage by stage: medians over the same timed epochs.
+struct TrainStepRow {
+    model: &'static str,
+    /// Training forward, loss + `dZ`, backward, Adam, evaluation forward.
+    stages: [Timing; 5],
+    epoch: Timing,
+}
+
+const TRAIN_STAGES: [&str; 5] = ["forward_train", "loss", "backward", "adam", "forward_eval"];
+
+/// Times `reps` epochs of `kind` after [`WARM_UP_RUNS`] discarded ones (the
+/// first pays Adam's state and the allocator's ramp), in `Trainer::train`'s
+/// order and with its optimizer settings.
+fn train_step_row(kind: ModelKind, ctx: &GraphContext, split: &Split, reps: usize) -> TrainStepRow {
+    let mut model = kind
+        .build(ctx, &ModelHyperParams::small(), 47)
+        .expect("model builds on the benchmark context");
+    let mut rng = StdRng::seed_from_u64(47);
+    let mut adam = Adam::new(0.01).with_weight_decay(5e-4);
+    let mut stage_ms: [Vec<f64>; 5] = Default::default();
+    let mut epoch_ms = Vec::new();
+    for epoch in 0..WARM_UP_RUNS + reps {
+        let start = Instant::now();
+        let mut laps = [start; 6];
+        adam.begin_step();
+        let logits = model
+            .forward(ctx, true, &mut rng)
+            .expect("training forward");
+        laps[1] = Instant::now();
+        let (_, grad) = softmax_cross_entropy_masked(&logits, ctx.labels(), &split.train)
+            .expect("labels cover the training split");
+        laps[2] = Instant::now();
+        model.zero_grad();
+        model.backward(ctx, &grad).expect("backward");
+        laps[3] = Instant::now();
+        model.apply_gradients(&mut adam).expect("optimizer step");
+        laps[4] = Instant::now();
+        std::hint::black_box(
+            model
+                .forward(ctx, false, &mut rng)
+                .expect("evaluation forward"),
+        );
+        laps[5] = Instant::now();
+        if epoch >= WARM_UP_RUNS {
+            for (stage, lap) in stage_ms.iter_mut().zip(laps.windows(2)) {
+                stage.push((lap[1] - lap[0]).as_secs_f64() * 1e3);
+            }
+            epoch_ms.push((laps[5] - start).as_secs_f64() * 1e3);
+        }
+    }
+    TrainStepRow {
+        model: kind.name(),
+        stages: stage_ms.map(Timing::of),
+        epoch: Timing::of(epoch_ms),
+    }
+}
+
+/// Work a training step computed and dropped before leaf layers had a
+/// parameter-only backward, the evaluation pass stopped caching and constants
+/// were borrowed — timed alone so the `train_step` rows can be read against it.
+struct DroppedRow {
+    what: &'static str,
+    shape: String,
+    timing: Timing,
+}
+
+fn dropped_rows(ctx: &GraphContext, reps: usize) -> Vec<DroppedRow> {
+    let (n, f) = (ctx.num_nodes(), ctx.feature_dim());
+    let hidden = ModelHyperParams::small().hidden;
+    let grad = DenseMatrix::from_fn(n, hidden, |i, j| pseudo(i, j, 3));
+    let w_a = DenseMatrix::from_fn(n, hidden, |i, j| pseudo(i, j, 5));
+    let w_x = DenseMatrix::from_fn(f, hidden, |i, j| pseudo(i, j, 9));
+    let operator = ctx.simrank().expect("context built with SimRank");
+    let row = |what, shape: String, timing| DroppedRow {
+        what,
+        shape,
+        timing,
+    };
+    vec![
+        row(
+            "dX = dY·Wᵀ of MLP_A(A)",
+            format!("{n} x {n}"),
+            time_ms(reps, || grad.matmul_transpose_other(&w_a).unwrap()).0,
+        ),
+        row(
+            "dX = dY·Wᵀ of MLP_X(X)",
+            format!("{n} x {f}"),
+            time_ms(reps, || grad.matmul_transpose_other(&w_x).unwrap()).0,
+        ),
+        row(
+            "copy of A",
+            format!("{} nnz", ctx.adjacency().nnz()),
+            time_ms(reps, || ctx.adjacency().clone()).0,
+        ),
+        row(
+            "copy of X",
+            format!("{n} x {f}"),
+            time_ms(reps, || ctx.features().clone()).0,
+        ),
+        row(
+            "copy of S",
+            format!("{} nnz", operator.nnz()),
+            time_ms(reps, || operator.clone()).0,
+        ),
+    ]
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     // Skewed operator graph (spmm / spmm_transpose / spgemm) and a smaller
@@ -600,19 +718,70 @@ fn main() {
     }
     crc_table.print("Snapshot checksums: bitwise CRC32 of every section vs MappedSnapshot::verify");
 
+    // -- One training step by stage, one pool thread. ------------------------
+    sigma_parallel::set_global_threads(1);
+    let train_data = DatasetPreset::Pokec
+        .build(if quick { 0.4 } else { 1.6 }, 47)
+        .expect("pokec preset");
+    let train_split = train_data.default_split(47).expect("non-empty dataset");
+    let train_ctx = ContextBuilder::new(train_data)
+        .with_simrank(SimRankConfig::new(0.6, 0.1, Some(16)).expect("valid config"))
+        .build()
+        .expect("precompute over the generated graph");
+    let train_reps = 2 * reps + 1;
+    let train_rows: Vec<TrainStepRow> = [ModelKind::Sigma, ModelKind::GloGnn, ModelKind::Linkx]
+        .into_iter()
+        .map(|kind| train_step_row(kind, &train_ctx, &train_split, train_reps))
+        .collect();
+    let dropped = dropped_rows(&train_ctx, train_reps);
+    sigma_parallel::set_global_threads(0);
+    let mut train_table = TablePrinter::new(
+        ["model"]
+            .into_iter()
+            .chain(TRAIN_STAGES)
+            .chain(["epoch (ms, min-max)"])
+            .collect(),
+    );
+    for row in &train_rows {
+        let mut cells = vec![row.model.to_string()];
+        cells.extend(row.stages.iter().map(|t| format!("{:.2}", t.median)));
+        cells.push(format!(
+            "{:.2} ({:.2}-{:.2})",
+            row.epoch.median, row.epoch.min, row.epoch.max
+        ));
+        train_table.add_row(cells);
+    }
+    train_table.print(&format!(
+        "One training epoch by stage ({} nodes, {} features, ms, 1 thread)",
+        train_ctx.num_nodes(),
+        train_ctx.feature_dim()
+    ));
+    let mut dropped_table = TablePrinter::new(vec!["no longer computed", "shape", "ms (min-max)"]);
+    for row in &dropped {
+        dropped_table.add_row(vec![
+            row.what.to_string(),
+            row.shape.clone(),
+            format!(
+                "{:.3} ({:.3}-{:.3})",
+                row.timing.median, row.timing.min, row.timing.max
+            ),
+        ]);
+    }
+    dropped_table.print("What a training step used to compute and drop, timed alone");
+
     println!("all parity assertions passed: optimised kernels are bitwise-identical to their");
     println!("scalar references at {sweep:?} thread(s), and every repaired state to a fresh");
     println!("decomposed run. this host reports {cores} available core(s); thread counts");
     println!("{skipped:?} exceed it and were skipped.");
 
     emit_json(
-        quick,
-        (cores, &skipped),
+        (quick, cores, &skipped),
         (n, operator.nnz(), max_row_nnz),
         (&push_graph, &repair_graph),
         &balance_rows,
         &kernel_rows,
         (&repair_rows, &crc_rows),
+        (train_ctx.num_nodes(), &train_rows, &dropped),
     );
 }
 
@@ -622,13 +791,13 @@ fn mb_per_s(bytes: usize, timing: Timing) -> f64 {
 }
 
 fn emit_json(
-    quick: bool,
-    (cores, skipped): (usize, &[usize]),
+    (quick, cores, skipped): (bool, usize, &[usize]),
     (nodes, nnz, max_row_nnz): (usize, usize, usize),
     (push_graph, repair_graph): (&Graph, &Graph),
     balance: &[BalanceRow],
     kernels: &[KernelRow],
     (repairs, crcs): (&[RepairRow], &[CrcRow]),
+    (train_nodes, train, dropped): (usize, &[TrainStepRow], &[DroppedRow]),
 ) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"kernel_microopt\",\n");
@@ -650,7 +819,11 @@ fn emit_json(
          table-free bitwise CRC32 of sigma-testutil over every section payload of one snapshot \
          image against MappedSnapshot::verify on a fresh file mapping of the same image (sliced \
          two-lane CRC32 plus the CSR structure check), MB/s = bytes / 1e6 / median s, and asserts \
-         every header-table CRC the writer stamped equal to the bitwise one\",\n",
+         every header-table CRC the writer stamped equal to the bitwise one; each train_step row is \
+         the per-stage median of `samples` full-batch epochs of one model on the learn_pokec graph \
+         and operator at one pool thread, in Trainer::train's order, and each train_step_dropped \
+         row times alone, at the same shapes, work a step computed and discarded before leaf \
+         layers had a parameter-only backward\",\n",
     );
     out.push_str(&format!(
         "  \"spmm_graph\": {{\"nodes\": {nodes}, \"nnz\": {nnz}, \"max_row_nnz\": {max_row_nnz}}},\n"
@@ -728,6 +901,40 @@ fn emit_json(
             mb_per_s(c.bytes, c.verify),
             c.verify.samples,
             if i + 1 == crcs.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"train_step\": [\n");
+    for (i, t) in train.iter().enumerate() {
+        let stages: String = TRAIN_STAGES
+            .iter()
+            .zip(&t.stages)
+            .map(|(name, timing)| format!("\"{name}_ms\": {:.3}, ", timing.median))
+            .collect();
+        out.push_str(&format!(
+            "    {{\"model\": \"{}\", \"nodes\": {train_nodes}, {stages}\"epoch_ms\": {:.3}, \
+             \"min_ms\": {:.3}, \"max_ms\": {:.3}, \"samples\": {}}}{}\n",
+            t.model,
+            t.epoch.median,
+            t.epoch.min,
+            t.epoch.max,
+            t.epoch.samples,
+            if i + 1 == train.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"train_step_dropped\": [\n");
+    for (i, d) in dropped.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"what\": \"{}\", \"shape\": \"{}\", \"ms\": {:.3}, \"min_ms\": {:.3}, \
+             \"max_ms\": {:.3}, \"samples\": {}}}{}\n",
+            d.what,
+            d.shape,
+            d.timing.median,
+            d.timing.min,
+            d.timing.max,
+            d.timing.samples,
+            if i + 1 == dropped.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");

@@ -1,6 +1,12 @@
 //! Table VII: learning-time breakdown (precomputation / aggregation / total)
 //! of the decoupled heterophilous models — LINKX, GloGNN and SIGMA — on the
 //! six large-scale presets, plus SIGMA's average speed-up.
+//!
+//! Exits non-zero unless SIGMA learns faster than GloGNN on every preset
+//! (so the mean GloGNN/SIGMA ratio is above one too) — the half of the
+//! paper's ordering this reproduction can show. The other half, SIGMA below
+//! LINKX, is printed but not asserted: here both run the same epoch budget
+//! and a SIGMA step is a LINKX step plus `S·H` plus the precompute.
 
 use sigma::ModelKind;
 use sigma_bench::runner::{default_hyper, prepare, train, OperatorSet};
@@ -13,6 +19,7 @@ fn main() {
     let mut table = TablePrinter::new(vec!["dataset", "model", "Pre. (s)", "AGG (s)", "Learn (s)"]);
     let mut speedups_vs_glognn = Vec::new();
     let mut speedups_vs_linkx = Vec::new();
+    let mut slower_than_glognn = Vec::new();
     for preset in DatasetPreset::LARGE {
         let (ctx, split) = prepare(preset, &cfg, OperatorSet::default(), 23);
         let mut learn_times = std::collections::HashMap::new();
@@ -37,6 +44,9 @@ fn main() {
         }
         let sigma = learn_times["SIGMA"].max(1e-9);
         speedups_vs_glognn.push(learn_times["GloGNN"] / sigma);
+        if learn_times["GloGNN"] <= sigma {
+            slower_than_glognn.push(preset.stats().name);
+        }
         speedups_vs_linkx.push(learn_times["LINKX"] / sigma);
     }
     table.print("Table VII: learning time breakdown on large-scale presets");
@@ -48,4 +58,14 @@ fn main() {
     );
     println!("paper shape: SIGMA has the lowest learning time on every large dataset, with a");
     println!("small one-time precomputation and a much cheaper per-epoch aggregation than GloGNN.");
+    println!(
+        "asserted here: SIGMA below GloGNN on every preset. Not asserted: SIGMA below LINKX —"
+    );
+    println!(
+        "at an equal epoch budget a SIGMA step is a LINKX step plus one SpMM and the precompute."
+    );
+    if !slower_than_glognn.is_empty() {
+        eprintln!("Table VII ordering violated: SIGMA is not faster than GloGNN on {slower_than_glognn:?}");
+        std::process::exit(1);
+    }
 }

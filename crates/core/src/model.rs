@@ -13,15 +13,22 @@ use std::time::Duration;
 ///
 /// All models in the reproduction are MLPs composed with *constant* sparse
 /// propagation operators, so the interface is a plain forward/backward pair:
-/// `forward` produces `n × C` logits and caches activations, `backward`
-/// consumes the loss gradient w.r.t. those logits and accumulates parameter
-/// gradients, and `apply_gradients` performs the optimizer step.
+/// a training `forward` produces `n × C` logits and caches activations,
+/// `backward` consumes the loss gradient w.r.t. those logits and accumulates
+/// parameter gradients — and nothing else: the inputs `X`, `A` and every
+/// operator are constants, so no gradient with respect to them is computed —
+/// and `apply_gradients` performs the optimizer step.
 pub trait Model {
     /// Short, stable model name (used in reports and benches).
     fn name(&self) -> &'static str;
 
     /// Computes `n × C` logits. With `training = true`, dropout is active and
-    /// activations are cached for [`Model::backward`].
+    /// activations are cached for [`Model::backward`]. With
+    /// `training = false` this is an evaluation pass: no dropout, no RNG
+    /// draws, and nothing has to be cached — **no `backward` may follow
+    /// it**. Every [`sigma_nn::Mlp`] inside a model enforces that with
+    /// [`sigma_nn::NnError::MissingForwardCache`]; a gradient check with
+    /// dropout off is `training = true` at dropout `0.0`.
     fn forward(
         &mut self,
         ctx: &GraphContext,

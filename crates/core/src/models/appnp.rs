@@ -80,7 +80,7 @@ impl Model for Appnp {
             g = back;
         }
         d_h.add_assign(&g)?;
-        self.mlp.backward(&d_h)?;
+        self.mlp.backward_params(&d_h)?;
         Ok(())
     }
 

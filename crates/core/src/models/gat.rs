@@ -405,7 +405,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut model = Gat::new(&ctx, &hyper, &mut rng);
 
-        let logits = model.forward(&ctx, false, &mut rng).unwrap();
+        let logits = model.forward(&ctx, true, &mut rng).unwrap();
         let (_, grad) = softmax_cross_entropy_masked(&logits, ctx.labels(), &split.train).unwrap();
         model.zero_grad();
         model.backward(&ctx, &grad).unwrap();

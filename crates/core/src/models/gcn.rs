@@ -103,19 +103,18 @@ impl Model for Gcn {
             .ok_or(sigma_nn::NnError::MissingForwardCache { layer: "Gcn" })?;
         let a_hat = ctx.sym_adj();
         let mut grad = grad_logits.clone();
-        for idx in (0..self.layers.len()).rev() {
+        for idx in (1..self.layers.len()).rev() {
             // Through the linear map: accumulates dW, returns gradient w.r.t.
             // the propagated input Â·H.
             let d_propagated = self.layers[idx].backward(&grad)?;
             // Through the propagation operator (Â is symmetric, but use the
             // transpose kernel for clarity and generality).
             grad = timed_spmm_transpose(a_hat, &d_propagated, &mut self.agg_time)?;
-            if idx > 0 {
-                let hidden_idx = idx - 1;
-                grad = cache.masks[hidden_idx].backward(&grad);
-                grad = relu_backward(&grad, &cache.pre_activations[hidden_idx]);
-            }
+            grad = cache.masks[idx - 1].backward(&grad);
+            grad = relu_backward(&grad, &cache.pre_activations[idx - 1]);
         }
+        // The first layer's input Â·X is a constant: parameters only.
+        self.layers[0].backward_params(&grad)?;
         Ok(())
     }
 

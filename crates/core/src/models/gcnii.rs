@@ -148,7 +148,7 @@ impl Model for Gcnii {
             None => d_h0_accum,
         };
         let d_input_pre = relu_backward(&masked, &cache.input_pre);
-        self.input.backward(&d_input_pre)?;
+        self.input.backward_params(&d_input_pre)?;
         Ok(())
     }
 

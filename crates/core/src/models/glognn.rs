@@ -24,7 +24,7 @@
 //! per-epoch *cost structure* `O(k₂·m·f·l_norm + n·f²·l_norm)` matches the
 //! original.
 
-use crate::models::{timed_spmm, timed_spmm_transpose};
+use crate::models::{split_by_delta, timed_spmm, timed_spmm_transpose};
 use crate::{GraphContext, Model, ModelHyperParams, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -190,12 +190,9 @@ impl Model for GloGnn {
         }
         d_h.add_assign(&g)?;
 
-        let mut d_x = d_h.clone();
-        d_x.scale(self.delta as f32);
-        let mut d_a = d_h;
-        d_a.scale((1.0 - self.delta) as f32);
-        self.mlp_x.backward(&d_x)?;
-        self.mlp_a.backward(&d_a)?;
+        let (d_x, d_a) = split_by_delta(d_h, self.delta);
+        self.mlp_x.backward_params(&d_x)?;
+        self.mlp_a.backward_params(&d_a)?;
         Ok(())
     }
 

@@ -105,7 +105,7 @@ impl Model for GprGnn {
             current = timed_spmm_transpose(a_hat, &current, &mut self.agg_time)?;
             d_h.add_scaled(self.gamma.get(0, k), &current)?;
         }
-        self.mlp.backward(&d_h)?;
+        self.mlp.backward_params(&d_h)?;
         Ok(())
     }
 
@@ -159,7 +159,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut model = GprGnn::new(&ctx, &hyper, &mut rng);
 
-        let logits = model.forward(&ctx, false, &mut rng).unwrap();
+        let logits = model.forward(&ctx, true, &mut rng).unwrap();
         let (_, dlogits) =
             softmax_cross_entropy_masked(&logits, ctx.labels(), &split.train).unwrap();
         model.zero_grad();

@@ -67,13 +67,13 @@ impl Model for H2Gcn {
         rng: &mut StdRng,
     ) -> Result<DenseMatrix> {
         let row_adj = ctx.row_adj();
-        let a2 = ctx.require_two_hop("H2GCN")?.clone();
+        let a2 = ctx.require_two_hop("H2GCN")?;
 
         let embed_pre = self.embed.forward(ctx.features())?;
         let h0 = relu_forward(&embed_pre);
         // Ego, 1-hop (without self loops) and 2-hop views.
         let h1 = timed_spmm(row_adj, &h0, &mut self.agg_time)?;
-        let h2 = timed_spmm(&a2, &h0, &mut self.agg_time)?;
+        let h2 = timed_spmm(a2, &h0, &mut self.agg_time)?;
         let concatenated = h0.hconcat(&h1)?.hconcat(&h2)?;
         let (dropped, mask) = dropout_forward(&concatenated, self.dropout, training, rng);
         let logits = self.classifier.forward(&dropped)?;
@@ -87,7 +87,7 @@ impl Model for H2Gcn {
             .take()
             .ok_or(sigma_nn::NnError::MissingForwardCache { layer: "H2Gcn" })?;
         let row_adj = ctx.row_adj();
-        let a2 = ctx.require_two_hop("H2GCN")?.clone();
+        let a2 = ctx.require_two_hop("H2GCN")?;
 
         let d_dropped = self.classifier.backward(grad_logits)?;
         let d_concat = cache.mask.backward(&d_dropped);
@@ -100,11 +100,11 @@ impl Model for H2Gcn {
         let mut d_h0 = d_h0_direct;
         let back1 = timed_spmm_transpose(row_adj, &d_h1, &mut self.agg_time)?;
         d_h0.add_assign(&back1)?;
-        let back2 = timed_spmm_transpose(&a2, &d_h2, &mut self.agg_time)?;
+        let back2 = timed_spmm_transpose(a2, &d_h2, &mut self.agg_time)?;
         d_h0.add_assign(&back2)?;
 
         let d_pre = relu_backward(&d_h0, &cache.embed_pre);
-        self.embed.backward(&d_pre)?;
+        self.embed.backward_params(&d_pre)?;
         Ok(())
     }
 

@@ -6,6 +6,7 @@
 //! aggregation step. The `MLP_A(A)` product is computed with sparse-dense
 //! multiplication so the cost stays `O(m·f)` (paper Section III-C).
 
+use crate::models::split_by_delta;
 use crate::{GraphContext, Model, ModelHyperParams, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -66,13 +67,9 @@ impl Model for Linkx {
     }
 
     fn backward(&mut self, _ctx: &GraphContext, grad_logits: &DenseMatrix) -> Result<()> {
-        let d_combined = self.mlp_h.backward(grad_logits)?;
-        let mut d_x = d_combined.clone();
-        d_x.scale(self.delta as f32);
-        let mut d_a = d_combined;
-        d_a.scale((1.0 - self.delta) as f32);
-        self.mlp_x.backward(&d_x)?;
-        self.mlp_a.backward(&d_a)?;
+        let (d_x, d_a) = split_by_delta(self.mlp_h.backward(grad_logits)?, self.delta);
+        self.mlp_x.backward_params(&d_x)?;
+        self.mlp_a.backward_params(&d_a)?;
         Ok(())
     }
 

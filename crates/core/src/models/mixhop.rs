@@ -70,14 +70,14 @@ impl Model for MixHop {
     ) -> Result<DenseMatrix> {
         let x = ctx.features();
         let a_hat = ctx.sym_adj();
-        let a2 = ctx.require_two_hop("MixHop")?.clone();
+        let a2 = ctx.require_two_hop("MixHop")?;
 
         // Hop 0: X·W₀; hop 1: Â·(X·W₁); hop 2: Â²·(X·W₂).
         let part0 = self.hop_transforms[0].forward(x)?;
         let t1 = self.hop_transforms[1].forward(x)?;
         let part1 = timed_spmm(a_hat, &t1, &mut self.agg_time)?;
         let t2 = self.hop_transforms[2].forward(x)?;
-        let part2 = timed_spmm(&a2, &t2, &mut self.agg_time)?;
+        let part2 = timed_spmm(a2, &t2, &mut self.agg_time)?;
 
         let concatenated = part0.hconcat(&part1)?.hconcat(&part2)?;
         let activated = relu_forward(&concatenated);
@@ -96,7 +96,7 @@ impl Model for MixHop {
             .take()
             .ok_or(sigma_nn::NnError::MissingForwardCache { layer: "MixHop" })?;
         let a_hat = ctx.sym_adj();
-        let a2 = ctx.require_two_hop("MixHop")?.clone();
+        let a2 = ctx.require_two_hop("MixHop")?;
 
         let d_dropped = self.classifier.backward(grad_logits)?;
         let d_activated = cache.mask.backward(&d_dropped);
@@ -108,13 +108,13 @@ impl Model for MixHop {
         let d2 = slice_columns(&d_concat, 2 * w, w);
 
         // Hop 0 feeds W₀ directly.
-        self.hop_transforms[0].backward(&d0)?;
+        self.hop_transforms[0].backward_params(&d0)?;
         // Hop 1: gradient flows back through Â.
         let d_t1 = timed_spmm_transpose(a_hat, &d1, &mut self.agg_time)?;
-        self.hop_transforms[1].backward(&d_t1)?;
+        self.hop_transforms[1].backward_params(&d_t1)?;
         // Hop 2: gradient flows back through Â².
-        let d_t2 = timed_spmm_transpose(&a2, &d2, &mut self.agg_time)?;
-        self.hop_transforms[2].backward(&d_t2)?;
+        let d_t2 = timed_spmm_transpose(a2, &d2, &mut self.agg_time)?;
+        self.hop_transforms[2].backward_params(&d_t2)?;
         Ok(())
     }
 

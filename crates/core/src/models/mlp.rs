@@ -47,7 +47,7 @@ impl Model for MlpModel {
     }
 
     fn backward(&mut self, _ctx: &GraphContext, grad_logits: &DenseMatrix) -> Result<()> {
-        self.mlp.backward(grad_logits)?;
+        self.mlp.backward_params(grad_logits)?;
         Ok(())
     }
 

@@ -53,6 +53,15 @@ pub(crate) fn timed_spmm_transpose(
     Ok(out)
 }
 
+/// Splits the gradient of `δ·H_X + (1−δ)·H_A` into its two branches,
+/// `(δ·g, (1−δ)·g)`.
+pub(crate) fn split_by_delta(grad: DenseMatrix, delta: f64) -> (DenseMatrix, DenseMatrix) {
+    let d_x = grad.map(|v| v * delta as f32);
+    let mut d_a = grad;
+    d_a.scale((1.0 - delta) as f32);
+    (d_x, d_a)
+}
+
 /// Extracts a contiguous block of columns `[start, start + width)` as a new
 /// matrix (used by concatenating models such as MixHop and H2GCN to split the
 /// gradient of a concatenation).

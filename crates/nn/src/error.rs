@@ -10,6 +10,13 @@ pub enum NnError {
         /// Layer or model that was asked to backpropagate.
         layer: &'static str,
     },
+    /// `backward` was asked for the input gradient of a layer whose input was
+    /// sparse. With respect to an adjacency matrix that gradient is a dense
+    /// `n × n` matrix nothing reads; use `backward_params`.
+    NoSparseInputGradient {
+        /// Layer that was asked to backpropagate.
+        layer: &'static str,
+    },
     /// A label or index array is inconsistent with the logits shape.
     InvalidLabels {
         /// Explanation of the inconsistency.
@@ -31,6 +38,10 @@ impl fmt::Display for NnError {
             NnError::MissingForwardCache { layer } => {
                 write!(f, "backward called on `{layer}` before forward")
             }
+            NnError::NoSparseInputGradient { layer } => write!(
+                f,
+                "`{layer}` has a sparse input and so no input gradient; call backward_params"
+            ),
             NnError::InvalidLabels { reason } => write!(f, "invalid labels: {reason}"),
             NnError::InvalidHyperParameter { name, value } => {
                 write!(f, "invalid hyper-parameter {name} = {value}")
@@ -62,6 +73,8 @@ mod tests {
     fn display_contains_context() {
         let e = NnError::MissingForwardCache { layer: "Linear" };
         assert!(e.to_string().contains("Linear"));
+        let e = NnError::NoSparseInputGradient { layer: "Linear" };
+        assert!(e.to_string().contains("backward_params"));
         let e = NnError::InvalidHyperParameter {
             name: "lr",
             value: -1.0,

@@ -69,3 +69,23 @@ pub use schedule::LrSchedule;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NnError>;
+
+#[cfg(test)]
+mod test_support {
+    /// Bit patterns of a matrix, for the bitwise pins.
+    pub(crate) fn bits(m: &sigma_matrix::DenseMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs `check` at 1, 2 and 4 pool threads. The width is process-wide
+    /// and tests share a process, so every caller goes through this one lock.
+    pub(crate) fn at_each_pool_width(mut check: impl FnMut(usize)) {
+        static WIDTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 2, 4] {
+            sigma_parallel::set_global_threads(threads);
+            check(threads);
+        }
+        sigma_parallel::set_global_threads(0);
+    }
+}

@@ -7,12 +7,26 @@ use sigma_parallel::ThreadPool;
 
 /// A dense linear layer `Y = X·W + b`.
 ///
-/// The layer caches its input during [`Linear::forward`] so that
-/// [`Linear::backward`] can compute `dW = Xᵀ·dY`, `db = 1ᵀ·dY` and
-/// `dX = dY·Wᵀ`. For the LINKX/SIGMA `MLP(A)` component the input is a
-/// sparse adjacency matrix; [`Linear::forward_sparse`] performs the same
-/// computation without densifying `A` (the paper stresses this keeps the
-/// cost at `O(m·f)`).
+/// [`Linear::forward`] / [`Linear::forward_sparse`] cache the layer input —
+/// nothing else — for the backward pass. For the LINKX/SIGMA `MLP(A)`
+/// component the input is the sparse adjacency matrix;
+/// [`Linear::forward_sparse`] computes `A·W` without densifying `A` (the
+/// paper stresses this keeps the cost at `O(m·f)`).
+///
+/// Three passes read the parameters, each computing only what its caller
+/// uses:
+///
+/// * [`Linear::backward_params`] accumulates `dW = Xᵀ·dY` and `db = 1ᵀ·dY`.
+///   It is the whole backward pass of a *leaf* layer — one whose input is a
+///   constant of the graph (`X`, `A`) — and `O(m·f)` on a sparse input, so
+///   a training step of `MLP_A(A)` is as sparse as its forward pass.
+/// * [`Linear::backward`] is `backward_params` plus `dX = dY·Wᵀ`, for inner
+///   layers whose input is an activation. A sparse input has no such
+///   gradient (it would be a dense `n × n` matrix with respect to the
+///   adjacency): after `forward_sparse` it returns
+///   [`NnError::NoSparseInputGradient`].
+/// * [`Linear::forward_inference`] takes `&self` and caches nothing; it is
+///   what [`crate::Mlp::infer`] runs.
 ///
 /// Every matrix product here (`X·W`, `A·W`, `Xᵀ·dY`, `dY·Wᵀ`) runs on the
 /// shared [`sigma_parallel::ThreadPool`] via the `sigma-matrix` kernels, and
@@ -26,8 +40,15 @@ pub struct Linear {
     bias: DenseMatrix,
     grad_weight: DenseMatrix,
     grad_bias: DenseMatrix,
-    cached_input: Option<DenseMatrix>,
-    cached_sparse_input: Option<CsrMatrix>,
+    cached_input: CachedInput,
+}
+
+/// The input of the last caching forward pass.
+#[derive(Debug, Clone)]
+enum CachedInput {
+    None,
+    Dense(DenseMatrix),
+    Sparse(CsrMatrix),
 }
 
 impl Linear {
@@ -38,8 +59,7 @@ impl Linear {
             bias: DenseMatrix::zeros(1, out_features),
             grad_weight: DenseMatrix::zeros(in_features, out_features),
             grad_bias: DenseMatrix::zeros(1, out_features),
-            cached_input: None,
-            cached_sparse_input: None,
+            cached_input: CachedInput::None,
         }
     }
 
@@ -63,8 +83,7 @@ impl Linear {
             bias,
             grad_weight: DenseMatrix::zeros(in_features, out_features),
             grad_bias: DenseMatrix::zeros(1, out_features),
-            cached_input: None,
-            cached_sparse_input: None,
+            cached_input: CachedInput::None,
         })
     }
 
@@ -100,20 +119,16 @@ impl Linear {
 
     /// Forward pass on a dense input, caching the input for backward.
     pub fn forward(&mut self, input: &DenseMatrix) -> Result<DenseMatrix> {
-        let mut out = input.matmul(&self.weight)?;
-        self.add_bias(&mut out);
-        self.cached_input = Some(input.clone());
-        self.cached_sparse_input = None;
+        let out = self.forward_inference(input)?;
+        self.cached_input = CachedInput::Dense(input.clone());
         Ok(out)
     }
 
     /// Forward pass on a sparse input (e.g. the adjacency matrix in
-    /// `MLP(A)`), caching the input for backward.
+    /// `MLP(A)`), caching the input for [`Linear::backward_params`].
     pub fn forward_sparse(&mut self, input: &CsrMatrix) -> Result<DenseMatrix> {
-        let mut out = input.spmm(&self.weight)?;
-        self.add_bias(&mut out);
-        self.cached_sparse_input = Some(input.clone());
-        self.cached_input = None;
+        let out = self.forward_inference_sparse(input)?;
+        self.cached_input = CachedInput::Sparse(input.clone());
         Ok(out)
     }
 
@@ -124,28 +139,47 @@ impl Linear {
         Ok(out)
     }
 
-    /// Backward pass: accumulates `dW`, `db` and returns `dX = dY·Wᵀ`.
+    /// Sparse-input forward pass without caching (inference only).
+    pub(crate) fn forward_inference_sparse(&self, input: &CsrMatrix) -> Result<DenseMatrix> {
+        let mut out = input.spmm(&self.weight)?;
+        self.add_bias(&mut out);
+        Ok(out)
+    }
+
+    /// Parameter half of the backward pass: accumulates `dW = Xᵀ·dY` and
+    /// `db = 1ᵀ·dY` and computes no input gradient. This is all a leaf layer
+    /// needs, and the only backward pass a sparse-input layer has.
     ///
-    /// Returns [`NnError::MissingForwardCache`] if no forward pass preceded
-    /// this call.
-    pub fn backward(&mut self, grad_output: &DenseMatrix) -> Result<DenseMatrix> {
-        // dW = Xᵀ·dY (dense or sparse input), db = column sums of dY.
-        let grad_w = if let Some(x) = &self.cached_input {
-            x.matmul_transpose_self(grad_output)?
-        } else if let Some(a) = &self.cached_sparse_input {
-            a.spmm_transpose(grad_output)?
-        } else {
-            return Err(NnError::MissingForwardCache { layer: "Linear" });
+    /// Returns [`NnError::MissingForwardCache`] if no caching forward pass
+    /// preceded this call.
+    pub fn backward_params(&mut self, grad_output: &DenseMatrix) -> Result<()> {
+        let grad_w = match &self.cached_input {
+            CachedInput::Dense(x) => x.matmul_transpose_self(grad_output)?,
+            CachedInput::Sparse(a) => a.spmm_transpose(grad_output)?,
+            CachedInput::None => return Err(NnError::MissingForwardCache { layer: "Linear" }),
         };
         self.grad_weight.add_assign(&grad_w)?;
-        let mut db = DenseMatrix::zeros(1, grad_output.cols());
+        // db: column sums of dY, rows ascending (serial, see the type docs).
+        let grad_bias = self.grad_bias.row_mut(0);
         for r in 0..grad_output.rows() {
-            for (j, &v) in grad_output.row(r).iter().enumerate() {
-                db.set(0, j, db.get(0, j) + v);
+            for (acc, &v) in grad_bias.iter_mut().zip(grad_output.row(r)) {
+                *acc += v;
             }
         }
-        self.grad_bias.add_assign(&db)?;
-        // dX = dY·Wᵀ.
+        Ok(())
+    }
+
+    /// Full backward pass of an inner layer: [`Linear::backward_params`],
+    /// then returns `dX = dY·Wᵀ`.
+    ///
+    /// Returns [`NnError::MissingForwardCache`] if no caching forward pass
+    /// preceded this call and [`NnError::NoSparseInputGradient`] after
+    /// [`Linear::forward_sparse`].
+    pub fn backward(&mut self, grad_output: &DenseMatrix) -> Result<DenseMatrix> {
+        if matches!(self.cached_input, CachedInput::Sparse(_)) {
+            return Err(NnError::NoSparseInputGradient { layer: "Linear" });
+        }
+        self.backward_params(grad_output)?;
         Ok(grad_output.matmul_transpose_other(&self.weight)?)
     }
 
@@ -173,7 +207,7 @@ impl Linear {
     }
 
     fn add_bias(&self, out: &mut DenseMatrix) {
-        let bias = self.bias.row(0).to_vec();
+        let bias = self.bias.row(0);
         let width = out.cols();
         if width == 0 {
             return;
@@ -199,21 +233,35 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::bits;
     use crate::Sgd;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Linear {
+        /// Bit patterns of the accumulated `(dW, db)`, for the bitwise pins
+        /// here and in `mlp.rs`.
+        pub(crate) fn grad_bits(&self) -> (Vec<u32>, Vec<u32>) {
+            (bits(&self.grad_weight), bits(&self.grad_bias))
+        }
+    }
 
     fn finite_difference_check(
         layer: &mut Linear,
         input: &DenseMatrix,
         row: usize,
         col: usize,
+        params_only: bool,
     ) -> (f32, f32) {
         // Loss = sum of outputs. dLoss/dW[row][col] analytically vs numerically.
         let ones = DenseMatrix::filled(input.rows(), layer.out_features(), 1.0);
         layer.zero_grad();
         let _ = layer.forward(input).unwrap();
-        let _ = layer.backward(&ones).unwrap();
+        if params_only {
+            layer.backward_params(&ones).unwrap();
+        } else {
+            let _ = layer.backward(&ones).unwrap();
+        }
         let analytic = layer.grad_weight.get(row, col);
 
         let eps = 1e-3;
@@ -248,6 +296,10 @@ mod tests {
             layer.backward(&dy),
             Err(NnError::MissingForwardCache { .. })
         ));
+        assert!(matches!(
+            layer.backward_params(&dy),
+            Err(NnError::MissingForwardCache { .. })
+        ));
     }
 
     #[test]
@@ -255,13 +307,94 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = Linear::new(4, 3, &mut rng);
         let x = DenseMatrix::from_fn(5, 4, |i, j| ((i + 2 * j) as f32).sin());
-        for &(r, c) in &[(0, 0), (2, 1), (3, 2)] {
-            let (analytic, numeric) = finite_difference_check(&mut layer, &x, r, c);
+        for &(r, c, params_only) in &[(0, 0, false), (2, 1, false), (3, 2, false), (2, 1, true)] {
+            let (analytic, numeric) = finite_difference_check(&mut layer, &x, r, c, params_only);
             assert!(
                 (analytic - numeric).abs() < 1e-2,
                 "grad mismatch at ({r},{c}): {analytic} vs {numeric}"
             );
         }
+    }
+
+    /// `(dW, db)` bits the way the layer computed them before
+    /// `backward_params` existed: `0 + Xᵀ·dY`, and `db` summed into a
+    /// temporary with `get`/`set` and then added.
+    fn reference_grad_bits(grad_w: DenseMatrix, dy: &DenseMatrix) -> (Vec<u32>, Vec<u32>) {
+        let mut dw = DenseMatrix::zeros(grad_w.rows(), grad_w.cols());
+        dw.add_assign(&grad_w).unwrap();
+        let mut db = DenseMatrix::zeros(1, dy.cols());
+        for r in 0..dy.rows() {
+            for (j, &v) in dy.row(r).iter().enumerate() {
+                db.set(0, j, db.get(0, j) + v);
+            }
+        }
+        let mut grad_b = DenseMatrix::zeros(1, dy.cols());
+        grad_b.add_assign(&db).unwrap();
+        (bits(&dw), bits(&grad_b))
+    }
+
+    #[test]
+    fn backward_and_backward_params_leave_identical_gradient_bits() {
+        // Sized above the pool's dispatch floor so 2 and 4 threads really fan out.
+        let mut rng = StdRng::seed_from_u64(8);
+        let x = DenseMatrix::from_fn(600, 64, |i, j| ((i * 13 + j * 7) as f32 * 0.37).sin());
+        let a = CsrMatrix::from_triplets(
+            600,
+            64,
+            &(0..600 * 6)
+                .map(|e| (e / 6, (e * 11 + e / 6) % 64, ((e % 9) as f32 - 4.0) * 0.25))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let dy = DenseMatrix::from_fn(600, 48, |i, j| ((i + 3 * j) as f32 * 0.11).cos());
+        let layer = Linear::new(64, 48, &mut rng);
+        crate::test_support::at_each_pool_width(|threads| {
+            let mut full = layer.clone();
+            full.forward(&x).unwrap();
+            full.backward(&dy).unwrap();
+            let mut params = layer.clone();
+            params.forward(&x).unwrap();
+            params.backward_params(&dy).unwrap();
+            let reference = reference_grad_bits(x.matmul_transpose_self(&dy).unwrap(), &dy);
+            assert_eq!(
+                full.grad_bits(),
+                reference,
+                "dense backward, {threads} threads"
+            );
+            assert_eq!(
+                params.grad_bits(),
+                reference,
+                "dense backward_params, {threads} threads"
+            );
+
+            let mut sparse = layer.clone();
+            sparse.forward_sparse(&a).unwrap();
+            sparse.backward_params(&dy).unwrap();
+            let reference = reference_grad_bits(a.spmm_transpose(&dy).unwrap(), &dy);
+            assert_eq!(
+                sparse.grad_bits(),
+                reference,
+                "sparse backward_params, {threads} threads"
+            );
+        });
+    }
+
+    #[test]
+    fn a_sparse_input_has_no_input_gradient() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut layer = Linear::new(3, 2, &mut rng);
+        let a = CsrMatrix::from_triplets(4, 3, &[(0, 1, 1.0), (3, 2, -1.0)]).unwrap();
+        layer.forward_sparse(&a).unwrap();
+        assert_eq!(
+            layer.backward(&DenseMatrix::zeros(4, 2)),
+            Err(NnError::NoSparseInputGradient { layer: "Linear" })
+        );
+        // The refusal accumulated nothing, and the parameter pass still runs.
+        assert_eq!(layer.grad_norm(), 0.0);
+        layer
+            .backward_params(&DenseMatrix::filled(4, 2, 1.0))
+            .unwrap();
+        assert!(layer.grad_norm() > 0.0);
     }
 
     #[test]
@@ -289,9 +422,9 @@ mod tests {
         let mut l1 = Linear::new(3, 2, &mut rng);
         let mut l2 = l1.clone();
         l1.forward_sparse(&sparse).unwrap();
-        l1.backward(&dy).unwrap();
+        l1.backward_params(&dy).unwrap();
         l2.forward(&dense).unwrap();
-        l2.backward(&dy).unwrap();
+        l2.backward_params(&dy).unwrap();
         for (a, b) in l1
             .grad_weight
             .as_slice()

@@ -2,9 +2,10 @@
 //!
 //! SIGMA, LINKX and most baselines embed node features and the adjacency
 //! matrix with small MLPs (`MLP_X`, `MLP_A`, `MLP_H` in Eq. 4 of the paper).
-//! [`Mlp`] implements the shared structure with manual backpropagation:
-//! every layer caches its forward activations, and [`Mlp::backward`] replays
-//! them in reverse.
+//! [`Mlp`] implements the shared structure with manual backpropagation: a
+//! training forward pass caches every layer's input, hidden pre-activation
+//! and dropout mask, and a backward pass replays them in reverse. An
+//! evaluation pass ([`Mlp::infer`]) caches nothing.
 
 use crate::{
     dropout_forward, relu_backward, relu_forward, DropoutMask, Linear, NnError, Optimizer, Result,
@@ -56,6 +57,22 @@ struct ForwardCache {
 }
 
 /// A feed-forward network `Linear → ReLU → Dropout → … → Linear`.
+///
+/// * [`Mlp::forward`] / [`Mlp::forward_sparse`] with `training = true` apply
+///   dropout and cache what a backward pass needs: each layer's input, each
+///   hidden pre-activation (moved, not copied) and each dropout mask.
+/// * [`Mlp::backward`] accumulates every layer's `dW`, `db` and returns the
+///   gradient with respect to the input — for an MLP fed by another layer's
+///   activation (`MLP_H`).
+/// * [`Mlp::backward_params`] accumulates the same `dW`, `db`, bit for bit,
+///   and stops there — for an MLP fed by a constant of the graph (`MLP_X(X)`,
+///   `MLP_A(A)`), whose input gradient nobody reads. It is the only backward
+///   pass after [`Mlp::forward_sparse`], and keeps `MLP_A(A)` at `O(m·f)`
+///   per step: the input gradient of an `n × n` adjacency is `n × n` dense.
+/// * [`Mlp::infer`] / [`Mlp::infer_sparse`] are the evaluation pass: `&self`,
+///   no dropout, no RNG, no cache. `forward(.., training = false, ..)` is
+///   exactly this, so a backward pass after it is
+///   [`NnError::MissingForwardCache`].
 #[derive(Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
@@ -152,70 +169,112 @@ impl Mlp {
         self.layers.len() * 2
     }
 
-    /// Forward pass on a dense input. When `training` is true dropout is
-    /// active and activations are cached for [`Mlp::backward`].
+    /// Forward pass on a dense input. With `training = true` dropout is
+    /// active and activations are cached for [`Mlp::backward`] /
+    /// [`Mlp::backward_params`]; with `training = false` this is
+    /// [`Mlp::infer`] and no backward pass may follow.
     pub fn forward<R: Rng + ?Sized>(
         &mut self,
         input: &DenseMatrix,
         training: bool,
         rng: &mut R,
     ) -> Result<DenseMatrix> {
+        if !training {
+            self.cache = None;
+            return self.infer(input);
+        }
         let first = self.layers[0].forward(input)?;
-        self.forward_rest(first, training, rng)
+        self.forward_rest(first, rng)
     }
 
     /// Forward pass whose *first* layer consumes a sparse matrix (used for
-    /// `MLP_A(A)`); subsequent layers are dense.
+    /// `MLP_A(A)`); subsequent layers are dense. `training` as in
+    /// [`Mlp::forward`].
     pub fn forward_sparse<R: Rng + ?Sized>(
         &mut self,
         input: &CsrMatrix,
         training: bool,
         rng: &mut R,
     ) -> Result<DenseMatrix> {
+        if !training {
+            self.cache = None;
+            return self.infer_sparse(input);
+        }
         let first = self.layers[0].forward_sparse(input)?;
-        self.forward_rest(first, training, rng)
+        self.forward_rest(first, rng)
     }
 
     fn forward_rest<R: Rng + ?Sized>(
         &mut self,
         first: DenseMatrix,
-        training: bool,
         rng: &mut R,
     ) -> Result<DenseMatrix> {
         let mut cache = ForwardCache::default();
         let mut current = first;
-        let num_layers = self.layers.len();
-        for layer_idx in 1..num_layers {
+        for layer in &mut self.layers[1..] {
             // Hidden activation of the previous layer's output.
-            cache.pre_activations.push(current.clone());
             let activated = relu_forward(&current);
-            let (dropped, mask) = dropout_forward(&activated, self.dropout, training, rng);
+            cache.pre_activations.push(current);
+            let (dropped, mask) = dropout_forward(&activated, self.dropout, true, rng);
             cache.dropout_masks.push(mask);
-            current = self.layers[layer_idx].forward(&dropped)?;
+            current = layer.forward(&dropped)?;
         }
         self.cache = Some(cache);
+        Ok(current)
+    }
+
+    /// Evaluation pass on a dense input: ReLU between layers, no dropout,
+    /// nothing cached. Bitwise equal to `forward(input, false, ..)`.
+    pub fn infer(&self, input: &DenseMatrix) -> Result<DenseMatrix> {
+        self.infer_rest(self.layers[0].forward_inference(input)?)
+    }
+
+    /// Evaluation pass whose first layer consumes a sparse matrix.
+    pub fn infer_sparse(&self, input: &CsrMatrix) -> Result<DenseMatrix> {
+        self.infer_rest(self.layers[0].forward_inference_sparse(input)?)
+    }
+
+    fn infer_rest(&self, first: DenseMatrix) -> Result<DenseMatrix> {
+        let mut current = first;
+        for layer in &self.layers[1..] {
+            current = layer.forward_inference(&relu_forward(&current))?;
+        }
         Ok(current)
     }
 
     /// Backward pass. Accumulates parameter gradients in every layer and
     /// returns the gradient with respect to the (dense) input of the first
     /// layer.
-    ///
-    /// For sparse-input MLPs the returned matrix is the gradient w.r.t. the
-    /// dense equivalent of the sparse input and is normally discarded.
     pub fn backward(&mut self, grad_output: &DenseMatrix) -> Result<DenseMatrix> {
+        let grad = self.backward_to_first(grad_output)?;
+        self.layers[0].backward(grad.as_ref().unwrap_or(grad_output))
+    }
+
+    /// Backward pass of an MLP whose input is a constant: accumulates the
+    /// parameter gradients [`Mlp::backward`] would, bit for bit, and computes
+    /// no input gradient.
+    pub fn backward_params(&mut self, grad_output: &DenseMatrix) -> Result<()> {
+        let grad = self.backward_to_first(grad_output)?;
+        self.layers[0].backward_params(grad.as_ref().unwrap_or(grad_output))
+    }
+
+    /// Backpropagates through layers `L-1 … 1` and returns the gradient with
+    /// respect to the first layer's output (`None` for a single layer, where
+    /// that is `grad_output` itself).
+    fn backward_to_first(&mut self, grad_output: &DenseMatrix) -> Result<Option<DenseMatrix>> {
         let cache = self
             .cache
             .take()
             .ok_or(NnError::MissingForwardCache { layer: "Mlp" })?;
-        let mut grad = grad_output.clone();
-        for layer_idx in (0..self.layers.len()).rev() {
-            grad = self.layers[layer_idx].backward(&grad)?;
-            if layer_idx > 0 {
-                let hidden_idx = layer_idx - 1;
-                grad = cache.dropout_masks[hidden_idx].backward(&grad);
-                grad = relu_backward(&grad, &cache.pre_activations[hidden_idx]);
-            }
+        let mut grad = None;
+        for layer_idx in (1..self.layers.len()).rev() {
+            let d_dropped =
+                self.layers[layer_idx].backward(grad.as_ref().unwrap_or(grad_output))?;
+            let d_activated = cache.dropout_masks[layer_idx - 1].backward(&d_dropped);
+            grad = Some(relu_backward(
+                &d_activated,
+                &cache.pre_activations[layer_idx - 1],
+            ));
         }
         Ok(grad)
     }
@@ -249,9 +308,10 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::bits;
     use crate::{accuracy, softmax_cross_entropy_masked, Adam};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn xor_like_data() -> (DenseMatrix, Vec<usize>) {
         // A 2D dataset that a linear model cannot separate but a 2-layer MLP can.
@@ -407,9 +467,110 @@ mod tests {
             y1, y2,
             "restored MLP must be bitwise-identical in eval mode"
         );
-        // The restored model is trainable: backward works immediately.
+        // The restored model is trainable: a training step works immediately.
+        restored.forward(&x, true, &mut rng).unwrap();
         restored.backward(&DenseMatrix::filled(5, 3, 1.0)).unwrap();
         assert!(restored.grad_norm() > 0.0);
+    }
+
+    fn sparse_input(rows: usize, cols: usize) -> CsrMatrix {
+        let triplets: Vec<_> = (0..rows * 5)
+            .map(|e| (e / 5, (e * 7 + e / 5) % cols, ((e % 7) as f32 - 3.0) * 0.2))
+            .collect();
+        CsrMatrix::from_triplets(rows, cols, &triplets).unwrap()
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_gradients_backward_does_bit_for_bit() {
+        // Sized above the pool's dispatch floor so 2 and 4 threads really fan out.
+        let cfg = MlpConfig::new(40, 48, 6, 3).with_dropout(0.2);
+        let x = DenseMatrix::from_fn(500, 40, |i, j| ((i * 3 + j * 5) as f32 * 0.23).sin());
+        let dy = DenseMatrix::from_fn(500, 6, |i, j| ((i + 2 * j) as f32 * 0.19).cos());
+        let trained = |params_only: bool| {
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut mlp = Mlp::new(cfg, &mut rng);
+            mlp.forward(&x, true, &mut rng).unwrap();
+            if params_only {
+                mlp.backward_params(&dy).unwrap();
+            } else {
+                mlp.backward(&dy).unwrap();
+            }
+            mlp.layers.iter().map(Linear::grad_bits).collect::<Vec<_>>()
+        };
+        crate::test_support::at_each_pool_width(|threads| {
+            let full = trained(false);
+            assert_eq!(full.len(), 3);
+            assert!(full.iter().all(|(dw, _)| dw.iter().any(|&b| b != 0)));
+            assert_eq!(full, trained(true), "{threads} threads");
+        });
+    }
+
+    #[test]
+    fn infer_is_the_caching_forward_without_dropout_bit_for_bit() {
+        let x = DenseMatrix::from_fn(9, 6, |i, j| ((i * 6 + j) as f32 * 0.31).sin());
+        let a = sparse_input(9, 6);
+        for num_layers in [1, 3] {
+            let mut rng = StdRng::seed_from_u64(19);
+            let mut mlp = Mlp::new(
+                MlpConfig::new(6, 8, 4, num_layers).with_dropout(0.2),
+                &mut rng,
+            );
+            // Same weights, dropout 0: its *training* path is the eval
+            // arithmetic run through the caching layers.
+            let mut caching = Mlp::from_layers(mlp.layers.clone(), 0.0).unwrap();
+            let dense = bits(&caching.forward(&x, true, &mut rng).unwrap());
+            assert_eq!(bits(&mlp.infer(&x).unwrap()), dense);
+            assert_eq!(bits(&mlp.forward(&x, false, &mut rng).unwrap()), dense);
+            let sparse = bits(&caching.forward_sparse(&a, true, &mut rng).unwrap());
+            assert_eq!(bits(&mlp.infer_sparse(&a).unwrap()), sparse);
+            assert_eq!(
+                bits(&mlp.forward_sparse(&a, false, &mut rng).unwrap()),
+                sparse
+            );
+        }
+    }
+
+    #[test]
+    fn an_eval_forward_is_not_followed_by_backward() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut mlp = Mlp::new(MlpConfig::new(3, 4, 2, 2).with_dropout(0.2), &mut rng);
+        let x = DenseMatrix::filled(5, 3, 1.0);
+        let dy = DenseMatrix::filled(5, 2, 1.0);
+        // Even with a training pass before it: the eval pass drops that cache.
+        mlp.forward(&x, true, &mut rng).unwrap();
+        let (mut used, mut untouched) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+        mlp.forward(&x, false, &mut used).unwrap();
+        assert_eq!(
+            used.gen::<u64>(),
+            untouched.gen::<u64>(),
+            "eval draws nothing"
+        );
+        assert!(matches!(
+            mlp.backward(&dy),
+            Err(NnError::MissingForwardCache { layer: "Mlp" })
+        ));
+        assert!(matches!(
+            mlp.backward_params(&dy),
+            Err(NnError::MissingForwardCache { layer: "Mlp" })
+        ));
+        assert_eq!(mlp.grad_norm(), 0.0);
+    }
+
+    #[test]
+    fn a_sparse_first_layer_trains_through_backward_params_only() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut mlp = Mlp::new(MlpConfig::new(6, 8, 3, 2), &mut rng);
+        let a = sparse_input(9, 6);
+        let dy = DenseMatrix::filled(9, 3, 1.0);
+        mlp.forward_sparse(&a, true, &mut rng).unwrap();
+        assert_eq!(
+            mlp.backward(&dy),
+            Err(NnError::NoSparseInputGradient { layer: "Linear" })
+        );
+        mlp.zero_grad();
+        mlp.forward_sparse(&a, true, &mut rng).unwrap();
+        mlp.backward_params(&dy).unwrap();
+        assert!(mlp.layers.iter().all(|l| l.grad_norm() > 0.0));
     }
 
     #[test]

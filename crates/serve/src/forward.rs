@@ -1,11 +1,13 @@
 //! Eval-mode forward passes from exported weights.
 //!
 //! The serve-side encoder rebuilds real [`sigma_nn::Mlp`] stacks from the
-//! snapshot's weights via [`sigma_nn::Mlp::from_layers`] and runs them in
-//! eval mode (dropout inactive), so the resulting embeddings are identical
-//! to the training-side eval forward *by construction* — the same layer
-//! code executes, not a re-implementation of it. `Linear::from_parts`
-//! validates every layer's weight/bias shapes on the way in.
+//! snapshot's weights via [`sigma_nn::Mlp::from_layers`] and runs
+//! [`sigma_nn::Mlp::infer`] — the pass the trainer's evaluation forward is —
+//! so the resulting embeddings are identical to the training-side eval
+//! forward *by construction*: the same layer code executes, not a
+//! re-implementation of it, and it copies neither its input nor any
+//! activation. `Linear::from_parts` validates every layer's weight/bias
+//! shapes on the way in.
 
 use crate::Result;
 use sigma::snapshot::{MlpWeights, ModelSnapshot};
@@ -21,24 +23,16 @@ fn rebuild(stack: &MlpWeights) -> Result<Mlp> {
     Ok(Mlp::from_layers(layers, 0.0)?)
 }
 
-/// Eval-mode RNG stub: with `training = false` and zero dropout the forward
-/// pass never draws randomness, but the `Mlp` API still wants a generator.
-fn eval_rng() -> rand::rngs::StdRng {
-    <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0)
-}
-
 /// Runs an exported MLP on a dense input (eval mode: ReLU between layers,
 /// no dropout).
 pub fn mlp_infer_dense(stack: &MlpWeights, input: &DenseMatrix) -> Result<DenseMatrix> {
-    let mut mlp = rebuild(stack)?;
-    Ok(mlp.forward(input, false, &mut eval_rng())?)
+    Ok(rebuild(stack)?.infer(input)?)
 }
 
 /// Runs an exported MLP whose first layer consumes a sparse input (the
 /// `MLP_A(A)` path).
 pub fn mlp_infer_sparse(stack: &MlpWeights, input: &CsrMatrix) -> Result<DenseMatrix> {
-    let mut mlp = rebuild(stack)?;
-    Ok(mlp.forward_sparse(input, false, &mut eval_rng())?)
+    Ok(rebuild(stack)?.infer_sparse(input)?)
 }
 
 /// Computes the full-graph embedding `H` of Eq. 4 from a model snapshot:
