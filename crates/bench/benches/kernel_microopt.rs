@@ -3,7 +3,7 @@
 //! (power-law) fig5-style graphs, at every thread count of the sweep the
 //! host has cores for.
 //!
-//! Seven things are measured and one thing is *proven* on every run:
+//! Eight things are measured and one thing is *proven* on every run:
 //!
 //! * **reference/optimised timings** for `spmm`, `spmm_transpose`, `spgemm`
 //!   and LocalPush — the reference is the scalar re-implementation of each
@@ -36,6 +36,13 @@
 //!   input gradients of `MLP_A(A)` and `MLP_X(X)`, the copies of `A`, `X`
 //!   and `S`) timed alone at the same shapes, so an epoch regression can be
 //!   attributed below the function before anyone sizes a kernel rewrite;
+//! * **LocalPush to the operator by stage** (`localpush_operator`): on the
+//!   same graph with the `learn_pokec` SimRank settings (top-16), at one
+//!   pool thread, `LocalPush::run_to_operator` beside its three stages —
+//!   the push rounds (pull) and the residual sweep (merge and relative
+//!   prune) read off the solver's own `sigma_localpush_{pull,finish}_ns`
+//!   histograms around a `run`, the top-k selection timed around that
+//!   run's `to_csr` — with the two operators asserted equal;
 //! * **bit-parity**: every optimised kernel result is asserted bitwise
 //!   identical to its scalar reference, at every thread count, every
 //!   repaired state to a fresh `run_decomposed` on its graph, and every
@@ -55,6 +62,7 @@ use sigma_datasets::{DatasetPreset, Split};
 use sigma_graph::{sym_normalized_adjacency, Graph};
 use sigma_matrix::DenseMatrix;
 use sigma_nn::{softmax_cross_entropy_masked, Adam, Optimizer};
+use sigma_obs::MetricValue;
 use sigma_parallel::partition_by_weight;
 use sigma_serve::{MappedSnapshot, ServeSnapshot};
 use sigma_simrank::{
@@ -495,6 +503,66 @@ fn dropped_rows(ctx: &GraphContext, reps: usize) -> Vec<DroppedRow> {
     ]
 }
 
+/// `LocalPush::run_to_operator` on one graph, and the stages it is made of.
+struct LocalPushRow {
+    nodes: usize,
+    scores_nnz: usize,
+    operator_nnz: usize,
+    /// Push rounds, residual sweep, top-k selection.
+    stages: [Timing; 3],
+    operator: Timing,
+}
+
+const LOCALPUSH_STAGES: [&str; 3] = ["pull", "sweep", "select"];
+
+/// Nanoseconds recorded so far by the coupled solver's two stage
+/// histograms (zero with the `obs` feature off).
+fn localpush_stage_ns() -> [u64; 2] {
+    let snapshot = sigma_obs::snapshot();
+    ["pull", "finish"].map(
+        |stage| match snapshot.get(&format!("sigma_localpush_{stage}_ns")) {
+            Some(MetricValue::Histogram(h)) => h.sum,
+            _ => 0,
+        },
+    )
+}
+
+/// Times `reps` calls of `run_to_operator`, each followed by a `run` +
+/// `to_csr` split into stages (after [`WARM_UP_RUNS`] discarded pairs), and
+/// asserts the two operators equal. Alternating the two keeps a slow spell
+/// of a shared host from landing on one side only.
+fn localpush_operator_row(graph: &Graph, config: SimRankConfig, reps: usize) -> LocalPushRow {
+    let mut operator_ms = Vec::new();
+    let mut stage_ms: [Vec<f64>; 3] = Default::default();
+    let (mut scores_nnz, mut operator_nnz) = (0, 0);
+    for rep in 0..WARM_UP_RUNS + reps {
+        let start = Instant::now();
+        let operator = LocalPush::new(graph, config).unwrap().run_to_operator();
+        let fused_ms = start.elapsed().as_secs_f64() * 1e3;
+        let before = localpush_stage_ns();
+        let scores = LocalPush::new(graph, config).unwrap().run();
+        let after = localpush_stage_ns();
+        let start = Instant::now();
+        let staged = scores.to_csr(config.top_k);
+        let select_ms = start.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(staged, operator, "localpush_operator PARITY MISMATCH");
+        (scores_nnz, operator_nnz) = (scores.nnz(), operator.nnz());
+        if rep >= WARM_UP_RUNS {
+            operator_ms.push(fused_ms);
+            stage_ms[0].push((after[0] - before[0]) as f64 / 1e6);
+            stage_ms[1].push((after[1] - before[1]) as f64 / 1e6);
+            stage_ms[2].push(select_ms);
+        }
+    }
+    LocalPushRow {
+        nodes: graph.num_nodes(),
+        scores_nnz,
+        operator_nnz,
+        stages: stage_ms.map(Timing::of),
+        operator: Timing::of(operator_ms),
+    }
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     // Skewed operator graph (spmm / spmm_transpose / spgemm) and a smaller
@@ -769,6 +837,38 @@ fn main() {
     }
     dropped_table.print("What a training step used to compute and drop, timed alone");
 
+    // -- LocalPush to the top-k operator by stage, one pool thread. ---------
+    sigma_parallel::set_global_threads(1);
+    let push_data = DatasetPreset::Pokec.build(1.6, 47).expect("pokec preset");
+    let push_cfg = SimRankConfig::new(0.6, 0.1, Some(16)).expect("valid config");
+    let push_row = localpush_operator_row(&push_data.graph, push_cfg, train_reps);
+    sigma_parallel::set_global_threads(0);
+    let mut push_table = TablePrinter::new(
+        LOCALPUSH_STAGES
+            .into_iter()
+            .chain(["stages summed", "run_to_operator (ms, min-max)", "parity"])
+            .collect(),
+    );
+    let mut cells: Vec<String> = push_row
+        .stages
+        .iter()
+        .map(|t| format!("{:.2}", t.median))
+        .collect();
+    cells.push(format!(
+        "{:.2}",
+        push_row.stages.iter().map(|t| t.median).sum::<f64>()
+    ));
+    cells.push(format!(
+        "{:.2} ({:.2}-{:.2})",
+        push_row.operator.median, push_row.operator.min, push_row.operator.max
+    ));
+    cells.push("ok".to_string());
+    push_table.add_row(cells);
+    push_table.print(&format!(
+        "LocalPush to the top-16 operator by stage ({} nodes, {} scores, {} operator entries, ms, 1 thread)",
+        push_row.nodes, push_row.scores_nnz, push_row.operator_nnz
+    ));
+
     println!("all parity assertions passed: optimised kernels are bitwise-identical to their");
     println!("scalar references at {sweep:?} thread(s), and every repaired state to a fresh");
     println!("decomposed run. this host reports {cores} available core(s); thread counts");
@@ -781,7 +881,7 @@ fn main() {
         &balance_rows,
         &kernel_rows,
         (&repair_rows, &crc_rows),
-        (train_ctx.num_nodes(), &train_rows, &dropped),
+        (train_ctx.num_nodes(), &train_rows, &dropped, &push_row),
     );
 }
 
@@ -797,7 +897,7 @@ fn emit_json(
     balance: &[BalanceRow],
     kernels: &[KernelRow],
     (repairs, crcs): (&[RepairRow], &[CrcRow]),
-    (train_nodes, train, dropped): (usize, &[TrainStepRow], &[DroppedRow]),
+    (train_nodes, train, dropped, push): (usize, &[TrainStepRow], &[DroppedRow], &LocalPushRow),
 ) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"kernel_microopt\",\n");
@@ -823,7 +923,10 @@ fn emit_json(
          the per-stage median of `samples` full-batch epochs of one model on the learn_pokec graph \
          and operator at one pool thread, in Trainer::train's order, and each train_step_dropped \
          row times alone, at the same shapes, work a step computed and discarded before leaf \
-         layers had a parameter-only backward\",\n",
+         layers had a parameter-only backward; localpush_operator times LocalPush::run_to_operator \
+         on the learn_pokec graph and SimRank settings at one pool thread beside its stages (pull \
+         and sweep from the solver's sigma_localpush_pull_ns / _finish_ns histograms around a run, \
+         select around that run's to_csr), the two operators asserted equal\",\n",
     );
     out.push_str(&format!(
         "  \"spmm_graph\": {{\"nodes\": {nodes}, \"nnz\": {nnz}, \"max_row_nnz\": {max_row_nnz}}},\n"
@@ -937,7 +1040,24 @@ fn emit_json(
             if i + 1 == dropped.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ],\n");
+    let stages: String = LOCALPUSH_STAGES
+        .iter()
+        .zip(&push.stages)
+        .map(|(name, timing)| format!("\"{name}_ms\": {:.3}, ", timing.median))
+        .collect();
+    out.push_str(&format!(
+        "  \"localpush_operator\": {{\"nodes\": {}, \"scores_nnz\": {}, \"operator_nnz\": {}, \
+         {stages}\"run_to_operator_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}, \
+         \"samples\": {}, \"parity\": \"ok\"}}\n}}\n",
+        push.nodes,
+        push.scores_nnz,
+        push.operator_nnz,
+        push.operator.median,
+        push.operator.min,
+        push.operator.max,
+        push.operator.samples,
+    ));
 
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     std::fs::write(root, &out).expect("write BENCH_kernels.json at the repo root");

@@ -1,7 +1,8 @@
 //! Table V: classification accuracy of SIGMA and the baselines across all 12
 //! dataset presets, with average ranks.
 //!
-//! Dataset sizes are the reduced reproduction presets (see DESIGN.md §2);
+//! Dataset sizes are the reduced reproduction presets (paper and reproduction
+//! sizes per preset in `crates/datasets/src/presets.rs`);
 //! set `SIGMA_SCALE`, `SIGMA_EPOCHS`, `SIGMA_REPEATS` to enlarge runs. The
 //! expected *shape* is what matters: SIGMA and the decoupled heterophilous
 //! models (GloGNN, LINKX) lead on heterophilous datasets, local GNNs recover

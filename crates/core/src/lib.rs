@@ -27,7 +27,8 @@
 //!   aggregation operator substitution `S`, `S·A`, PPR, or none),
 //! * [`SigmaIterative`] — the iterative variant explored in Section V.F,
 //! * Baselines: MLP, GAT, GCN, SGC, APPNP, GPR-GNN, ACM-GCN, MixHop, GCNII,
-//!   H2GCN, LINKX, GloGNN (simplified; see DESIGN.md), PPRGo — all under
+//!   H2GCN, LINKX, GloGNN (fixed mixing weights in place of the closed-form
+//!   coefficients; see its module docs), PPRGo — all under
 //!   [`ModelKind`],
 //! * [`GraphContext`] — shared precomputation (normalized adjacencies,
 //!   SimRank / PPR operators) with timing breakdowns,

@@ -14,9 +14,9 @@
 //! neighbours disagree, `(I − Â)·H` preserves exactly that disagreement. The
 //! original model computes the mixing weights per node from channel
 //! embeddings; this reproduction learns one global weight vector `β ∈ R³` per
-//! layer (documented in DESIGN.md §2), which keeps the adaptive-mixing
-//! behaviour the paper's Table V exercises while keeping the backward pass
-//! compact. The per-epoch cost is `O(m·f + n·f²)` per layer, like GCN.
+//! layer, which keeps the adaptive-mixing behaviour the paper's Table V
+//! exercises while keeping the backward pass compact. The per-epoch cost is
+//! `O(m·f + n·f²)` per layer, like GCN.
 
 use crate::models::{timed_spmm, timed_spmm_transpose};
 use crate::{GraphContext, Model, ModelHyperParams, Result};

@@ -20,9 +20,8 @@
 //! SIGMA's aggregation operator, in contrast, is computed once before
 //! training. The exact closed-form coefficients of the original model are
 //! replaced by fixed mixing weights, and the backward pass treats `H` inside
-//! the coefficient term as constant (documented in DESIGN.md §2); the
-//! per-epoch *cost structure* `O(k₂·m·f·l_norm + n·f²·l_norm)` matches the
-//! original.
+//! the coefficient term as constant; the per-epoch *cost structure*
+//! `O(k₂·m·f·l_norm + n·f²·l_norm)` matches the original.
 
 use crate::models::{split_by_delta, timed_spmm, timed_spmm_transpose};
 use crate::{GraphContext, Model, ModelHyperParams, Result};

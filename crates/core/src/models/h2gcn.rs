@@ -5,8 +5,8 @@
 //! (3) combination of intermediate representations. This implementation
 //! keeps all three with a single round:
 //! `R = [H₀ ‖ P·H₀ ‖ Â²·H₀]` with `H₀ = ReLU(X·W)`, followed by dropout and
-//! a linear classifier. (The full model repeats the concatenation per layer;
-//! the simplification is documented in DESIGN.md.)
+//! a linear classifier. (The full model repeats the concatenation per
+//! layer.)
 
 use crate::models::{slice_columns, timed_spmm, timed_spmm_transpose};
 use crate::{GraphContext, Model, ModelHyperParams, Result};

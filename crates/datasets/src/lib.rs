@@ -5,8 +5,8 @@
 //!
 //! The paper evaluates on 12 real-world datasets (Texas, ..., pokec). Those
 //! graphs are not redistributable here, so this crate provides the closest
-//! synthetic equivalent (see DESIGN.md §2): a generator with explicit control
-//! over the properties SIGMA's behaviour actually depends on —
+//! synthetic equivalent: a generator with explicit control over the
+//! properties SIGMA's behaviour actually depends on —
 //!
 //! * node count, average degree, class count and feature dimensionality,
 //! * **node homophily** (paper Eq. 1), via label-aware wiring,

@@ -5,9 +5,9 @@
 //! *reproduction* size used by default, so the full experiment suite runs in
 //! minutes on one CPU core. The generator reproduces class count, homophily,
 //! and average degree exactly; node counts and feature dimensionalities are
-//! scaled down (documented per preset below and in DESIGN.md §2). A `scale`
-//! multiplier (and the `SIGMA_SCALE` environment variable in the bench
-//! harness) enlarges the graphs toward the paper's sizes.
+//! scaled down (documented per preset below). A `scale` multiplier (and the
+//! `SIGMA_SCALE` environment variable in the bench harness) enlarges the
+//! graphs toward the paper's sizes.
 
 use crate::{generate, Dataset, GeneratorConfig, Result};
 

@@ -10,18 +10,7 @@
 
 use proptest::prelude::*;
 use sigma_matrix::{CsrMatrix, DenseMatrix};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Serialises the parity tests within this binary: they flip the global
-/// thread override, and interleaving two tests could make both measurements
-/// run at the same thread count (results would still match — determinism —
-/// but the property would stop exercising the 1-vs-4 contrast).
-fn parity_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .expect("parity lock poisoned")
-}
+use sigma_testutil::at_pool_width;
 
 /// Deterministic value noise in `[-1, 1)` (splitmix-style finaliser).
 fn pseudo(i: usize, j: usize, seed: u64) -> f32 {
@@ -81,15 +70,11 @@ fn assert_bitwise_eq(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
     }
 }
 
-/// Runs `f` under 1 thread and under 4 threads, restoring the override, and
-/// returns both results.
+/// Runs `f` under 1 thread and under 4 threads — each call holding the
+/// binary's pool-width lock, so a sibling test cannot flip the width under
+/// it — and returns both results.
 fn at_1_and_4_threads<R>(f: impl Fn() -> R) -> (R, R) {
-    sigma_parallel::set_global_threads(1);
-    let serial = f();
-    sigma_parallel::set_global_threads(4);
-    let parallel = f();
-    sigma_parallel::set_global_threads(0);
-    (serial, parallel)
+    (at_pool_width(1, &f), at_pool_width(4, &f))
 }
 
 proptest! {
@@ -97,7 +82,6 @@ proptest! {
 
     #[test]
     fn spmm_parallel_is_bitwise_identical(seed in 0u64..1_000_000, f in 16usize..40) {
-        let _guard = parity_lock();
         // ~300·300·0.05 = 4.5k nnz; × f ≥ 72k flops — well above the
         // parallel threshold.
         let m = sparse(300, 300, 0.05, seed);
@@ -108,7 +92,6 @@ proptest! {
 
     #[test]
     fn spmm_transpose_parallel_is_bitwise_identical(seed in 0u64..1_000_000, f in 16usize..40) {
-        let _guard = parity_lock();
         // Rectangular on purpose: output rows = columns of the operator.
         let m = sparse(320, 250, 0.05, seed);
         let x = dense(320, f, seed ^ 2);
@@ -118,7 +101,6 @@ proptest! {
 
     #[test]
     fn spmm_rows_parallel_is_bitwise_identical(seed in 0u64..1_000_000) {
-        let _guard = parity_lock();
         let m = sparse(300, 300, 0.08, seed);
         let x = dense(300, 32, seed ^ 3);
         // Batch with duplicates and arbitrary order.
@@ -129,7 +111,6 @@ proptest! {
 
     #[test]
     fn spgemm_parallel_is_identical(seed in 0u64..1_000_000) {
-        let _guard = parity_lock();
         // nnz(a) + nnz(b) ≈ 2·300·300·0.2 = 36k ≥ the parallel threshold.
         let a = sparse(300, 300, 0.2, seed);
         let b = sparse(300, 300, 0.2, seed ^ 4);
@@ -140,7 +121,6 @@ proptest! {
 
     #[test]
     fn matmul_parallel_is_bitwise_identical(seed in 0u64..1_000_000, k in 32usize..64) {
-        let _guard = parity_lock();
         let a = dense(120, k, seed);
         let b = dense(k, 90, seed ^ 5);
         let (serial, parallel) = at_1_and_4_threads(|| a.matmul(&b).unwrap());
@@ -149,7 +129,6 @@ proptest! {
 
     #[test]
     fn matmul_transpose_variants_are_bitwise_identical(seed in 0u64..1_000_000) {
-        let _guard = parity_lock();
         let a = dense(200, 48, seed);
         let b = dense(200, 56, seed ^ 6);
         let (serial, parallel) = at_1_and_4_threads(|| a.matmul_transpose_self(&b).unwrap());
@@ -241,7 +220,6 @@ proptest! {
     /// must never show in the bits.
     #[test]
     fn skewed_spmm_matches_scalar_reference_at_1_and_4_threads(seed in 0u64..1_000_000) {
-        let _guard = parity_lock();
         let m = skewed(400, 400, seed);
         let x = dense(400, 24, seed ^ 11);
         let expect = reference_spmm(&m, &x);
@@ -254,7 +232,6 @@ proptest! {
     fn skewed_spmm_transpose_matches_scalar_reference_at_1_and_4_threads(
         seed in 0u64..1_000_000,
     ) {
-        let _guard = parity_lock();
         // Transposing the skew puts the mass in a few *columns* — the
         // output rows of spmm_transpose — stressing the column histogram
         // planner and the hoisted column windows.
@@ -268,7 +245,6 @@ proptest! {
 
     #[test]
     fn skewed_spgemm_and_top_k_are_thread_count_independent(seed in 0u64..1_000_000) {
-        let _guard = parity_lock();
         let a = skewed(300, 300, seed);
         let b = skewed(300, 300, seed ^ 13);
         let (serial, parallel) = at_1_and_4_threads(|| a.spgemm(&b).unwrap());
@@ -279,7 +255,6 @@ proptest! {
 
     #[test]
     fn matmul_transpose_other_matches_canonical_reference(seed in 0u64..1_000_000) {
-        let _guard = parity_lock();
         // Feature widths straddling the 8-lane boundary exercise block,
         // tail, and mixed reductions.
         for k in [7usize, 8, 9, 48, 51] {
@@ -295,7 +270,6 @@ proptest! {
 
 #[test]
 fn skewed_spmm_rows_is_bitwise_stable_across_a_thread_sweep() {
-    let _guard = parity_lock();
     let m = skewed(350, 350, 7);
     let x = dense(350, 24, 8);
     // A batch dominated by the heavy head rows plus a light tail: the
@@ -303,31 +277,24 @@ fn skewed_spmm_rows_is_bitwise_stable_across_a_thread_sweep() {
     let rows: Vec<usize> = (0..700)
         .map(|i| if i % 3 == 0 { i % 5 } else { i % 350 })
         .collect();
-    sigma_parallel::set_global_threads(1);
-    let reference = m.spmm_rows(&rows, &x).unwrap();
+    let reference = at_pool_width(1, || m.spmm_rows(&rows, &x).unwrap());
     for threads in [2usize, 4, 8] {
-        sigma_parallel::set_global_threads(threads);
-        let result = m.spmm_rows(&rows, &x).unwrap();
+        let result = at_pool_width(threads, || m.spmm_rows(&rows, &x).unwrap());
         assert_bitwise_eq(
             &reference,
             &result,
             &format!("skewed spmm_rows at {threads} threads"),
         );
     }
-    sigma_parallel::set_global_threads(0);
 }
 
 #[test]
 fn spmm_is_bitwise_stable_across_a_thread_sweep() {
-    let _guard = parity_lock();
     let m = sparse(400, 400, 0.04, 99);
     let x = dense(400, 24, 17);
-    sigma_parallel::set_global_threads(1);
-    let reference = m.spmm(&x).unwrap();
+    let reference = at_pool_width(1, || m.spmm(&x).unwrap());
     for threads in [2usize, 3, 4, 8] {
-        sigma_parallel::set_global_threads(threads);
-        let result = m.spmm(&x).unwrap();
+        let result = at_pool_width(threads, || m.spmm(&x).unwrap());
         assert_bitwise_eq(&reference, &result, &format!("spmm at {threads} threads"));
     }
-    sigma_parallel::set_global_threads(0);
 }

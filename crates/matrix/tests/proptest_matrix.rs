@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use sigma_matrix::{CsrMatrix, CsrView, DenseMatrix, MatrixError};
+use sigma_testutil::at_pool_width;
 use sigma_testutil::reference::{spgemm_reference, spmm_reference, spmm_transpose_reference};
-use std::sync::Mutex;
 
 const MAX_DIM: usize = 10;
 
@@ -251,10 +251,6 @@ proptest! {
     }
 }
 
-/// The pool width is process-wide: cases that set it take this lock so each
-/// kernel call below runs at the width its assertion names.
-static POOL_WIDTH: Mutex<()> = Mutex::new(());
-
 const PIN_DIM: usize = 480;
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -285,13 +281,14 @@ proptest! {
         let want_spmm_transpose = bits(spmm_transpose_reference(&m, &x).as_slice());
         let want_spgemm = spgemm_reference(&m, &m);
 
-        let _width = POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
         for threads in [1usize, 2, 4] {
-            sigma_parallel::set_global_threads(threads);
-            let spmm = bits(m.spmm(&x).unwrap().as_slice());
-            let spmm_transpose = bits(m.spmm_transpose(&x).unwrap().as_slice());
-            let spgemm = m.spgemm(&m).unwrap();
-            sigma_parallel::set_global_threads(0);
+            let (spmm, spmm_transpose, spgemm) = at_pool_width(threads, || {
+                (
+                    bits(m.spmm(&x).unwrap().as_slice()),
+                    bits(m.spmm_transpose(&x).unwrap().as_slice()),
+                    m.spgemm(&m).unwrap(),
+                )
+            });
             prop_assert!(spmm == want_spmm, "spmm at {} thread(s)", threads);
             prop_assert!(
                 spmm_transpose == want_spmm_transpose,

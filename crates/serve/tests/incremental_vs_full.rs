@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sigma_simrank::EdgeUpdate;
-use sigma_testutil::{random_graph, random_trace, replay_differential, TraceShape};
+use sigma_testutil::{at_pool_width, random_graph, random_trace, replay_differential, TraceShape};
 
 /// Replays one trace at both pool widths and cross-checks the reports.
 fn replay_at_both_widths(
@@ -20,11 +20,8 @@ fn replay_at_both_widths(
     top_k: usize,
     seed: u64,
 ) {
-    sigma_parallel::set_global_threads(1);
-    let serial = replay_differential(graph, trace, top_k, seed);
-    sigma_parallel::set_global_threads(4);
-    let parallel = replay_differential(graph, trace, top_k, seed);
-    sigma_parallel::set_global_threads(0);
+    let serial = at_pool_width(1, || replay_differential(graph, trace, top_k, seed));
+    let parallel = at_pool_width(4, || replay_differential(graph, trace, top_k, seed));
     // The oracle already asserted bitwise equality against the from-scratch
     // reference at each width; the widths must also agree with each other
     // on everything they observed.
@@ -71,11 +68,8 @@ proptest! {
 fn empty_trace_is_an_exact_no_op_at_both_widths() {
     let graph = random_graph(16, 8, 42);
     let trace = vec![Vec::new(), Vec::new()];
-    sigma_parallel::set_global_threads(1);
-    let serial = replay_differential(&graph, &trace, 4, 42);
-    sigma_parallel::set_global_threads(4);
-    let parallel = replay_differential(&graph, &trace, 4, 42);
-    sigma_parallel::set_global_threads(0);
+    let serial = at_pool_width(1, || replay_differential(&graph, &trace, 4, 42));
+    let parallel = at_pool_width(4, || replay_differential(&graph, &trace, 4, 42));
     assert_eq!(serial, parallel);
     assert_eq!(serial.operator_rows_patched, 0);
     assert_eq!(serial.embedding_rows_patched, 0);
@@ -94,10 +88,7 @@ fn delete_then_readd_within_one_batch_round_trips() {
         EdgeUpdate::Insert(3, 3),  // self-loop: pure no-op
         EdgeUpdate::Delete(2, 11), // likely absent: no-op unless generated
     ]];
-    sigma_parallel::set_global_threads(1);
-    let serial = replay_differential(&graph, &trace, 5, 7);
-    sigma_parallel::set_global_threads(4);
-    let parallel = replay_differential(&graph, &trace, 5, 7);
-    sigma_parallel::set_global_threads(0);
+    let serial = at_pool_width(1, || replay_differential(&graph, &trace, 5, 7));
+    let parallel = at_pool_width(4, || replay_differential(&graph, &trace, 5, 7));
     assert_eq!(serial, parallel);
 }

@@ -8,12 +8,14 @@
 //! any divergence is a real divergence of the storage paths, since every
 //! other input is shared.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use sigma_serve::{
     EngineConfig, EngineStats, InferenceEngine, MappedSnapshot, Prediction, ServeSnapshot,
 };
-use sigma_testutil::{random_graph, random_trace, serving_fixture, ServingFixture, TraceShape};
+use sigma_testutil::{
+    at_pool_width, random_graph, random_trace, serving_fixture, ServingFixture, TraceShape,
+};
 
 /// Writes the fixture snapshot (embeddings precomputed, so the mapped
 /// engine cold-starts without running the encoder) and maps it back.
@@ -49,18 +51,18 @@ fn serving_counters(stats: &EngineStats) -> [u64; 8] {
     ]
 }
 
-/// The pool width is process-wide and `predict_batch` reads it on every
-/// call to decide whether to chunk (one `batches_served` per chunk), so two
-/// differentials at different widths must not overlap: a width flipped
-/// between the owned and the mapped engine's call is a counter divergence
-/// that neither storage path caused.
-static POOL_WIDTH: Mutex<()> = Mutex::new(());
-
 /// Drives an owned-storage and a mapped-storage engine through the same
-/// query + edit + repair schedule and asserts equality after every step.
+/// query + edit + repair schedule at pool width `threads` and asserts
+/// equality after every step. The width is held for the whole schedule:
+/// `predict_batch` reads it on every call to decide whether to chunk (one
+/// `batches_served` per chunk), so a width flipped by a sibling test between
+/// the owned and the mapped engine's call is a counter divergence that
+/// neither storage path caused.
 fn run_differential(threads: usize, seed: u64) {
-    let _width = POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
-    sigma_parallel::set_global_threads(threads);
+    at_pool_width(threads, || differential(threads, seed));
+}
+
+fn differential(threads: usize, seed: u64) {
     let graph = random_graph(36, 20, seed);
     let n = graph.num_nodes();
     let top_k = 6;
@@ -138,8 +140,6 @@ fn run_differential(threads: usize, seed: u64) {
     assert_eq!(op_a.indices(), op_b.indices());
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(op_a.values()), bits(op_b.values()));
-
-    sigma_parallel::set_global_threads(0);
 }
 
 #[test]

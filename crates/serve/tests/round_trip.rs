@@ -11,7 +11,7 @@ use sigma_serve::{
     EngineConfig, InferenceEngine, MappedSnapshot, ServeError, ServeSnapshot, SnapshotError,
 };
 use sigma_simrank::{DynamicSimRank, EdgeUpdate, SimRankConfig};
-use sigma_testutil::{random_graph, serving_fixture, ServingFixture};
+use sigma_testutil::{at_pool_width, random_graph, serving_fixture, ServingFixture};
 use std::sync::Arc;
 
 const TOP_K: usize = 8;
@@ -159,83 +159,81 @@ fn single_and_batched_queries_agree_and_hit_the_cache() {
 
 #[test]
 fn worker_pool_serves_large_batches_in_order() {
-    // Explicit worker counts are validated against the shared pool, so make
-    // sure the pool is at least as wide as the workers we request.
-    sigma_parallel::set_global_threads(4);
-    let fixture = trained_fixture(17);
-    let n = fixture.snapshot.num_nodes();
-    let engine = InferenceEngine::new(
-        &fixture.snapshot,
-        EngineConfig {
-            cache_capacity: 16,
-            workers: 3,
-            max_chunk: 7,
-        },
-    )
-    .unwrap();
-    // A batch far larger than max_chunk exercises the pooled path.
-    let nodes: Vec<usize> = (0..n).chain(0..n).collect();
-    let served = engine.predict_batch(&nodes).unwrap();
-    assert_eq!(served.len(), 2 * n);
-    for (slot, prediction) in served.iter().enumerate() {
-        assert_eq!(prediction.node, nodes[slot], "order must be preserved");
-        assert_close(
-            &prediction.logits,
-            fixture.full_logits.row(prediction.node),
-            1e-6,
-            "pooled serving vs full forward",
+    // Explicit worker counts are validated against the shared pool, so the
+    // pool must be at least as wide as the workers requested — for the whole
+    // test, not just until a sibling test resets it.
+    at_pool_width(4, || {
+        let fixture = trained_fixture(17);
+        let n = fixture.snapshot.num_nodes();
+        let engine = InferenceEngine::new(
+            &fixture.snapshot,
+            EngineConfig {
+                cache_capacity: 16,
+                workers: 3,
+                max_chunk: 7,
+            },
+        )
+        .unwrap();
+        // A batch far larger than max_chunk exercises the pooled path.
+        let nodes: Vec<usize> = (0..n).chain(0..n).collect();
+        let served = engine.predict_batch(&nodes).unwrap();
+        assert_eq!(served.len(), 2 * n);
+        for (slot, prediction) in served.iter().enumerate() {
+            assert_eq!(prediction.node, nodes[slot], "order must be preserved");
+            assert_close(
+                &prediction.logits,
+                fixture.full_logits.row(prediction.node),
+                1e-6,
+                "pooled serving vs full forward",
+            );
+        }
+        assert!(
+            engine.stats().batches_served >= 2,
+            "chunks served independently"
         );
-    }
-    assert!(
-        engine.stats().batches_served >= 2,
-        "chunks served independently"
-    );
-    // Restore the SIGMA_NUM_THREADS-derived width for the rest of the
-    // binary (kernel results are identical either way — determinism — but
-    // the CI serial leg should stay serial outside this test).
-    sigma_parallel::set_global_threads(0);
+    });
 }
 
 #[test]
 fn concurrent_callers_share_one_engine() {
-    sigma_parallel::set_global_threads(4);
-    let fixture = trained_fixture(19);
-    let n = fixture.snapshot.num_nodes();
-    let engine = std::sync::Arc::new(
-        InferenceEngine::new(
-            &fixture.snapshot,
-            EngineConfig {
-                cache_capacity: 128,
-                workers: 2,
-                max_chunk: 8,
-            },
-        )
-        .unwrap(),
-    );
-    let expected = std::sync::Arc::new(fixture.full_logits);
-    let handles: Vec<_> = (0..4)
-        .map(|t| {
-            let engine = std::sync::Arc::clone(&engine);
-            let expected = std::sync::Arc::clone(&expected);
-            std::thread::spawn(move || {
-                for round in 0..5 {
-                    let nodes: Vec<usize> = (0..n).map(|i| (i * (t + 1) + round) % n).collect();
-                    let served = engine.predict_batch(&nodes).unwrap();
-                    for p in served {
-                        let row = expected.row(p.node);
-                        for (a, b) in p.logits.iter().zip(row.iter()) {
-                            assert!((a - b).abs() <= 1e-6);
+    at_pool_width(4, || {
+        let fixture = trained_fixture(19);
+        let n = fixture.snapshot.num_nodes();
+        let engine = std::sync::Arc::new(
+            InferenceEngine::new(
+                &fixture.snapshot,
+                EngineConfig {
+                    cache_capacity: 128,
+                    workers: 2,
+                    max_chunk: 8,
+                },
+            )
+            .unwrap(),
+        );
+        let expected = std::sync::Arc::new(fixture.full_logits);
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let engine = std::sync::Arc::clone(&engine);
+                let expected = std::sync::Arc::clone(&expected);
+                std::thread::spawn(move || {
+                    for round in 0..5 {
+                        let nodes: Vec<usize> = (0..n).map(|i| (i * (t + 1) + round) % n).collect();
+                        let served = engine.predict_batch(&nodes).unwrap();
+                        for p in served {
+                            let row = expected.row(p.node);
+                            for (a, b) in p.logits.iter().zip(row.iter()) {
+                                assert!((a - b).abs() <= 1e-6);
+                            }
                         }
                     }
-                }
+                })
             })
-        })
-        .collect();
-    for handle in handles {
-        handle.join().unwrap();
-    }
-    assert_eq!(engine.stats().nodes_served as usize, 4 * 5 * n);
-    sigma_parallel::set_global_threads(0);
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        assert_eq!(engine.stats().nodes_served as usize, 4 * 5 * n);
+    });
 }
 
 #[test]

@@ -18,8 +18,7 @@
 //! total work by `O(d² / (c (1−c)² ε))` and the error by
 //! `‖Ŝ − S‖_max < ε`.
 //!
-//! Two adaptations keep the operator useful on dense graphs (documented in
-//! DESIGN.md §2):
+//! Two adaptations keep the operator useful on dense graphs:
 //!
 //! 1. **Residual sweep.** After the push loop, all remaining sub-threshold
 //!    residual mass is absorbed into `Ŝ`. On graphs with average degree `d̄`,
@@ -33,9 +32,6 @@
 //!    entry, so pruning is done relative to each row's largest off-diagonal
 //!    score instead.
 //!
-//! Finally the scores can be materialised as a row-wise top-k
-//! [`CsrMatrix`] — the constant aggregation operator SIGMA trains with.
-//!
 //! ## Parallel execution
 //!
 //! The push process runs in *rounds*: every pair whose residual exceeds the
@@ -48,18 +44,32 @@
 //! ```
 //!
 //! into a dense accumulator with a touched list (the Gustavson shape of
-//! `spgemm`), merges it with the residual the row carries, and hands back the
-//! pairs that crossed the threshold; rows no frontier row touches are not
-//! visited. Rows are cut across the shared [`sigma_parallel::ThreadPool`] by
-//! pull work and each is **owned by exactly one task**, which sums in one
-//! canonical order — `a ∈ N_x` ascending, the frontier pairs of `a` by
-//! column, `N_b` in adjacency order, the degree factors applied to the
-//! finished sum — so the scores are **bitwise identical** at every
-//! `SIGMA_NUM_THREADS` by construction (`tests/parallel_parity.rs` pins them
-//! to the nested-loop reference in `sigma-testutil`). A pair is absorbed into
-//! `Ŝ` when it crosses the threshold and propagated by the next round if the
-//! push budget allows; any round schedule is a valid LocalPush schedule, so
-//! Lemma III.5's work and `‖Ŝ − S‖_max < ε` bounds carry over unchanged.
+//! `spgemm`), reads the touched columns back in ascending order, merges them
+//! with the residual the row carries, and hands back the pairs that crossed
+//! the threshold; rows no frontier row touches are not visited. Rows are cut
+//! across the shared [`sigma_parallel::ThreadPool`] by pull work and each is
+//! **owned by exactly one task**, which sums in one canonical order —
+//! `a ∈ N_x` ascending, the frontier pairs of `a` by column, `N_b` in
+//! adjacency order, the degree factors applied to the finished sum — so the
+//! scores are **bitwise identical** at every `SIGMA_NUM_THREADS` by
+//! construction (`tests/parallel_parity.rs` pins them to the nested-loop
+//! reference in `sigma-testutil`). A pair is absorbed into `Ŝ` when it
+//! crosses the threshold and propagated by the next round if the push budget
+//! allows; any round schedule is a valid LocalPush schedule, so Lemma III.5's
+//! work and `‖Ŝ − S‖_max < ε` bounds carry over unchanged.
+//!
+//! ## Finishing a row, and materialising the operator
+//!
+//! While the rounds run, a row of `Ŝ` is a column-ascending *absorb log*: a
+//! pair absorbed in several rounds is listed once per absorb, in round
+//! order. After the last round every row is finished on its own, over
+//! weighted disjoint row ranges on the pool: the log and the residual the
+//! row still carries are merged — each column summed left to right, the
+//! log's absorbs in round order, then the residual — the residual row is
+//! freed, and the row is pruned relative to its largest off-diagonal score.
+//! [`SparseScores::to_csr`] then materialises the operator row by row: a
+//! `select_nth` against the k-th entry of the top-k order and a filter that
+//! leaves the kept entries in column order.
 //!
 //! PR 14 replaced a keyed hash-map scatter with these rounds: same schedule
 //! and push counts, but a delta is now scaled once per finished sum instead
@@ -72,9 +82,10 @@ use crate::incremental::{
 use crate::{Result, SimRankConfig};
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
-use sigma_obs::{StaticCounter, Stopwatch};
+use sigma_obs::{StaticCounter, StaticHistogram, Stopwatch};
 use sigma_parallel::ThreadPool;
 use std::cmp::Ordering;
+use std::mem::take;
 use std::sync::Mutex;
 
 static LOCALPUSH_RUNS: StaticCounter = StaticCounter::new(
@@ -89,8 +100,18 @@ static LOCALPUSH_PUSHES: StaticCounter = StaticCounter::new(
     "sigma_localpush_pushes_total",
     "residual pushes performed across all LocalPush runs",
 );
+// A coupled run laps one `sigma_obs::Stopwatch` through these two, so its
+// stage samples add up to the run.
+static LOCALPUSH_PULL_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_localpush_pull_ns",
+    "coupled LocalPush stage 1: the push rounds (row pulls and absorbs)",
+);
+static LOCALPUSH_FINISH_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_localpush_finish_ns",
+    "coupled LocalPush stage 2: the residual sweep and relative prune of every row",
+);
 
-/// One sparse row: `(column, value)` pairs, strictly column-ascending.
+/// One sparse row: `(column, value)` pairs, column-ascending.
 type SparseRow = Vec<(u32, f32)>;
 
 /// Sparse, symmetric similarity scores produced by [`LocalPush`].
@@ -107,13 +128,24 @@ pub struct SparseScores {
 /// repair so every path prunes identically.
 const RELATIVE_PRUNE_FRACTION: f32 = 0.01;
 
-/// Collapses `(column, value)` contributions into one strictly
-/// column-ascending row. The sort is stable and each column's run is summed
-/// left to right, so every entry is the sum of its contributions in the
-/// order they were listed.
-fn sum_by_column(entries: &mut SparseRow) {
-    entries.sort_by_key(|&(v, _)| v);
-    entries.dedup_by(|next, kept| {
+/// Merges two column-ascending rows, in which a column may repeat, into one.
+/// On equal columns every `head` entry comes before every `tail` entry, so
+/// each column's entries are listed in the order `head ++ tail` lists them.
+fn merge_ordered(head: &[(u32, f32)], tail: &[(u32, f32)]) -> SparseRow {
+    let mut merged = Vec::with_capacity(head.len() + tail.len());
+    let mut tail = tail.iter().copied().peekable();
+    for &(col, value) in head {
+        merged.extend(std::iter::from_fn(|| tail.next_if(|&(t, _)| t < col)));
+        merged.push((col, value));
+    }
+    merged.extend(tail);
+    merged
+}
+
+/// Collapses each run of equal columns of a column-ascending row into one
+/// entry, summing the run left to right.
+fn sum_runs(row: &mut SparseRow) {
+    row.dedup_by(|next, kept| {
         let same = next.0 == kept.0;
         if same {
             kept.1 += next.1;
@@ -310,7 +342,7 @@ pub struct LocalPush {
 pub(crate) struct Accumulator {
     sums: Vec<f32>,
     touched: Vec<u32>,
-    /// One bit per column, set only inside [`Accumulator::take_row`].
+    /// One bit per column, set only inside [`Accumulator::drain_ascending`].
     marks: Vec<u64>,
 }
 
@@ -334,33 +366,52 @@ impl Accumulator {
         *sum += value;
     }
 
-    /// Takes the touched columns and their sums as one column-ascending
-    /// row, exactly sized, leaving the accumulator clear.
-    pub(crate) fn take_row(&mut self) -> SparseRow {
+    /// Hands every touched column and its sum to `f` in ascending column
+    /// order, leaving the accumulator clear.
+    pub(crate) fn drain_ascending(&mut self, mut f: impl FnMut(u32, f32)) {
         let touched = self.touched.len();
-        let mut row = Vec::with_capacity(touched);
-        let mut take = |col: u32| row.push((col, std::mem::take(&mut self.sums[col as usize])));
+        let sums = &mut self.sums;
+        let mut emit = |col: u32| f(col, take(&mut sums[col as usize]));
         // Columns come out ascending either by sorting the touched list or
         // by marking them in a bitmap and reading its set bits in order;
         // the bitmap costs a word per 64 columns and no comparisons, so it
-        // wins unless the row is very sparse.
+        // wins unless the row is very sparse — and a sparse row never scans
+        // the bitmap.
         if self.marks.len() <= touched * (touched.max(1).ilog2() as usize) {
             for col in self.touched.drain(..) {
                 self.marks[col as usize / 64] |= 1 << (col % 64);
             }
             for (word, bits) in self.marks.iter_mut().enumerate() {
-                let mut bits = std::mem::take(bits);
+                let mut bits = take(bits);
                 while bits != 0 {
-                    take(word as u32 * 64 + bits.trailing_zeros());
+                    emit(word as u32 * 64 + bits.trailing_zeros());
                     bits &= bits - 1;
                 }
             }
         } else {
             self.touched.sort_unstable();
-            self.touched.drain(..).for_each(take);
+            self.touched.drain(..).for_each(emit);
         }
+    }
+
+    /// Takes the touched columns and their sums as one column-ascending
+    /// row, exactly sized, leaving the accumulator clear.
+    pub(crate) fn take_row(&mut self) -> SparseRow {
+        let mut row = Vec::with_capacity(self.touched.len());
+        self.drain_ascending(|col, sum| row.push((col, sum)));
         row
     }
+}
+
+/// The residual sweep of one row: its absorb log and the residual it still
+/// carries merged into one strictly column-ascending row — each column
+/// summed left to right, the log's absorbs in round order, then the
+/// residual — and pruned relative to the row's largest off-diagonal score.
+fn finish_row(x: usize, log: SparseRow, residual: SparseRow) -> SparseRow {
+    let mut row = merge_ordered(&log, &residual);
+    sum_runs(&mut row);
+    SparseScores::prune_row_relative(x, &mut row, RELATIVE_PRUNE_FRACTION);
+    row
 }
 
 impl LocalPush {
@@ -395,15 +446,53 @@ impl LocalPush {
     /// sub-threshold residual is then swept into `Ŝ`, which keeps the top-k
     /// structure resolvable on dense graphs and only reduces the error.
     pub fn run(&mut self) -> SparseScores {
+        let n = self.graph.num_nodes();
+        LOCALPUSH_RUNS.inc();
+        let _span = sigma_obs::span!("localpush_run", n);
+        let mut clock = Stopwatch::start();
+        let (log, residual) = self.push_rounds();
+        LOCALPUSH_PULL_NS.record(clock.lap());
+
+        // Residual sweep: absorb all remaining sub-threshold mass so dense
+        // graphs keep their (small but informative) first-order scores, then
+        // drop entries that are trivial relative to their row.
+        let weights: Vec<usize> = log
+            .iter()
+            .zip(&residual)
+            .map(|(log, residual)| log.len() + residual.len())
+            .collect();
+        let mut rows: Vec<(SparseRow, SparseRow)> = log.into_iter().zip(residual).collect();
+        let finish = |first: usize, block: &mut [(SparseRow, SparseRow)]| {
+            for (x, (row, residual)) in (first..).zip(block) {
+                *row = finish_row(x, take(row), take(residual));
+            }
+        };
+        let pool = ThreadPool::global();
+        if pool.should_parallelize(weights.iter().sum()) {
+            pool.par_row_blocks_mut_weighted(&mut rows, 1, &weights, finish);
+        } else {
+            finish(0, &mut rows);
+        }
+        let scores = SparseScores {
+            num_nodes: n,
+            rows: rows.into_iter().map(|(row, _)| row).collect(),
+        };
+        LOCALPUSH_FINISH_NS.record(clock.lap());
+        scores
+    }
+
+    /// The push process as row-wise rounds (see the module docs). Returns
+    /// every row's absorb log — column-ascending, a pair absorbed in several
+    /// rounds listed once per absorb in round order — and the sub-threshold
+    /// residual the row still carries.
+    fn push_rounds(&mut self) -> (Vec<SparseRow>, Vec<SparseRow>) {
         let graph = &self.graph;
         let n = graph.num_nodes();
         let inv_deg = inverse_degrees(graph);
         // `R = I` and every valid threshold is below 1: all diagonal pairs
-        // cross it at once. Until the final sweep a score row is the log of
-        // what its row absorbed, in round order.
-        let mut scores = SparseScores::new(n);
+        // cross it at once.
         let mut frontier: Vec<SparseRow> = (0..n as u32).map(|u| vec![(u, 1.0)]).collect();
-        scores.rows.clone_from(&frontier);
+        let mut log = frontier.clone();
         let mut frontier_rows: Vec<u32> = (0..n as u32).collect();
         let mut residual: Vec<SparseRow> = vec![Vec::new(); n];
         // Scatter-adds each row's pull will perform this round (0 = the row
@@ -412,8 +501,6 @@ impl LocalPush {
         let mut active: Vec<u32> = Vec::new();
         let accumulators = Mutex::new(Vec::new());
         self.pushes_performed = 0;
-        LOCALPUSH_RUNS.inc();
-        let _span = sigma_obs::span!("localpush_run", n);
         let pool = ThreadPool::global();
 
         while !frontier_rows.is_empty() {
@@ -449,13 +536,15 @@ impl LocalPush {
             active.sort_unstable();
             let weights: Vec<usize> = active
                 .iter()
-                .map(|&x| std::mem::take(&mut pull_work[x as usize]))
+                .map(|&x| take(&mut pull_work[x as usize]))
                 .collect();
             let pull = |rows: &[u32]| -> Vec<(SparseRow, SparseRow)> {
                 let spare = || accumulators.lock().expect("accumulator pool lock poisoned");
                 let mut acc: Accumulator = spare().pop().unwrap_or_default();
                 acc.resize(n);
-                let pull_row = |&x| self.pull_row(&inv_deg, &frontier, &residual, x, &mut acc);
+                let pull_row = |&x: &u32| {
+                    self.pull_row(&inv_deg, &frontier, &residual[x as usize], x, &mut acc)
+                };
                 let out = rows.iter().map(pull_row).collect();
                 spare().push(acc);
                 out
@@ -473,42 +562,24 @@ impl LocalPush {
             for (x, (kept, crossed)) in active.drain(..).zip(pulled.into_iter().flatten()) {
                 residual[x as usize] = kept;
                 if !crossed.is_empty() {
-                    scores.rows[x as usize].extend_from_slice(&crossed);
+                    log[x as usize] = merge_ordered(&log[x as usize], &crossed);
                     frontier[x as usize] = crossed;
                     frontier_rows.push(x);
                 }
             }
         }
-        // Residual sweep: absorb all remaining sub-threshold mass so dense
-        // graphs keep their (small but informative) first-order scores, then
-        // drop entries that are trivial relative to their row.
-        let weights: Vec<usize> = (0..n)
-            .map(|x| scores.rows[x].len() + residual[x].len())
-            .collect();
-        let finish = |first: usize, block: &mut [SparseRow]| {
-            for (x, row) in (first..).zip(block) {
-                row.extend_from_slice(&residual[x]);
-                sum_by_column(row);
-                SparseScores::prune_row_relative(x, row, RELATIVE_PRUNE_FRACTION);
-            }
-        };
-        if pool.should_parallelize(weights.iter().sum()) {
-            pool.par_row_blocks_mut_weighted(&mut scores.rows, 1, &weights, finish);
-        } else {
-            finish(0, &mut scores.rows);
-        }
-        scores
+        (log, residual)
     }
 
     /// Pulls one round's delta into row `x` (see the module docs), returning
     /// the row's new carried residual and the pairs that crossed the
     /// threshold. `frontier[a]` holds the pairs `(a, b)` the round pushes with
-    /// their residual; `residual[x]` is the sub-threshold mass row `x` holds.
+    /// their residual; `carried` is the sub-threshold mass row `x` holds.
     fn pull_row(
         &self,
         inv_deg: &[f32],
         frontier: &[SparseRow],
-        residual: &[SparseRow],
+        carried: &[(u32, f32)],
         x: u32,
         acc: &mut Accumulator,
     ) -> (SparseRow, SparseRow) {
@@ -519,19 +590,16 @@ impl LocalPush {
                 }
             }
         }
-        acc.touched.sort_unstable();
         let threshold = ((1.0 - self.config.decay) * self.config.epsilon) as f32;
         let scale_x = self.config.decay as f32 * inv_deg[x as usize];
-        let carried = &residual[x as usize];
         let mut kept = Vec::with_capacity(carried.len() + acc.touched.len());
         let mut crossed = Vec::new();
         let mut old = carried.iter().copied().peekable();
-        for y in acc.touched.drain(..) {
-            let sum = std::mem::take(&mut acc.sums[y as usize]);
+        acc.drain_ascending(|y, sum| {
             if y == x {
                 // Diagonal pairs are pinned to 1 in the exact recursion and
                 // never accumulate residual.
-                continue;
+                return;
             }
             kept.extend(std::iter::from_fn(|| old.next_if(|&(v, _)| v < y)));
             let delta = scale_x * inv_deg[y as usize] * sum;
@@ -543,7 +611,7 @@ impl LocalPush {
             } else {
                 kept.push((y, r));
             }
-        }
+        });
         kept.extend(old);
         (kept, crossed)
     }

@@ -4,13 +4,18 @@
 //! by exactly one task that sums in one canonical order, so the approximate
 //! scores must be **bitwise identical** under any `SIGMA_NUM_THREADS` — and
 //! identical to the nested-loop reference of that order in `sigma-testutil`.
-//! These tests force the global pool to 1, 2 and 4 threads and compare `f32`
-//! bit patterns, push counts, and the materialised top-k operator.
+//! These tests force the global pool to 1, 2 and 4 threads (each through
+//! `sigma_testutil::at_pool_width`, so no two of them race the process-wide
+//! width) and compare `f32` bit patterns, push counts, and the materialised
+//! top-k operator — the latter also against the sort-the-row top-k
+//! reference.
 
+use sigma_datasets::DatasetPreset;
 use sigma_graph::Graph;
+use sigma_matrix::CsrMatrix;
 use sigma_simrank::{LocalPush, SimRankConfig, SparseScores};
-use sigma_testutil::power_law_graph;
-use sigma_testutil::reference::localpush_reference;
+use sigma_testutil::reference::{localpush_reference, top_k_reference};
+use sigma_testutil::{at_pool_width, power_law_graph};
 
 /// A 200-node ring with six chord offsets: the first round's pull work
 /// exceeds the pool's dispatch floor, so rounds genuinely split across tasks.
@@ -49,12 +54,11 @@ fn irregular_graph() -> Graph {
 }
 
 fn run_at(g: &Graph, cfg: SimRankConfig, threads: usize) -> (SparseScores, usize) {
-    sigma_parallel::set_global_threads(threads);
-    let mut solver = LocalPush::new(g, cfg).unwrap();
-    let scores = solver.run();
-    let pushes = solver.pushes_performed();
-    sigma_parallel::set_global_threads(0);
-    (scores, pushes)
+    at_pool_width(threads, || {
+        let mut solver = LocalPush::new(g, cfg).unwrap();
+        let scores = solver.run();
+        (scores, solver.pushes_performed())
+    })
 }
 
 fn assert_scores_bitwise_eq(a: &SparseScores, b: &SparseScores, what: &str) {
@@ -86,18 +90,20 @@ fn localpush_scores_are_bitwise_identical_across_thread_counts() {
 fn localpush_operator_is_identical_across_a_thread_sweep() {
     let g = chorded_ring(150);
     let cfg = SimRankConfig::default().with_top_k(8);
-    sigma_parallel::set_global_threads(1);
-    let reference = LocalPush::new(&g, cfg).unwrap().run_to_operator();
+    let operator_at = |threads| {
+        at_pool_width(threads, || {
+            LocalPush::new(&g, cfg).unwrap().run_to_operator()
+        })
+    };
+    let reference = operator_at(1);
     for threads in [2usize, 4, 8] {
-        sigma_parallel::set_global_threads(threads);
-        let operator = LocalPush::new(&g, cfg).unwrap().run_to_operator();
         // CSR equality is structural + exact f32 values.
         assert_eq!(
-            reference, operator,
+            reference,
+            operator_at(threads),
             "top-k operator differs at {threads} threads"
         );
     }
-    sigma_parallel::set_global_threads(0);
 }
 
 #[test]
@@ -121,10 +127,13 @@ fn decomposed_run_and_repair_are_bitwise_identical_across_thread_counts() {
     let cfg = SimRankConfig::default().with_top_k(8);
 
     // Full decomposed runs at 1 and 4 threads agree bitwise.
-    sigma_parallel::set_global_threads(1);
-    let serial = LocalPush::new(&g, cfg).unwrap().run_decomposed();
-    sigma_parallel::set_global_threads(4);
-    let parallel = LocalPush::new(&g, cfg).unwrap().run_decomposed();
+    let decomposed_at = |threads| {
+        at_pool_width(threads, || {
+            LocalPush::new(&g, cfg).unwrap().run_decomposed()
+        })
+    };
+    let serial = decomposed_at(1);
+    let parallel = decomposed_at(4);
     assert_scores_bitwise_eq(
         &serial.assemble(),
         &parallel.assemble(),
@@ -142,12 +151,12 @@ fn decomposed_run_and_repair_are_bitwise_identical_across_thread_counts() {
     edges.retain(|&(a, b)| (a.min(b), a.max(b)) != (10, 11));
     let edited = Graph::from_edges(120, &edges).unwrap();
     let repaired_at = |threads: usize, mut decomposed: sigma_simrank::DecomposedScores| {
-        sigma_parallel::set_global_threads(threads);
-        let report = LocalPush::new(&edited, cfg)
-            .unwrap()
-            .repair(&mut decomposed, &[0, 60, 10, 11])
-            .unwrap();
-        sigma_parallel::set_global_threads(0);
+        let report = at_pool_width(threads, || {
+            LocalPush::new(&edited, cfg)
+                .unwrap()
+                .repair(&mut decomposed, &[0, 60, 10, 11])
+                .unwrap()
+        });
         (decomposed.assemble(), report)
     };
     let (serial_scores, serial_report) = repaired_at(1, serial);
@@ -156,7 +165,6 @@ fn decomposed_run_and_repair_are_bitwise_identical_across_thread_counts() {
     assert_eq!(serial_report.changed_rows, parallel_report.changed_rows);
     assert_eq!(serial_report.pushes, parallel_report.pushes);
     assert_scores_bitwise_eq(&serial_scores, &parallel_scores, "repaired chorded ring");
-    sigma_parallel::set_global_threads(0);
 }
 
 /// A hub-dominated ("skewed-degree") graph: a few hubs adjacent to large
@@ -186,13 +194,14 @@ fn localpush_parity_holds_on_skewed_degree_graphs() {
     assert_scores_bitwise_eq(&serial, &parallel, "hub graph");
     // The materialised operator (weighted rows_to_csr) agrees too, and so
     // does the seed-decomposed run that feeds incremental repair.
-    sigma_parallel::set_global_threads(1);
-    let op_serial = serial.to_csr(Some(8));
-    let dec_serial = LocalPush::new(&g, cfg).unwrap().run_decomposed();
-    sigma_parallel::set_global_threads(4);
-    let op_parallel = parallel.to_csr(Some(8));
-    let dec_parallel = LocalPush::new(&g, cfg).unwrap().run_decomposed();
-    sigma_parallel::set_global_threads(0);
+    let (op_serial, dec_serial) = at_pool_width(1, || {
+        let decomposed = LocalPush::new(&g, cfg).unwrap().run_decomposed();
+        (serial.to_csr(Some(8)), decomposed)
+    });
+    let (op_parallel, dec_parallel) = at_pool_width(4, || {
+        let decomposed = LocalPush::new(&g, cfg).unwrap().run_decomposed();
+        (parallel.to_csr(Some(8)), decomposed)
+    });
     assert_eq!(op_serial, op_parallel, "hub-graph top-k operator");
     assert_scores_bitwise_eq(
         &dec_serial.assemble(),
@@ -206,41 +215,86 @@ fn localpush_push_budget_is_thread_count_independent() {
     let g = chorded_ring(150);
     let cfg = SimRankConfig::default();
     for budget in [5usize, 100, 1000] {
-        sigma_parallel::set_global_threads(1);
-        let mut serial = LocalPush::new(&g, cfg).unwrap().with_max_pushes(budget);
-        let serial_scores = serial.run();
-        sigma_parallel::set_global_threads(4);
-        let mut parallel = LocalPush::new(&g, cfg).unwrap().with_max_pushes(budget);
-        let parallel_scores = parallel.run();
-        sigma_parallel::set_global_threads(0);
-        assert_eq!(serial.pushes_performed(), parallel.pushes_performed());
-        assert!(serial.pushes_performed() <= budget);
+        let budgeted_at = |threads| {
+            at_pool_width(threads, || {
+                let mut solver = LocalPush::new(&g, cfg).unwrap().with_max_pushes(budget);
+                let scores = solver.run();
+                (scores, solver.pushes_performed())
+            })
+        };
+        let (serial_scores, serial_pushes) = budgeted_at(1);
+        let (parallel_scores, parallel_pushes) = budgeted_at(4);
+        assert_eq!(serial_pushes, parallel_pushes);
+        assert!(serial_pushes <= budget);
         assert_scores_bitwise_eq(&serial_scores, &parallel_scores, "budgeted run");
     }
 }
 
-/// `run()` at 1, 2 and 4 threads against the nested-loop reference of the
-/// canonical summation order: same score bits, same push count.
-fn assert_matches_reference(g: &Graph, cfg: SimRankConfig, max_pushes: usize, what: &str) {
+/// `(column, value bits)` of every stored entry of one row.
+fn row_bits(row: impl IntoIterator<Item = (u32, f32)>) -> Vec<(u32, u32)> {
+    row.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
+}
+
+/// Every row of `operator` (row `i` expected to be `want[i]`), bit for bit.
+fn assert_operator_rows(operator: &CsrMatrix, want: &[Vec<(u32, u32)>], what: &str) {
+    assert_eq!(operator.rows(), want.len(), "{what}: row count");
+    for (i, want) in want.iter().enumerate() {
+        let got = row_bits(operator.row_iter(i).map(|(v, s)| (v as u32, s)));
+        assert_eq!(&got, want, "{what}: row {i}");
+    }
+}
+
+/// At 1, 2 and 4 threads, against the nested-loop reference of the
+/// canonical summation order and the sort-the-row top-k reference: `run()`
+/// (score bits and push count); its `to_csr` and a `rows_to_csr` slice,
+/// each at top `top_k` and with no top-k cut (every entry the relative
+/// prune left); and `run_to_operator()` at top `top_k`.
+fn assert_matches_reference(
+    g: &Graph,
+    cfg: SimRankConfig,
+    max_pushes: usize,
+    top_k: usize,
+    what: &str,
+) {
     let reference = localpush_reference(g, cfg, max_pushes);
+    let operator_rows = |k| -> Vec<Vec<(u32, u32)>> {
+        let rows = reference.rows.iter();
+        rows.map(|row| row_bits(top_k_reference(row, k))).collect()
+    };
+    let (want_scores, want_top_k) = (operator_rows(None), operator_rows(Some(top_k)));
+    // Out of order, with repeats, every third row.
+    let n = g.num_nodes();
+    let slice: Vec<usize> = (0..n).rev().step_by(3).chain([0, 0, n / 2]).collect();
     for threads in [1usize, 2, 4] {
-        sigma_parallel::set_global_threads(threads);
-        let mut solver = LocalPush::new(g, cfg).unwrap().with_max_pushes(max_pushes);
-        let scores = solver.run();
-        sigma_parallel::set_global_threads(0);
-        assert_eq!(
-            solver.pushes_performed(),
-            reference.pushes,
-            "{what}: pushes at {threads} threads"
-        );
-        for (u, want) in reference.rows.iter().enumerate() {
-            let got: Vec<(u32, u32)> = scores
-                .row(u)
-                .map(|(v, s)| (v as u32, s.to_bits()))
-                .collect();
-            let want: Vec<(u32, u32)> = want.iter().map(|&(v, s)| (v, s.to_bits())).collect();
-            assert_eq!(got, want, "{what}: row {u} at {threads} threads");
-        }
+        at_pool_width(threads, || {
+            let what = format!("{what} at {threads} threads");
+            let mut solver = LocalPush::new(g, cfg).unwrap().with_max_pushes(max_pushes);
+            let scores = solver.run();
+            assert_eq!(
+                solver.pushes_performed(),
+                reference.pushes,
+                "{what}: pushes"
+            );
+            for (u, want) in want_scores.iter().enumerate() {
+                let got = row_bits(scores.row(u).map(|(v, s)| (v as u32, s)));
+                assert_eq!(&got, want, "{what}: score row {u}");
+            }
+            for (k, want) in [(None, &want_scores), (Some(top_k), &want_top_k)] {
+                let what = format!("{what}, top-k {k:?}");
+                assert_operator_rows(&scores.to_csr(k), want, &format!("{what}, to_csr"));
+                let want_slice: Vec<_> = slice.iter().map(|&u| want[u].clone()).collect();
+                assert_operator_rows(
+                    &scores.rows_to_csr(&slice, k),
+                    &want_slice,
+                    &format!("{what}, rows_to_csr"),
+                );
+            }
+            let operator = LocalPush::new(g, cfg.with_top_k(top_k))
+                .unwrap()
+                .with_max_pushes(max_pushes)
+                .run_to_operator();
+            assert_operator_rows(&operator, &want_top_k, &format!("{what}, run_to_operator"));
+        });
     }
 }
 
@@ -249,14 +303,16 @@ fn localpush_matches_the_reference_on_a_power_law_graph() {
     // Σ deg² is far above the pool's dispatch floor, so the first round
     // splits across tasks with very uneven row weights.
     let g = power_law_graph(500, 150, 47);
-    assert_matches_reference(&g, SimRankConfig::default(), usize::MAX, "power law");
+    assert_matches_reference(&g, SimRankConfig::default(), usize::MAX, 8, "power law");
 }
 
 #[test]
 fn localpush_matches_the_reference_over_many_sparse_rounds() {
     // Degree 2–3 and a tight ε: off-diagonal pairs stay above the threshold
-    // for several rounds, so rows carry residual from round to round and
-    // most rows sit out the late rounds.
+    // for several rounds, so rows carry residual from round to round, most
+    // rows sit out the late rounds, and some pairs are absorbed twice — the
+    // absorb log then holds a column twice, and the sweep's summation order
+    // (absorbs in round order, then the residual) shows in the bits.
     let mut edges: Vec<(usize, usize)> = (0..300).map(|u| (u, (u + 1) % 300)).collect();
     edges.extend((0..300).step_by(7).map(|u| (u, (u + 40) % 300)));
     let g = Graph::from_edges(300, &edges).unwrap();
@@ -267,7 +323,7 @@ fn localpush_matches_the_reference_over_many_sparse_rounds() {
         reference.pushes > g.num_nodes(),
         "no off-diagonal pair was pushed"
     );
-    assert_matches_reference(&g, cfg, usize::MAX, "sparse rounds");
+    assert_matches_reference(&g, cfg, usize::MAX, 8, "sparse rounds");
 }
 
 #[test]
@@ -281,7 +337,7 @@ fn localpush_matches_the_reference_when_the_budget_cuts_a_round() {
     for budget in [97, g.num_nodes() + (unbounded.pushes - g.num_nodes()) / 3] {
         assert!(budget < unbounded.pushes);
         assert_eq!(localpush_reference(&g, cfg, budget).pushes, budget);
-        assert_matches_reference(&g, cfg, budget, "budgeted");
+        assert_matches_reference(&g, cfg, budget, 8, "budgeted");
     }
 }
 
@@ -291,6 +347,15 @@ fn localpush_matches_the_reference_with_isolated_nodes() {
         SimRankConfig::default(),
         SimRankConfig::new(0.8, 0.005, None).unwrap(),
     ] {
-        assert_matches_reference(&irregular_graph(), cfg, usize::MAX, "isolated nodes");
+        assert_matches_reference(&irregular_graph(), cfg, usize::MAX, 4, "isolated nodes");
     }
+}
+
+#[test]
+fn localpush_matches_the_reference_on_the_pokec_preset() {
+    // The `learn_pokec` benchmark's generator and SimRank settings at a
+    // third of its size: rows hundreds of entries wide, a top-16 cut.
+    let g = DatasetPreset::Pokec.build(0.5, 47).unwrap().graph;
+    let cfg = SimRankConfig::new(0.6, 0.1, None).unwrap();
+    assert_matches_reference(&g, cfg, usize::MAX, 16, "pokec preset");
 }

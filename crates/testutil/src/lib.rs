@@ -8,7 +8,8 @@
 //!   structurally varied inputs from one implementation (including the
 //!   delete-then-readd and no-op edit shapes that stress repair bookkeeping);
 //! * [`reference`] — scalar reference kernels (the nested-loop LocalPush in
-//!   the coupled solver's canonical summation order, the scan-every-seed
+//!   the coupled solver's canonical summation order, the sort-the-row top-k
+//!   selection of the operator, the scan-every-seed
 //!   row assembly of a decomposition, the table-free bitwise CRC32) shared
 //!   by the parity tests and the `kernel_microopt` bench;
 //! * [`oracle`] — a serving fixture (graph → trained-shape model snapshot →
@@ -28,7 +29,9 @@
 //!   hit/eviction accounting, plus footprint-sparse repair fan-out.
 //!
 //! [`metrics`] checks a `sigma_obs::metric_set!` table against the registry
-//! exposition and the stats struct it generated.
+//! exposition and the stats struct it generated, and [`at_pool_width`] runs
+//! a closure at a given process-wide pool width without racing the other
+//! tests of its binary.
 //!
 //! The crate is a regular (non-dev) dependency of test targets only; it
 //! ships no production code paths.
@@ -47,3 +50,31 @@ pub use oracle::{
     DifferentialReport, ServingFixture, ShardedDifferentialReport,
 };
 pub use wire::{WireClient, WireResponse};
+
+use std::sync::{Mutex, PoisonError};
+
+/// Runs `f` with the process-wide pool at `threads` threads and returns its
+/// result, restoring the default width (`0`) afterwards, panic or not.
+///
+/// `sigma_parallel::set_global_threads` is process-global and the tests of
+/// one binary run on parallel threads, so a width set by one test can be
+/// flipped by a sibling before it is used. Every call holds one lock for
+/// its whole duration, so a test that measures "at 4 threads" really runs
+/// at 4 — as long as every test of the binary that sets a width does so
+/// through this helper. Calls do not nest.
+pub fn at_pool_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    static WIDTH: Mutex<()> = Mutex::new(());
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            sigma_parallel::set_global_threads(0);
+        }
+    }
+    // A failed test must not fail every later one through a poisoned lock.
+    let _held = WIDTH.lock().unwrap_or_else(PoisonError::into_inner);
+    // Declared after the guard, so dropped before it: the width is restored
+    // while the lock is still held.
+    let _restore = Restore;
+    sigma_parallel::set_global_threads(threads);
+    f()
+}

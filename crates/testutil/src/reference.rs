@@ -182,6 +182,19 @@ pub fn localpush_reference(
     }
 }
 
+/// The top-k selection of one column-ascending score row from its
+/// definition: the whole row sorted by score descending, then column
+/// ascending; the first `k` kept (all of them for `None`); the kept entries
+/// re-sorted by column. `SparseScores::to_csr` / `rows_to_csr` and
+/// `LocalPush::run_to_operator` are pinned to this row by row.
+pub fn top_k_reference(row: &[(u32, f32)], k: Option<usize>) -> Vec<(u32, f32)> {
+    let mut kept = row.to_vec();
+    kept.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    kept.truncate(k.unwrap_or(usize::MAX));
+    kept.sort_by_key(|&(col, _)| col);
+    kept
+}
+
 /// Score row `row` of a decomposition, assembled the way
 /// `DecomposedScores::assemble_rows_into` did before it had a row → seed
 /// index and a dense accumulator: every seed run is asked for the row,

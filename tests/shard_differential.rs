@@ -13,7 +13,9 @@
 //! footprint-sparse, measured through the router's `sigma_shard_*`
 //! counters.
 
-use sigma_testutil::{random_graph, random_trace, replay_differential_sharded, TraceShape};
+use sigma_testutil::{
+    at_pool_width, random_graph, random_trace, replay_differential_sharded, TraceShape,
+};
 
 /// The tentpole sweep dimensions: shard counts including 1 (the router
 /// degenerates to a façade over one engine) and 7 (odd, so ranges never
@@ -32,20 +34,21 @@ fn sweep(mapped: bool, seed: u64) {
     };
     let trace = random_trace(&graph, shape, seed);
     for &threads in THREAD_COUNTS {
-        sigma_parallel::set_global_threads(threads);
-        for &shards in SHARD_COUNTS {
-            let report = replay_differential_sharded(&graph, &trace, 6, seed, shards, mapped);
-            assert_eq!(
-                report.rounds,
-                trace.len(),
-                "shards={shards} threads={threads} mapped={mapped}"
-            );
-            assert_eq!(report.shards, shards);
-            assert!(
-                report.repair_fanout > 0,
-                "shards={shards} threads={threads} mapped={mapped}: trace repaired nothing"
-            );
-        }
+        at_pool_width(threads, || {
+            for &shards in SHARD_COUNTS {
+                let report = replay_differential_sharded(&graph, &trace, 6, seed, shards, mapped);
+                assert_eq!(
+                    report.rounds,
+                    trace.len(),
+                    "shards={shards} threads={threads} mapped={mapped}"
+                );
+                assert_eq!(report.shards, shards);
+                assert!(
+                    report.repair_fanout > 0,
+                    "shards={shards} threads={threads} mapped={mapped}: trace repaired nothing"
+                );
+            }
+        });
     }
 }
 
