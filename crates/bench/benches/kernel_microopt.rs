@@ -17,11 +17,13 @@
 //! * **planner balance**: the maximum range weight of the equal-row-count
 //!   split versus the nnz-balanced planner on the skewed operator, a
 //!   machine-independent utilisation proxy;
-//! * **incremental repair vs starting over**: on the `repair_churn`
-//!   benchmark's graph family, `DynamicSimRank::repair` after batches of
-//!   1–64 edits at ε ∈ {0.1, 0.02} — repair time, dirty seeds and rows
-//!   patched — beside a coupled `LocalPush::run` + `to_csr` on the same
-//!   edited graph, at one pool thread;
+//! * **the maintainer: replay vs starting over** (`maintainer`): on the
+//!   `repair_churn` benchmark's graph family at about 2.6 k, 10 k and 32 k
+//!   nodes, `DynamicSimRank::repair` after batches of 1, 4 and 16 edits at
+//!   ε ∈ {0.1, 0.02} — repair time, rows replayed, rows changed and the
+//!   maintainer's resident bytes — beside `LocalPush::run_to_operator` on
+//!   the same edited graph plus a row diff against the held operator, at
+//!   one pool thread;
 //! * **snapshot checksums**: the table-free bitwise CRC32 of
 //!   `sigma-testutil` over every section payload of a snapshot image,
 //!   beside `MappedSnapshot::verify` on the same image (the format's sliced
@@ -45,7 +47,8 @@
 //!   run's `to_csr` — with the two operators asserted equal;
 //! * **bit-parity**: every optimised kernel result is asserted bitwise
 //!   identical to its scalar reference, at every thread count, every
-//!   repaired state to a fresh `run_decomposed` on its graph, and every
+//!   repaired operator to a fresh `run_to_operator` on its graph (and its
+//!   changed rows to exactly the rows that differ), and every
 //!   CRC the snapshot writer stamped to the bitwise definition. A mismatch
 //!   aborts the bench (CI runs this in `--quick` mode).
 //!
@@ -172,16 +175,21 @@ struct KernelRow {
     parity: &'static str,
 }
 
-/// One cell of the repair sweep.
-struct RepairRow {
+/// One cell of the maintainer sweep.
+struct MaintainerRow {
+    nodes: usize,
     edits: usize,
     epsilon: f64,
-    repair: Timing,
-    /// Dirty seeds and rows patched by the median-sized round.
-    dirty_seeds: usize,
-    rows_patched: usize,
-    coupled_run: Timing,
-    coupled_to_csr: Timing,
+    /// `DynamicSimRank::repair`: the replay, the diff and the splice.
+    replay: Timing,
+    /// `LocalPush::run_to_operator` on the same edited graph plus a row diff
+    /// against the operator held before the batch.
+    rerun: Timing,
+    /// Rows replayed and rows changed by the median-time repair.
+    rows_replayed: usize,
+    rows_changed: usize,
+    /// `DynamicSimRank::resident_bytes` after the last repair.
+    resident_bytes: usize,
 }
 
 /// The `k`-th batch of a sweep cell: inserts of pseudo-random pairs
@@ -206,65 +214,72 @@ fn edit_batch(graph: &Graph, edges: &[(usize, usize)], edits: usize, k: usize) -
         .collect()
 }
 
-/// Times `reps` successive repairs of `edits`-edit batches, then a coupled
-/// run + materialisation on the graph they left, and asserts the repaired
-/// state bitwise equal to a fresh decomposed run on that graph.
-fn repair_cell(graph: &Graph, epsilon: f64, edits: usize, reps: usize) -> RepairRow {
+/// `(column, value bits)` of every stored entry of row `r`.
+fn row_bits(m: &sigma_matrix::CsrMatrix, r: usize) -> Vec<(usize, u32)> {
+    m.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect()
+}
+
+/// Runs `reps + 1` successive batches of `edits` edits through a maintainer;
+/// after each repair, times a `run_to_operator` on the same edited graph
+/// plus its row diff against the operator held before the batch, and
+/// asserts the repaired operator bitwise equal to the re-run and the
+/// reported changed rows equal to the diff. The first round is discarded
+/// (allocator ramp).
+fn maintainer_cell(graph: &Graph, epsilon: f64, edits: usize, reps: usize) -> MaintainerRow {
     let config = SimRankConfig::new(0.6, epsilon, Some(16)).expect("valid sweep config");
     let edges: Vec<(usize, usize)> = graph.edges().collect();
     let mut maintainer =
         DynamicSimRank::new(graph.clone(), config, usize::MAX).expect("valid sweep config");
-    maintainer.operator().expect("initial operator");
-    let mut rounds: Vec<(f64, usize, usize)> = (0..reps)
+    let mut held = maintainer.operator().expect("initial operator");
+    let what = format!(
+        "maintainer ({} nodes, edits {edits}, epsilon {epsilon})",
+        graph.num_nodes()
+    );
+    let mut rounds: Vec<(f64, f64, usize, usize)> = (0..=reps)
         .map(|k| {
             maintainer
                 .apply_batch(&edit_batch(graph, &edges, edits, k))
                 .expect("in-bounds edits");
             let start = Instant::now();
             let outcome = maintainer.repair().expect("repair");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            match outcome {
-                RepairOutcome::Patched(p) => (ms, p.dirty_seeds, p.changed_rows.len()),
-                RepairOutcome::FullRefresh => panic!("a sweep round fell back to a full refresh"),
-            }
+            let replay_ms = start.elapsed().as_secs_f64() * 1e3;
+            let RepairOutcome::Patched(patch) = outcome else {
+                panic!("{what}: a sweep round fell back to a full refresh");
+            };
+            let start = Instant::now();
+            let rerun = LocalPush::new(maintainer.graph(), config)
+                .unwrap()
+                .run_to_operator();
+            let changed: Vec<usize> = (0..rerun.rows())
+                .filter(|&r| row_bits(&held, r) != row_bits(&rerun, r))
+                .collect();
+            let rerun_ms = start.elapsed().as_secs_f64() * 1e3;
+            let repaired = maintainer.operator().expect("operator");
+            assert!(
+                (0..rerun.rows()).all(|r| row_bits(&repaired, r) == row_bits(&rerun, r)),
+                "{what}: PARITY MISMATCH between the repaired operator and a re-run"
+            );
+            assert_eq!(
+                patch.changed_rows, changed,
+                "{what}: PARITY MISMATCH in the changed rows"
+            );
+            held = repaired;
+            (replay_ms, rerun_ms, patch.dirty_seeds, changed.len())
         })
+        .skip(1)
         .collect();
+    let rerun = Timing::of(rounds.iter().map(|round| round.1).collect());
     rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (_, dirty_seeds, rows_patched) = rounds[rounds.len() / 2];
-    let repair = Timing {
-        median: rounds[rounds.len() / 2].0,
-        min: rounds[0].0,
-        max: rounds[rounds.len() - 1].0,
-        samples: rounds.len(),
-    };
-
-    let edited = maintainer.graph().clone();
-    let (coupled_run, coupled_scores) =
-        time_ms(reps, || LocalPush::new(&edited, config).unwrap().run());
-    let (coupled_to_csr, _) = time_ms(reps, || coupled_scores.to_csr(config.top_k));
-
-    let fresh = LocalPush::new(&edited, config)
-        .unwrap()
-        .run_decomposed()
-        .assemble();
-    let what = format!("repair (edits {edits}, epsilon {epsilon})");
-    let fresh_rows: Vec<Vec<(u32, f32)>> = (0..fresh.num_nodes())
-        .map(|u| fresh.row(u).map(|(v, s)| (v as u32, s)).collect())
-        .collect();
-    assert_scores_match_reference(maintainer.scores().expect("scores"), &fresh_rows, &what);
-    assert_eq!(
-        maintainer.operator().expect("operator"),
-        fresh.to_csr(config.top_k),
-        "{what}: PARITY MISMATCH in the repaired operator"
-    );
-    RepairRow {
+    let (_, _, rows_replayed, rows_changed) = rounds[rounds.len() / 2];
+    MaintainerRow {
+        nodes: graph.num_nodes(),
         edits,
         epsilon,
-        repair,
-        dirty_seeds,
-        rows_patched,
-        coupled_run,
-        coupled_to_csr,
+        replay: Timing::of(rounds.iter().map(|round| round.0).collect()),
+        rerun,
+        rows_replayed,
+        rows_changed,
+        resident_bytes: maintainer.resident_bytes(),
     }
 }
 
@@ -715,49 +730,50 @@ fn main() {
     sigma_parallel::set_global_threads(0);
     table.print("Kernel micro-optimisations vs the scalar reference (skewed graph)");
 
-    // -- Incremental repair vs a coupled re-run, one pool thread. -----------
+    // -- The maintainer: replay vs a re-run + diff, one pool thread. ----------
     sigma_parallel::set_global_threads(1);
-    let repair_graph = DatasetPreset::Pokec
-        .build(if quick { 0.15 } else { 1.0 }, 47)
-        .expect("pokec preset")
-        .graph;
-    let mut repair_rows = Vec::new();
-    let mut repair_table = TablePrinter::new(vec![
+    let mut maintainer_rows = Vec::new();
+    let mut maintainer_table = TablePrinter::new(vec![
+        "nodes",
         "epsilon",
         "edits",
         "repair (ms, min-max)",
-        "dirty seeds",
-        "rows patched",
-        "coupled run + to_csr (ms)",
+        "run_to_operator + diff (ms)",
+        "rows replayed",
+        "rows changed",
+        "resident (MB)",
         "parity",
     ]);
-    for epsilon in [0.1, 0.02] {
-        for edits in [1usize, 4, 16, 64] {
-            let row = repair_cell(&repair_graph, epsilon, edits, reps);
-            repair_table.add_row(vec![
-                epsilon.to_string(),
-                edits.to_string(),
-                format!(
-                    "{:.2} ({:.2}-{:.2})",
-                    row.repair.median, row.repair.min, row.repair.max
-                ),
-                row.dirty_seeds.to_string(),
-                row.rows_patched.to_string(),
-                format!(
-                    "{:.2} + {:.2}",
-                    row.coupled_run.median, row.coupled_to_csr.median
-                ),
-                "ok".to_string(),
-            ]);
-            repair_rows.push(row);
+    let scales: &[f64] = if quick { &[0.15] } else { &[1.0, 4.0, 12.3] };
+    for &scale in scales {
+        let graph = DatasetPreset::Pokec
+            .build(scale, 47)
+            .expect("pokec preset")
+            .graph;
+        for epsilon in [0.1, 0.02] {
+            for edits in [1usize, 4, 16] {
+                let row = maintainer_cell(&graph, epsilon, edits, reps);
+                maintainer_table.add_row(vec![
+                    row.nodes.to_string(),
+                    epsilon.to_string(),
+                    edits.to_string(),
+                    format!(
+                        "{:.2} ({:.2}-{:.2})",
+                        row.replay.median, row.replay.min, row.replay.max
+                    ),
+                    format!("{:.2}", row.rerun.median),
+                    row.rows_replayed.to_string(),
+                    row.rows_changed.to_string(),
+                    format!("{:.2}", row.resident_bytes as f64 / 1e6),
+                    "ok".to_string(),
+                ]);
+                maintainer_rows.push(row);
+            }
         }
     }
     sigma_parallel::set_global_threads(0);
-    repair_table.print(&format!(
-        "Incremental repair vs starting over ({} nodes, {} edges, 1 thread)",
-        repair_graph.num_nodes(),
-        repair_graph.num_edges()
-    ));
+    maintainer_table
+        .print("The maintainer: repair (replay + diff) vs run_to_operator + diff (1 thread)");
 
     // -- Snapshot checksums: the bitwise definition vs the shipped pass. -----
     let mut crc_rows = Vec::new();
@@ -870,17 +886,17 @@ fn main() {
     ));
 
     println!("all parity assertions passed: optimised kernels are bitwise-identical to their");
-    println!("scalar references at {sweep:?} thread(s), and every repaired state to a fresh");
-    println!("decomposed run. this host reports {cores} available core(s); thread counts");
+    println!("scalar references at {sweep:?} thread(s), and every repaired operator to a fresh");
+    println!("run_to_operator. this host reports {cores} available core(s); thread counts");
     println!("{skipped:?} exceed it and were skipped.");
 
     emit_json(
         (quick, cores, &skipped),
         (n, operator.nnz(), max_row_nnz),
-        (&push_graph, &repair_graph),
+        &push_graph,
         &balance_rows,
         &kernel_rows,
-        (&repair_rows, &crc_rows),
+        (&maintainer_rows, &crc_rows),
         (train_ctx.num_nodes(), &train_rows, &dropped, &push_row),
     );
 }
@@ -893,10 +909,10 @@ fn mb_per_s(bytes: usize, timing: Timing) -> f64 {
 fn emit_json(
     (quick, cores, skipped): (bool, usize, &[usize]),
     (nodes, nnz, max_row_nnz): (usize, usize, usize),
-    (push_graph, repair_graph): (&Graph, &Graph),
+    push_graph: &Graph,
     balance: &[BalanceRow],
     kernels: &[KernelRow],
-    (repairs, crcs): (&[RepairRow], &[CrcRow]),
+    (maintainers, crcs): (&[MaintainerRow], &[CrcRow]),
     (train_nodes, train, dropped, push): (usize, &[TrainStepRow], &[DroppedRow], &LocalPushRow),
 ) {
     let mut out = String::from("{\n");
@@ -910,12 +926,14 @@ fn emit_json(
          discarded warm-up runs, min_ms and max_ms its spread; thread counts above host_cores are \
          skipped; the references are the scalar ones in sigma-testutil; the spmm_rows rows time a \
          slice of nodes/64 rows, asserted bitwise equal to those rows of the full spmm and at \
-         least 4x faster than it (min_ms against min_ms at the same thread count); each repair \
-         row times `samples` \
-         successive DynamicSimRank::repair calls after batches of `edits` edits at one pool \
-         thread, reports the dirty seeds and rows patched of the median round beside a coupled \
-         LocalPush::run and to_csr on the graph those batches left, and asserts the repaired \
-         scores and operator bitwise equal to a fresh run_decomposed; each crc32 row times the \
+         least 4x faster than it (min_ms against min_ms at the same thread count); each \
+         maintainer row times `samples` successive DynamicSimRank::repair calls (after one \
+         discarded) on batches of `edits` edits at one pool thread on the Pokec-like graph of \
+         `nodes` nodes, each beside LocalPush::run_to_operator on the same edited graph plus a \
+         row diff against the operator held before the batch, reports the rows replayed and rows \
+         changed of the median-time repair and the maintainer's resident bytes after the last, \
+         and asserts the repaired operator bitwise equal to the re-run and the changed rows \
+         equal to the diff; each crc32 row times the \
          table-free bitwise CRC32 of sigma-testutil over every section payload of one snapshot \
          image against MappedSnapshot::verify on a fresh file mapping of the same image (sliced \
          two-lane CRC32 plus the CSR structure check), MB/s = bytes / 1e6 / median s, and asserts \
@@ -931,13 +949,11 @@ fn emit_json(
     out.push_str(&format!(
         "  \"spmm_graph\": {{\"nodes\": {nodes}, \"nnz\": {nnz}, \"max_row_nnz\": {max_row_nnz}}},\n"
     ));
-    for (name, graph) in [("localpush", push_graph), ("repair", repair_graph)] {
-        out.push_str(&format!(
-            "  \"{name}_graph\": {{\"nodes\": {}, \"edges\": {}}},\n",
-            graph.num_nodes(),
-            graph.num_edges()
-        ));
-    }
+    out.push_str(&format!(
+        "  \"localpush_graph\": {{\"nodes\": {}, \"edges\": {}}},\n",
+        push_graph.num_nodes(),
+        push_graph.num_edges()
+    ));
     out.push_str("  \"partition_balance\": [\n");
     for (i, b) in balance.iter().enumerate() {
         out.push_str(&format!(
@@ -967,23 +983,28 @@ fn emit_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"repair\": [\n");
-    for (i, r) in repairs.iter().enumerate() {
+    out.push_str("  \"maintainer\": [\n");
+    for (i, m) in maintainers.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"edits\": {}, \"epsilon\": {}, \"repair_ms\": {:.3}, \"min_ms\": {:.3}, \
-             \"max_ms\": {:.3}, \"samples\": {}, \"dirty_seeds\": {}, \"rows_patched\": {}, \
-             \"coupled_run_ms\": {:.3}, \"coupled_to_csr_ms\": {:.3}, \"parity\": \"ok\"}}{}\n",
-            r.edits,
-            r.epsilon,
-            r.repair.median,
-            r.repair.min,
-            r.repair.max,
-            r.repair.samples,
-            r.dirty_seeds,
-            r.rows_patched,
-            r.coupled_run.median,
-            r.coupled_to_csr.median,
-            if i + 1 == repairs.len() { "" } else { "," }
+            "    {{\"nodes\": {}, \"edits\": {}, \"epsilon\": {}, \"repair_ms\": {:.3}, \
+             \"min_ms\": {:.3}, \"max_ms\": {:.3}, \"rerun_diff_ms\": {:.3}, \
+             \"rerun_min_ms\": {:.3}, \"rerun_max_ms\": {:.3}, \"samples\": {}, \
+             \"rows_replayed\": {}, \"rows_changed\": {}, \"resident_bytes\": {}, \
+             \"parity\": \"ok\"}}{}\n",
+            m.nodes,
+            m.edits,
+            m.epsilon,
+            m.replay.median,
+            m.replay.min,
+            m.replay.max,
+            m.rerun.median,
+            m.rerun.min,
+            m.rerun.max,
+            m.replay.samples,
+            m.rows_replayed,
+            m.rows_changed,
+            m.resident_bytes,
+            if i + 1 == maintainers.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n");

@@ -212,11 +212,11 @@ sigma_obs::metric_set! {
         /// Embedding (`H`) rows recomputed in place across all repairs.
         embedding_rows_repaired: "sigma_serve_embedding_rows_repaired_total",
             "embedding rows re-encoded in place across all repairs";
-        /// Dirty seed pairs re-pushed by the maintainer across all
+        /// Score rows the maintainer's replay re-pulled across all
         /// incremental repairs driven through
         /// [`InferenceEngine::repair_from`].
         repair_dirty_seeds: "sigma_serve_repair_dirty_seeds_total",
-            "dirty seed pairs re-pushed by the maintainer during repairs";
+            "score rows the maintainer re-pulled during repairs";
         /// Whole-snapshot hot reloads applied via
         /// [`InferenceEngine::hot_reload_mapped`].
         snapshot_reloads: "sigma_serve_snapshot_reloads_total",
@@ -1015,7 +1015,7 @@ pub(crate) struct Round {
     /// rows ∪ re-encoded rows ∪ invalidated rows ∪ nodes that were stale
     /// (every lane on a full refresh).
     pub(crate) touched: Vec<bool>,
-    /// Dirty seed pairs the maintainer re-pushed.
+    /// Score rows the maintainer re-pulled.
     pub(crate) dirty_seeds: u64,
 }
 

@@ -184,10 +184,10 @@ sigma_obs::metric_set! {
         /// Shards skipped across all `repair_from` rounds.
         repair_skipped: "sigma_shard_repair_skipped_total",
             "shards skipped by footprint-sparse repair fan-out";
-        /// Dirty seed pairs re-pushed by the maintainer across all rounds
+        /// Score rows the maintainer re-pulled across all rounds
         /// (router-level: the maintainer repairs once per round).
         repair_dirty_seeds: "sigma_shard_repair_dirty_seeds_total",
-            "dirty seed pairs re-pushed by the router's maintainer rounds";
+            "score rows the router's maintainer rounds re-pulled";
         /// Shards that received edge-update invalidation traffic.
         edge_update_fanout: "sigma_shard_edge_update_fanout_total",
             "shards that received edge-update invalidation traffic";

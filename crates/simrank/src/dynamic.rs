@@ -4,39 +4,53 @@
 //! direction: SIGMA's aggregation operator is constant during training, so
 //! when edges arrive or disappear the SimRank matrix must be brought up to
 //! date without redoing the full precomputation on every edit.
-//! [`DynamicSimRank`] keeps a graph, the seed-decomposed scores behind it and
-//! their top-k operator, and offers two ways forward after edits:
+//! [`DynamicSimRank`] keeps a graph, the top-k operator of the same
+//! [`LocalPush`] run training uses, and that run's frontier log, and offers
+//! two ways forward after edits:
 //!
 //! * **Repair** ([`DynamicSimRank::repair`]) — exact and incremental. Edits
 //!   are applied to the graph a batch at a time (one graph rebuild per
 //!   batch); the endpoints whose adjacency really changed are the dirtiness
-//!   source. A repair then costs, stage by stage: a dirty scan over the seed
-//!   footprints (`O(Σ |footprint|)`), one re-push per dirty seed, the
-//!   re-summing of the score rows those seeds contribute to
-//!   (`O(contributions of the changed rows)`, see [`crate::DecomposedScores`])
-//!   and **one** top-k materialisation of those rows, spliced into the
-//!   cached operator. [`DynamicSimRank::operator_rows`] gathers the patch
-//!   consumers splice into their own copies from that cache, so a row is
-//!   selected once however many shards ask. The result is bitwise identical
-//!   to a full recomputation on the edited graph.
-//! * **Lazy refresh** ([`DynamicSimRank::scores`], [`DynamicSimRank::operator`])
-//!   — the strategy the paper sketches: queries keep reading the cached,
-//!   slightly stale scores until the edits since the last refresh or repair
-//!   exceed a staleness budget, then recompute everything. Between
-//!   recomputations the maintainer tracks which nodes are *affected*
-//!   (endpoints of edited edges plus their neighbours — the only rows whose
-//!   first-order SimRank terms can change), so callers can bound how stale a
-//!   particular query is.
+//!   source. A repair replays the push rounds over only the rows those
+//!   edits reach (the rule is in the `incremental` module docs) and splices
+//!   in exactly the rows whose bits changed, so the operator stays bitwise
+//!   what [`LocalPush::run_to_operator`] builds on the edited graph — the
+//!   operator a model trains against.
+//! * **Lazy refresh** ([`DynamicSimRank::operator`]) — the strategy the
+//!   paper sketches: queries keep reading the held, slightly stale operator
+//!   until the edits since the last refresh or repair exceed a staleness
+//!   budget, then recompute everything. Between recomputations the
+//!   maintainer tracks which nodes are *affected* (endpoints of edited
+//!   edges plus their neighbours — the only rows whose first-order SimRank
+//!   terms can change), so callers can bound how stale a particular query
+//!   is.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::incremental::{
-    DecomposedScores, REPAIR_ASSEMBLE_NS, REPAIR_ENTRIES, REPAIR_MATERIALISE_NS, REPAIR_ROWS,
-};
-use crate::localpush::LocalPush;
-use crate::{Result, SimRankConfig, SimRankError, SparseScores};
+use crate::incremental::FrontierLog;
+use crate::localpush::{LocalPush, DEFAULT_MAX_PUSHES};
+use crate::{Result, SimRankConfig, SimRankError};
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
-use sigma_obs::Stopwatch;
+use sigma_obs::{StaticCounter, StaticHistogram, Stopwatch};
+use std::mem::{size_of, size_of_val};
+
+// One repair laps a single `sigma_obs::Stopwatch` through these three, so
+// the stage samples of a repair add up to its duration.
+pub(crate) static REPAIR_DIRTY_SCAN_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_simrank_repair_dirty_scan_ns",
+    "repair stage 1: solver set-up and the rows the edits dirty from round 1",
+);
+pub(crate) static REPAIR_REPLAY_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_simrank_repair_replay_ns",
+    "repair stage 2: the push rounds, sweep and top-k selection of every replayed row",
+);
+static REPAIR_DIFF_NS: StaticHistogram = StaticHistogram::new(
+    "sigma_simrank_repair_diff_ns",
+    "repair stage 3: the replayed rows diffed against the operator and the changed ones spliced in",
+);
+static REPAIR_ROWS: StaticCounter = StaticCounter::new(
+    "sigma_simrank_repair_rows_total",
+    "score rows re-pulled by incremental repairs",
+);
 
 /// A buffered edge edit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,16 +64,16 @@ pub enum EdgeUpdate {
 /// What [`DynamicSimRank::repair`] patched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoreRepair {
-    /// Score/operator rows whose values were re-assembled (sorted). Rows
-    /// outside this set are provably unchanged.
+    /// Operator rows whose bits changed (sorted) — exactly those: every
+    /// other row is bitwise what it was before the repair.
     pub changed_rows: Vec<usize>,
     /// Nodes whose adjacency actually changed since the last refresh or
     /// repair (sorted) — the rows of `A` (and hence of the serving-side
     /// embedding `H`) a consumer must recompute.
     pub edited_nodes: Vec<usize>,
-    /// Number of seed push processes that were re-run.
+    /// Score rows the replay re-pulled (a superset of `changed_rows`).
     pub dirty_seeds: usize,
-    /// Residual absorptions performed by the re-pushed seeds.
+    /// Pairs the re-pulled rows pushed, their diagonal pairs included.
     pub pushes: usize,
 }
 
@@ -74,14 +88,15 @@ impl ScoreRepair {
     }
 }
 
-/// How [`DynamicSimRank::repair`] brought the scores up to date.
+/// How [`DynamicSimRank::repair`] brought the operator up to date.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RepairOutcome {
-    /// No prior decomposition existed, so a full (decomposed) recomputation
-    /// ran; every row may have changed.
+    /// A full recomputation ran — no operator existed yet, or the push
+    /// budget cut a round, which no replay reproduces; every row may have
+    /// changed.
     FullRefresh,
-    /// Only the reported rows were re-assembled; the result is bitwise
-    /// identical to what a full refresh would have produced.
+    /// Only the reported rows changed; the result is bitwise identical to
+    /// what a full refresh would have produced.
     Patched(ScoreRepair),
 }
 
@@ -95,22 +110,29 @@ pub struct DynamicSimRank {
     /// Edits applied to the graph since the last refresh.
     pending_edits: usize,
     /// Nodes whose rows may be stale (endpoints of edits and their
-    /// neighbours at edit time).
-    affected: FxHashSet<u32>,
+    /// neighbours at edit time), sorted and duplicate-free.
+    affected: Vec<u32>,
     /// Endpoints whose adjacency actually changed since the last refresh or
-    /// repair — the dirtiness source for incremental repair.
-    edited: FxHashSet<u32>,
-    /// Seed-decomposed computation behind `cached`, patched by `repair`.
-    decomposed: Option<DecomposedScores>,
-    /// Cached scores from the last refresh (`None` until first computed).
-    cached: Option<SparseScores>,
-    /// Top-k materialisation of `cached`, built lazily and row-patched by
-    /// `repair`.
-    operator_cache: Option<CsrMatrix>,
+    /// repair — the dirtiness source for incremental repair. Sorted and
+    /// duplicate-free.
+    edited: Vec<u32>,
+    /// The top-k operator of the last refresh, row-patched by `repair`
+    /// (`None` until first computed).
+    operator: Option<CsrMatrix>,
+    /// The frontier log of the run behind `operator`.
+    frontier_log: FrontierLog,
+    /// The solver's push budget.
+    max_pushes: usize,
     /// Number of full recomputations performed so far.
     refreshes: usize,
     /// Number of incremental repairs performed so far.
     repairs: usize,
+}
+
+/// Whether row `i` of `a` and row `j` of `b` hold the same entries, bit for
+/// bit (scores are positive and finite, so `==` compares bits).
+fn same_row(a: &CsrMatrix, i: usize, b: &CsrMatrix, j: usize) -> bool {
+    a.row_iter(i).eq(b.row_iter(j))
 }
 
 impl DynamicSimRank {
@@ -123,14 +145,26 @@ impl DynamicSimRank {
             config,
             staleness_budget,
             pending_edits: 0,
-            affected: FxHashSet::default(),
-            edited: FxHashSet::default(),
-            decomposed: None,
-            cached: None,
-            operator_cache: None,
+            affected: Vec::new(),
+            edited: Vec::new(),
+            operator: None,
+            frontier_log: FrontierLog::default(),
+            max_pushes: DEFAULT_MAX_PUSHES,
             refreshes: 0,
             repairs: 0,
         })
+    }
+
+    /// Caps the solver's pushes (see [`LocalPush::with_max_pushes`]).
+    #[cfg(test)]
+    fn with_max_pushes(mut self, max_pushes: usize) -> Self {
+        self.max_pushes = max_pushes;
+        self
+    }
+
+    /// A solver over the current graph.
+    fn solver(&self) -> Result<LocalPush> {
+        Ok(LocalPush::new(&self.graph, self.config)?.with_max_pushes(self.max_pushes))
     }
 
     /// The current graph (always up to date, regardless of score staleness).
@@ -153,6 +187,19 @@ impl DynamicSimRank {
         self.repairs
     }
 
+    /// Heap bytes the maintainer holds: the graph, the operator, the
+    /// frontier log and the edit sets.
+    pub fn resident_bytes(&self) -> usize {
+        let graph = size_of_val(self.graph.indptr()) + size_of_val(self.graph.indices());
+        let operator = self.operator.as_ref().map_or(0, |operator| {
+            size_of_val(operator.indptr())
+                + size_of_val(operator.indices())
+                + size_of_val(operator.values())
+        });
+        let edits = (self.affected.capacity() + self.edited.capacity()) * size_of::<u32>();
+        graph + operator + self.frontier_log.heap_bytes() + edits
+    }
+
     /// Nodes whose score rows may be stale: endpoints of edits since the
     /// last refresh/repair plus their neighbourhoods at edit time.
     ///
@@ -160,9 +207,7 @@ impl DynamicSimRank {
     /// duplicate-free, even when several edits overlap or both endpoints of
     /// an edit share neighbours.
     pub fn affected_nodes(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self.affected.iter().map(|&v| v as usize).collect();
-        out.sort_unstable();
-        out
+        self.affected.iter().map(|&v| v as usize).collect()
     }
 
     /// Nodes whose adjacency actually changed since the last refresh or
@@ -171,9 +216,7 @@ impl DynamicSimRank {
     /// untouched neighbours — it is the exact dirtiness source incremental
     /// repair works from.
     pub fn edited_nodes(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self.edited.iter().map(|&v| v as usize).collect();
-        out.sort_unstable();
-        out
+        self.edited.iter().map(|&v| v as usize).collect()
     }
 
     /// Applies one edge update to the graph and records the affected region.
@@ -188,9 +231,9 @@ impl DynamicSimRank {
     /// update stops the batch after the ones before it took effect.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<()> {
         let n = self.graph.num_nodes();
-        // Presence of every edge this batch changed, keyed `(min, max)`;
-        // edges not listed are as `self.graph` has them.
-        let mut overlay: FxHashMap<(usize, usize), bool> = FxHashMap::default();
+        // Presence of every edge this batch changed, keyed `(min, max)` and
+        // sorted by it; edges not listed are as `self.graph` has them.
+        let mut overlay: Vec<((usize, usize), bool)> = Vec::new();
         let mut outcome = Ok(());
         for &update in updates {
             let (u, v, insert) = match update {
@@ -209,56 +252,58 @@ impl DynamicSimRank {
             // record nothing so they neither burn staleness budget nor
             // dirty repairs.
             let edge = (u.min(v), u.max(v));
-            let present = overlay
-                .get(&edge)
-                .copied()
-                .unwrap_or_else(|| self.graph.has_edge(u, v));
+            let slot = overlay.binary_search_by_key(&edge, |&(edge, _)| edge);
+            let present = slot.map_or_else(|_| self.graph.has_edge(u, v), |i| overlay[i].1);
             if u == v || present == insert {
                 continue;
             }
-            overlay.insert(edge, insert);
+            match slot {
+                Ok(i) => overlay[i].1 = insert,
+                Err(i) => overlay.insert(i, (edge, insert)),
+            }
             // Mark the endpoints and their neighbourhoods stale. The
             // batch-start neighbourhood is enough: a neighbour gained or
             // lost earlier in the batch was an endpoint then, so it is
             // already marked.
             for endpoint in [u, v] {
-                self.affected.insert(endpoint as u32);
-                self.edited.insert(endpoint as u32);
+                self.affected.push(endpoint as u32);
+                self.edited.push(endpoint as u32);
                 self.affected.extend(self.graph.neighbors(endpoint));
             }
             self.pending_edits += 1;
         }
+        for nodes in [&mut self.affected, &mut self.edited] {
+            nodes.sort_unstable();
+            nodes.dedup();
+        }
         if !overlay.is_empty() {
-            let edges: Vec<(usize, usize)> = self
-                .graph
-                .edges()
-                .filter(|edge| !overlay.contains_key(edge))
-                .chain(
-                    overlay
-                        .iter()
-                        .filter(|&(_, &present)| present)
-                        .map(|(&edge, _)| edge),
-                )
-                .collect();
+            let listed = |edge: &_| {
+                overlay
+                    .binary_search_by_key(edge, |&(edge, _)| edge)
+                    .is_ok()
+            };
+            let kept = self.graph.edges().filter(|edge| !listed(edge));
+            let added = overlay.iter().filter(|&&(_, present)| present);
+            let edges: Vec<(usize, usize)> = kept.chain(added.map(|&(edge, _)| edge)).collect();
             self.graph = Graph::from_edges(n, &edges)?;
         }
         outcome
     }
 
-    /// Whether the cached scores are stale enough that the next operator
-    /// query will trigger a recomputation.
+    /// Whether the operator is stale enough that the next operator query
+    /// will trigger a recomputation.
     pub fn needs_refresh(&self) -> bool {
-        self.cached.is_none() || self.pending_edits > self.staleness_budget
+        self.operator.is_none() || self.pending_edits > self.staleness_budget
     }
 
     /// Forces an immediate full recomputation regardless of the staleness
-    /// budget. Runs the seed-decomposed solver so the result is incrementally
-    /// repairable by [`DynamicSimRank::repair`].
+    /// budget. The run records its frontier log, so the result is
+    /// incrementally repairable by [`DynamicSimRank::repair`].
     pub fn refresh(&mut self) -> Result<()> {
-        let decomposed = LocalPush::new(&self.graph, self.config)?.run_decomposed();
-        self.cached = Some(decomposed.assemble());
-        self.decomposed = Some(decomposed);
-        self.operator_cache = None;
+        let mut frontier_log = FrontierLog::default();
+        let scores = self.solver()?.run_logged(Some(&mut frontier_log));
+        self.operator = Some(scores.to_csr(self.config.top_k));
+        self.frontier_log = frontier_log;
         self.pending_edits = 0;
         self.affected.clear();
         self.edited.clear();
@@ -266,93 +311,79 @@ impl DynamicSimRank {
         Ok(())
     }
 
-    /// Incrementally brings the cached scores and operator up to date with
-    /// the current graph, re-pushing only the seeds the edits since the last
-    /// refresh/repair can influence.
+    /// Incrementally brings the operator up to date with the current graph,
+    /// replaying the push rounds over only the rows the edits since the last
+    /// refresh/repair reach, and splicing in the rows whose bits changed.
     ///
-    /// The patched state is **bitwise identical** to what a full
-    /// [`DynamicSimRank::refresh`] would produce — the differential harness
-    /// in `sigma-testutil` holds this to random edit traces — while the work
-    /// scales with the edited region instead of the whole graph. Falls back
-    /// to a full refresh when nothing has been computed yet.
+    /// The patched operator is **bitwise identical** to
+    /// [`LocalPush::run_to_operator`] on the current graph — the
+    /// differential harness in `sigma-testutil` holds this to random edit
+    /// traces — while the work scales with the edited region instead of the
+    /// whole graph. Falls back to a full refresh when nothing has been
+    /// computed yet, or when the push budget cuts a round of the run before
+    /// or after the edits.
     pub fn repair(&mut self) -> Result<RepairOutcome> {
-        if self.decomposed.is_none() {
+        let Some(operator) = &self.operator else {
             self.refresh()?;
             return Ok(RepairOutcome::FullRefresh);
-        }
+        };
         if self.edited.is_empty() {
             self.pending_edits = 0;
             self.affected.clear();
             return Ok(RepairOutcome::Patched(ScoreRepair::empty()));
         }
         let mut clock = Stopwatch::start();
-        let edited = self.edited_nodes();
-        let mut solver = LocalPush::new(&self.graph, self.config)?;
-        let decomposed = self
-            .decomposed
-            .as_mut()
-            .expect("checked above: decomposition exists");
-        let report = solver.repair_staged(decomposed, &edited, &mut clock)?;
-        let cached = self
-            .cached
-            .as_mut()
-            .expect("a decomposition is always assembled into cached scores");
-        let work = decomposed.assemble_rows_into(cached, &report.changed_rows);
-        REPAIR_ASSEMBLE_NS.record(clock.lap());
-        REPAIR_ROWS.add(report.changed_rows.len() as u64);
-        REPAIR_ENTRIES.add(work.entries as u64);
-        // The one materialisation of the patch: `operator_rows` hands
-        // consumers these rows back out of the spliced cache.
-        if let Some(operator) = &self.operator_cache {
-            let patch = cached.rows_to_csr(&report.changed_rows, self.config.top_k);
-            self.operator_cache = Some(operator.replace_rows(&report.changed_rows, &patch)?);
+        let mut solver = self.solver()?;
+        let Some(replay) = solver.replay(&self.frontier_log, &self.edited, &mut clock) else {
+            self.refresh()?;
+            return Ok(RepairOutcome::FullRefresh);
+        };
+        let (changed, changed_rows): (Vec<usize>, Vec<usize>) = (replay.rows.iter().enumerate())
+            .filter(|&(i, &row)| !same_row(operator, row, &replay.operator_rows, i))
+            .map(|(i, &row)| (i, row))
+            .unzip();
+        if !changed.is_empty() {
+            let patch = replay.operator_rows.gather_rows(&changed)?;
+            self.operator = Some(operator.replace_rows(&changed_rows, &patch)?);
         }
-        REPAIR_MATERIALISE_NS.record(clock.lap());
+        REPAIR_DIFF_NS.record(clock.lap());
+        REPAIR_ROWS.add(replay.rows.len() as u64);
+        self.frontier_log = replay.log;
+        let edited_nodes = self.edited_nodes();
         self.pending_edits = 0;
         self.affected.clear();
         self.edited.clear();
         self.repairs += 1;
         Ok(RepairOutcome::Patched(ScoreRepair {
-            changed_rows: report.changed_rows,
-            edited_nodes: edited,
-            dirty_seeds: report.dirty_seeds.len(),
-            pushes: report.pushes,
+            changed_rows,
+            edited_nodes,
+            dirty_seeds: replay.rows.len(),
+            pushes: solver.pushes_performed(),
         }))
     }
 
-    /// Returns the (possibly slightly stale) scores, refreshing them first if
-    /// the staleness budget is exhausted or nothing has been computed yet.
-    pub fn scores(&mut self) -> Result<&SparseScores> {
-        if self.needs_refresh() {
-            self.refresh()?;
-        }
-        Ok(self.cached.as_ref().expect("refresh populates the cache"))
-    }
-
-    /// Materialises the current top-k aggregation operator (refreshing lazily
-    /// like [`DynamicSimRank::scores`]). The materialisation is cached and
-    /// row-patched by [`DynamicSimRank::repair`], so repeated queries between
-    /// edits are cheap.
+    /// The current top-k aggregation operator, refreshed first if the
+    /// staleness budget is exhausted or nothing has been computed yet. It is
+    /// held and row-patched by [`DynamicSimRank::repair`], so repeated
+    /// queries between edits are cheap.
     pub fn operator(&mut self) -> Result<CsrMatrix> {
         if self.needs_refresh() {
             self.refresh()?;
         }
-        Ok(self.materialised_operator().clone())
+        Ok(self.held_operator().clone())
     }
 
-    /// The top-k materialisation of the cached scores, built on first use.
-    fn materialised_operator(&mut self) -> &CsrMatrix {
-        let scores = self.cached.as_ref().expect("callers refresh first");
-        self.operator_cache
-            .get_or_insert_with(|| scores.to_csr(self.config.top_k))
+    /// The held operator; callers refresh first.
+    fn held_operator(&self) -> &CsrMatrix {
+        self.operator.as_ref().expect("callers refresh first")
     }
 
-    /// The top-k operator rows for the listed score rows as a
-    /// `rows.len() × n` CSR patch against the *current* cached scores —
-    /// the row payload consumers splice in with `CsrMatrix::replace_rows`
-    /// after a [`DynamicSimRank::repair`]. The rows are gathered from the
-    /// cached operator, which `repair` has already brought up to date, so a
-    /// patch is top-k-selected once however many consumers ask for it.
+    /// The top-k operator rows for the listed rows as a `rows.len() × n`
+    /// CSR patch against the *current* operator — the row payload consumers
+    /// splice in with `CsrMatrix::replace_rows` after a
+    /// [`DynamicSimRank::repair`]. The rows are gathered from the held
+    /// operator, which `repair` has already brought up to date, so a patch
+    /// is top-k-selected once however many consumers ask for it.
     pub fn operator_rows(&mut self, rows: &[usize]) -> Result<CsrMatrix> {
         let n = self.graph.num_nodes();
         for &row in rows {
@@ -363,10 +394,10 @@ impl DynamicSimRank {
                 });
             }
         }
-        if self.cached.is_none() {
+        if self.operator.is_none() {
             self.refresh()?;
         }
-        Ok(self.materialised_operator().gather_rows(rows)?)
+        Ok(self.held_operator().gather_rows(rows)?)
     }
 }
 
@@ -407,16 +438,16 @@ mod tests {
     #[test]
     fn refresh_is_lazy_until_budget_is_exhausted() {
         let mut dyn_sim = maintainer(2);
-        let _ = dyn_sim.scores().unwrap();
+        let _ = dyn_sim.operator().unwrap();
         assert_eq!(dyn_sim.refreshes(), 1);
         // Two edits stay within the budget: no recomputation on query.
         dyn_sim.apply(EdgeUpdate::Insert(0, 6)).unwrap();
         dyn_sim.apply(EdgeUpdate::Insert(1, 7)).unwrap();
-        let _ = dyn_sim.scores().unwrap();
+        let _ = dyn_sim.operator().unwrap();
         assert_eq!(dyn_sim.refreshes(), 1);
         // A third edit exceeds it: the next query recomputes.
         dyn_sim.apply(EdgeUpdate::Insert(2, 8)).unwrap();
-        let _ = dyn_sim.scores().unwrap();
+        let _ = dyn_sim.operator().unwrap();
         assert_eq!(dyn_sim.refreshes(), 2);
         assert_eq!(dyn_sim.pending_edits(), 0);
     }
@@ -440,11 +471,11 @@ mod tests {
         let mut dyn_sim = maintainer(0);
         // The 12-cycle is bipartite, so odd-distance pairs such as (0, 5)
         // have no even-length meeting tours and score exactly zero.
-        let before = dyn_sim.scores().unwrap().get(0, 5);
+        let before = dyn_sim.operator().unwrap().get(0, 5);
         assert!(before < 1e-6);
         // Adding the chord (0, 6) gives nodes 0 and 5 the shared neighbour 6.
         dyn_sim.apply(EdgeUpdate::Insert(0, 6)).unwrap();
-        let after = dyn_sim.scores().unwrap().get(0, 5);
+        let after = dyn_sim.operator().unwrap().get(0, 5);
         assert!(
             after > 0.05,
             "a new shared neighbour should raise S(0,5): {before} -> {after}"
@@ -566,20 +597,10 @@ mod tests {
         }
     }
 
-    fn scores_bits(s: &SparseScores) -> Vec<Vec<(usize, u32)>> {
-        (0..s.num_nodes())
-            .map(|u| {
-                let mut row: Vec<(usize, u32)> = s.row(u).map(|(v, x)| (v, x.to_bits())).collect();
-                row.sort_unstable();
-                row
-            })
-            .collect()
-    }
-
     #[test]
     fn repair_is_bitwise_identical_to_refresh() {
         let mut incremental = maintainer(100);
-        let _ = incremental.operator().unwrap(); // initial decomposition
+        let before = incremental.operator().unwrap();
         let updates = [
             EdgeUpdate::Insert(0, 6),
             EdgeUpdate::Delete(3, 4),
@@ -593,18 +614,23 @@ mod tests {
         };
         assert!(!repair.changed_rows.is_empty());
         assert_eq!(repair.edited_nodes, vec![0, 2, 3, 4, 6, 9]);
+        assert!(repair.dirty_seeds >= repair.changed_rows.len());
         assert_eq!(incremental.repairs(), 1);
         assert_eq!(incremental.pending_edits(), 0);
 
-        // A maintainer that takes the full-refresh road instead.
+        // A maintainer that takes the full-refresh road instead, and the
+        // operator training builds on the edited graph.
         let mut full = maintainer(100);
         full.apply_batch(&updates).unwrap();
         full.refresh().unwrap();
-        assert_eq!(
-            scores_bits(incremental.scores().unwrap()),
-            scores_bits(full.scores().unwrap())
-        );
-        assert_eq!(incremental.operator().unwrap(), full.operator().unwrap());
+        let repaired = incremental.operator().unwrap();
+        assert_eq!(repaired, full.operator().unwrap());
+        let config = SimRankConfig::default().with_top_k(4);
+        let mut coupled = LocalPush::new(incremental.graph(), config).unwrap();
+        assert_eq!(repaired, coupled.run_to_operator());
+        // The patch is exactly the rows whose bits changed.
+        let changed = (0..12).filter(|&u| !before.row_iter(u).eq(repaired.row_iter(u)));
+        assert!(changed.eq(repair.changed_rows.iter().copied()));
     }
 
     #[test]
@@ -615,9 +641,13 @@ mod tests {
         dyn_sim.apply(EdgeUpdate::Insert(0, 1)).unwrap();
         let outcome = dyn_sim.repair().unwrap();
         match outcome {
-            // The net topology is unchanged, so the re-pushed seeds land on
-            // identical values and the operator round-trips bitwise.
-            RepairOutcome::Patched(repair) => assert_eq!(repair.edited_nodes, vec![0, 1]),
+            // The net topology is unchanged, so the replayed rows land on
+            // identical values and no operator row changes.
+            RepairOutcome::Patched(repair) => {
+                assert_eq!(repair.edited_nodes, vec![0, 1]);
+                assert!(repair.dirty_seeds > 0);
+                assert!(repair.changed_rows.is_empty());
+            }
             other => panic!("expected a patch, got {other:?}"),
         }
         assert_eq!(dyn_sim.operator().unwrap(), original);
@@ -637,6 +667,51 @@ mod tests {
             other => panic!("expected an empty patch, got {other:?}"),
         }
         assert_eq!(dyn_sim.refreshes(), 1);
+    }
+
+    #[test]
+    fn a_run_the_budget_cuts_is_refreshed_not_replayed() {
+        // A 40-node ring with a chord every fifth node at ε = 0.005: pairs
+        // cross the threshold for several rounds, and the chord (3, 22)
+        // adds pushes, so a budget of the run without it cuts the run with
+        // it.
+        let mut edges: Vec<(usize, usize)> = (0..40).map(|u| (u, (u + 1) % 40)).collect();
+        edges.extend((0..40).step_by(5).map(|u| (u, (u + 13) % 40)));
+        let config = SimRankConfig::new(0.6, 0.005, Some(4)).unwrap();
+        let without = Graph::from_edges(40, &edges).unwrap();
+        edges.push((3, 22));
+        let with = Graph::from_edges(40, &edges).unwrap();
+        let pushes = |graph: &Graph| {
+            let mut solver = LocalPush::new(graph, config).unwrap();
+            let _ = solver.run();
+            solver.pushes_performed()
+        };
+        let budget = pushes(&without);
+        assert!(pushes(&with) > budget);
+        // Cut after the edit; before it; neither.
+        for (graph, edit, budget, cut) in [
+            (&without, EdgeUpdate::Insert(3, 22), budget, true),
+            (&with, EdgeUpdate::Delete(3, 22), budget, true),
+            (&with, EdgeUpdate::Delete(3, 22), usize::MAX, false),
+        ] {
+            for threads in [1, 4] {
+                sigma_testutil::at_pool_width(threads, || {
+                    let mut dyn_sim = DynamicSimRank::new(graph.clone(), config, usize::MAX)
+                        .unwrap()
+                        .with_max_pushes(budget);
+                    let _ = dyn_sim.operator().unwrap();
+                    dyn_sim.apply(edit).unwrap();
+                    let outcome = dyn_sim.repair().unwrap();
+                    let what = format!("{edit:?}, budget {budget}, {threads} threads");
+                    assert_eq!(outcome == RepairOutcome::FullRefresh, cut, "{what}");
+                    let reference = LocalPush::new(dyn_sim.graph(), config)
+                        .unwrap()
+                        .with_max_pushes(budget)
+                        .run_to_operator();
+                    assert_eq!(dyn_sim.operator().unwrap(), reference, "{what}");
+                });
+            }
+        }
     }
 
     #[test]

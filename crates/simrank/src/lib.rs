@@ -10,6 +10,8 @@
 //! * [`LocalPush`] — the residual-push approximation of Algorithm 1 with the
 //!   `O(d²/(c(1−c)²ε))` bound of Lemma III.5, plus top-k pruning into the
 //!   sparse aggregation operator used during training,
+//! * [`DynamicSimRank`] — that same operator kept in step with graph edits
+//!   by replaying the push rounds over only the rows an edit reaches,
 //! * [`pairwise_walk_simrank`] — a Monte-Carlo estimator built directly on
 //!   the pairwise-random-walk decomposition of Theorem III.2 (used to verify
 //!   the theorem empirically),
@@ -39,7 +41,6 @@ mod config;
 mod dynamic;
 mod error;
 mod exact;
-pub mod fxhash;
 mod incremental;
 mod localpush;
 mod pairwise;
@@ -50,7 +51,6 @@ pub use config::SimRankConfig;
 pub use dynamic::{DynamicSimRank, EdgeUpdate, RepairOutcome, ScoreRepair};
 pub use error::SimRankError;
 pub use exact::{exact_simrank, exact_simrank_iterations};
-pub use incremental::{AssemblyWork, DecomposedScores, RepairReport, SeedRun};
 pub use localpush::{LocalPush, SparseScores};
 pub use pairwise::pairwise_walk_simrank;
 pub use power::power_iteration_simrank;

@@ -71,14 +71,13 @@
 //! `select_nth` against the k-th entry of the top-k order and a filter that
 //! leaves the kept entries in column order.
 //!
-//! PR 14 replaced a keyed hash-map scatter with these rounds: same schedule
-//! and push counts, but a delta is now scaled once per finished sum instead
-//! of once per contribution, so coupled-run score bits differ from earlier
-//! revisions. [`LocalPush::run_decomposed`] is unchanged.
+//! ## Replaying a run on an edited graph
+//!
+//! A run can record the pairs each round pushed ([`FrontierLog`]); the
+//! `incremental` module replays such a run over only the rows an edit
+//! reaches, to the bits a full run on the edited graph produces.
 
-use crate::incremental::{
-    DecomposedScores, RepairReport, SeedRun, REPAIR_DIRTY_SCAN_NS, REPAIR_REPUSH_NS,
-};
+use crate::incremental::{FrontierLog, FrontierRound};
 use crate::{Result, SimRankConfig};
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
@@ -88,15 +87,15 @@ use std::cmp::Ordering;
 use std::mem::take;
 use std::sync::Mutex;
 
-static LOCALPUSH_RUNS: StaticCounter = StaticCounter::new(
+pub(crate) static LOCALPUSH_RUNS: StaticCounter = StaticCounter::new(
     "sigma_localpush_runs_total",
-    "LocalPush solver runs (full solves and incremental seed re-runs)",
+    "LocalPush solver runs (full solves and repair replays)",
 );
-static LOCALPUSH_ROUNDS: StaticCounter = StaticCounter::new(
+pub(crate) static LOCALPUSH_ROUNDS: StaticCounter = StaticCounter::new(
     "sigma_localpush_rounds_total",
     "frontier rounds executed across all LocalPush runs",
 );
-static LOCALPUSH_PUSHES: StaticCounter = StaticCounter::new(
+pub(crate) static LOCALPUSH_PUSHES: StaticCounter = StaticCounter::new(
     "sigma_localpush_pushes_total",
     "residual pushes performed across all LocalPush runs",
 );
@@ -112,7 +111,11 @@ static LOCALPUSH_FINISH_NS: StaticHistogram = StaticHistogram::new(
 );
 
 /// One sparse row: `(column, value)` pairs, column-ascending.
-type SparseRow = Vec<(u32, f32)>;
+pub(crate) type SparseRow = Vec<(u32, f32)>;
+
+/// Rows of a CSR slice under construction: cumulative row ends, column
+/// indices, values (the part shape `sigma_matrix::concat_row_parts` joins).
+pub(crate) type RowPart = (Vec<usize>, Vec<u32>, Vec<f32>);
 
 /// Sparse, symmetric similarity scores produced by [`LocalPush`].
 #[derive(Debug, Clone)]
@@ -124,14 +127,13 @@ pub struct SparseScores {
 
 /// Fraction of a row's largest off-diagonal score below which entries are
 /// pruned (the density-robust counterpart of Algorithm 1's `ε/10` floor).
-/// Shared by the coupled run, the seed-decomposed run, and incremental
-/// repair so every path prunes identically.
+/// Every finished row — of a full run or a replay — is pruned with it.
 const RELATIVE_PRUNE_FRACTION: f32 = 0.01;
 
 /// Merges two column-ascending rows, in which a column may repeat, into one.
 /// On equal columns every `head` entry comes before every `tail` entry, so
 /// each column's entries are listed in the order `head ++ tail` lists them.
-fn merge_ordered(head: &[(u32, f32)], tail: &[(u32, f32)]) -> SparseRow {
+pub(crate) fn merge_ordered(head: &[(u32, f32)], tail: &[(u32, f32)]) -> SparseRow {
     let mut merged = Vec::with_capacity(head.len() + tail.len());
     let mut tail = tail.iter().copied().peekable();
     for &(col, value) in head {
@@ -160,14 +162,41 @@ fn by_score_then_column(a: &(u32, f32), b: &(u32, f32)) -> Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
-impl SparseScores {
-    pub(crate) fn new(num_nodes: usize) -> Self {
-        Self {
-            num_nodes,
-            rows: vec![Vec::new(); num_nodes],
+/// Appends the `top_k` entries of one column-ascending row to `part` as its
+/// next row (every entry for `None`). Selecting is a filter against the
+/// k-th entry of the selection order, so the kept entries come out in CSR
+/// order with no re-sort; `select_buf` is the selection buffer.
+pub(crate) fn select_top_k(
+    row: &[(u32, f32)],
+    top_k: Option<usize>,
+    select_buf: &mut SparseRow,
+    part: &mut RowPart,
+) {
+    let (ends, indices, values) = part;
+    let cutoff = top_k.filter(|&k| k < row.len()).map(|k| {
+        select_buf.clear();
+        select_buf.extend_from_slice(row);
+        *select_buf
+            .select_nth_unstable_by(k - 1, by_score_then_column)
+            .1
+    });
+    for entry in row {
+        if cutoff.is_none_or(|kth| by_score_then_column(entry, &kth).is_le()) {
+            indices.push(entry.0);
+            values.push(entry.1);
         }
     }
+    ends.push(indices.len());
+}
 
+/// Joins row parts, in order, into one `rows × cols` CSR matrix.
+pub(crate) fn csr_from_parts(rows: usize, cols: usize, parts: Vec<RowPart>) -> CsrMatrix {
+    let (indptr, indices, values) = sigma_matrix::concat_row_parts(rows, parts);
+    CsrMatrix::from_raw(rows, cols, indptr, indices, values)
+        .expect("scores produce a valid CSR layout")
+}
+
+impl SparseScores {
     /// Number of nodes (matrix dimension).
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -229,8 +258,8 @@ impl SparseScores {
     /// shared [`sigma_parallel::ThreadPool`] and concatenated in range order;
     /// top-k ties break towards the smaller column index. Both make the
     /// operator a pure function of the scores — independent of thread count
-    /// — which is what lets incremental repair patch individual rows
-    /// bitwise-identically to a full rebuild.
+    /// — which is what lets a repair patch individual rows bitwise-identically
+    /// to a full rebuild.
     pub fn to_csr(&self, top_k: Option<usize>) -> CsrMatrix {
         let rows: Vec<usize> = (0..self.num_nodes).collect();
         self.rows_to_csr(&rows, top_k)
@@ -238,10 +267,7 @@ impl SparseScores {
 
     /// Materialises the selected score rows as a `rows.len() × n` CSR slice
     /// (the `i`-th output row is score row `rows[i]`, top-k pruned exactly
-    /// like [`SparseScores::to_csr`]). This is the patch-building primitive
-    /// of incremental repair: combined with
-    /// [`CsrMatrix::replace_rows`] it re-materialises only the
-    /// rows an edit actually changed.
+    /// like [`SparseScores::to_csr`]).
     ///
     /// # Panics
     /// Panics if any selected row is out of bounds.
@@ -259,51 +285,18 @@ impl SparseScores {
         } else {
             vec![self.materialise_rows(rows, top_k)]
         };
-        let (indptr, indices, values) = sigma_matrix::concat_row_parts(rows.len(), parts);
-        CsrMatrix::from_raw(rows.len(), self.num_nodes, indptr, indices, values)
-            .expect("scores produce a valid CSR layout")
+        csr_from_parts(rows.len(), self.num_nodes, parts)
     }
 
     /// Materialises one batch of rows; concatenated in range order by
     /// [`SparseScores::rows_to_csr`].
-    fn materialise_rows(
-        &self,
-        rows: &[usize],
-        top_k: Option<usize>,
-    ) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
-        let mut row_nnz = Vec::with_capacity(rows.len());
-        let mut indices: Vec<u32> = Vec::new();
-        let mut values: Vec<f32> = Vec::new();
+    fn materialise_rows(&self, rows: &[usize], top_k: Option<usize>) -> RowPart {
+        let mut part = (Vec::with_capacity(rows.len()), Vec::new(), Vec::new());
         let mut select_buf: SparseRow = Vec::new();
         for &u in rows {
-            let row = &self.rows[u];
-            // Rows are stored column-ascending, so selecting is a filter
-            // against the k-th entry of the selection order: the kept
-            // entries come out in CSR order with no re-sort.
-            let cutoff = top_k.filter(|&k| k < row.len()).map(|k| {
-                select_buf.clear();
-                select_buf.extend_from_slice(row);
-                *select_buf
-                    .select_nth_unstable_by(k - 1, by_score_then_column)
-                    .1
-            });
-            for entry in row {
-                if cutoff.is_none_or(|kth| by_score_then_column(entry, &kth).is_le()) {
-                    indices.push(entry.0);
-                    values.push(entry.1);
-                }
-            }
-            row_nnz.push(indices.len());
+            select_top_k(&self.rows[u], top_k, &mut select_buf, &mut part);
         }
-        (row_nnz, indices, values)
-    }
-
-    /// Replaces row `u` wholesale with the relative-pruned `row` (the
-    /// incremental-repair patch path).
-    pub(crate) fn set_row(&mut self, u: usize, mut row: SparseRow) {
-        debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row not sorted");
-        Self::prune_row_relative(u, &mut row, RELATIVE_PRUNE_FRACTION);
-        self.rows[u] = row;
+        part
     }
 
     /// The largest stored score in row `u` (0.0 for an empty row), used by
@@ -325,15 +318,18 @@ pub(crate) fn inverse_degrees(graph: &Graph) -> Vec<f32> {
         .collect()
 }
 
+/// The push budget a solver starts with; the theoretical bound is far below
+/// it for the configurations used in the reproduction.
+pub(crate) const DEFAULT_MAX_PUSHES: usize = 100_000_000;
+
 /// The LocalPush solver (paper Algorithm 1).
 #[derive(Debug)]
 pub struct LocalPush {
-    config: SimRankConfig,
-    graph: Graph,
-    /// Safety valve on the total number of pushes; the theoretical bound is
-    /// far below this for the configurations used in the reproduction.
-    max_pushes: usize,
-    pushes_performed: usize,
+    pub(crate) config: SimRankConfig,
+    pub(crate) graph: Graph,
+    /// Safety valve on the total number of pushes.
+    pub(crate) max_pushes: usize,
+    pub(crate) pushes_performed: usize,
 }
 
 /// A Gustavson working set: a dense per-column sum and the columns it
@@ -357,7 +353,7 @@ impl Accumulator {
     /// positive, so a zero sum means "not touched yet" — and the first add
     /// is `0.0 + value`, exactly `value`.
     #[inline]
-    pub(crate) fn add(&mut self, col: u32, value: f32) {
+    fn add(&mut self, col: u32, value: f32) {
         debug_assert!(value > 0.0, "accumulated values must be positive");
         let sum = &mut self.sums[col as usize];
         if *sum == 0.0 {
@@ -368,7 +364,7 @@ impl Accumulator {
 
     /// Hands every touched column and its sum to `f` in ascending column
     /// order, leaving the accumulator clear.
-    pub(crate) fn drain_ascending(&mut self, mut f: impl FnMut(u32, f32)) {
+    fn drain_ascending(&mut self, mut f: impl FnMut(u32, f32)) {
         let touched = self.touched.len();
         let sums = &mut self.sums;
         let mut emit = |col: u32| f(col, take(&mut sums[col as usize]));
@@ -393,22 +389,14 @@ impl Accumulator {
             self.touched.drain(..).for_each(emit);
         }
     }
-
-    /// Takes the touched columns and their sums as one column-ascending
-    /// row, exactly sized, leaving the accumulator clear.
-    pub(crate) fn take_row(&mut self) -> SparseRow {
-        let mut row = Vec::with_capacity(self.touched.len());
-        self.drain_ascending(|col, sum| row.push((col, sum)));
-        row
-    }
 }
 
 /// The residual sweep of one row: its absorb log and the residual it still
 /// carries merged into one strictly column-ascending row — each column
 /// summed left to right, the log's absorbs in round order, then the
 /// residual — and pruned relative to the row's largest off-diagonal score.
-fn finish_row(x: usize, log: SparseRow, residual: SparseRow) -> SparseRow {
-    let mut row = merge_ordered(&log, &residual);
+pub(crate) fn finish_row(x: usize, log: &[(u32, f32)], residual: &[(u32, f32)]) -> SparseRow {
+    let mut row = merge_ordered(log, residual);
     sum_runs(&mut row);
     SparseScores::prune_row_relative(x, &mut row, RELATIVE_PRUNE_FRACTION);
     row
@@ -421,7 +409,7 @@ impl LocalPush {
         Ok(Self {
             config,
             graph: graph.clone(),
-            max_pushes: 100_000_000,
+            max_pushes: DEFAULT_MAX_PUSHES,
             pushes_performed: 0,
         })
     }
@@ -446,11 +434,17 @@ impl LocalPush {
     /// sub-threshold residual is then swept into `Ŝ`, which keeps the top-k
     /// structure resolvable on dense graphs and only reduces the error.
     pub fn run(&mut self) -> SparseScores {
+        self.run_logged(None)
+    }
+
+    /// [`LocalPush::run`], recording the run's frontier log into
+    /// `frontier_log` when one is given.
+    pub(crate) fn run_logged(&mut self, frontier_log: Option<&mut FrontierLog>) -> SparseScores {
         let n = self.graph.num_nodes();
         LOCALPUSH_RUNS.inc();
         let _span = sigma_obs::span!("localpush_run", n);
         let mut clock = Stopwatch::start();
-        let (log, residual) = self.push_rounds();
+        let (log, residual) = self.push_rounds(frontier_log);
         LOCALPUSH_PULL_NS.record(clock.lap());
 
         // Residual sweep: absorb all remaining sub-threshold mass so dense
@@ -464,7 +458,7 @@ impl LocalPush {
         let mut rows: Vec<(SparseRow, SparseRow)> = log.into_iter().zip(residual).collect();
         let finish = |first: usize, block: &mut [(SparseRow, SparseRow)]| {
             for (x, (row, residual)) in (first..).zip(block) {
-                *row = finish_row(x, take(row), take(residual));
+                *row = finish_row(x, row, &take(residual));
             }
         };
         let pool = ThreadPool::global();
@@ -484,8 +478,12 @@ impl LocalPush {
     /// The push process as row-wise rounds (see the module docs). Returns
     /// every row's absorb log — column-ascending, a pair absorbed in several
     /// rounds listed once per absorb in round order — and the sub-threshold
-    /// residual the row still carries.
-    fn push_rounds(&mut self) -> (Vec<SparseRow>, Vec<SparseRow>) {
+    /// residual the row still carries. With a `frontier_log`, every round's
+    /// crossed pairs are recorded into it.
+    fn push_rounds(
+        &mut self,
+        mut frontier_log: Option<&mut FrontierLog>,
+    ) -> (Vec<SparseRow>, Vec<SparseRow>) {
         let graph = &self.graph;
         let n = graph.num_nodes();
         let inv_deg = inverse_degrees(graph);
@@ -500,6 +498,7 @@ impl LocalPush {
         let mut pull_work = vec![0usize; n];
         let mut active: Vec<u32> = Vec::new();
         let accumulators = Mutex::new(Vec::new());
+        let mut cut = false;
         self.pushes_performed = 0;
         let pool = ThreadPool::global();
 
@@ -510,11 +509,13 @@ impl LocalPush {
             // sweep would have absorbed them).
             let mut budget = self.max_pushes.saturating_sub(self.pushes_performed);
             if budget == 0 {
+                cut = true;
                 break;
             }
             let before = budget;
             frontier_rows.retain(|&a| {
                 let row = &mut frontier[a as usize];
+                cut |= row.len() > budget;
                 row.truncate(budget);
                 budget -= row.len();
                 !row.is_empty()
@@ -542,8 +543,9 @@ impl LocalPush {
                 let spare = || accumulators.lock().expect("accumulator pool lock poisoned");
                 let mut acc: Accumulator = spare().pop().unwrap_or_default();
                 acc.resize(n);
+                let frontier = |a: u32| frontier[a as usize].as_slice();
                 let pull_row = |&x: &u32| {
-                    self.pull_row(&inv_deg, &frontier, &residual[x as usize], x, &mut acc)
+                    self.pull_row(&inv_deg, frontier, &residual[x as usize], x, &mut acc)
                 };
                 let out = rows.iter().map(pull_row).collect();
                 spare().push(acc);
@@ -559,32 +561,44 @@ impl LocalPush {
                 frontier[a as usize].clear();
             }
             frontier_rows.clear();
+            let mut round = FrontierRound::new();
             for (x, (kept, crossed)) in active.drain(..).zip(pulled.into_iter().flatten()) {
                 residual[x as usize] = kept;
                 if !crossed.is_empty() {
+                    if frontier_log.is_some() {
+                        round.push((x, crossed.clone()));
+                    }
                     log[x as usize] = merge_ordered(&log[x as usize], &crossed);
                     frontier[x as usize] = crossed;
                     frontier_rows.push(x);
                 }
             }
+            if let Some(frontier_log) = frontier_log.as_deref_mut() {
+                if !round.is_empty() {
+                    frontier_log.rounds.push(round);
+                }
+            }
+        }
+        if let Some(frontier_log) = frontier_log {
+            frontier_log.cut = cut;
         }
         (log, residual)
     }
 
     /// Pulls one round's delta into row `x` (see the module docs), returning
     /// the row's new carried residual and the pairs that crossed the
-    /// threshold. `frontier[a]` holds the pairs `(a, b)` the round pushes with
+    /// threshold. `frontier(a)` is the pairs `(a, b)` the round pushes with
     /// their residual; `carried` is the sub-threshold mass row `x` holds.
-    fn pull_row(
+    pub(crate) fn pull_row<'f>(
         &self,
         inv_deg: &[f32],
-        frontier: &[SparseRow],
+        frontier: impl Fn(u32) -> &'f [(u32, f32)],
         carried: &[(u32, f32)],
         x: u32,
         acc: &mut Accumulator,
     ) -> (SparseRow, SparseRow) {
         for &a in self.graph.neighbors(x as usize) {
-            for &(b, r) in &frontier[a as usize] {
+            for &(b, r) in frontier(a) {
                 for &y in self.graph.neighbors(b as usize) {
                     acc.add(y, r);
                 }
@@ -622,106 +636,13 @@ impl LocalPush {
         let scores = self.run();
         scores.to_csr(self.config.top_k)
     }
-
-    /// Runs the push process in *seed-decomposed* form: one independent,
-    /// fully serial push per seed pair `(w, w)`, scheduled across the shared
-    /// pool with [`sigma_parallel::ThreadPool::par_map_weighted`] and merged
-    /// in seed order.
-    ///
-    /// The decomposition records, per seed, its score contributions and the
-    /// *footprint* of nodes whose adjacency or degree the push process read.
-    /// An edge edit is invisible to every seed whose footprint avoids both
-    /// endpoints, which is what makes [`LocalPush::repair`] exact: re-running
-    /// only the dirty seeds reproduces the full recomputation bit for bit.
-    /// See [`DecomposedScores`] for the maintenance API.
-    ///
-    /// Relative to [`LocalPush::run`] the push threshold is applied per seed
-    /// rather than to the pooled residual, so slightly less mass propagates
-    /// before the residual sweep absorbs it — the same Lemma III.5 work
-    /// bound holds per seed, and the sweep keeps the error one-sided exactly
-    /// as in the coupled run.
-    pub fn run_decomposed(&mut self) -> DecomposedScores {
-        let n = self.graph.num_nodes();
-        let seeds: Vec<u32> = (0..n as u32).collect();
-        let runs =
-            crate::incremental::run_seeds(&self.graph, self.config, self.per_seed_budget(), &seeds);
-        self.pushes_performed = runs.iter().map(SeedRun::pushes).sum();
-        DecomposedScores::new(n, runs)
-    }
-
-    /// Incrementally repairs a decomposition after graph edits, re-pushing
-    /// only from dirty seeds.
-    ///
-    /// `self` must be constructed over the *edited* graph (same node count
-    /// and configuration as the run that produced `prior`), and `affected`
-    /// must contain every node whose adjacency changed since `prior` was
-    /// computed (supersets are allowed and merely repair more). Seeds whose
-    /// recorded footprint avoids all affected nodes provably re-run to the
-    /// identical result, so only the remaining seeds are re-pushed; the
-    /// returned report lists the score rows whose assembled values may have
-    /// changed. After the call `prior` matches what
-    /// [`LocalPush::run_decomposed`] would produce from scratch on the edited
-    /// graph, bit for bit.
-    pub fn repair(
-        &mut self,
-        prior: &mut DecomposedScores,
-        affected: &[usize],
-    ) -> Result<RepairReport> {
-        self.repair_staged(prior, affected, &mut Stopwatch::start())
-    }
-
-    /// [`LocalPush::repair`] on the caller's stage clock: laps the dirty
-    /// scan and the re-push, and leaves the index patch on the clock for the
-    /// caller's assembly lap.
-    pub(crate) fn repair_staged(
-        &mut self,
-        prior: &mut DecomposedScores,
-        affected: &[usize],
-        clock: &mut Stopwatch,
-    ) -> Result<RepairReport> {
-        let n = self.graph.num_nodes();
-        if prior.num_nodes() != n {
-            return Err(crate::SimRankError::NodeOutOfBounds {
-                node: prior.num_nodes(),
-                num_nodes: n,
-            });
-        }
-        for &node in affected {
-            if node >= n {
-                return Err(crate::SimRankError::NodeOutOfBounds { node, num_nodes: n });
-            }
-        }
-        let dirty = prior.dirty_seeds(affected);
-        REPAIR_DIRTY_SCAN_NS.record(clock.lap());
-        let dirty_u32: Vec<u32> = dirty.iter().map(|&w| w as u32).collect();
-        let new_runs = crate::incremental::run_seeds(
-            &self.graph,
-            self.config,
-            self.per_seed_budget(),
-            &dirty_u32,
-        );
-        self.pushes_performed = new_runs.iter().map(SeedRun::pushes).sum();
-        let pushes = self.pushes_performed;
-        REPAIR_REPUSH_NS.record(clock.lap());
-        let changed_rows = prior.replace_seed_runs(&dirty, new_runs);
-        Ok(RepairReport {
-            dirty_seeds: dirty,
-            changed_rows,
-            pushes,
-        })
-    }
-
-    /// Push budget granted to each seed of the decomposed run — derived only
-    /// from `max_pushes` and the node count, so a repair's re-pushed seeds
-    /// are budgeted exactly like the full run's.
-    fn per_seed_budget(&self) -> usize {
-        self.max_pushes.div_ceil(self.graph.num_nodes().max(1))
-    }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact_simrank;
+    use crate::incremental::tests::{edit, replay_onto};
     use sigma_graph::Graph;
 
     fn karate_like_graph() -> Graph {
@@ -952,20 +873,10 @@ mod tests {
         scores.prune(0.01);
         assert!(strictly_sorted(&scores));
 
-        // Decomposed assembly, then a repair that re-assembles some rows.
-        let mut decomposed = solver.run_decomposed();
-        let mut assembled = decomposed.assemble();
-        assert!(strictly_sorted(&assembled));
-        let mut edges: Vec<(usize, usize)> = g.edges().collect();
-        edges.push((1, 7));
-        let edited = Graph::from_edges(12, &edges).unwrap();
-        let report = LocalPush::new(&edited, cfg)
-            .unwrap()
-            .repair(&mut decomposed, &[1, 7])
-            .unwrap();
-        assert!(!report.changed_rows.is_empty());
-        decomposed.assemble_rows_into(&mut assembled, &report.changed_rows);
-        assert!(strictly_sorted(&assembled));
+        // A replay after an edit finishes rows the same way (and its CSR
+        // slice would not build from unsorted rows).
+        let edited = edit(&g, &[(1, 7)], &[]);
+        assert!(!replay_onto(&g, &edited, cfg).rows.is_empty());
     }
 
     #[test]
@@ -988,8 +899,13 @@ mod tests {
                 .map(|(i, &col)| (col, if i < touched / 2 { 0.5 } else { 0.25 }))
                 .collect();
             want.sort_by_key(|&(col, _)| col);
-            assert_eq!(acc.take_row(), want);
-            assert!(acc.take_row().is_empty());
+            let mut take_row = || {
+                let mut row = Vec::new();
+                acc.drain_ascending(|col, sum| row.push((col, sum)));
+                row
+            };
+            assert_eq!(take_row(), want);
+            assert!(take_row().is_empty());
             assert!(acc.sums.iter().all(|&s| s == 0.0));
             assert!(acc.marks.iter().all(|&m| m == 0));
         }
@@ -997,8 +913,9 @@ mod tests {
 
     #[test]
     fn absent_and_out_of_range_pairs_score_zero() {
-        let mut scores = SparseScores::new(3);
-        scores.set_row(1, vec![(0, 0.25), (1, 1.0)]);
+        let mut rows = vec![Vec::new(); 3];
+        rows[1] = vec![(0, 0.25), (1, 1.0)];
+        let scores = SparseScores { num_nodes: 3, rows };
         assert_eq!(scores.get(1, 0), 0.25);
         assert_eq!(scores.get(1, 2), 0.0);
         assert_eq!(scores.get(0, 1), 0.0);
@@ -1012,10 +929,10 @@ mod tests {
 
     #[test]
     fn top_k_breaks_score_ties_towards_the_smaller_column() {
-        let mut scores = SparseScores::new(7);
         let row = vec![(0, 0.2), (1, 0.5), (2, 0.2), (3, 1.0), (4, 0.5), (6, 0.2)];
-        scores.set_row(3, row.clone());
-        scores.set_row(5, row);
+        let mut rows = vec![Vec::new(); 7];
+        (rows[3], rows[5]) = (row.clone(), row);
+        let scores = SparseScores { num_nodes: 7, rows };
         assert_eq!(
             scores.to_csr(Some(4)).row_iter(3).collect::<Vec<_>>(),
             vec![(0, 0.2), (1, 0.5), (3, 1.0), (4, 0.5)]

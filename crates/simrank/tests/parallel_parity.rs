@@ -13,7 +13,9 @@
 use sigma_datasets::DatasetPreset;
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
-use sigma_simrank::{LocalPush, SimRankConfig, SparseScores};
+use sigma_simrank::{
+    DynamicSimRank, EdgeUpdate, LocalPush, RepairOutcome, SimRankConfig, SparseScores,
+};
 use sigma_testutil::reference::{localpush_reference, top_k_reference};
 use sigma_testutil::{at_pool_width, power_law_graph};
 
@@ -122,49 +124,38 @@ fn localpush_parity_holds_on_irregular_graphs_and_tight_epsilon() {
 }
 
 #[test]
-fn decomposed_run_and_repair_are_bitwise_identical_across_thread_counts() {
-    let g = chorded_ring(120);
-    let cfg = SimRankConfig::default().with_top_k(8);
-
-    // Full decomposed runs at 1 and 4 threads agree bitwise.
-    let decomposed_at = |threads| {
-        at_pool_width(threads, || {
-            LocalPush::new(&g, cfg).unwrap().run_decomposed()
-        })
-    };
-    let serial = decomposed_at(1);
-    let parallel = decomposed_at(4);
-    assert_scores_bitwise_eq(
-        &serial.assemble(),
-        &parallel.assemble(),
-        "decomposed chorded ring",
-    );
-    assert_eq!(
-        serial.assemble().to_csr(Some(8)),
-        parallel.assemble().to_csr(Some(8)),
-        "decomposed top-k operator"
-    );
-
-    // A repair after an edit agrees bitwise at both widths too.
-    let mut edges: Vec<(usize, usize)> = g.edges().collect();
-    edges.push((0, 60));
-    edges.retain(|&(a, b)| (a.min(b), a.max(b)) != (10, 11));
-    let edited = Graph::from_edges(120, &edges).unwrap();
-    let repaired_at = |threads: usize, mut decomposed: sigma_simrank::DecomposedScores| {
-        let report = at_pool_width(threads, || {
-            LocalPush::new(&edited, cfg)
-                .unwrap()
-                .repair(&mut decomposed, &[0, 60, 10, 11])
-                .unwrap()
-        });
-        (decomposed.assemble(), report)
-    };
-    let (serial_scores, serial_report) = repaired_at(1, serial);
-    let (parallel_scores, parallel_report) = repaired_at(4, parallel);
-    assert_eq!(serial_report.dirty_seeds, parallel_report.dirty_seeds);
-    assert_eq!(serial_report.changed_rows, parallel_report.changed_rows);
-    assert_eq!(serial_report.pushes, parallel_report.pushes);
-    assert_scores_bitwise_eq(&serial_scores, &parallel_scores, "repaired chorded ring");
+fn replay_is_bitwise_identical_across_thread_counts() {
+    // At ε = 0.1 the chorded ring has one round; at ε = 0.005 the sparse
+    // ring has several, and rows turn dirty in late rounds.
+    let mut sparse: Vec<(usize, usize)> = (0..300).map(|u| (u, (u + 1) % 300)).collect();
+    sparse.extend((0..300).step_by(7).map(|u| (u, (u + 40) % 300)));
+    for (g, cfg) in [
+        (chorded_ring(120), SimRankConfig::default().with_top_k(8)),
+        (
+            Graph::from_edges(300, &sparse).unwrap(),
+            SimRankConfig::new(0.6, 0.005, Some(8)).unwrap(),
+        ),
+    ] {
+        let edits = [
+            EdgeUpdate::Insert(0, 60),
+            EdgeUpdate::Delete(10, 11),
+            EdgeUpdate::Insert(90, 115),
+        ];
+        let repaired_at = |threads| {
+            at_pool_width(threads, || {
+                let mut maintainer = DynamicSimRank::new(g.clone(), cfg, usize::MAX).unwrap();
+                let _ = maintainer.operator().unwrap();
+                maintainer.apply_batch(&edits).unwrap();
+                let outcome = maintainer.repair().unwrap();
+                (outcome, maintainer.operator().unwrap())
+            })
+        };
+        let (serial, serial_operator) = repaired_at(1);
+        let (parallel, parallel_operator) = repaired_at(4);
+        assert!(matches!(serial, RepairOutcome::Patched(_)));
+        assert_eq!(serial, parallel, "the repair reports differ");
+        assert_eq!(serial_operator, parallel_operator, "repaired operator");
+    }
 }
 
 /// A hub-dominated ("skewed-degree") graph: a few hubs adjacent to large
@@ -192,22 +183,10 @@ fn localpush_parity_holds_on_skewed_degree_graphs() {
     let (parallel, parallel_pushes) = run_at(&g, cfg, 4);
     assert_eq!(serial_pushes, parallel_pushes);
     assert_scores_bitwise_eq(&serial, &parallel, "hub graph");
-    // The materialised operator (weighted rows_to_csr) agrees too, and so
-    // does the seed-decomposed run that feeds incremental repair.
-    let (op_serial, dec_serial) = at_pool_width(1, || {
-        let decomposed = LocalPush::new(&g, cfg).unwrap().run_decomposed();
-        (serial.to_csr(Some(8)), decomposed)
-    });
-    let (op_parallel, dec_parallel) = at_pool_width(4, || {
-        let decomposed = LocalPush::new(&g, cfg).unwrap().run_decomposed();
-        (parallel.to_csr(Some(8)), decomposed)
-    });
+    // The materialised operator (weighted rows_to_csr) agrees too.
+    let op_serial = at_pool_width(1, || serial.to_csr(Some(8)));
+    let op_parallel = at_pool_width(4, || parallel.to_csr(Some(8)));
     assert_eq!(op_serial, op_parallel, "hub-graph top-k operator");
-    assert_scores_bitwise_eq(
-        &dec_serial.assemble(),
-        &dec_parallel.assemble(),
-        "hub-graph decomposed run",
-    );
 }
 
 #[test]

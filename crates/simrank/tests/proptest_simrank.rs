@@ -2,8 +2,9 @@
 //!
 //! Random small graphs are generated and the core guarantees are checked:
 //! exact SimRank is a symmetric [0,1] similarity with unit diagonal,
-//! LocalPush stays within its ε error bound, and PPR vectors are
-//! distributions.
+//! LocalPush stays within its ε error bound, PPR vectors are distributions,
+//! and a maintainer's repaired operator is the coupled LocalPush operator of
+//! the edited graph, bit for bit, with exactly the changed rows reported.
 
 use proptest::prelude::*;
 use sigma_graph::Graph;
@@ -11,6 +12,7 @@ use sigma_simrank::{
     exact_simrank, forward_push_ppr, power_iteration_ppr, power_iteration_simrank, DynamicSimRank,
     EdgeUpdate, LocalPush, PprConfig, SimRankConfig, SparseScores,
 };
+use sigma_testutil::{at_pool_width, replay_maintainer};
 
 const MAX_NODES: usize = 14;
 
@@ -40,8 +42,8 @@ proptest! {
         // top-k comparison exercises the column-ascending tie-break.
         let cfg = SimRankConfig::new(0.6, if tight { 0.005 } else { 0.1 }, None).unwrap();
         let n = g.num_nodes();
-        let mut solver = LocalPush::new(&g, cfg).unwrap();
-        for mut scores in [solver.run(), solver.run_decomposed().assemble()] {
+        let mut scores = LocalPush::new(&g, cfg).unwrap().run();
+        {
             prop_assert!(rows_are_strictly_sorted(&scores));
             prop_assert_eq!(scores.to_csr(Some(k)), scores.to_csr(None).top_k_per_row(k));
             prop_assert_eq!(scores.get(0, n), 0.0);
@@ -169,15 +171,44 @@ proptest! {
             maintainer.apply(update).unwrap();
         }
         // With a zero staleness budget every query refreshes, so the
-        // maintained scores must equal a from-scratch run of the maintainer's
-        // (seed-decomposed) solver on the edited graph — bit for bit.
+        // maintained operator must equal a fresh run of the coupled
+        // solver on the edited graph — bit for bit.
         let edited = maintainer.graph().clone();
-        let maintained = maintainer.scores().unwrap();
-        let fresh = LocalPush::new(&edited, cfg).unwrap().run_decomposed().assemble();
-        for u in 0..n {
-            for v in 0..n {
-                prop_assert_eq!(maintained.get(u, v).to_bits(), fresh.get(u, v).to_bits());
-            }
-        }
+        let maintained = maintainer.operator().unwrap();
+        let fresh = LocalPush::new(&edited, cfg).unwrap().run_to_operator();
+        prop_assert_eq!(maintained.indptr(), fresh.indptr());
+        prop_assert_eq!(maintained.indices(), fresh.indices());
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(maintained.values()), bits(fresh.values()));
+    }
+
+    #[test]
+    fn repair_replays_to_the_coupled_operator(
+        g in random_graph(),
+        batches in prop::collection::vec(
+            prop::collection::vec((0usize..MAX_NODES, 0usize..MAX_NODES, any::<bool>()), 0..5),
+            1..4,
+        ),
+        tight in any::<bool>(),
+        wide in any::<bool>(),
+    ) {
+        // Random pairs: deletes mostly miss and repeats re-add, so no-op,
+        // delete-then-readd and empty batches come up beside real edits.
+        let n = g.num_nodes();
+        let batches: Vec<Vec<EdgeUpdate>> = batches
+            .into_iter()
+            .map(|batch| {
+                batch
+                    .into_iter()
+                    .map(|(a, b, insert)| match insert {
+                        true => EdgeUpdate::Insert(a % n, b % n),
+                        false => EdgeUpdate::Delete(a % n, b % n),
+                    })
+                    .collect()
+            })
+            .collect();
+        let cfg = SimRankConfig::new(0.6, if tight { 0.005 } else { 0.1 }, Some(4)).unwrap();
+        let report = at_pool_width(if wide { 4 } else { 1 }, || replay_maintainer(&g, cfg, &batches));
+        prop_assert_eq!(report.rounds, batches.len());
     }
 }

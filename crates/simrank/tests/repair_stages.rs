@@ -1,6 +1,6 @@
-//! With the `obs` feature on, one repair's wall time splits into the four
-//! `sigma_simrank_repair_*_ns` stage histograms, and the row and entry
-//! counters report what the assembly stage re-summed.
+//! With the `obs` feature on, one repair's wall time splits into the three
+//! `sigma_simrank_repair_*_ns` stage histograms, and the row counter reports
+//! what the replay re-pulled.
 //!
 //! A test binary of its own on purpose: the stage metrics are process-wide
 //! statics, so before/after deltas are exact only while no other test in the
@@ -13,7 +13,7 @@ use sigma_simrank::{DynamicSimRank, EdgeUpdate, RepairOutcome, SimRankConfig};
 use sigma_testutil::random_graph;
 use std::time::Instant;
 
-const STAGES: [&str; 4] = ["dirty_scan", "repush", "assemble", "materialise"];
+const STAGES: [&str; 3] = ["dirty_scan", "replay", "diff"];
 
 /// `(samples, summed nanoseconds)` of each stage histogram so far.
 fn stage_totals() -> Vec<(u64, u64)> {
@@ -38,13 +38,8 @@ fn repair_stages_add_up_to_the_repair() {
         .unwrap();
 
     let before = stage_totals();
-    let counters = |snapshot: &sigma_obs::MetricsSnapshot| {
-        (
-            snapshot.counter("sigma_simrank_repair_rows_total"),
-            snapshot.counter("sigma_simrank_repair_entries_total"),
-        )
-    };
-    let (rows_before, entries_before) = counters(&sigma_obs::snapshot());
+    let rows = || sigma_obs::snapshot().counter("sigma_simrank_repair_rows_total");
+    let rows_before = rows();
     let start = Instant::now();
     let outcome = maintainer.repair().unwrap();
     let wall_ns = start.elapsed().as_nanos() as u64;
@@ -68,7 +63,6 @@ fn repair_stages_add_up_to_the_repair() {
         wall_ns - staged_ns <= wall_ns / 10 + 100_000,
         "stages {staged_ns} ns leave too much of wall {wall_ns} ns unattributed"
     );
-    let (rows, entries) = counters(&sigma_obs::snapshot());
-    assert_eq!(rows - rows_before, repair.changed_rows.len() as u64);
-    assert!(entries - entries_before >= repair.changed_rows.len() as u64);
+    assert_eq!(rows() - rows_before, repair.dirty_seeds as u64);
+    assert!(repair.dirty_seeds >= repair.changed_rows.len());
 }

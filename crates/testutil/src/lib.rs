@@ -9,17 +9,18 @@
 //!   delete-then-readd and no-op edit shapes that stress repair bookkeeping);
 //! * [`reference`] — scalar reference kernels (the nested-loop LocalPush in
 //!   the coupled solver's canonical summation order, the sort-the-row top-k
-//!   selection of the operator, the scan-every-seed
-//!   row assembly of a decomposition, the table-free bitwise CRC32) shared
-//!   by the parity tests and the `kernel_microopt` bench;
+//!   selection of the operator, the table-free bitwise CRC32) shared by the
+//!   parity tests and the `kernel_microopt` bench;
 //! * [`oracle`] — a serving fixture (graph → trained-shape model snapshot →
 //!   [`sigma_serve::InferenceEngine`] + in-sync
 //!   [`sigma_simrank::DynamicSimRank`]) and [`oracle::replay_differential`],
 //!   which replays an edit trace through (a) from-scratch recomputation and
 //!   (b) incremental repair, asserting after every batch that the operator,
 //!   every served logit, and the cache-hit observability counters are
-//!   **bitwise identical** between the two paths — and that repair touched
-//!   only the rows it reported. [`oracle::replay_differential_sharded`]
+//!   **bitwise identical** between the two paths — and that repair reported
+//!   exactly the rows it changed. [`oracle::replay_maintainer`] holds the
+//!   maintainer alone to the same contract against the coupled LocalPush
+//!   run training uses. [`oracle::replay_differential_sharded`]
 //!   generalises the same contract across a shard dimension: the trace is
 //!   replayed against a 1-engine reference and an N-shard
 //!   [`sigma_serve::ShardRouter`] simultaneously (optionally with mapped
@@ -46,8 +47,9 @@ pub mod wire;
 
 pub use generate::{power_law_graph, random_graph, random_trace, TraceShape};
 pub use oracle::{
-    assert_similar_bitwise_eq, replay_differential, replay_differential_sharded, serving_fixture,
-    DifferentialReport, ServingFixture, ShardedDifferentialReport,
+    assert_similar_bitwise_eq, replay_differential, replay_differential_sharded, replay_maintainer,
+    serving_fixture, DifferentialReport, MaintainerReport, ServingFixture,
+    ShardedDifferentialReport,
 };
 pub use wire::{WireClient, WireResponse};
 

@@ -6,15 +6,17 @@
 //!
 //! 1. **incremental**: one long-lived engine + maintainer pair, brought up
 //!    to date after every batch by [`sigma_serve::InferenceEngine::repair_from`];
-//! 2. **reference**: a from-scratch seed-decomposed LocalPush run and a
-//!    freshly built engine on the edited graph —
+//! 2. **reference**: a fresh coupled LocalPush run — the one
+//!    training uses — and a freshly built engine on the edited graph —
 //!
 //! and asserts, after every batch, bitwise equality of the aggregation
 //! operator and of every served logit, plus the observability contract:
-//! the rows the repair reported are a superset of the rows that actually
-//! changed, the eviction counters count exactly the reported set, and every
-//! cache entry outside it survives (checked through the cache-hit counters
-//! of a full warm query). Any divergence panics with the offending row.
+//! the rows the repair reported are exactly the rows whose bits changed,
+//! the eviction counters count exactly the reported set, and every cache
+//! entry outside it survives (checked through the cache-hit counters of a
+//! full warm query). [`replay_maintainer`] checks the maintainer alone the
+//! same way, at any SimRank configuration. Any divergence panics with the
+//! offending row.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +28,7 @@ use sigma_serve::{
     EngineConfig, InferenceEngine, MappedSnapshot, Prediction, ServeSnapshot, ShardRouter,
     ShardRouterConfig, SimilarNode,
 };
-use sigma_simrank::{DynamicSimRank, EdgeUpdate, LocalPush, SimRankConfig};
+use sigma_simrank::{DynamicSimRank, EdgeUpdate, LocalPush, RepairOutcome, SimRankConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -113,12 +115,22 @@ fn csr_bits(matrix: &CsrMatrix) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
     )
 }
 
+/// `(column, value bits)` of every stored entry of row `r`.
+fn row_bits(matrix: &CsrMatrix, r: usize) -> Vec<(usize, u32)> {
+    matrix.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect()
+}
+
+/// The rows on which two equal-shape operators differ, bit for bit.
+fn differing_rows(before: &CsrMatrix, after: &CsrMatrix) -> Vec<usize> {
+    (0..after.rows())
+        .filter(|&r| row_bits(before, r) != row_bits(after, r))
+        .collect()
+}
+
 fn assert_csr_bitwise_eq(a: &CsrMatrix, b: &CsrMatrix, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
     for r in 0..a.rows() {
-        let row_a: Vec<(usize, u32)> = a.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect();
-        let row_b: Vec<(usize, u32)> = b.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect();
-        assert_eq!(row_a, row_b, "{what}: row {r} differs");
+        assert_eq!(row_bits(a, r), row_bits(b, r), "{what}: row {r} differs");
     }
     assert_eq!(csr_bits(a), csr_bits(b), "{what}: raw CSR layout differs");
 }
@@ -200,9 +212,8 @@ pub fn replay_differential(
         // Reference path: from-scratch recomputation on the edited graph.
         let edited = maintainer.graph().clone();
         let mut solver = LocalPush::new(&edited, config).expect("reference solver");
-        let reference_scores = solver.run_decomposed().assemble();
+        let reference_operator = solver.run_to_operator();
         report.full_recompute_pushes += solver.pushes_performed();
-        let reference_operator = reference_scores.to_csr(config.top_k);
         let served_operator = engine.operator().expect("fixture engines always carry S");
         assert_csr_bitwise_eq(
             &served_operator,
@@ -210,23 +221,12 @@ pub fn replay_differential(
             &format!("round {round}: repaired operator vs from-scratch operator"),
         );
 
-        // Coverage: every row that actually changed was reported as patched.
-        for r in 0..n {
-            let before: Vec<(usize, u32)> = operator_before
-                .row_iter(r)
-                .map(|(c, v)| (c, v.to_bits()))
-                .collect();
-            let after: Vec<(usize, u32)> = served_operator
-                .row_iter(r)
-                .map(|(c, v)| (c, v.to_bits()))
-                .collect();
-            if before != after {
-                assert!(
-                    repair.operator_rows.binary_search(&r).is_ok(),
-                    "round {round}: operator row {r} changed but was not reported patched"
-                );
-            }
-        }
+        // The patch set is exactly the rows whose bits changed.
+        assert_eq!(
+            repair.operator_rows,
+            differing_rows(&operator_before, &served_operator),
+            "round {round}: patched rows must be exactly the rows that changed"
+        );
 
         // Reference engine: rebuilt from scratch on the edited graph with
         // the reference operator.
@@ -283,6 +283,86 @@ pub fn replay_differential(
         report.operator_rows_patched += repair.operator_rows.len();
         report.embedding_rows_patched += repair.embedding_rows.len();
         report.cache_rows_invalidated += repair.invalidated_rows.len();
+    }
+    report
+}
+
+/// Aggregate outcome of one [`replay_maintainer`] run (all assertions
+/// passed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MaintainerReport {
+    /// Edit batches replayed.
+    pub rounds: usize,
+    /// Rows the repairs re-pulled across all rounds.
+    pub rows_replayed: usize,
+    /// Operator rows whose bits the repairs changed across all rounds.
+    pub rows_changed: usize,
+    /// Pairs the fresh reference runs pushed across all rounds.
+    pub full_recompute_pushes: usize,
+}
+
+/// Replays `batches` through one long-lived [`DynamicSimRank`] and asserts,
+/// after every batch, that [`DynamicSimRank::repair`] patched rather than
+/// refreshed, that the repaired operator is bitwise
+/// [`LocalPush::run_to_operator`] on the edited graph — the operator
+/// training builds — and that the reported `changed_rows` are exactly the
+/// rows whose bits differ from the operator before the batch. The initial
+/// operator is held to the same reference. Panics on any divergence.
+pub fn replay_maintainer(
+    graph: &Graph,
+    config: SimRankConfig,
+    batches: &[Vec<EdgeUpdate>],
+) -> MaintainerReport {
+    let coupled = |graph: &Graph| {
+        let mut solver = LocalPush::new(graph, config).expect("valid config");
+        (solver.run_to_operator(), solver.pushes_performed())
+    };
+    let mut maintainer =
+        DynamicSimRank::new(graph.clone(), config, usize::MAX).expect("valid config");
+    let mut before = maintainer.operator().expect("initial operator");
+    assert_csr_bitwise_eq(
+        &before,
+        &coupled(graph).0,
+        "initial operator vs the coupled run",
+    );
+    let mut report = MaintainerReport {
+        rounds: 0,
+        rows_replayed: 0,
+        rows_changed: 0,
+        full_recompute_pushes: 0,
+    };
+    for (round, batch) in batches.iter().enumerate() {
+        maintainer.apply_batch(batch).expect("in-bounds edits");
+        let edited = maintainer.edited_nodes();
+        let outcome = maintainer.repair().expect("repair");
+        let RepairOutcome::Patched(repair) = outcome else {
+            panic!("round {round}: repair fell back to a full refresh");
+        };
+        assert_eq!(repair.edited_nodes, edited, "round {round}: edited nodes");
+        let after = maintainer.operator().expect("repaired operator");
+        let (reference, pushes) = coupled(maintainer.graph());
+        assert_csr_bitwise_eq(
+            &after,
+            &reference,
+            &format!("round {round}: repaired operator vs the coupled run"),
+        );
+        assert_eq!(
+            repair.changed_rows,
+            differing_rows(&before, &after),
+            "round {round}: changed_rows must be exactly the rows that differ"
+        );
+        assert!(
+            repair.dirty_seeds >= repair.changed_rows.len() && repair.pushes >= repair.dirty_seeds,
+            "round {round}: {} rows replayed, {} pushes, {} rows changed",
+            repair.dirty_seeds,
+            repair.pushes,
+            repair.changed_rows.len()
+        );
+        report.rounds += 1;
+        report.rows_replayed += repair.dirty_seeds;
+        report.rows_changed += repair.changed_rows.len();
+        report.full_recompute_pushes += pushes;
+        before = after;
     }
     report
 }
@@ -787,6 +867,17 @@ mod tests {
         assert_eq!(report.operator_rows_patched, 0);
         assert_eq!(report.repair_fanout, 0);
         assert_eq!(report.repair_skipped, 4);
+    }
+
+    #[test]
+    fn maintainer_oracle_passes_on_a_small_trace() {
+        let graph = random_graph(24, 12, 5);
+        let trace = random_trace(&graph, TraceShape::default(), 5);
+        let config = SimRankConfig::new(0.6, 0.02, Some(6)).unwrap();
+        let report = replay_maintainer(&graph, config, &trace);
+        assert_eq!(report.rounds, trace.len());
+        assert!(report.rows_changed > 0);
+        assert!(report.rows_replayed >= report.rows_changed);
     }
 
     #[test]

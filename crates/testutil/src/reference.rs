@@ -3,7 +3,7 @@
 
 use sigma_graph::Graph;
 use sigma_matrix::{CsrMatrix, DenseMatrix};
-use sigma_simrank::{DecomposedScores, SimRankConfig};
+use sigma_simrank::SimRankConfig;
 
 /// `m · x` as the plain row-by-row scalar loop: each output row accumulates
 /// `v · x[c]` over the stored `(c, v)` of its operator row, in storage
@@ -193,51 +193,6 @@ pub fn top_k_reference(row: &[(u32, f32)], k: Option<usize>) -> Vec<(u32, f32)> 
     kept.truncate(k.unwrap_or(usize::MAX));
     kept.sort_by_key(|&(col, _)| col);
     kept
-}
-
-/// Score row `row` of a decomposition, assembled the way
-/// `DecomposedScores::assemble_rows_into` did before it had a row → seed
-/// index and a dense accumulator: every seed run is asked for the row,
-/// the answers are concatenated in seed order, stably sorted by column, and
-/// each column's run is summed left to right; the row is then pruned
-/// relative to its largest off-diagonal score.
-pub fn assemble_row_reference(decomposed: &DecomposedScores, row: usize) -> Vec<(u32, f32)> {
-    let mut entries: Vec<(u32, f32)> = decomposed
-        .seed_runs()
-        .iter()
-        .map(|run| run.contributions(row as u32))
-        .collect::<Vec<_>>()
-        .concat();
-    entries.sort_by_key(|&(col, _)| col);
-    entries.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        if same {
-            kept.1 += next.1;
-        }
-        same
-    });
-    let row_max = entries
-        .iter()
-        .filter(|&&(col, _)| col as usize != row)
-        .map(|&(_, score)| score)
-        .fold(0.0f32, f32::max);
-    if row_max > 0.0 {
-        let floor = 0.01 * row_max;
-        entries.retain(|&(col, score)| col as usize == row || score >= floor);
-    }
-    entries
-}
-
-/// The row → contributing-seeds index of a decomposition, rebuilt from
-/// scratch out of every seed run's row list (ascending seed ids per row).
-pub fn row_seed_index_reference(decomposed: &DecomposedScores) -> Vec<Vec<u32>> {
-    let mut index = vec![Vec::new(); decomposed.num_nodes()];
-    for (seed, run) in decomposed.seed_runs().iter().enumerate() {
-        for &row in run.rows() {
-            index[row as usize].push(seed as u32);
-        }
-    }
-    index
 }
 
 /// IEEE CRC32 (the zlib/PNG polynomial, reflected, `0xEDB8_8320`) from its

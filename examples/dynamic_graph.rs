@@ -87,9 +87,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("update strategy the paper proposes for dynamic graphs.");
 
     // 6. Incremental repair: instead of waiting for the budget and paying a
-    //    full recomputation, `repair()` re-pushes only the seeds the edits
-    //    can influence and patches exactly the changed operator rows — with
-    //    results bitwise identical to a full refresh.
+    //    full recomputation, `repair()` re-pulls only the rows the edits can
+    //    reach and patches exactly the operator rows whose bits changed —
+    //    with results bitwise identical to a full refresh, and to the
+    //    operator training builds on the edited graph.
     let n = maintainer.graph().num_nodes();
     let updates: Vec<EdgeUpdate> = (0..10)
         .map(|_| EdgeUpdate::Insert(rng.gen_range(0..n), rng.gen_range(0..n)))
@@ -103,8 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let repair_time = start.elapsed();
     if let RepairOutcome::Patched(repair) = outcome {
         println!(
-            "\nincremental repair: {} edits -> {} dirty seeds re-pushed, {} of {} operator rows \
-             patched in {:.2?} (bitwise-identical to a full refresh)",
+            "\nincremental repair: {} edits -> {} rows re-pulled, {} of {} operator rows \
+             changed in {:.2?} (bitwise-identical to a full refresh)",
             updates.len(),
             repair.dirty_seeds,
             repair.changed_rows.len(),

@@ -8,9 +8,10 @@ use sigma::{
     complexity, AggregatorKind, ContextBuilder, Model, ModelHyperParams, ModelKind, SigmaModel,
     TrainConfig, Trainer,
 };
-use sigma_datasets::DatasetPreset;
+use sigma_datasets::{Dataset, DatasetPreset};
 use sigma_graph::rescale_edges;
-use sigma_simrank::{PprConfig, SimRankConfig};
+use sigma_matrix::CsrMatrix;
+use sigma_simrank::{DynamicSimRank, EdgeUpdate, PprConfig, RepairOutcome, SimRankConfig};
 
 #[test]
 fn simrank_operator_in_context_matches_standalone_localpush() {
@@ -23,6 +24,53 @@ fn simrank_operator_in_context_matches_standalone_localpush() {
     let from_ctx = ctx.simrank().unwrap();
     assert_eq!(from_ctx.shape(), standalone.shape());
     assert_eq!(from_ctx.nnz(), standalone.nnz());
+}
+
+/// The operator `ContextBuilder` precomputes for training on `data`.
+fn trained_operator(data: Dataset, cfg: SimRankConfig) -> CsrMatrix {
+    let ctx = ContextBuilder::new(data).with_simrank(cfg).build().unwrap();
+    ctx.simrank().unwrap().clone()
+}
+
+fn assert_bitwise_eq(served: &CsrMatrix, trained: &CsrMatrix, what: &str) {
+    assert_eq!(served.indptr(), trained.indptr(), "{what}: row layout");
+    assert_eq!(served.indices(), trained.indices(), "{what}: columns");
+    let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(bits(served) == bits(trained), "{what}: value bits differ");
+}
+
+#[test]
+fn the_maintained_operator_is_the_trained_operator() {
+    // What a maintainer serves is what the model was trained against, bit
+    // for bit — at start and after an edit batch is repaired in place.
+    let data = DatasetPreset::Pokec.build(0.5, 47).unwrap();
+    let cfg = SimRankConfig::new(0.6, 0.1, Some(16)).unwrap();
+    let mut maintainer = DynamicSimRank::new(data.graph.clone(), cfg, usize::MAX).unwrap();
+    assert_bitwise_eq(
+        &maintainer.operator().unwrap(),
+        &trained_operator(data.clone(), cfg),
+        "initial operator",
+    );
+    let (u, v) = data.graph.edges().nth(40).unwrap();
+    maintainer
+        .apply_batch(&[
+            EdgeUpdate::Insert(3, 700),
+            EdgeUpdate::Delete(u, v),
+            EdgeUpdate::Insert(90, 1200),
+            EdgeUpdate::Insert(5, 6),
+        ])
+        .unwrap();
+    let outcome = maintainer.repair().unwrap();
+    assert!(matches!(outcome, RepairOutcome::Patched(ref r) if !r.changed_rows.is_empty()));
+    let edited = Dataset {
+        graph: maintainer.graph().clone(),
+        ..data
+    };
+    assert_bitwise_eq(
+        &maintainer.operator().unwrap(),
+        &trained_operator(edited, cfg),
+        "repaired operator",
+    );
 }
 
 #[test]

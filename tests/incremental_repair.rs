@@ -6,13 +6,14 @@
 //! `InferenceEngine::repair_from` and checked — operator rows, served
 //! logits, cache counters — against a from-scratch rebuild. On a graph this
 //! size the repair region must also be a small fraction of the graph, which
-//! pins the economics of the repair path, not just its correctness.
+//! pins the economics of the repair path, not just its correctness. The
+//! maintainer alone is held to the coupled LocalPush run on random edit
+//! streams, a node leaving and rejoining the graph, and a growing hub.
 
-use sigma_graph::Graph;
-use sigma_simrank::{DecomposedScores, DynamicSimRank, EdgeUpdate, LocalPush, SimRankConfig};
-use sigma_simrank::{RepairReport, SparseScores};
-use sigma_testutil::reference::{assemble_row_reference, row_seed_index_reference};
-use sigma_testutil::{random_graph, random_trace, replay_differential, TraceShape};
+use sigma_simrank::{DynamicSimRank, EdgeUpdate, SimRankConfig};
+use sigma_testutil::{
+    random_graph, random_trace, replay_differential, replay_maintainer, TraceShape,
+};
 
 #[test]
 fn long_edit_stream_repairs_exactly_and_locally() {
@@ -60,74 +61,8 @@ fn repair_survives_densification_of_a_sparse_region() {
     assert!(report.operator_rows_patched > 0);
 }
 
-/// Asserts every score row bitwise-equal to the scan-every-seed reference
-/// assembly and the row → seed index equal to one rebuilt from scratch.
-fn assert_matches_reference(decomposed: &DecomposedScores, scores: &SparseScores, when: &str) {
-    let index = row_seed_index_reference(decomposed);
-    for (u, seeds) in index.iter().enumerate() {
-        assert_eq!(
-            decomposed.contributing_seeds(u),
-            seeds.as_slice(),
-            "{when}: row -> seed index of row {u}"
-        );
-        let bits = |row: Vec<(u32, f32)>| -> Vec<(u32, u32)> {
-            row.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
-        };
-        assert_eq!(
-            bits(scores.row(u).map(|(v, s)| (v as u32, s)).collect()),
-            bits(assemble_row_reference(decomposed, u)),
-            "{when}: score row {u}"
-        );
-    }
-}
-
-/// Replays `trace` batch by batch through `LocalPush::repair` +
-/// `assemble_rows_into`, checking the whole state against the reference
-/// after every round (`inspect` sees the decomposition then too). Returns
-/// the reports for shape assertions.
-fn replay_against_reference(
-    graph: &Graph,
-    config: SimRankConfig,
-    trace: &[Vec<EdgeUpdate>],
-    mut inspect: impl FnMut(usize, &DecomposedScores),
-) -> Vec<RepairReport> {
-    let mut decomposed = LocalPush::new(graph, config).unwrap().run_decomposed();
-    let mut scores = decomposed.assemble();
-    assert_matches_reference(&decomposed, &scores, "initial assembly");
-    // The maintainer is only the graph editor here; its own scores stay unused.
-    let mut editor = DynamicSimRank::new(graph.clone(), config, usize::MAX).unwrap();
-    let mut reports = Vec::new();
-    for (round, batch) in trace.iter().enumerate() {
-        editor.apply_batch(batch).unwrap();
-        let endpoints: Vec<usize> = batch
-            .iter()
-            .flat_map(|&(EdgeUpdate::Insert(u, v) | EdgeUpdate::Delete(u, v))| [u, v])
-            .collect();
-        let report = LocalPush::new(editor.graph(), config)
-            .unwrap()
-            .repair(&mut decomposed, &endpoints)
-            .unwrap();
-        let work = decomposed.assemble_rows_into(&mut scores, &report.changed_rows);
-        let listed: usize = report
-            .changed_rows
-            .iter()
-            .map(|&row| decomposed.contributing_seeds(row).len())
-            .sum();
-        assert_eq!(work.runs_visited, listed, "round {round}: runs visited");
-        assert_matches_reference(&decomposed, &scores, &format!("round {round}"));
-        inspect(round, &decomposed);
-        reports.push(report);
-    }
-    // The patched decomposition is the one a fresh run would build.
-    let fresh = LocalPush::new(editor.graph(), config)
-        .unwrap()
-        .run_decomposed();
-    assert_matches_reference(&fresh, &scores, "fresh run on the final graph");
-    reports
-}
-
 #[test]
-fn assembly_and_index_match_the_reference_over_random_edit_streams() {
+fn replay_matches_the_coupled_run_over_random_edit_streams() {
     let shape = TraceShape {
         batches: 4,
         batch_len: 3,
@@ -142,29 +77,28 @@ fn assembly_and_index_match_the_reference_over_random_edit_streams() {
         let graph = random_graph(nodes, chords, seed);
         let config = SimRankConfig::new(0.6, epsilon, Some(6)).unwrap();
         let trace = random_trace(&graph, shape, seed);
-        let reports = replay_against_reference(&graph, config, &trace, |_, _| {});
+        let report = replay_maintainer(&graph, config, &trace);
         assert!(
-            reports.iter().any(|r| !r.dirty_seeds.is_empty()),
+            report.rows_changed > 0,
             "seed {seed}: the trace changed nothing"
         );
     }
 }
 
 #[test]
-fn assembly_and_index_survive_rows_leaving_and_entering_a_seed() {
+fn replay_survives_a_node_leaving_and_rejoining_the_graph() {
     let graph = random_graph(36, 10, 5);
-    let config = SimRankConfig::new(0.6, 0.02, None).unwrap();
+    let config = SimRankConfig::new(0.6, 0.02, Some(6)).unwrap();
     let cut: Vec<EdgeUpdate> = graph
         .neighbors(7)
         .iter()
         .map(|&w| EdgeUpdate::Delete(7, w as usize))
         .collect();
     let trace = vec![
-        // Node 7 loses every edge: seed 7 shrinks to its own diagonal and
-        // leaves the seed list of every row it used to reach.
+        // Node 7 loses every edge: its row shrinks to its own diagonal and
+        // it leaves every frontier it used to push into.
         cut.clone(),
-        // ... and comes back, re-entering them (delete-then-re-add across
-        // rounds, where the dirty seeds' old and new row sets differ).
+        // ... and comes back (delete-then-re-add across rounds).
         cut.iter()
             .map(|&update| match update {
                 EdgeUpdate::Delete(u, v) => EdgeUpdate::Insert(u, v),
@@ -175,12 +109,12 @@ fn assembly_and_index_survive_rows_leaving_and_entering_a_seed() {
         (0..6).map(|i| EdgeUpdate::Insert(0, 12 + 3 * i)).collect(),
         (0..6).map(|i| EdgeUpdate::Insert(0, 13 + 3 * i)).collect(),
     ];
-    let mut reach = Vec::new();
-    let reports = replay_against_reference(&graph, config, &trace, |_, decomposed| {
-        reach.push(decomposed.seed_runs()[7].rows().to_vec());
-    });
-    assert_eq!(reach[0], [7], "an isolated seed reaches only its diagonal");
-    assert!(reach[1].len() > 1, "re-attached, seed 7 reaches other rows");
-    assert!(reports[0].dirty_seeds.contains(&7));
-    assert!(reports[1].dirty_seeds.contains(&7));
+    let report = replay_maintainer(&graph, config, &trace);
+    assert_eq!(report.rounds, trace.len());
+    // Isolated, node 7 is similar to itself alone.
+    let mut maintainer = DynamicSimRank::new(graph, config, usize::MAX).unwrap();
+    maintainer.apply_batch(&trace[0]).unwrap();
+    let _ = maintainer.repair().unwrap();
+    let operator = maintainer.operator().unwrap();
+    assert_eq!(operator.row_iter(7).collect::<Vec<_>>(), [(7, 1.0)]);
 }

@@ -7,14 +7,18 @@
 //! * Theorem III.4: the SIGMA output exhibits the grouping effect — nodes
 //!   with similar features and similar neighbourhood structure end up with
 //!   similar embeddings.
-//! * Lemma III.5: LocalPush meets its `‖Ŝ − S‖_max < ε` guarantee.
+//! * Lemma III.5: LocalPush meets its `‖Ŝ − S‖_max < ε` guarantee, and so
+//!   does an operator a `DynamicSimRank` maintainer repaired through edits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sigma::{ContextBuilder, Model, ModelHyperParams, SigmaModel};
 use sigma_datasets::{generate, GeneratorConfig};
 use sigma_graph::Graph;
-use sigma_simrank::{exact_simrank, pairwise_walk_simrank, LocalPush, SimRankConfig};
+use sigma_simrank::{
+    exact_simrank, exact_simrank_iterations, pairwise_walk_simrank, DynamicSimRank, EdgeUpdate,
+    LocalPush, RepairOutcome, SimRankConfig,
+};
 
 fn heterophilous_dataset(seed: u64) -> sigma_datasets::Dataset {
     let cfg = GeneratorConfig::new(150, 8.0, 3, 12)
@@ -109,6 +113,45 @@ fn lemma_3_5_localpush_error_bound_holds_on_generated_graphs() {
     assert!(
         max_err < cfg.epsilon as f32 + 0.02,
         "LocalPush max error {max_err} exceeds epsilon {}",
+        cfg.epsilon
+    );
+}
+
+#[test]
+fn lemma_3_5_error_bound_holds_on_a_maintained_operator() {
+    // Three edit batches repaired in place: every entry the maintainer
+    // serves is within ε of SimRank on the graph the edits left.
+    let data = heterophilous_dataset(34);
+    let n = data.num_nodes();
+    let cfg = SimRankConfig::default().with_top_k(16);
+    let mut maintainer = DynamicSimRank::new(data.graph.clone(), cfg, usize::MAX).unwrap();
+    let _ = maintainer.operator().unwrap();
+    let edges: Vec<(usize, usize)> = data.graph.edges().collect();
+    for round in 0..3 {
+        let batch: Vec<EdgeUpdate> = (0..4)
+            .map(|i| {
+                let k = 37 * round + 11 * i;
+                match i % 2 {
+                    0 => EdgeUpdate::Insert(k % n, (k * 7 + 3) % n),
+                    _ => EdgeUpdate::Delete(edges[k % edges.len()].0, edges[k % edges.len()].1),
+                }
+            })
+            .collect();
+        maintainer.apply_batch(&batch).unwrap();
+        let outcome = maintainer.repair().unwrap();
+        assert!(matches!(outcome, RepairOutcome::Patched(ref r) if !r.edited_nodes.is_empty()));
+    }
+    let exact = exact_simrank_iterations(maintainer.graph(), cfg.decay, 40).unwrap();
+    let operator = maintainer.operator().unwrap();
+    let mut max_err = 0.0f32;
+    for u in 0..n {
+        for (v, score) in operator.row_iter(u) {
+            max_err = max_err.max((score - exact.get(u, v)).abs());
+        }
+    }
+    assert!(
+        max_err < cfg.epsilon as f32,
+        "maintained operator max error {max_err} exceeds epsilon {}",
         cfg.epsilon
     );
 }
