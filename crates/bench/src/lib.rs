@@ -3,7 +3,9 @@
 //! Benchmark harness for the SIGMA reproduction. The library portion holds
 //! shared helpers (environment-variable configuration, table formatting);
 //! each bench target under `benches/` regenerates one table or figure of the
-//! paper. See `EXPERIMENTS.md` at the repository root for the mapping.
+//! paper. Each bench's own module doc names the table or figure it
+//! reproduces; the synthetic datasets it runs on are defined in
+//! `crates/datasets/src/presets.rs`.
 
 pub mod config;
 pub mod runner;

@@ -94,7 +94,7 @@ pub enum JsonError {
         /// What was found there.
         found: char,
     },
-    /// Nesting beyond [`MAX_DEPTH`].
+    /// Nesting deeper than 32 levels.
     TooDeep,
     /// A number literal that does not parse as a finite `f64`.
     BadNumber {

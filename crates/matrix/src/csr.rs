@@ -186,7 +186,7 @@ impl CsrMatrix {
     /// The spmm-family methods below delegate to the view kernels, so owned
     /// matrices and memory-mapped snapshot sections run identical code.
     #[inline]
-    pub fn view(&self) -> CsrView<'_, usize> {
+    pub fn view(&self) -> CsrView<'_> {
         CsrView::from_parts_unchecked(
             self.rows,
             self.cols,
@@ -294,7 +294,7 @@ impl CsrMatrix {
     /// sums feed [`sigma_parallel::partition_by_prefix`]) so power-law row
     /// distributions spread evenly across threads. Each output row is
     /// produced by exactly one thread with the serial accumulation order
-    /// (an 8-lane [`kernels::axpy`] per stored entry — element-wise, hence
+    /// (an 8-lane [`crate::kernels::axpy`] per stored entry — element-wise, hence
     /// bit-exact), so the result is bitwise identical to the serial path at
     /// every thread count.
     pub fn spmm(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {

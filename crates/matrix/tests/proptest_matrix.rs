@@ -43,7 +43,7 @@ fn dense_from_seed(rows: usize, cols: usize, seed: &[f32]) -> DenseMatrix {
 /// ranking the one-pass check must reproduce, with the offending row named.
 fn validate_by_sweeps(
     (rows, cols): (usize, usize),
-    indptr: &[u32],
+    indptr: &[usize],
     indices: &[u32],
 ) -> Result<(), MatrixError> {
     if indptr.windows(2).any(|w| w[1] < w[0]) {
@@ -53,7 +53,7 @@ fn validate_by_sweeps(
             len: indices.len(),
         });
     }
-    let row_cols = |r: usize| &indices[indptr[r] as usize..indptr[r + 1] as usize];
+    let row_cols = |r: usize| &indices[indptr[r]..indptr[r + 1]];
     for r in 0..rows {
         if let Some(&c) = row_cols(r).iter().find(|&&c| c as usize >= cols) {
             return Err(MatrixError::IndexOutOfBounds {
@@ -81,19 +81,19 @@ proptest! {
         damage in prop::collection::vec((0u32..2, 0usize..64, 0u32..24), 0..4),
     ) {
         let m = CsrMatrix::from_triplets(rows, cols, &remap(&trips, rows, cols)).unwrap();
-        let mut indptr: Vec<u32> = m.indptr().iter().map(|&p| p as u32).collect();
+        let mut indptr = m.indptr().to_vec();
         let mut indices = m.indices().to_vec();
         // Overwrite interior row pointers (the endpoints are `new`'s to
         // check) and column indices with arbitrary small values.
         for (target, at, value) in damage {
             if target == 0 && rows > 1 {
-                indptr[1 + at % (rows - 1)] = value;
+                indptr[1 + at % (rows - 1)] = value as usize;
             } else if !indices.is_empty() {
                 let slot = at % indices.len();
                 indices[slot] = value;
             }
         }
-        let view = CsrView::<u32>::new(rows, cols, &indptr, &indices, m.values()).unwrap();
+        let view = CsrView::new(rows, cols, &indptr, &indices, m.values()).unwrap();
         prop_assert_eq!(
             view.validate_structure(),
             validate_by_sweeps((rows, cols), &indptr, &indices)

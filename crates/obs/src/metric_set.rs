@@ -9,7 +9,7 @@ pub enum MetricKind {
     Histogram,
 }
 
-/// One row of a [`metric_set!`] table, as written.
+/// One row of a [`metric_set!`](crate::metric_set) table, as written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricDecl {
     /// Counter, gauge or histogram.

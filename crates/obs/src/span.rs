@@ -158,9 +158,9 @@ mod enabled {
         PANIC_SPAN.try_with(|c| c.take()).unwrap_or(None)
     }
 
-    /// The most recent completed spans, oldest first (bounded at
-    /// [`RECENT_CAPACITY`]; call [`flush_thread_spans`] first for
-    /// same-thread completeness).
+    /// The most recent completed spans, oldest first (the newest 4 096
+    /// are kept; call [`flush_thread_spans`] first for same-thread
+    /// completeness).
     pub fn recent_spans() -> Vec<SpanRecord> {
         RECORDER
             .lock()

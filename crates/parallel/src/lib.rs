@@ -31,7 +31,9 @@
 //!   same bits), so kernels with skewed per-row costs plan their ranges
 //!   with [`partition_by_weight`] / [`partition_by_prefix`] — near-equal
 //!   total nnz per range instead of near-equal row counts — and power-law
-//!   graphs stop serialising behind their heaviest rows.
+//!   graphs stop serialising behind their heaviest rows. The prefix form
+//!   reads a CSR `indptr` as it stands, a `&[usize]` whether the matrix is
+//!   owned or mapped off a snapshot file.
 //! * **Scratch reuse.** Kernels that need per-task working buffers (spgemm's
 //!   Gustavson accumulator) recycle them through a [`ScratchPool`] instead
 //!   of allocating per call.
@@ -183,12 +185,6 @@ pub const MIN_PARALLEL_WORK: usize = 32_768;
 /// Upper bound on configurable thread counts (safety valve for absurd
 /// `SIGMA_NUM_THREADS` values).
 pub const MAX_THREADS: usize = 256;
-
-/// Contiguous batches per thread that [`ThreadPool::par_map_weighted`]
-/// groups its items into: enough oversubscription that a skewed
-/// batch can be absorbed by idle threads, few enough tasks that queueing
-/// stays off the profile.
-const PAR_MAP_OVERSUB: usize = 4;
 
 /// Runtime override installed by [`set_global_threads`] (0 = unset).
 static GLOBAL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -526,17 +522,15 @@ impl ThreadPool {
     /// `prefix` has one entry per row boundary (`rows + 1` values,
     /// non-decreasing), exactly the shape of a CSR `indptr` array, so sparse
     /// kernels can plan nnz-balanced blocks with no intermediate weight
-    /// vector. Generic over the prefix word width (see [`PrefixWord`]) so
-    /// memory-mapped `u32`/`u64` `indptr` sections plan in place.
-    pub fn par_row_blocks_mut_by_prefix<T, P, F>(
+    /// vector.
+    pub fn par_row_blocks_mut_by_prefix<T, F>(
         &self,
         data: &mut [T],
         width: usize,
-        prefix: &[P],
+        prefix: &[usize],
         f: F,
     ) where
         T: Send,
-        P: PrefixWord,
         F: Fn(usize, &mut [T]) + Sync,
     {
         if data.is_empty() {
@@ -617,12 +611,10 @@ impl ThreadPool {
 
     /// Prefix-sum variant of [`ThreadPool::par_map_ranges_weighted`]:
     /// `prefix` holds `rows + 1` non-decreasing cumulative weights (the CSR
-    /// `indptr` shape), avoiding an intermediate weight vector. Generic over
-    /// the prefix word width (see [`PrefixWord`]).
-    pub fn par_map_ranges_by_prefix<R, P, F>(&self, prefix: &[P], f: F) -> Vec<R>
+    /// `indptr` shape), avoiding an intermediate weight vector.
+    pub fn par_map_ranges_by_prefix<R, F>(&self, prefix: &[usize], f: F) -> Vec<R>
     where
         R: Send,
-        P: PrefixWord,
         F: Fn(Range<usize>) -> R + Sync,
     {
         self.map_ranges(partition_by_prefix(prefix, self.num_threads()), f)
@@ -658,61 +650,6 @@ impl ThreadPool {
         slots
             .into_iter()
             .map(|s| s.expect("every range task ran to completion"))
-            .collect()
-    }
-
-    /// Maps every item of `items` through `f`: items are grouped into
-    /// contiguous batches of near-equal total `weights` (one weight per
-    /// item, e.g. an estimated per-item cost), bounding scheduling overhead
-    /// for large item sets without giving up load balance on skewed costs.
-    ///
-    /// Results land in item order; for a pure `f` the output is identical
-    /// to `items.iter().map(f)` at every thread count and weight vector.
-    pub fn par_map_weighted<T, R, F>(&self, items: &[T], weights: &[usize], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        debug_assert_eq!(items.len(), weights.len(), "one weight per item");
-        if items.len() <= 1 || self.num_threads() == 1 || items.len() != weights.len() {
-            return items.iter().map(&f).collect();
-        }
-        let max_tasks = self.num_threads().saturating_mul(PAR_MAP_OVERSUB);
-        self.par_map_in_ranges(items, partition_by_weight(weights, max_tasks), f)
-    }
-
-    /// Maps `items` batch-wise over `ranges` (contiguous, covering, in
-    /// order), one scoped task per range, each filling its items' slots.
-    fn par_map_in_ranges<T, R, F>(&self, items: &[T], ranges: Vec<Range<usize>>, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        if ranges.len() <= 1 {
-            return items.iter().map(&f).collect();
-        }
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        {
-            let f = &f;
-            let mut rest: &mut [Option<R>] = &mut slots;
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
-            for range in ranges {
-                let (block, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let batch = &items[range];
-                tasks.push(Box::new(move || {
-                    for (item, slot) in batch.iter().zip(block.iter_mut()) {
-                        *slot = Some(f(item));
-                    }
-                }));
-            }
-            self.run(tasks);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every batch task ran to completion"))
             .collect()
     }
 
@@ -804,40 +741,6 @@ fn split_into(n: usize, parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// An integer word usable as a cumulative prefix entry by the nnz-balanced
-/// planners ([`partition_by_prefix`] and the `*_by_prefix` pool methods).
-///
-/// CSR `indptr` arrays live in memory as `usize`, but the zero-copy snapshot
-/// format maps them straight off disk as `u32` or `u64` words; implementing
-/// this trait for all three lets the planner walk any of them without a
-/// widening copy. Values must fit `usize` — prefix entries are in-memory
-/// element counts, which always do on the 64-bit targets this crate supports.
-pub trait PrefixWord: Copy + Send + Sync + Ord + std::fmt::Debug {
-    /// Widens the word to `usize` (lossless for in-memory element counts).
-    fn as_usize(self) -> usize;
-}
-
-impl PrefixWord for usize {
-    #[inline]
-    fn as_usize(self) -> usize {
-        self
-    }
-}
-
-impl PrefixWord for u32 {
-    #[inline]
-    fn as_usize(self) -> usize {
-        self as usize
-    }
-}
-
-impl PrefixWord for u64 {
-    #[inline]
-    fn as_usize(self) -> usize {
-        self as usize
-    }
-}
-
 /// Cuts `0..weights.len()` into at most `parts` contiguous, non-empty
 /// ranges of near-equal total weight.
 ///
@@ -870,10 +773,8 @@ pub fn partition_by_weight(weights: &[usize], parts: usize) -> Vec<Range<usize>>
 /// `prefix` holds `n + 1` non-decreasing values and item `i` weighs
 /// `prefix[i + 1] - prefix[i]` — exactly the shape of a CSR `indptr`, which
 /// sparse kernels pass directly. Cut points are found by binary search, so
-/// planning costs `O(parts · log n)`. Generic over the prefix word width
-/// (see [`PrefixWord`]) so memory-mapped `u32`/`u64` `indptr` sections plan
-/// without a widening copy.
-pub fn partition_by_prefix<P: PrefixWord>(prefix: &[P], parts: usize) -> Vec<Range<usize>> {
+/// planning costs `O(parts · log n)`.
+pub fn partition_by_prefix(prefix: &[usize], parts: usize) -> Vec<Range<usize>> {
     assert!(!prefix.is_empty(), "prefix holds n + 1 entries");
     debug_assert!(
         prefix.windows(2).all(|w| w[1] >= w[0]),
@@ -887,8 +788,8 @@ pub fn partition_by_prefix<P: PrefixWord>(prefix: &[P], parts: usize) -> Vec<Ran
     if parts == 1 {
         return std::iter::once(0..n).collect();
     }
-    let base = prefix[0].as_usize();
-    let total = prefix[n].as_usize() - base;
+    let base = prefix[0];
+    let total = prefix[n] - base;
     if total == 0 {
         // Every item weighs nothing: fall back to the equal-count split so
         // zero-heavy inputs still use all threads.
@@ -904,7 +805,7 @@ pub fn partition_by_prefix<P: PrefixWord>(prefix: &[P], parts: usize) -> Vec<Ran
             // Smallest index whose cumulative weight reaches this part's
             // share of the total (u128: `total * parts` may overflow usize).
             let target = base + ((total as u128 * (p as u128 + 1)) / parts as u128) as usize;
-            start + prefix[start..=n].partition_point(|&x| x.as_usize() < target)
+            start + prefix[start..=n].partition_point(|&x| x < target)
         };
         if end > start {
             ranges.push(start..end);
@@ -917,7 +818,7 @@ pub fn partition_by_prefix<P: PrefixWord>(prefix: &[P], parts: usize) -> Vec<Ran
         // task wall-time imbalance recorded by the execution primitives.
         let max_w = ranges
             .iter()
-            .map(|r| prefix[r.end].as_usize() - prefix[r.start].as_usize())
+            .map(|r| prefix[r.end] - prefix[r.start])
             .max()
             .unwrap_or(0);
         let ideal = total as f64 / ranges.len() as f64;
@@ -1101,23 +1002,6 @@ mod tests {
             partition_by_weight(&weights, 4),
             partition_by_prefix(&prefix, 4)
         );
-    }
-
-    #[test]
-    fn par_map_weighted_matches_serial_map() {
-        let pool = ThreadPool::with_threads(4);
-        let items: Vec<u64> = (0..777).collect();
-        let weights: Vec<usize> = items.iter().map(|&x| (x as usize % 97) + 1).collect();
-        let f = |&x: &u64| x * 3 + 1;
-        let serial: Vec<u64> = items.iter().map(f).collect();
-        assert_eq!(pool.par_map_weighted(&items, &weights, f), serial);
-        // Degenerate weights still cover every item.
-        let zeros = vec![0usize; items.len()];
-        assert_eq!(pool.par_map_weighted(&items, &zeros, f), serial);
-        // So do a one-thread pool and an empty item set.
-        let one = ThreadPool::with_threads(1);
-        assert_eq!(one.par_map_weighted(&items, &weights, f), serial);
-        assert!(pool.par_map_weighted(&[], &[], f).is_empty());
     }
 
     #[test]

@@ -53,7 +53,8 @@ pub struct ScratchPool<T: Send> {
 }
 
 impl<T: Send> ScratchPool<T> {
-    /// An empty pool retaining up to [`DEFAULT_RETAINED`] buffers.
+    /// An empty pool retaining up to [`MAX_THREADS`](crate::MAX_THREADS)
+    /// buffers.
     pub const fn new() -> Self {
         Self {
             free: Mutex::new(Vec::new()),

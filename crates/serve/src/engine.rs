@@ -43,7 +43,7 @@ use crate::mmap::MappedSnapshot;
 use crate::snapshot::ServeSnapshot;
 use crate::store::{CsrSection, CsrStore, DenseSection, DenseStore, ModelRef};
 use crate::{Result, ServeError};
-use sigma_matrix::{CsrMatrix, CsrViewAny, DenseMatrix};
+use sigma_matrix::{CsrMatrix, CsrView, DenseMatrix};
 use sigma_obs::Stopwatch;
 use sigma_parallel::ThreadPool;
 use sigma_simrank::{DynamicSimRank, EdgeUpdate, RepairOutcome};
@@ -1176,7 +1176,7 @@ pub(crate) fn repair_round(
 }
 
 /// Rows on which two equal-shape CSR matrices differ (indices or values).
-fn changed_adjacency_rows(old: CsrViewAny<'_>, new: &CsrMatrix) -> Vec<usize> {
+fn changed_adjacency_rows(old: CsrView<'_>, new: &CsrMatrix) -> Vec<usize> {
     debug_assert_eq!(old.shape(), new.shape());
     (0..old.rows())
         .filter(|&r| {

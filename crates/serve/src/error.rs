@@ -17,13 +17,15 @@ pub enum SnapshotError {
     /// The first eight bytes are not the `SIGMASNP` magic.
     BadMagic,
     /// The version field names a format this reader does not serve (the
-    /// retired streamed v1 layout, or a version from the future).
+    /// retired streamed v1 layout, the retired v2 layout with its
+    /// variable-width row pointers, or a version from the future).
     UnsupportedVersion {
         /// Version found at byte offset 8.
         found: u32,
     },
-    /// The host cannot serve this file zero-copy (e.g. a big-endian CPU
-    /// reading the little-endian section arrays).
+    /// The host cannot serve this file zero-copy (a big-endian CPU reading
+    /// the little-endian section arrays, or a host whose `usize` is not the
+    /// 64-bit row-pointer word).
     UnsupportedPlatform {
         /// Why the platform cannot map the file.
         reason: &'static str,
@@ -89,7 +91,11 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::BadMagic => write!(f, "missing SIGMASNP magic; not a snapshot file"),
             SnapshotError::UnsupportedVersion { found } => {
-                write!(f, "format version {found} is not supported (v2 only)")
+                write!(
+                    f,
+                    "format version {found} is not supported (v{} only)",
+                    crate::SNAPSHOT_VERSION
+                )
             }
             SnapshotError::UnsupportedPlatform { reason } => {
                 write!(f, "platform cannot map this snapshot: {reason}")

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! offset 0   magic            8 bytes  b"SIGMASNP"
-//! offset 8   version          u32 LE   = 2
+//! offset 8   version          u32 LE   = 3
 //! offset 12  section_count    u32 LE
 //! offset 16  section table    section_count × 32-byte entries
 //!            ┌ tag      [u8; 8]  ASCII, space-padded
@@ -17,14 +17,13 @@
 //! ```
 //!
 //! Array sections (`ADJ_*`, `OP_*`, `FEAT`, `EMB`) are raw little-endian
-//! element arrays — `u32`/`u64` row pointers, `u32` column indices, `f32`
-//! values — so a little-endian host can serve them in place after mapping
-//! the file, with no decode step. Row pointers are `u32` when nnz < 2³²
-//! (the fast path) and `u64` otherwise; META records which. `META` and
-//! `MODEL` are small length-prefixed blobs in the [`crate::codec`]
-//! encoding; `MODEL` stores the [`ModelSnapshot`] with its operator
-//! *stripped* (the operator lives in the `OP_*` array sections and is
-//! re-attached on decode).
+//! element arrays — `u64` row pointers, `u32` column indices, `f32`
+//! values — so a little-endian 64-bit host can serve them in place after
+//! mapping the file, with no decode step: a row-pointer section is the
+//! `&[usize]` a CSR view reads. `META` and `MODEL` are small
+//! length-prefixed blobs in the [`crate::codec`] encoding; `MODEL` stores
+//! the [`ModelSnapshot`] with its operator *stripped* (the operator lives
+//! in the `OP_*` array sections and is re-attached on decode).
 //!
 //! ## Checksums
 //!
@@ -63,7 +62,7 @@ pub(crate) const MAX_SECTIONS: usize = 64;
 
 /// Section tags (8 bytes, ASCII, space-padded).
 pub(crate) const TAG_META: [u8; 8] = *b"META    ";
-/// Adjacency row pointers (`u32` or `u64` per META).
+/// Adjacency row pointers (`u64`).
 pub(crate) const TAG_ADJ_PTR: [u8; 8] = *b"ADJ_PTR ";
 /// Adjacency column indices (`u32`).
 pub(crate) const TAG_ADJ_IDX: [u8; 8] = *b"ADJ_IDX ";
@@ -269,10 +268,8 @@ pub(crate) struct MetaInfo {
     pub feature_dim: u64,
     pub num_classes: u64,
     pub adj_nnz: u64,
-    pub adj_ptr_width: u32,
     pub has_operator: bool,
     pub op_nnz: u64,
-    pub op_ptr_width: u32,
     pub has_embeddings: bool,
 }
 
@@ -284,10 +281,8 @@ pub(crate) fn encode_meta(meta: &MetaInfo) -> Result<Vec<u8>> {
     codec::write_u64(&mut buf, meta.feature_dim)?;
     codec::write_u64(&mut buf, meta.num_classes)?;
     codec::write_u64(&mut buf, meta.adj_nnz)?;
-    codec::write_u32(&mut buf, meta.adj_ptr_width)?;
     codec::write_u32(&mut buf, meta.has_operator as u32)?;
     codec::write_u64(&mut buf, meta.op_nnz)?;
-    codec::write_u32(&mut buf, meta.op_ptr_width)?;
     codec::write_u32(&mut buf, meta.has_embeddings as u32)?;
     Ok(buf)
 }
@@ -301,34 +296,18 @@ pub(crate) fn decode_meta(mut bytes: &[u8]) -> Result<MetaInfo> {
         feature_dim: codec::read_u64(r)?,
         num_classes: codec::read_u64(r)?,
         adj_nnz: codec::read_u64(r)?,
-        adj_ptr_width: codec::read_u32(r)?,
         has_operator: codec::read_u32(r)? != 0,
         op_nnz: codec::read_u64(r)?,
-        op_ptr_width: codec::read_u32(r)?,
         has_embeddings: codec::read_u32(r)? != 0,
     };
     Ok(meta)
 }
 
-/// Picks the on-disk row-pointer width for a matrix: `u32` when every
-/// prefix fits (nnz < 2³²), `u64` otherwise.
-pub(crate) fn ptr_width_for(nnz: usize) -> u32 {
-    if nnz < (1usize << 32) {
-        4
-    } else {
-        8
-    }
-}
-
-/// Serialises row pointers at the chosen width.
-pub(crate) fn encode_indptr(indptr: &[usize], width: u32) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(indptr.len() * width as usize);
+/// Serialises row pointers as `u64` little-endian.
+pub(crate) fn encode_indptr(indptr: &[usize]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(indptr.len() * 8);
     for &p in indptr {
-        if width == 4 {
-            buf.extend_from_slice(&(p as u32).to_le_bytes());
-        } else {
-            buf.extend_from_slice(&(p as u64).to_le_bytes());
-        }
+        buf.extend_from_slice(&(p as u64).to_le_bytes());
     }
     buf
 }
@@ -570,7 +549,10 @@ mod tests {
         let mut buf = Vec::new();
         sw.write_to(&mut buf).unwrap();
         assert_eq!(&buf[..8], &crate::SNAPSHOT_MAGIC[..]);
-        assert_eq!(u32::from_le_bytes(buf[8..12].try_into().unwrap()), 2);
+        assert_eq!(
+            u32::from_le_bytes(buf[8..12].try_into().unwrap()),
+            crate::SNAPSHOT_VERSION
+        );
         assert_eq!(u32::from_le_bytes(buf[12..16].try_into().unwrap()), 2);
         // First entry.
         assert_eq!(&buf[16..24], &TAG_META);
@@ -597,20 +579,11 @@ mod tests {
             feature_dim: 5,
             num_classes: 3,
             adj_nnz: 40,
-            adj_ptr_width: 4,
             has_operator: true,
             op_nnz: 31,
-            op_ptr_width: 4,
             has_embeddings: false,
         };
         let bytes = encode_meta(&meta).unwrap();
         assert_eq!(decode_meta(&bytes).unwrap(), meta);
-    }
-
-    #[test]
-    fn ptr_width_switches_at_u32_boundary() {
-        assert_eq!(ptr_width_for(0), 4);
-        assert_eq!(ptr_width_for((1 << 32) - 1), 4);
-        assert_eq!(ptr_width_for(1 << 32), 8);
     }
 }

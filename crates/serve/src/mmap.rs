@@ -1,8 +1,10 @@
 //! Zero-copy access to snapshot files — the only reader of the format.
 //!
 //! [`MappedSnapshot`] maps a file (or adopts an in-memory byte buffer)
-//! and exposes its array sections as borrowed [`CsrViewAny`]/[`DenseView`]
-//! slices — no decode, no allocation proportional to the graph. Validation
+//! and exposes its array sections as borrowed [`CsrView`]/[`DenseView`]
+//! slices — no decode, no allocation proportional to the graph. A
+//! row-pointer section is read as the `&[usize]` an owned CSR matrix holds,
+//! so mapped and owned matrices share one view type. Validation
 //! is split by cost so cold-start stays O(1) in the file size:
 //!
 //! * **open** — O(#sections): magic, version, endianness, header-table
@@ -31,7 +33,8 @@
 //! thread that next reads a dropped page — which only the publishing rule
 //! closes.
 //!
-//! The array sections are little-endian; a big-endian host gets a typed
+//! The array sections are little-endian and the row pointers 64-bit; a
+//! big-endian or non-64-bit host gets a typed
 //! [`SnapshotError::UnsupportedPlatform`] instead of silently reinterpreted
 //! garbage. Mapping uses `mmap(2)` directly (no external crate) on Unix and
 //! falls back to a 64-byte-aligned heap copy elsewhere or when mapping
@@ -58,7 +61,7 @@ static VERIFIED_BYTES: StaticCounter = StaticCounter::new(
 );
 
 /// A 64-byte-aligned heap buffer: the non-mmap backing. `Vec<u8>` only
-/// guarantees byte alignment, which would break the `&[u64]` section views,
+/// guarantees byte alignment, which would break the `&[usize]` section views,
 /// so bytes adopted from memory are copied into an explicitly aligned
 /// allocation.
 struct AlignedBytes {
@@ -287,7 +290,6 @@ impl MappedSnapshot {
             format::TAG_ADJ_PTR,
             format::TAG_ADJ_IDX,
             format::TAG_ADJ_VAL,
-            snap.meta.adj_ptr_width,
             "adjacency",
         )?;
         if snap.meta.has_operator {
@@ -295,7 +297,6 @@ impl MappedSnapshot {
                 format::TAG_OP_PTR,
                 format::TAG_OP_IDX,
                 format::TAG_OP_VAL,
-                snap.meta.op_ptr_width,
                 "operator",
             )?;
         }
@@ -307,6 +308,12 @@ impl MappedSnapshot {
         if !cfg!(target_endian = "little") {
             return Err(SnapshotError::UnsupportedPlatform {
                 reason: "sections are little-endian arrays; this host is big-endian",
+            }
+            .into());
+        }
+        if usize::BITS != 64 {
+            return Err(SnapshotError::UnsupportedPlatform {
+                reason: "row pointers are 64-bit words; this host's usize is not",
             }
             .into());
         }
@@ -398,20 +405,6 @@ impl MappedSnapshot {
         let meta_sec = require(format::TAG_META, "META")?;
         let meta = format::decode_meta(&bytes[meta_sec.offset..meta_sec.offset + meta_sec.len])
             .map_err(|e| meta_err(e.to_string()))?;
-        if meta.adj_ptr_width != 4 && meta.adj_ptr_width != 8 {
-            return Err(meta_err(format!(
-                "adjacency indptr width {} is neither 4 nor 8",
-                meta.adj_ptr_width
-            ))
-            .into());
-        }
-        if meta.has_operator && meta.op_ptr_width != 4 && meta.op_ptr_width != 8 {
-            return Err(meta_err(format!(
-                "operator indptr width {} is neither 4 nor 8",
-                meta.op_ptr_width
-            ))
-            .into());
-        }
         // Cross-check every array section's byte length against META.
         let expect = |tag: [u8; 8], name: &'static str, elems: Option<u64>, width: u64| {
             let sec = require(tag, name)?;
@@ -429,22 +422,12 @@ impl MappedSnapshot {
             Ok(())
         };
         let n = meta.num_nodes;
-        expect(
-            format::TAG_ADJ_PTR,
-            "ADJ_PTR",
-            n.checked_add(1),
-            meta.adj_ptr_width as u64,
-        )?;
+        expect(format::TAG_ADJ_PTR, "ADJ_PTR", n.checked_add(1), 8)?;
         expect(format::TAG_ADJ_IDX, "ADJ_IDX", Some(meta.adj_nnz), 4)?;
         expect(format::TAG_ADJ_VAL, "ADJ_VAL", Some(meta.adj_nnz), 4)?;
         expect(format::TAG_FEAT, "FEAT", n.checked_mul(meta.feature_dim), 4)?;
         if meta.has_operator {
-            expect(
-                format::TAG_OP_PTR,
-                "OP_PTR",
-                n.checked_add(1),
-                meta.op_ptr_width as u64,
-            )?;
+            expect(format::TAG_OP_PTR, "OP_PTR", n.checked_add(1), 8)?;
             expect(format::TAG_OP_IDX, "OP_IDX", Some(meta.op_nnz), 4)?;
             expect(format::TAG_OP_VAL, "OP_VAL", Some(meta.op_nnz), 4)?;
         }
@@ -475,9 +458,10 @@ impl MappedSnapshot {
         debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<T>(), 0);
         // SAFETY: section offsets are 64-byte aligned within a 64-byte
         // aligned backing (mmap is page-aligned; the heap path allocates at
-        // align 64), lengths were cross-checked against META, the host is
-        // little-endian (checked at open), and u32/u64/f32 accept any bit
-        // pattern.
+        // align 64, and every T here has alignment at most 8 <= 64),
+        // lengths were cross-checked against META, the host is
+        // little-endian with a 64-bit usize (checked at open), and
+        // u32/usize/f32 accept any bit pattern.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, bytes.len() / size) }
     }
 
@@ -486,20 +470,17 @@ impl MappedSnapshot {
         ptr_tag: [u8; 8],
         idx_tag: [u8; 8],
         val_tag: [u8; 8],
-        width: u32,
         section: &'static str,
-    ) -> Result<CsrViewAny<'_>> {
+    ) -> Result<CsrView<'_>> {
         let n = self.meta.num_nodes as usize;
-        let indices = self.typed::<u32>(idx_tag);
-        let values = self.typed::<f32>(val_tag);
-        let view = if width == 4 {
-            CsrView::<u32>::new(n, n, self.typed::<u32>(ptr_tag), indices, values)
-                .map(CsrViewAny::Narrow)
-        } else {
-            CsrView::<u64>::new(n, n, self.typed::<u64>(ptr_tag), indices, values)
-                .map(CsrViewAny::Wide)
-        };
-        view.map_err(|e| {
+        CsrView::new(
+            n,
+            n,
+            self.typed::<usize>(ptr_tag),
+            self.typed::<u32>(idx_tag),
+            self.typed::<f32>(val_tag),
+        )
+        .map_err(|e| {
             SnapshotError::InvalidCsr {
                 section,
                 detail: e.to_string(),
@@ -533,7 +514,7 @@ impl MappedSnapshot {
                 .into());
             }
         }
-        let check = |view: CsrViewAny<'_>, section: &'static str| {
+        let check = |view: CsrView<'_>, section: &'static str| {
             view.validate_structure()
                 .map_err(|e| SnapshotError::InvalidCsr {
                     section,
@@ -605,12 +586,11 @@ impl MappedSnapshot {
     }
 
     /// Borrowed view of the adjacency matrix.
-    pub fn adjacency_view(&self) -> CsrViewAny<'_> {
+    pub fn adjacency_view(&self) -> CsrView<'_> {
         self.try_csr_view(
             format::TAG_ADJ_PTR,
             format::TAG_ADJ_IDX,
             format::TAG_ADJ_VAL,
-            self.meta.adj_ptr_width,
             "adjacency",
         )
         .expect("endpoint checks ran at open")
@@ -626,7 +606,6 @@ impl MappedSnapshot {
                 format::TAG_OP_PTR,
                 format::TAG_OP_IDX,
                 format::TAG_OP_VAL,
-                self.meta.op_ptr_width,
                 "operator",
             )
             .expect("endpoint checks ran at open"),

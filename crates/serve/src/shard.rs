@@ -38,7 +38,7 @@ use crate::engine::{
 use crate::mmap::MappedSnapshot;
 use crate::snapshot::ServeSnapshot;
 use crate::{Result, ServeError};
-use sigma_matrix::{CsrMatrix, CsrViewAny};
+use sigma_matrix::{CsrMatrix, CsrView};
 use sigma_simrank::{DynamicSimRank, EdgeUpdate};
 use std::ops::Range;
 use std::sync::Arc;
@@ -249,12 +249,8 @@ impl ShardRouter {
     /// nnz mass and builds the one serving state as
     /// [`InferenceEngine::new`] would (one encoder run).
     pub fn new(snapshot: &ServeSnapshot, config: &ShardRouterConfig) -> Result<Self> {
-        let operator = snapshot.model.operator.as_ref();
-        let plan = plan_for(
-            operator.map(|m| CsrViewAny::Native(m.view())),
-            snapshot.num_nodes(),
-            config.shards,
-        )?;
+        let operator = snapshot.model.operator.as_ref().map(CsrMatrix::view);
+        let plan = plan_for(operator, snapshot.num_nodes(), config.shards)?;
         let core = Core::from_snapshot(snapshot, &config.engine)?;
         Ok(Self::over(core, plan, config.engine))
     }
@@ -600,11 +596,7 @@ fn shard_error(shard: usize, source: ServeError) -> ServeError {
 
 /// Plans ranges by operator nnz mass (equal-count split when there is no
 /// operator: every row then weighs the same `O(C)` blend).
-fn plan_for(
-    operator: Option<CsrViewAny<'_>>,
-    num_nodes: usize,
-    shards: usize,
-) -> Result<ShardPlan> {
+fn plan_for(operator: Option<CsrView<'_>>, num_nodes: usize, shards: usize) -> Result<ShardPlan> {
     let weights: Vec<usize> = match operator {
         Some(view) => (0..num_nodes).map(|row| view.row_nnz(row)).collect(),
         None => vec![0; num_nodes],

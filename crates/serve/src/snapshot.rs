@@ -22,8 +22,8 @@ use std::path::Path;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SIGMASNP";
 
 /// The snapshot format version, written and read: the zero-copy sectioned
-/// layout of [`crate::MappedSnapshot`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// layout of [`crate::MappedSnapshot`], with `u64` row pointers.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A self-contained serving artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,30 +133,22 @@ impl ServeSnapshot {
                 });
             }
         }
-        let adj_nnz = self.adjacency.values().len();
-        let adj_width = format::ptr_width_for(adj_nnz);
-        let (op_nnz, op_width) = match &self.model.operator {
-            Some(op) => (op.values().len(), format::ptr_width_for(op.values().len())),
-            None => (0, 4),
-        };
         let meta = MetaInfo {
             tag: self.tag.clone(),
             effective_alpha: self.model.effective_alpha(),
             num_nodes: n as u64,
             feature_dim: self.model.feature_dim() as u64,
             num_classes: num_classes as u64,
-            adj_nnz: adj_nnz as u64,
-            adj_ptr_width: adj_width,
+            adj_nnz: self.adjacency.nnz() as u64,
             has_operator: self.model.operator.is_some(),
-            op_nnz: op_nnz as u64,
-            op_ptr_width: op_width,
+            op_nnz: self.model.operator.as_ref().map_or(0, CsrMatrix::nnz) as u64,
             has_embeddings: self.embeddings.is_some(),
         };
         let mut sw = format::SectionWriter::new();
         sw.push(format::TAG_META, format::encode_meta(&meta)?);
         sw.push(
             format::TAG_ADJ_PTR,
-            format::encode_indptr(self.adjacency.indptr(), adj_width),
+            format::encode_indptr(self.adjacency.indptr()),
         );
         sw.push(
             format::TAG_ADJ_IDX,
@@ -167,10 +159,7 @@ impl ServeSnapshot {
             format::encode_f32s(self.adjacency.values()),
         );
         if let Some(op) = &self.model.operator {
-            sw.push(
-                format::TAG_OP_PTR,
-                format::encode_indptr(op.indptr(), op_width),
-            );
+            sw.push(format::TAG_OP_PTR, format::encode_indptr(op.indptr()));
             sw.push(format::TAG_OP_IDX, format::encode_u32s(op.indices()));
             sw.push(format::TAG_OP_VAL, format::encode_f32s(op.values()));
         }

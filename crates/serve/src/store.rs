@@ -12,7 +12,7 @@
 
 use crate::{MappedSnapshot, Result};
 use sigma::snapshot::ModelSnapshot;
-use sigma_matrix::{CsrMatrix, CsrViewAny, DenseMatrix, DenseView};
+use sigma_matrix::{CsrMatrix, CsrView, DenseMatrix, DenseView};
 use std::sync::Arc;
 
 /// Which CSR section of a mapped snapshot a [`CsrStore`] points at.
@@ -33,9 +33,9 @@ pub(crate) enum CsrStore {
 }
 
 impl CsrStore {
-    pub(crate) fn view(&self) -> CsrViewAny<'_> {
+    pub(crate) fn view(&self) -> CsrView<'_> {
         match self {
-            CsrStore::Owned(m) => CsrViewAny::Native(m.view()),
+            CsrStore::Owned(m) => m.view(),
             CsrStore::Mapped { snap, section } => match section {
                 CsrSection::Adjacency => snap.adjacency_view(),
                 CsrSection::Operator => snap

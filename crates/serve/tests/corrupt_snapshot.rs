@@ -12,6 +12,7 @@
 
 use sigma_serve::{
     EngineConfig, InferenceEngine, MappedSnapshot, ServeError, ServeSnapshot, SnapshotError,
+    SNAPSHOT_VERSION,
 };
 // The re-stamping tests checksum their own corruption with the table-free
 // definition, not with the code under test.
@@ -22,8 +23,8 @@ use std::sync::Arc;
 const PRELUDE_LEN: usize = 16;
 const ENTRY_LEN: usize = 32;
 
-/// A small valid v2 image (with an operator; no embeddings).
-fn v2_image() -> Vec<u8> {
+/// A small valid image (with an operator; no embeddings).
+fn image() -> Vec<u8> {
     let fixture = serving_fixture(&random_graph(30, 14, 71), 6, 71);
     let mut buf = Vec::new();
     fixture.snapshot.write_to(&mut buf).unwrap();
@@ -72,19 +73,24 @@ fn verify_err(image: &[u8]) -> SnapshotError {
 /// the fixture, the model initialiser or the layout re-captures these; a
 /// change to the checksum routine must not move them. The operator
 /// sections (`OP_IDX`, `OP_VAL`) were re-captured when the fixture's
-/// maintainer began serving the coupled LocalPush operator training uses;
-/// every other section is as the byte-at-a-time CRC wrote it.
+/// maintainer began serving the coupled LocalPush operator training uses.
+/// Format v3 re-captured exactly what moves when row pointers become `u64`
+/// words and META drops its two width fields: the version field, the
+/// `META`, `ADJ_PTR` and `OP_PTR` CRCs, and the image lengths and
+/// whole-image CRCs (9 236 → 9 492 and 9 684 → 9 940 bytes). Every other
+/// section is as the byte-at-a-time CRC wrote it.
 #[test]
 fn written_image_is_byte_identical_to_the_pinned_parent_image() {
-    let image = v2_image();
-    assert_eq!(image.len(), 9236);
-    assert_eq!(crc32(&image), 0xAD4E_2250);
+    let image = image();
+    assert_eq!(u32::from_le_bytes(image[8..12].try_into().unwrap()), 3);
+    assert_eq!(image.len(), 9492);
+    assert_eq!(crc32(&image), 0x978C_9A19);
     let pinned: [(&[u8; 8], u32); 9] = [
-        (b"META    ", 0xF29E_3329),
-        (b"ADJ_PTR ", 0x9238_A947),
+        (b"META    ", 0x167F_A076),
+        (b"ADJ_PTR ", 0xA4E8_5BC3),
         (b"ADJ_IDX ", 0xAD55_576B),
         (b"ADJ_VAL ", 0x2351_D6E2),
-        (b"OP_PTR  ", 0xB457_BC3E),
+        (b"OP_PTR  ", 0x80A0_68B7),
         (b"OP_IDX  ", 0x815D_2097),
         (b"OP_VAL  ", 0xD5AF_A390),
         (b"FEAT    ", 0x140D_E98F),
@@ -101,31 +107,33 @@ fn written_image_is_byte_identical_to_the_pinned_parent_image() {
     fixture.snapshot.precompute_embeddings().unwrap();
     let mut image = Vec::new();
     fixture.snapshot.write_to(&mut image).unwrap();
-    assert_eq!((image.len(), crc32(&image)), (9684, 0x3ED7_0BDB));
+    assert_eq!((image.len(), crc32(&image)), (9940, 0xB20C_622C));
 }
 
 #[test]
 fn bad_magic_is_rejected() {
-    let mut image = v2_image();
+    let mut image = image();
     image[0] ^= 0xFF;
     assert_eq!(open_err(&image), SnapshotError::BadMagic);
 }
 
 #[test]
 fn future_version_is_rejected_with_the_found_version() {
-    let mut image = v2_image();
-    image[8..12].copy_from_slice(&99u32.to_le_bytes());
-    assert_eq!(
-        open_err(&image),
-        SnapshotError::UnsupportedVersion { found: 99 }
-    );
-    // The decoding reader reports the same typed error.
-    assert!(matches!(
-        ServeSnapshot::read_from(&mut image.as_slice()),
-        Err(ServeError::Snapshot(SnapshotError::UnsupportedVersion {
-            found: 99
-        }))
-    ));
+    // 2 is the retired layout whose row pointers were `u32` below 2³² nnz;
+    // 99 is a version from the future.
+    for found in [2u32, 99] {
+        let mut image = image();
+        image[8..12].copy_from_slice(&found.to_le_bytes());
+        assert_eq!(
+            open_err(&image),
+            SnapshotError::UnsupportedVersion { found }
+        );
+        // The decoding reader reports the same typed error.
+        assert!(matches!(
+            ServeSnapshot::read_from(&mut image.as_slice()),
+            Err(ServeError::Snapshot(SnapshotError::UnsupportedVersion { found: f })) if f == found
+        ));
+    }
 }
 
 #[test]
@@ -160,7 +168,7 @@ fn retired_v1_prelude_is_refused_by_every_entry_point() {
 
 #[test]
 fn truncations_at_every_boundary_are_typed() {
-    let image = v2_image();
+    let image = image();
     // Mid-prelude.
     assert!(matches!(
         open_err(&image[..PRELUDE_LEN - 4]),
@@ -189,7 +197,7 @@ fn truncations_at_every_boundary_are_typed() {
 
 #[test]
 fn misaligned_section_offset_is_rejected() {
-    let mut image = v2_image();
+    let mut image = image();
     let p = entry_pos(&image, b"ADJ_IDX ");
     let offset = entry_offset(&image, b"ADJ_IDX ") as u64 + 4;
     image[p + 8..p + 16].copy_from_slice(&offset.to_le_bytes());
@@ -201,7 +209,7 @@ fn misaligned_section_offset_is_rejected() {
 
 #[test]
 fn section_offset_inside_the_header_table_is_rejected() {
-    let mut image = v2_image();
+    let mut image = image();
     let p = entry_pos(&image, b"ADJ_VAL ");
     image[p + 8..p + 16].copy_from_slice(&0u64.to_le_bytes());
     assert!(matches!(
@@ -212,7 +220,7 @@ fn section_offset_inside_the_header_table_is_rejected() {
 
 #[test]
 fn overlapping_sections_are_rejected() {
-    let mut image = v2_image();
+    let mut image = image();
     // Point ADJ_VAL at ADJ_IDX's payload (aligned, in bounds, non-empty
     // intersection) — a reader that trusted it would alias two arrays.
     let p = entry_pos(&image, b"ADJ_VAL ");
@@ -223,7 +231,7 @@ fn overlapping_sections_are_rejected() {
 
 #[test]
 fn duplicate_tags_are_rejected() {
-    let mut image = v2_image();
+    let mut image = image();
     let p = entry_pos(&image, b"ADJ_VAL ");
     image[p..p + 8].copy_from_slice(b"ADJ_IDX ");
     assert!(matches!(
@@ -234,7 +242,7 @@ fn duplicate_tags_are_rejected() {
 
 #[test]
 fn missing_required_section_is_rejected() {
-    let mut image = v2_image();
+    let mut image = image();
     // Rename MODEL to an unknown tag: unknown sections are tolerated
     // (forward compatibility), but the required one is now absent.
     let p = entry_pos(&image, b"MODEL   ");
@@ -247,26 +255,33 @@ fn missing_required_section_is_rejected() {
 
 #[test]
 fn section_size_disagreeing_with_meta_is_rejected() {
-    let mut image = v2_image();
-    let p = entry_pos(&image, b"ADJ_IDX ");
-    let len = entry_len(&image, b"ADJ_IDX ") as u64 - 4;
-    image[p + 16..p + 24].copy_from_slice(&len.to_le_bytes());
-    assert!(matches!(
-        open_err(&image),
-        SnapshotError::SectionSize { tag, .. } if tag == "ADJ_IDX"
-    ));
+    // One index short, and a pointer section of 4-byte words (the retired
+    // v2 width) where every row pointer is 8 bytes.
+    let full = image();
+    for (tag, name, len) in [
+        (b"ADJ_IDX ", "ADJ_IDX", entry_len(&full, b"ADJ_IDX ") - 4),
+        (b"ADJ_PTR ", "ADJ_PTR", entry_len(&full, b"ADJ_PTR ") / 2),
+    ] {
+        let mut image = full.clone();
+        let p = entry_pos(&image, tag);
+        image[p + 16..p + 24].copy_from_slice(&(len as u64).to_le_bytes());
+        assert!(matches!(
+            open_err(&image),
+            SnapshotError::SectionSize { tag, .. } if tag == name
+        ));
+    }
 }
 
 #[test]
 fn implausible_section_count_is_rejected() {
-    let mut image = v2_image();
+    let mut image = image();
     image[12..16].copy_from_slice(&65u32.to_le_bytes());
     assert!(matches!(open_err(&image), SnapshotError::Meta { .. }));
 }
 
 #[test]
 fn flipped_payload_byte_fails_checksum_verification() {
-    let mut image = v2_image();
+    let mut image = image();
     let offset = entry_offset(&image, b"FEAT    ");
     image[offset + 3] ^= 0x40;
     // The header pass does not read payloads, so open still succeeds …
@@ -280,16 +295,15 @@ fn flipped_payload_byte_fails_checksum_verification() {
 
 #[test]
 fn indptr_overflowing_nnz_is_rejected_at_open() {
-    let mut image = v2_image();
+    let mut image = image();
     // The adjacency indptr endpoint must equal nnz; this is one of the O(1)
     // checks open performs so the view accessors can never slice out of
-    // bounds. Widths below 8 bytes per entry still start little-endian at
-    // the same position, so patching the first 4 bytes of the final entry
-    // works for both u32 and u64 pointers.
+    // bounds. The final pointer is the section's last 8-byte word.
     let offset = entry_offset(&image, b"ADJ_PTR ");
     let len = entry_len(&image, b"ADJ_PTR ");
-    let last = offset + len - 4;
-    image[last..last + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let nnz = entry_len(&image, b"ADJ_IDX ") / 4;
+    let last = offset + len - 8;
+    image[last..last + 8].copy_from_slice(&(nnz as u64 + 1).to_le_bytes());
     assert!(matches!(
         open_err(&image),
         SnapshotError::InvalidCsr {
@@ -301,14 +315,14 @@ fn indptr_overflowing_nnz_is_rejected_at_open() {
 
 #[test]
 fn non_monotonic_indptr_is_rejected_at_verify() {
-    let mut image = v2_image();
+    let mut image = image();
     // Break monotonicity in the middle of the adjacency indptr, then
     // re-stamp the CRC with an independent implementation so the damage
     // reaches the structural check rather than tripping the checksum.
     let offset = entry_offset(&image, b"ADJ_PTR ");
     let len = entry_len(&image, b"ADJ_PTR ");
-    let mid = offset + (len / 8) * 4;
-    image[mid..mid + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mid = offset + (len / 16) * 8;
+    image[mid..mid + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let crc = crc32(&image[offset..offset + len]);
     let p = entry_pos(&image, b"ADJ_PTR ");
     image[p + 24..p + 28].copy_from_slice(&crc.to_le_bytes());
@@ -323,7 +337,7 @@ fn non_monotonic_indptr_is_rejected_at_verify() {
 
 #[test]
 fn out_of_range_column_index_is_rejected_at_verify() {
-    let mut image = v2_image();
+    let mut image = image();
     let offset = entry_offset(&image, b"ADJ_IDX ");
     let len = entry_len(&image, b"ADJ_IDX ");
     image[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -345,7 +359,7 @@ fn out_of_range_column_index_is_rejected_at_verify() {
         SnapshotError::InvalidCsr { detail, .. } if detail.contains(&at)
     ));
     // … and the last entry is the last row's.
-    let mut image = v2_image();
+    let mut image = crate::image();
     let last = offset + len - 4;
     image[last..last + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     let crc = crc32(&image[offset..offset + len]);
@@ -361,7 +375,7 @@ fn out_of_range_column_index_is_rejected_at_verify() {
 fn file_truncated_under_a_live_mapping_is_refused_not_faulted() {
     // Pages past a shrunken end of file raise SIGBUS when touched, so the
     // content pass must notice the new length before it reads anything.
-    let image = v2_image();
+    let image = image();
     let path = std::env::temp_dir().join(format!(
         "sigma-truncated-under-map-{}.snapshot",
         std::process::id()
@@ -397,7 +411,7 @@ fn file_truncated_under_a_live_mapping_is_refused_not_faulted() {
 fn decoding_reader_reports_damage_as_typed_snapshot_errors() {
     // ServeSnapshot::read_from is MappedSnapshot::from_bytes + to_snapshot:
     // damage keeps its typed variant.
-    let mut image = v2_image();
+    let mut image = image();
     let p = entry_pos(&image, b"MODEL   ");
     image[p..p + 8].copy_from_slice(b"XXXXXXXX");
     assert!(matches!(
@@ -425,4 +439,8 @@ fn snapshot_error_displays_are_informative() {
         offset: 100,
     };
     assert!(e.to_string().contains("FEAT"));
+    // A refused version names what was found and what this reader serves.
+    let msg = SnapshotError::UnsupportedVersion { found: 2 }.to_string();
+    assert!(msg.contains("version 2"), "{msg}");
+    assert!(msg.contains(&format!("v{SNAPSHOT_VERSION} only")), "{msg}");
 }

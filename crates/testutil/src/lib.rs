@@ -7,10 +7,11 @@
 //!   edge-edit-trace generator, so property tests across crates draw
 //!   structurally varied inputs from one implementation (including the
 //!   delete-then-readd and no-op edit shapes that stress repair bookkeeping);
-//! * [`reference`] — scalar reference kernels (the nested-loop LocalPush in
-//!   the coupled solver's canonical summation order, the sort-the-row top-k
-//!   selection of the operator, the table-free bitwise CRC32) shared by the
-//!   parity tests and the `kernel_microopt` bench;
+//! * [`reference`](mod@reference) — scalar reference kernels (the
+//!   nested-loop LocalPush in the coupled solver's canonical summation
+//!   order, the sort-the-row top-k selection of the operator, the
+//!   table-free bitwise CRC32) shared by the parity tests and the
+//!   `kernel_microopt` bench;
 //! * [`oracle`] — a serving fixture (graph → trained-shape model snapshot →
 //!   [`sigma_serve::InferenceEngine`] + in-sync
 //!   [`sigma_simrank::DynamicSimRank`]) and [`oracle::replay_differential`],

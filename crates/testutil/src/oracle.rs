@@ -471,7 +471,7 @@ fn similar_query_mix(n: usize, top_k: usize) -> Vec<(usize, usize)> {
 ///   cache is sized to its range).
 ///
 /// With `mapped`, the shard engines serve out of one shared
-/// `Arc<MappedSnapshot>` (the v2 zero-copy path) instead of decoded
+/// `Arc<MappedSnapshot>` (the zero-copy path) instead of decoded
 /// snapshots. Panics on any divergence.
 pub fn replay_differential_sharded(
     graph: &Graph,
@@ -511,8 +511,8 @@ pub fn replay_differential_sharded(
             "sigma-shard-oracle-{}-{unique}.snapshot",
             std::process::id()
         ));
-        base_snapshot.save(&path).expect("write v2 snapshot");
-        let snap = Arc::new(MappedSnapshot::open(&path).expect("map v2 snapshot"));
+        base_snapshot.save(&path).expect("write snapshot");
+        let snap = Arc::new(MappedSnapshot::open(&path).expect("map snapshot"));
         std::fs::remove_file(&path).expect("unlink mapped snapshot");
         ShardRouter::from_mapped(vec![snap; shards], engine_config).expect("mapped shard router")
     } else {

@@ -168,7 +168,7 @@ fn corrupt_shard_snapshot_names_the_failing_shard_in_a_typed_error() {
     let mut image = Vec::new();
     fixture.snapshot.write_to(&mut image).unwrap();
 
-    // Flip one byte inside the FEAT payload. The v2 layout is fixed: a
+    // Flip one byte inside the FEAT payload. The layout is fixed: a
     // 16-byte prelude, then 32-byte table entries of
     // `tag[8] offset[8] len[8] crc[4] pad[4]`.
     let count = u32::from_le_bytes(image[12..16].try_into().unwrap()) as usize;
