@@ -105,8 +105,10 @@ impl CsrMatrix {
     ///
     /// `indptr` must have length `rows + 1`, be non-decreasing, start at 0 and
     /// end at `indices.len()`; column indices must be `< cols` and sorted
-    /// within each row. This is the fast path used by graph/SimRank builders
-    /// that already produce CSR layout.
+    /// within each row. The one validator of those rules is
+    /// [`CsrView::validate_structure`], the pass a mapped snapshot section
+    /// also goes through; the vectors are then moved in. This is the fast
+    /// path used by graph/SimRank builders that already produce CSR layout.
     pub fn from_raw(
         rows: usize,
         cols: usize,
@@ -114,43 +116,7 @@ impl CsrMatrix {
         indices: Vec<u32>,
         values: Vec<f32>,
     ) -> Result<Self> {
-        if indptr.len() != rows + 1
-            || indptr.first().copied().unwrap_or(1) != 0
-            || indptr.last().copied().unwrap_or(0) != indices.len()
-            || indices.len() != values.len()
-        {
-            return Err(MatrixError::InvalidShape {
-                rows,
-                cols,
-                len: indices.len(),
-            });
-        }
-        for w in indptr.windows(2) {
-            if w[1] < w[0] {
-                return Err(MatrixError::InvalidShape {
-                    rows,
-                    cols,
-                    len: indices.len(),
-                });
-            }
-        }
-        for &c in &indices {
-            if c as usize >= cols {
-                return Err(MatrixError::IndexOutOfBounds {
-                    row: 0,
-                    col: c as usize,
-                    shape: (rows, cols),
-                });
-            }
-        }
-        // Column indices must be sorted within each row: the column-range
-        // partitioned parallel kernels binary-search row slices.
-        for r in 0..rows {
-            let row = &indices[indptr[r]..indptr[r + 1]];
-            if row.windows(2).any(|w| w[1] < w[0]) {
-                return Err(MatrixError::UnsortedRow { row: r });
-            }
-        }
+        CsrView::new(rows, cols, &indptr, &indices, &values)?.validate_structure()?;
         Ok(Self {
             rows,
             cols,
@@ -250,18 +216,15 @@ impl CsrMatrix {
     }
 
     /// Iterator over `(col, value)` pairs of one row.
+    #[inline]
     pub fn row_iter(&self, row: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-        let start = self.indptr[row];
-        let end = self.indptr[row + 1];
-        self.indices[start..end]
-            .iter()
-            .zip(self.values[start..end].iter())
-            .map(|(&c, &v)| (c as usize, v))
+        self.view().row_iter(row)
     }
 
     /// Number of stored entries in one row.
+    #[inline]
     pub fn row_nnz(&self, row: usize) -> usize {
-        self.indptr[row + 1] - self.indptr[row]
+        self.view().row_nnz(row)
     }
 
     /// Value at `(row, col)`, or 0.0 if not stored.
@@ -413,97 +376,7 @@ impl CsrMatrix {
 
     /// Returns the transpose as a new CSR matrix.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.indices {
-            counts[c as usize + 1] += 1;
-        }
-        for i in 0..self.cols {
-            counts[i + 1] += counts[i];
-        }
-        let mut indptr = counts.clone();
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        for r in 0..self.rows {
-            for idx in self.indptr[r]..self.indptr[r + 1] {
-                let c = self.indices[idx] as usize;
-                let pos = indptr[c];
-                indices[pos] = r as u32;
-                values[pos] = self.values[idx];
-                indptr[c] += 1;
-            }
-        }
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            indptr: counts,
-            indices,
-            values,
-        }
-    }
-
-    /// Keeps only the `k` largest-magnitude entries of each row.
-    ///
-    /// This is the top-k pruning scheme SIGMA applies to the approximate
-    /// SimRank matrix to obtain an `O(kn)` aggregation operator. Ties at the
-    /// `k` boundary break towards the smaller column index, so the selection
-    /// is a pure function of the row's contents (never of iteration or
-    /// scheduling order). Rows are materialised in parallel over disjoint
-    /// row ranges on the shared [`sigma_parallel::ThreadPool`] and
-    /// concatenated in range order, bitwise identical to the serial pass.
-    pub fn top_k_per_row(&self, k: usize) -> CsrMatrix {
-        let pool = ThreadPool::global();
-        let parts = if pool.should_parallelize(self.nnz()) {
-            // Per-row cost is the row's nnz (the sort dominates); `indptr`
-            // is exactly the prefix sum the nnz-balanced planner wants.
-            pool.par_map_ranges_by_prefix(&self.indptr, |range| self.top_k_rows(k, range))
-        } else {
-            vec![self.top_k_rows(k, 0..self.rows)]
-        };
-        let (indptr, indices, values) = concat_row_parts(self.rows, parts);
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Top-k selection over one row range; returns the range's cumulative
-    /// per-row nnz plus its indices/values, concatenated by
-    /// [`CsrMatrix::top_k_per_row`] in range order.
-    fn top_k_rows(
-        &self,
-        k: usize,
-        range: std::ops::Range<usize>,
-    ) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
-        let mut row_nnz = Vec::with_capacity(range.len());
-        let mut indices: Vec<u32> = Vec::new();
-        let mut values: Vec<f32> = Vec::new();
-        let mut row_buf: Vec<(u32, f32)> = Vec::new();
-        for r in range {
-            row_buf.clear();
-            row_buf.extend(self.row_iter(r).map(|(c, v)| (c as u32, v)));
-            if row_buf.len() > k {
-                // Canonical order: |value| descending, column ascending on
-                // ties. `row_iter` yields sorted columns, so the sort input
-                // (and with the total ordering, the output) is deterministic.
-                row_buf.sort_unstable_by(|a, b| {
-                    b.1.abs()
-                        .partial_cmp(&a.1.abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                row_buf.truncate(k);
-            }
-            row_buf.sort_unstable_by_key(|&(c, _)| c);
-            for &(c, v) in &row_buf {
-                indices.push(c);
-                values.push(v);
-            }
-            row_nnz.push(indices.len());
-        }
-        (row_nnz, indices, values)
+        self.view().transpose_owned()
     }
 
     /// Returns a copy of `self` with the listed rows replaced by the rows of
@@ -590,34 +463,7 @@ impl CsrMatrix {
     /// top-k aggregation operator, so the slice costs `O(b·k)` instead of
     /// touching all `n` rows.
     pub fn gather_rows(&self, rows: &[usize]) -> Result<CsrMatrix> {
-        let mut indptr = Vec::with_capacity(rows.len() + 1);
-        indptr.push(0usize);
-        let nnz_estimate: usize = rows
-            .iter()
-            .map(|&r| if r < self.rows { self.row_nnz(r) } else { 0 })
-            .sum();
-        let mut indices: Vec<u32> = Vec::with_capacity(nnz_estimate);
-        let mut values: Vec<f32> = Vec::with_capacity(nnz_estimate);
-        for &r in rows {
-            if r >= self.rows {
-                return Err(MatrixError::IndexOutOfBounds {
-                    row: r,
-                    col: 0,
-                    shape: self.shape(),
-                });
-            }
-            let (start, end) = (self.indptr[r], self.indptr[r + 1]);
-            indices.extend_from_slice(&self.indices[start..end]);
-            values.extend_from_slice(&self.values[start..end]);
-            indptr.push(indices.len());
-        }
-        Ok(CsrMatrix {
-            rows: rows.len(),
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-        })
+        self.view().gather_rows(rows)
     }
 
     /// Row-sliced sparse × dense product: `self[rows, :] · rhs`.
@@ -677,10 +523,10 @@ impl CsrMatrix {
 /// materialisers — into one `(indptr, indices, values)` set.
 ///
 /// A single part (the serial path, or a one-range plan) is **moved**, not
-/// copied: the hot serial paths of `spgemm` / `top_k_per_row` /
-/// `SparseScores::to_csr` pay no assembly memcpy at all. Multi-part
-/// assembly reserves the exact total and appends in range order, so the
-/// result is identical to the serial construction for any partition.
+/// copied: the hot serial paths of `spgemm` and `SparseScores::to_csr` pay
+/// no assembly memcpy at all. Multi-part assembly reserves the exact total
+/// and appends in range order, so the result is identical to the serial
+/// construction for any partition.
 pub fn concat_row_parts(
     rows: usize,
     parts: Vec<(Vec<usize>, Vec<u32>, Vec<f32>)>,
@@ -752,8 +598,11 @@ mod tests {
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).is_err());
         // decreasing indptr
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err());
-        // column out of range
-        assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 5], vec![1.0, 1.0]).is_err());
+        // column out of range, reported with the row it sits in
+        assert!(matches!(
+            CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 5], vec![1.0, 1.0]),
+            Err(MatrixError::IndexOutOfBounds { row: 1, col: 5, .. })
+        ));
     }
 
     #[test]
@@ -881,33 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_keeps_largest_magnitude() {
-        let m = CsrMatrix::from_triplets(
-            1,
-            5,
-            &[
-                (0, 0, 0.1),
-                (0, 1, -0.9),
-                (0, 2, 0.5),
-                (0, 3, 0.2),
-                (0, 4, 0.05),
-            ],
-        )
-        .unwrap();
-        let pruned = m.top_k_per_row(2);
-        assert_eq!(pruned.nnz(), 2);
-        assert_eq!(pruned.get(0, 1), -0.9);
-        assert_eq!(pruned.get(0, 2), 0.5);
-        assert_eq!(pruned.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn top_k_larger_than_row_is_noop() {
-        let m = sample();
-        assert_eq!(m.top_k_per_row(10), m);
-    }
-
-    #[test]
     fn row_normalize_sums_to_one() {
         let mut m = sample();
         m.row_normalize();
@@ -982,40 +804,6 @@ mod tests {
         assert!(m.spmm_rows(&[9], &DenseMatrix::zeros(3, 2)).is_err());
         let empty = m.spmm_rows(&[], &DenseMatrix::zeros(3, 2)).unwrap();
         assert_eq!(empty.shape(), (0, 2));
-    }
-
-    #[test]
-    fn top_k_zero_empties_every_row() {
-        let m = sample();
-        let pruned = m.top_k_per_row(0);
-        assert_eq!(pruned.shape(), m.shape());
-        assert_eq!(pruned.nnz(), 0);
-        for r in 0..3 {
-            assert_eq!(pruned.row_nnz(r), 0);
-        }
-    }
-
-    #[test]
-    fn top_k_on_empty_rows_and_empty_matrix() {
-        // Row 2 of the sample is structurally empty and must stay empty.
-        let m = sample();
-        let pruned = m.top_k_per_row(1);
-        assert_eq!(pruned.row_nnz(2), 0);
-        assert_eq!(pruned.row_nnz(0), 1);
-        // A matrix with no stored entries at all survives pruning.
-        let zero = CsrMatrix::from_triplets(3, 3, &[]).unwrap();
-        assert_eq!(zero.top_k_per_row(2), zero);
-        // Degenerate 0 × 0 matrix.
-        let nil = CsrMatrix::from_triplets(0, 0, &[]).unwrap();
-        assert_eq!(nil.top_k_per_row(3).shape(), (0, 0));
-    }
-
-    #[test]
-    fn top_k_at_exact_row_nnz_is_identity() {
-        let m = sample();
-        // Row 1 holds exactly two entries; k = 2 must keep both.
-        let pruned = m.top_k_per_row(2);
-        assert_eq!(pruned, m);
     }
 
     #[test]
@@ -1116,18 +904,6 @@ mod tests {
         let rows = [0usize, 2];
         let slice = m.gather_rows(&rows).unwrap();
         assert_eq!(m.replace_rows(&rows, &slice).unwrap(), m);
-    }
-
-    #[test]
-    fn top_k_tie_break_prefers_smaller_columns() {
-        // Three equal-magnitude entries, k = 2: the canonical order keeps
-        // the two smallest column indices regardless of traversal order.
-        let m = CsrMatrix::from_triplets(1, 4, &[(0, 0, 0.5), (0, 1, -0.5), (0, 3, 0.5)]).unwrap();
-        let pruned = m.top_k_per_row(2);
-        assert_eq!(pruned.nnz(), 2);
-        assert_eq!(pruned.get(0, 0), 0.5);
-        assert_eq!(pruned.get(0, 1), -0.5);
-        assert_eq!(pruned.get(0, 3), 0.0);
     }
 
     #[test]

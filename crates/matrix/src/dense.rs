@@ -424,18 +424,7 @@ impl DenseMatrix {
 
     /// Returns a new matrix containing the selected rows, in order.
     pub fn select_rows(&self, indices: &[usize]) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            if src >= self.rows {
-                return Err(MatrixError::IndexOutOfBounds {
-                    row: src,
-                    col: 0,
-                    shape: self.shape(),
-                });
-            }
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        Ok(out)
+        self.view().select_rows(indices)
     }
 
     /// Index of the maximum value in each row (ties resolved to the first).

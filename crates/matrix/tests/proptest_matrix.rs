@@ -2,8 +2,8 @@
 //!
 //! These check the algebraic identities the rest of the SIGMA reproduction
 //! relies on: agreement between sparse and dense kernels, transpose
-//! involution, and shape/structure invariants of top-k pruning and row
-//! normalization — and pin the shipped sparse kernels, bit for bit and at
+//! involution, one structure check behind `CsrView` and `from_raw`, and
+//! row normalization — and pin the shipped sparse kernels, bit for bit and at
 //! every pool width, to the scalar references in `sigma-testutil`.
 
 use proptest::prelude::*;
@@ -94,9 +94,11 @@ proptest! {
             }
         }
         let view = CsrView::new(rows, cols, &indptr, &indices, m.values()).unwrap();
+        let expected = validate_by_sweeps((rows, cols), &indptr, &indices);
+        prop_assert_eq!(view.validate_structure(), expected.clone());
         prop_assert_eq!(
-            view.validate_structure(),
-            validate_by_sweeps((rows, cols), &indptr, &indices)
+            CsrMatrix::from_raw(rows, cols, indptr, indices, m.values().to_vec()).err(),
+            expected.err()
         );
     }
 
@@ -182,18 +184,6 @@ proptest! {
         for (x, y) in fused2.as_slice().iter().zip(explicit2.as_slice()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn top_k_bounds_row_nnz(rows in 1..MAX_DIM, cols in 1..MAX_DIM, k in 1usize..6, trips in raw_triplets()) {
-        let sparse = CsrMatrix::from_triplets(rows, cols, &remap(&trips, rows, cols)).unwrap();
-        let pruned = sparse.top_k_per_row(k);
-        for r in 0..rows {
-            prop_assert!(pruned.row_nnz(r) <= k);
-            prop_assert!(pruned.row_nnz(r) <= sparse.row_nnz(r));
-        }
-        // Pruning never increases the Frobenius norm.
-        prop_assert!(pruned.frobenius_norm() <= sparse.frobenius_norm() + 1e-5);
     }
 
     #[test]

@@ -55,7 +55,6 @@ mod loss;
 mod metrics;
 mod mlp;
 mod optim;
-mod schedule;
 
 pub use activation::{dropout_forward, relu_backward, relu_forward, DropoutMask};
 pub use error::NnError;
@@ -65,7 +64,6 @@ pub use loss::{accuracy, softmax_cross_entropy_masked};
 pub use metrics::{macro_f1, ConfusionMatrix};
 pub use mlp::{Mlp, MlpConfig};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use schedule::LrSchedule;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NnError>;

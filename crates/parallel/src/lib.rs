@@ -606,27 +606,7 @@ impl ThreadPool {
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        self.map_ranges(partition_by_weight(weights, self.num_threads()), f)
-    }
-
-    /// Prefix-sum variant of [`ThreadPool::par_map_ranges_weighted`]:
-    /// `prefix` holds `rows + 1` non-decreasing cumulative weights (the CSR
-    /// `indptr` shape), avoiding an intermediate weight vector.
-    pub fn par_map_ranges_by_prefix<R, F>(&self, prefix: &[usize], f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        self.map_ranges(partition_by_prefix(prefix, self.num_threads()), f)
-    }
-
-    /// Maps each of `ranges` through `f` as one scoped task, returning
-    /// results in range order. Shared body of the range-mapping primitives.
-    fn map_ranges<R, F>(&self, ranges: Vec<Range<usize>>, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
+        let ranges = partition_by_weight(weights, self.num_threads());
         if ranges.len() <= 1 {
             return ranges.into_iter().map(&f).collect();
         }

@@ -644,6 +644,7 @@ mod tests {
     use crate::exact_simrank;
     use crate::incremental::tests::{edit, replay_onto};
     use sigma_graph::Graph;
+    use sigma_testutil::reference::top_k_reference;
 
     fn karate_like_graph() -> Graph {
         // A small graph with mixed degrees and a few communities.
@@ -938,11 +939,11 @@ mod tests {
             vec![(0, 0.2), (1, 0.5), (3, 1.0), (4, 0.5)]
         );
         for k in 1..=7 {
-            assert_eq!(
-                scores.to_csr(Some(k)),
-                scores.to_csr(None).top_k_per_row(k),
-                "k = {k}"
-            );
+            let csr = scores.to_csr(Some(k));
+            for u in 0..7 {
+                let kept: Vec<_> = csr.row_iter(u).map(|(c, v)| (c as u32, v)).collect();
+                assert_eq!(kept, top_k_reference(&scores.rows[u], Some(k)), "k = {k}");
+            }
             assert_eq!(
                 scores.rows_to_csr(&[5, 3], Some(k)).row_iter(0).count(),
                 k.min(6)

@@ -12,6 +12,7 @@ use sigma_simrank::{
     exact_simrank, forward_push_ppr, power_iteration_ppr, power_iteration_simrank, DynamicSimRank,
     EdgeUpdate, LocalPush, PprConfig, SimRankConfig, SparseScores,
 };
+use sigma_testutil::reference::top_k_reference;
 use sigma_testutil::{at_pool_width, replay_maintainer};
 
 const MAX_NODES: usize = 14;
@@ -45,7 +46,13 @@ proptest! {
         let mut scores = LocalPush::new(&g, cfg).unwrap().run();
         {
             prop_assert!(rows_are_strictly_sorted(&scores));
-            prop_assert_eq!(scores.to_csr(Some(k)), scores.to_csr(None).top_k_per_row(k));
+            let csr = scores.to_csr(Some(k));
+            for u in 0..n {
+                let row: Vec<(u32, f32)> = scores.row(u).map(|(v, s)| (v as u32, s)).collect();
+                let kept: Vec<(u32, f32)> =
+                    csr.row_iter(u).map(|(v, s)| (v as u32, s)).collect();
+                prop_assert_eq!(kept, top_k_reference(&row, Some(k)));
+            }
             prop_assert_eq!(scores.get(0, n), 0.0);
             prop_assert_eq!(scores.get(n, 0), 0.0);
             prop_assert_eq!(scores.get(0, usize::MAX), 0.0);
