@@ -1,4 +1,4 @@
-//! Exact incremental repair: replaying a [`LocalPush`] run on an edited
+//! The push rounds of [`LocalPush`], and replaying a run on an edited
 //! graph.
 //!
 //! A row's pull in a round is a pure function of its adjacency and degree,
@@ -13,18 +13,26 @@
 //! absorb log; clean rows' frontiers are read from the log, and their own
 //! bits cannot have changed. With only the identity round the log is empty
 //! and the dirty rows are the 2-hop ball of `P`.
+//!
+//! [`LocalPush::replay_rounds`] is the only round loop: a fresh run
+//! ([`LocalPush::run`]) is the replay of an empty log with every node
+//! edited. Every row is then dirty from round 1 and pulled in every round
+//! against the frontier the round before crossed, which is Algorithm 1's
+//! round schedule. The loop cuts each round's frontier row-major to the push
+//! budget left; a fresh run keeps the cut pairs absorbed, a replay that
+//! starts from or runs into a cut returns `None`.
 
 use crate::dynamic::{REPAIR_DIRTY_SCAN_NS, REPAIR_REPLAY_NS};
 use crate::localpush::{
-    csr_from_parts, finish_row, inverse_degrees, merge_ordered, select_top_k, Accumulator, RowPart,
-    SparseRow, LOCALPUSH_PUSHES, LOCALPUSH_ROUNDS, LOCALPUSH_RUNS,
+    finish_row, inverse_degrees, merge_ordered, select_rows, Accumulator, SparseRow,
+    LOCALPUSH_PUSHES, LOCALPUSH_ROUNDS, LOCALPUSH_RUNS,
 };
 use crate::LocalPush;
 use sigma_matrix::CsrMatrix;
 use sigma_obs::Stopwatch;
 use sigma_parallel::ThreadPool;
 use std::mem::{replace, size_of, take};
-use std::ops::Range;
+use std::sync::Mutex;
 
 /// The pairs a run pushed in every round after the identity round, with
 /// their residual bits: what [`LocalPush::replay`] reads clean rows'
@@ -71,8 +79,19 @@ pub(crate) struct Replay {
     pub(crate) log: FrontierLog,
 }
 
-/// A row a replay re-pulls.
-struct DirtyRow {
+/// What [`LocalPush::replay_rounds`] leaves behind.
+pub(crate) struct Rounds {
+    /// The rows pulled, ascending.
+    pub(crate) rows: Vec<DirtyRow>,
+    /// The frontier log of the run on this graph.
+    pub(crate) log: FrontierLog,
+    /// Pairs pushed by every row, pulled or not: at most the push budget.
+    pub(crate) pushes: usize,
+}
+
+/// A row the rounds pull: a row an edit reaches, or every row of a fresh
+/// run.
+pub(crate) struct DirtyRow {
     x: u32,
     /// The first round not pulled yet: 1 for a row that just became dirty.
     next_round: usize,
@@ -87,6 +106,8 @@ struct DirtyRow {
 /// The frontiers of the rounds a replay has reached: round 1 is the
 /// identity, round `t ≥ 2` is `rounds[t - 2]`.
 struct Frontiers {
+    /// The diagonal pairs round 1 pushes: all of them unless the budget cut
+    /// the round, a row-major prefix then.
     identity: SparseRow,
     rounds: Vec<FrontierRound>,
 }
@@ -94,10 +115,39 @@ struct Frontiers {
 impl Frontiers {
     fn get(&self, round: usize, a: u32) -> &[(u32, f32)] {
         match round {
-            1 => std::slice::from_ref(&self.identity[a as usize]),
+            1 => self
+                .identity
+                .get(a as usize)
+                .map_or(&[], std::slice::from_ref),
             t => pairs_of(&self.rounds[t - 2], a),
         }
     }
+}
+
+impl DirtyRow {
+    /// Entries the row's residual sweep merges.
+    fn sweep_len(&self) -> usize {
+        self.absorbed.len() + self.residual.len()
+    }
+}
+
+/// The residual sweep of every pulled row ([`finish_row`]), over weighted
+/// row blocks on the pool: the rows' finished scores, in row order.
+pub(crate) fn finish_rows(mut rows: Vec<DirtyRow>) -> Vec<SparseRow> {
+    let weights: Vec<usize> = rows.iter().map(DirtyRow::sweep_len).collect();
+    let finish = |_: usize, block: &mut [DirtyRow]| {
+        for row in block {
+            let residual = take(&mut row.residual);
+            row.absorbed = finish_row(row.x as usize, &row.absorbed, &residual);
+        }
+    };
+    let pool = ThreadPool::global();
+    if pool.should_parallelize(weights.iter().sum()) {
+        pool.par_row_blocks_mut_weighted(&mut rows, 1, &weights, finish);
+    } else {
+        finish(0, &mut rows);
+    }
+    rows.into_iter().map(|row| row.absorbed).collect()
 }
 
 impl LocalPush {
@@ -119,10 +169,8 @@ impl LocalPush {
         if log.cut {
             return None;
         }
-        LOCALPUSH_RUNS.inc();
         let graph = &self.graph;
         let n = graph.num_nodes();
-        let inv_deg = inverse_degrees(graph);
         let mut tainted = vec![false; n];
         for &p in edited {
             tainted[p as usize] = true;
@@ -130,21 +178,65 @@ impl LocalPush {
                 tainted[q as usize] = true;
             }
         }
+        // Round 1 pushes every diagonal pair: a row's is tainted iff the
+        // row is, and none changed.
+        let mut dirty = edited.to_vec();
+        for a in (0..n).filter(|&a| tainted[a]) {
+            dirty.extend_from_slice(graph.neighbors(a));
+        }
+        REPAIR_DIRTY_SCAN_NS.record(clock.lap());
+        let rounds = self.replay_rounds(log, &tainted, dirty);
+        if rounds.log.cut {
+            return None;
+        }
+        let rows = rounds.rows;
+        // Every pair a row absorbed it pushed in the next round: no round
+        // was cut.
+        self.pushes_performed = rows.iter().map(|row| row.absorbed.len()).sum();
+        LOCALPUSH_PUSHES.add(self.pushes_performed as u64);
+        // Each row is finished as it is selected, so only one finished row
+        // per task is alive at a time.
+        let weights: Vec<usize> = rows.iter().map(DirtyRow::sweep_len).collect();
+        let finish =
+            |i: usize| finish_row(rows[i].x as usize, &rows[i].absorbed, &rows[i].residual);
+        let replay = Replay {
+            rows: rows.iter().map(|row| row.x as usize).collect(),
+            operator_rows: select_rows(n, self.config.top_k, &weights, finish),
+            log: rounds.log,
+        };
+        REPAIR_REPLAY_NS.record(clock.lap());
+        Some(replay)
+    }
+
+    /// The push rounds on this solver's graph, re-pulling the rows `newly`
+    /// lists (dirty from round 1, in any order, repeats allowed) and the
+    /// rows they make dirty, and reading every other row's frontier from
+    /// `log`; `tainted` marks `P ∪ N(P)` (see the module docs). Each round's
+    /// frontier is cut row-major to the pushes the budget has left, and the
+    /// cut pairs stay absorbed.
+    pub(crate) fn replay_rounds(
+        &self,
+        log: &FrontierLog,
+        tainted: &[bool],
+        mut newly: Vec<u32>,
+    ) -> Rounds {
+        LOCALPUSH_RUNS.inc();
+        let graph = &self.graph;
+        let n = graph.num_nodes();
+        let inv_deg = inverse_degrees(graph);
+        // `R = I` and every valid threshold is below 1: all diagonal pairs
+        // cross it at once.
+        let mut pushes = n.min(self.max_pushes);
+        let mut cut = pushes < n;
         let mut frontiers = Frontiers {
-            identity: (0..n as u32).map(|a| (a, 1.0)).collect(),
+            identity: (0..pushes as u32).map(|a| (a, 1.0)).collect(),
             rounds: Vec::new(),
         };
         let mut is_dirty = vec![false; n];
         let mut dirty: Vec<DirtyRow> = Vec::new();
-        let mut pushes = n;
-        // Round 1 pushes every diagonal pair: a row's is tainted iff the
-        // row is, and none changed.
-        let mut newly: Vec<u32> = edited.to_vec();
-        let mut sources: Vec<u32> = (0..n as u32).filter(|&a| tainted[a as usize]).collect();
+        // One accumulator per concurrent task, kept for the whole run.
+        let accumulators = Mutex::new(Vec::new());
         for t in 1.. {
-            for &a in &sources {
-                newly.extend_from_slice(graph.neighbors(a as usize));
-            }
             newly.retain(|&x| !replace(&mut is_dirty[x as usize], true));
             if !newly.is_empty() {
                 dirty.extend(newly.drain(..).map(|x| DirtyRow {
@@ -156,14 +248,11 @@ impl LocalPush {
                 }));
                 dirty.sort_unstable_by_key(|row| row.x);
             }
-            if t == 1 {
-                REPAIR_DIRTY_SCAN_NS.record(clock.lap());
-            }
             LOCALPUSH_ROUNDS.inc();
-            self.pull_dirty_rows(&inv_deg, &frontiers, &mut dirty, t);
+            self.pull_dirty_rows(&inv_deg, &frontiers, &mut dirty, t, &accumulators);
 
             // Round `t + 1`'s frontier: the logged one of clean rows, the
-            // replayed one of dirty rows.
+            // replayed one of dirty rows, cut row-major to the budget left.
             let logged = log.rounds.get(t - 1);
             let clean = logged.into_iter().flatten();
             let clean = clean.filter(|(x, _)| !is_dirty[*x as usize]).cloned();
@@ -172,68 +261,51 @@ impl LocalPush {
                 .chain(replayed.map(|row| (row.x, take(&mut row.crossed))))
                 .collect();
             next.sort_unstable_by_key(|&(x, _)| x);
-            if next.is_empty() && logged.is_none() {
+            let mut budget = self.max_pushes - pushes;
+            next.retain_mut(|(_, pairs)| {
+                cut |= pairs.len() > budget;
+                pairs.truncate(budget);
+                budget -= pairs.len();
+                !pairs.is_empty()
+            });
+            pushes = self.max_pushes - budget;
+            if next.is_empty() && (cut || logged.is_none()) {
                 break;
             }
-            pushes += next.iter().map(|(_, pairs)| pairs.len()).sum::<usize>();
-            if pushes > self.max_pushes {
-                return None;
+            for a in changed_or_tainted(logged, &next, tainted) {
+                newly.extend_from_slice(graph.neighbors(a as usize));
             }
-            sources = changed_or_tainted(logged, &next, &tainted);
             frontiers.rounds.push(next);
         }
         // Once a round is empty every later one is; a fresh run logs none
         // of them.
         frontiers.rounds.retain(|round| !round.is_empty());
-        self.pushes_performed = dirty.iter().map(|row| row.absorbed.len()).sum();
-        LOCALPUSH_PUSHES.add(self.pushes_performed as u64);
-
-        // The sweep and top-k selection of every re-pulled row.
-        let top_k = self.config.top_k;
-        let weights: Vec<usize> = dirty
-            .iter()
-            .map(|row| row.absorbed.len() + row.residual.len())
-            .collect();
-        let select = |range: Range<usize>| -> RowPart {
-            let mut part = (Vec::with_capacity(range.len()), Vec::new(), Vec::new());
-            let mut select_buf = Vec::new();
-            for row in &dirty[range] {
-                let scores = finish_row(row.x as usize, &row.absorbed, &row.residual);
-                select_top_k(&scores, top_k, &mut select_buf, &mut part);
-            }
-            part
-        };
-        let pool = ThreadPool::global();
-        let parts = if dirty.len() > 1 && pool.should_parallelize(weights.iter().sum()) {
-            pool.par_map_ranges_weighted(&weights, select)
-        } else {
-            vec![select(0..dirty.len())]
-        };
-        let replay = Replay {
-            rows: dirty.iter().map(|row| row.x as usize).collect(),
-            operator_rows: csr_from_parts(dirty.len(), n, parts),
+        Rounds {
+            rows: dirty,
             log: FrontierLog {
                 rounds: frontiers.rounds,
-                cut: false,
+                cut,
             },
-        };
-        REPAIR_REPLAY_NS.record(clock.lap());
-        Some(replay)
+            pushes,
+        }
     }
 
     /// Pulls every dirty row through rounds `next_round..=t` on the pool,
-    /// each row owned by one task. A row none of whose neighbours pushed in
-    /// a round is not pulled in it, exactly as in [`LocalPush::run`].
+    /// each row owned by one task, which takes an accumulator from
+    /// `accumulators` and puts it back. A row none of whose neighbours
+    /// pushed in a round is not pulled in it.
     fn pull_dirty_rows(
         &self,
         inv_deg: &[f32],
         frontiers: &Frontiers,
         dirty: &mut [DirtyRow],
         t: usize,
+        accumulators: &Mutex<Vec<Accumulator>>,
     ) {
         let graph = &self.graph;
         let pull = |_: usize, block: &mut [DirtyRow]| {
-            let mut acc = Accumulator::default();
+            let spare = || accumulators.lock().expect("accumulator pool lock poisoned");
+            let mut acc = spare().pop().unwrap_or_default();
             acc.resize(graph.num_nodes());
             for row in block {
                 let neighbours = graph.neighbors(row.x as usize);
@@ -253,6 +325,7 @@ impl LocalPush {
                 }
                 row.next_round = t + 1;
             }
+            spare().push(acc);
         };
         // Pull work per row, for the planner: a pass as long as the pulls'
         // outer loops, so a one-thread pool skips it.

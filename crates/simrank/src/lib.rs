@@ -44,7 +44,6 @@ mod exact;
 mod incremental;
 mod localpush;
 mod pairwise;
-mod power;
 pub mod ppr;
 
 pub use config::SimRankConfig;
@@ -53,7 +52,6 @@ pub use error::SimRankError;
 pub use exact::{exact_simrank, exact_simrank_iterations};
 pub use localpush::{LocalPush, SparseScores};
 pub use pairwise::pairwise_walk_simrank;
-pub use power::power_iteration_simrank;
 pub use ppr::{forward_push_ppr, power_iteration_ppr, topk_ppr_matrix, PprConfig};
 
 /// Crate-wide result alias.

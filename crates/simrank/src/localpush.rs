@@ -46,7 +46,7 @@
 //! into a dense accumulator with a touched list (the Gustavson shape of
 //! `spgemm`), reads the touched columns back in ascending order, merges them
 //! with the residual the row carries, and hands back the pairs that crossed
-//! the threshold; rows no frontier row touches are not visited. Rows are cut
+//! the threshold; rows no frontier row touches are not pulled. Rows are cut
 //! across the shared [`sigma_parallel::ThreadPool`] by pull work and each is
 //! **owned by exactly one task**, which sums in one canonical order —
 //! `a ∈ N_x` ascending, the frontier pairs of `a` by column, `N_b` in
@@ -55,29 +55,39 @@
 //! construction (`tests/parallel_parity.rs` pins them to the nested-loop
 //! reference in `sigma-testutil`). A pair is absorbed into `Ŝ` when it
 //! crosses the threshold and propagated by the next round if the push budget
-//! allows; any round schedule is a valid LocalPush schedule, so Lemma III.5's
-//! work and `‖Ŝ − S‖_max < ε` bounds carry over unchanged.
+//! allows: each round's frontier is cut row-major to the pushes left, and
+//! the cut pairs stay absorbed. Any round schedule is a valid LocalPush
+//! schedule, so Lemma III.5's work and `‖Ŝ − S‖_max < ε` bounds carry over
+//! unchanged.
+//!
+//! ## One loop for fresh runs and replays
+//!
+//! A run can be brought to an edited graph by re-pulling only the rows the
+//! edit reaches and reading every other row's frontier from the run's
+//! [`FrontierLog`] (the replay rule is in the `incremental` module docs). A
+//! fresh run is that replay with an empty log and every node edited: every
+//! row is dirty from round 1, so every row is pulled in every round against
+//! the frontier the round before crossed — exactly the rounds above. So
+//! [`LocalPush::run`], [`LocalPush::run_to_operator`] and the maintainer's
+//! repair all go through one round loop, one budget cut and one set of
+//! accumulators per run.
 //!
 //! ## Finishing a row, and materialising the operator
 //!
 //! While the rounds run, a row of `Ŝ` is a column-ascending *absorb log*: a
 //! pair absorbed in several rounds is listed once per absorb, in round
-//! order. After the last round every row is finished on its own, over
+//! order. After the last round every pulled row is finished on its own, over
 //! weighted disjoint row ranges on the pool: the log and the residual the
 //! row still carries are merged — each column summed left to right, the
-//! log's absorbs in round order, then the residual — the residual row is
-//! freed, and the row is pruned relative to its largest off-diagonal score.
-//! [`SparseScores::to_csr`] then materialises the operator row by row: a
-//! `select_nth` against the k-th entry of the top-k order and a filter that
-//! leaves the kept entries in column order.
-//!
-//! ## Replaying a run on an edited graph
-//!
-//! A run can record the pairs each round pushed ([`FrontierLog`]); the
-//! `incremental` module replays such a run over only the rows an edit
-//! reaches, to the bits a full run on the edited graph produces.
+//! log's absorbs in round order, then the residual — and the row is pruned
+//! relative to its largest off-diagonal score. A fresh run finishes every
+//! row in place, freeing each residual row as it goes, and
+//! [`SparseScores::to_csr`] then selects the operator from the scores; a
+//! replay finishes each re-pulled row as it selects it. Both go through one
+//! top-k selection: a `select_nth` against the k-th entry of the top-k order
+//! and a filter that leaves the kept entries in column order.
 
-use crate::incremental::{FrontierLog, FrontierRound};
+use crate::incremental::{finish_rows, FrontierLog};
 use crate::{Result, SimRankConfig};
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
@@ -85,7 +95,7 @@ use sigma_obs::{StaticCounter, StaticHistogram, Stopwatch};
 use sigma_parallel::ThreadPool;
 use std::cmp::Ordering;
 use std::mem::take;
-use std::sync::Mutex;
+use std::ops::Range;
 
 pub(crate) static LOCALPUSH_RUNS: StaticCounter = StaticCounter::new(
     "sigma_localpush_runs_total",
@@ -115,7 +125,7 @@ pub(crate) type SparseRow = Vec<(u32, f32)>;
 
 /// Rows of a CSR slice under construction: cumulative row ends, column
 /// indices, values (the part shape `sigma_matrix::concat_row_parts` joins).
-pub(crate) type RowPart = (Vec<usize>, Vec<u32>, Vec<f32>);
+type RowPart = (Vec<usize>, Vec<u32>, Vec<f32>);
 
 /// Sparse, symmetric similarity scores produced by [`LocalPush`].
 #[derive(Debug, Clone)]
@@ -166,7 +176,7 @@ fn by_score_then_column(a: &(u32, f32), b: &(u32, f32)) -> Ordering {
 /// next row (every entry for `None`). Selecting is a filter against the
 /// k-th entry of the selection order, so the kept entries come out in CSR
 /// order with no re-sort; `select_buf` is the selection buffer.
-pub(crate) fn select_top_k(
+fn select_top_k(
     row: &[(u32, f32)],
     top_k: Option<usize>,
     select_buf: &mut SparseRow,
@@ -189,10 +199,36 @@ pub(crate) fn select_top_k(
     ends.push(indices.len());
 }
 
-/// Joins row parts, in order, into one `rows × cols` CSR matrix.
-pub(crate) fn csr_from_parts(rows: usize, cols: usize, parts: Vec<RowPart>) -> CsrMatrix {
-    let (indptr, indices, values) = sigma_matrix::concat_row_parts(rows, parts);
-    CsrMatrix::from_raw(rows, cols, indptr, indices, values)
+/// Top-k selects `weights.len()` finished score rows, the `i`-th produced
+/// by `row(i)`, into a `weights.len() × cols` CSR slice: rows are cut into
+/// ranges of near-equal `weights` (score rows are heavily skewed on
+/// hub-dominated graphs) on the shared [`sigma_parallel::ThreadPool`] and
+/// the ranges concatenated in order, so the slice is a pure function of the
+/// rows at every thread count. The one selection behind
+/// [`SparseScores::rows_to_csr`] and a replay's operator rows.
+pub(crate) fn select_rows<R: AsRef<[(u32, f32)]>>(
+    cols: usize,
+    top_k: Option<usize>,
+    weights: &[usize],
+    row: impl Fn(usize) -> R + Sync,
+) -> CsrMatrix {
+    let count = weights.len();
+    let select = |range: Range<usize>| -> RowPart {
+        let mut part = (Vec::with_capacity(range.len()), Vec::new(), Vec::new());
+        let mut select_buf = Vec::new();
+        for i in range {
+            select_top_k(row(i).as_ref(), top_k, &mut select_buf, &mut part);
+        }
+        part
+    };
+    let pool = ThreadPool::global();
+    let parts = if count > 1 && pool.should_parallelize(weights.iter().sum()) {
+        pool.par_map_ranges_weighted(weights, select)
+    } else {
+        vec![select(0..count)]
+    };
+    let (indptr, indices, values) = sigma_matrix::concat_row_parts(count, parts);
+    CsrMatrix::from_raw(count, cols, indptr, indices, values)
         .expect("scores produce a valid CSR layout")
 }
 
@@ -221,36 +257,6 @@ impl SparseScores {
         self.rows[u].iter().map(|&(v, s)| (v as usize, s))
     }
 
-    /// Drops entries strictly below `threshold` (Algorithm 1 pruning step).
-    pub fn prune(&mut self, threshold: f32) {
-        for row in &mut self.rows {
-            row.retain(|&(_, s)| s >= threshold);
-        }
-    }
-
-    /// Drops off-diagonal entries smaller than `fraction` of their row's
-    /// largest off-diagonal score. Diagonal entries are always kept. This is
-    /// the density-robust counterpart of Algorithm 1's absolute `ε/10` floor.
-    pub fn prune_relative(&mut self, fraction: f32) {
-        for (u, row) in self.rows.iter_mut().enumerate() {
-            Self::prune_row_relative(u, row, fraction);
-        }
-    }
-
-    /// Per-row body of [`SparseScores::prune_relative`].
-    fn prune_row_relative(u: usize, row: &mut SparseRow, fraction: f32) {
-        let row_max = row
-            .iter()
-            .filter(|&&(v, _)| v as usize != u)
-            .map(|&(_, s)| s)
-            .fold(0.0f32, f32::max);
-        if row_max <= 0.0 {
-            return;
-        }
-        let floor = fraction * row_max;
-        row.retain(|&(v, s)| v as usize == u || s >= floor);
-    }
-
     /// Materialises the scores as a CSR operator, optionally keeping only the
     /// `k` largest entries per row. This is SIGMA's aggregation matrix `S`.
     ///
@@ -272,38 +278,8 @@ impl SparseScores {
     /// # Panics
     /// Panics if any selected row is out of bounds.
     pub fn rows_to_csr(&self, rows: &[usize], top_k: Option<usize>) -> CsrMatrix {
-        // Per-row stored-entry counts: dispatch estimate and the
-        // nnz-balanced planner's weights in one pass (score rows are
-        // heavily skewed on hub-dominated graphs).
         let weights: Vec<usize> = rows.iter().map(|&u| self.rows[u].len()).collect();
-        let work: usize = weights.iter().sum();
-        let pool = ThreadPool::global();
-        let parts = if rows.len() > 1 && pool.should_parallelize(work) {
-            pool.par_map_ranges_weighted(&weights, |range| {
-                self.materialise_rows(&rows[range], top_k)
-            })
-        } else {
-            vec![self.materialise_rows(rows, top_k)]
-        };
-        csr_from_parts(rows.len(), self.num_nodes, parts)
-    }
-
-    /// Materialises one batch of rows; concatenated in range order by
-    /// [`SparseScores::rows_to_csr`].
-    fn materialise_rows(&self, rows: &[usize], top_k: Option<usize>) -> RowPart {
-        let mut part = (Vec::with_capacity(rows.len()), Vec::new(), Vec::new());
-        let mut select_buf: SparseRow = Vec::new();
-        for &u in rows {
-            select_top_k(&self.rows[u], top_k, &mut select_buf, &mut part);
-        }
-        part
-    }
-
-    /// The largest stored score in row `u` (0.0 for an empty row), used by
-    /// the adaptive pruning heuristics and tests.
-    pub fn row_max(&self, u: usize) -> f32 {
-        let row = self.rows.get(u).map_or(&[][..], Vec::as_slice);
-        row.iter().map(|&(_, s)| s).fold(0.0f32, f32::max)
+        select_rows(self.num_nodes, top_k, &weights, |i| &self.rows[rows[i]])
     }
 }
 
@@ -398,7 +374,11 @@ impl Accumulator {
 pub(crate) fn finish_row(x: usize, log: &[(u32, f32)], residual: &[(u32, f32)]) -> SparseRow {
     let mut row = merge_ordered(log, residual);
     sum_runs(&mut row);
-    SparseScores::prune_row_relative(x, &mut row, RELATIVE_PRUNE_FRACTION);
+    // Scores are positive, so a row with no off-diagonal score keeps all.
+    let off_diagonal = row.iter().filter(|&&(v, _)| v as usize != x);
+    let row_max = off_diagonal.map(|&(_, s)| s).fold(0.0f32, f32::max);
+    let floor = RELATIVE_PRUNE_FRACTION * row_max;
+    row.retain(|&(v, s)| v as usize == x || s >= floor);
     row
 }
 
@@ -441,148 +421,31 @@ impl LocalPush {
     /// `frontier_log` when one is given.
     pub(crate) fn run_logged(&mut self, frontier_log: Option<&mut FrontierLog>) -> SparseScores {
         let n = self.graph.num_nodes();
-        LOCALPUSH_RUNS.inc();
         let _span = sigma_obs::span!("localpush_run", n);
         let mut clock = Stopwatch::start();
-        let (log, residual) = self.push_rounds(frontier_log);
+        // The replay of an empty log with every node edited: every pair is
+        // tainted and every row dirty from round 1 (see the module docs).
+        let rounds = self.replay_rounds(
+            &FrontierLog::default(),
+            &vec![true; n],
+            (0..n as u32).collect(),
+        );
+        self.pushes_performed = rounds.pushes;
+        LOCALPUSH_PUSHES.add(rounds.pushes as u64);
         LOCALPUSH_PULL_NS.record(clock.lap());
 
         // Residual sweep: absorb all remaining sub-threshold mass so dense
         // graphs keep their (small but informative) first-order scores, then
         // drop entries that are trivial relative to their row.
-        let weights: Vec<usize> = log
-            .iter()
-            .zip(&residual)
-            .map(|(log, residual)| log.len() + residual.len())
-            .collect();
-        let mut rows: Vec<(SparseRow, SparseRow)> = log.into_iter().zip(residual).collect();
-        let finish = |first: usize, block: &mut [(SparseRow, SparseRow)]| {
-            for (x, (row, residual)) in (first..).zip(block) {
-                *row = finish_row(x, row, &take(residual));
-            }
-        };
-        let pool = ThreadPool::global();
-        if pool.should_parallelize(weights.iter().sum()) {
-            pool.par_row_blocks_mut_weighted(&mut rows, 1, &weights, finish);
-        } else {
-            finish(0, &mut rows);
-        }
         let scores = SparseScores {
             num_nodes: n,
-            rows: rows.into_iter().map(|(row, _)| row).collect(),
+            rows: finish_rows(rounds.rows),
         };
         LOCALPUSH_FINISH_NS.record(clock.lap());
-        scores
-    }
-
-    /// The push process as row-wise rounds (see the module docs). Returns
-    /// every row's absorb log — column-ascending, a pair absorbed in several
-    /// rounds listed once per absorb in round order — and the sub-threshold
-    /// residual the row still carries. With a `frontier_log`, every round's
-    /// crossed pairs are recorded into it.
-    fn push_rounds(
-        &mut self,
-        mut frontier_log: Option<&mut FrontierLog>,
-    ) -> (Vec<SparseRow>, Vec<SparseRow>) {
-        let graph = &self.graph;
-        let n = graph.num_nodes();
-        let inv_deg = inverse_degrees(graph);
-        // `R = I` and every valid threshold is below 1: all diagonal pairs
-        // cross it at once.
-        let mut frontier: Vec<SparseRow> = (0..n as u32).map(|u| vec![(u, 1.0)]).collect();
-        let mut log = frontier.clone();
-        let mut frontier_rows: Vec<u32> = (0..n as u32).collect();
-        let mut residual: Vec<SparseRow> = vec![Vec::new(); n];
-        // Scatter-adds each row's pull will perform this round (0 = the row
-        // receives nothing), and the rows where that is non-zero.
-        let mut pull_work = vec![0usize; n];
-        let mut active: Vec<u32> = Vec::new();
-        let accumulators = Mutex::new(Vec::new());
-        let mut cut = false;
-        self.pushes_performed = 0;
-        let pool = ThreadPool::global();
-
-        while !frontier_rows.is_empty() {
-            LOCALPUSH_ROUNDS.inc();
-            // Budget safety valve: push a row-major prefix of the frontier,
-            // then stop (the cut pairs stay absorbed, exactly as the final
-            // sweep would have absorbed them).
-            let mut budget = self.max_pushes.saturating_sub(self.pushes_performed);
-            if budget == 0 {
-                cut = true;
-                break;
-            }
-            let before = budget;
-            frontier_rows.retain(|&a| {
-                let row = &mut frontier[a as usize];
-                cut |= row.len() > budget;
-                row.truncate(budget);
-                budget -= row.len();
-                !row.is_empty()
-            });
-            self.pushes_performed += before - budget;
-            LOCALPUSH_PUSHES.add((before - budget) as u64);
-
-            for &a in &frontier_rows {
-                let row = &frontier[a as usize];
-                let work: usize = row.iter().map(|&(b, _)| graph.degree(b as usize)).sum();
-                for &x in graph.neighbors(a as usize) {
-                    if pull_work[x as usize] == 0 {
-                        active.push(x);
-                    }
-                    // `+ 1`: the row's merge, and a non-zero mark.
-                    pull_work[x as usize] += work + 1;
-                }
-            }
-            active.sort_unstable();
-            let weights: Vec<usize> = active
-                .iter()
-                .map(|&x| take(&mut pull_work[x as usize]))
-                .collect();
-            let pull = |rows: &[u32]| -> Vec<(SparseRow, SparseRow)> {
-                let spare = || accumulators.lock().expect("accumulator pool lock poisoned");
-                let mut acc: Accumulator = spare().pop().unwrap_or_default();
-                acc.resize(n);
-                let frontier = |a: u32| frontier[a as usize].as_slice();
-                let pull_row = |&x: &u32| {
-                    self.pull_row(&inv_deg, frontier, &residual[x as usize], x, &mut acc)
-                };
-                let out = rows.iter().map(pull_row).collect();
-                spare().push(acc);
-                out
-            };
-            let pulled = if active.len() > 1 && pool.should_parallelize(weights.iter().sum()) {
-                pool.par_map_ranges_weighted(&weights, |range| pull(&active[range]))
-            } else {
-                vec![pull(&active)]
-            };
-
-            for &a in &frontier_rows {
-                frontier[a as usize].clear();
-            }
-            frontier_rows.clear();
-            let mut round = FrontierRound::new();
-            for (x, (kept, crossed)) in active.drain(..).zip(pulled.into_iter().flatten()) {
-                residual[x as usize] = kept;
-                if !crossed.is_empty() {
-                    if frontier_log.is_some() {
-                        round.push((x, crossed.clone()));
-                    }
-                    log[x as usize] = merge_ordered(&log[x as usize], &crossed);
-                    frontier[x as usize] = crossed;
-                    frontier_rows.push(x);
-                }
-            }
-            if let Some(frontier_log) = frontier_log.as_deref_mut() {
-                if !round.is_empty() {
-                    frontier_log.rounds.push(round);
-                }
-            }
-        }
         if let Some(frontier_log) = frontier_log {
-            frontier_log.cut = cut;
+            *frontier_log = rounds.log;
         }
-        (log, residual)
+        scores
     }
 
     /// Pulls one round's delta into row `x` (see the module docs), returning
@@ -813,8 +676,7 @@ mod tests {
             .unwrap()
             .with_max_pushes(5);
         let _ = solver.run();
-        assert!(solver.pushes_performed() >= 1);
-        assert!(solver.pushes_performed() <= 6);
+        assert_eq!(solver.pushes_performed(), 5);
     }
 
     #[test]
@@ -867,11 +729,8 @@ mod tests {
         // Multi-round coupled run: rows are merged from several absorb
         // rounds plus the residual sweep.
         let mut solver = LocalPush::new(&g, cfg).unwrap();
-        let mut scores = solver.run();
+        let scores = solver.run();
         assert!(solver.pushes_performed() > g.num_nodes());
-        assert!(strictly_sorted(&scores));
-        scores.prune_relative(0.3);
-        scores.prune(0.01);
         assert!(strictly_sorted(&scores));
 
         // A replay after an edit finishes rows the same way (and its CSR
@@ -924,8 +783,6 @@ mod tests {
         assert_eq!(scores.get(1, 3), 0.0);
         // Beyond u32: must not alias a stored column.
         assert_eq!(scores.get(1, (1usize << 32) + 1), 0.0);
-        assert_eq!(scores.row_max(1), 1.0);
-        assert_eq!(scores.row_max(7), 0.0);
     }
 
     #[test]
