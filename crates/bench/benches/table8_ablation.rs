@@ -1,53 +1,75 @@
 //! Table VIII: component ablation of SIGMA (and GloGNN) on the large-scale
 //! presets — the effect of the SimRank operator S, the localized S·A variant,
 //! the attribute branch X, and the adjacency branch A.
+//!
+//! SIGMA aggregates with whatever operator its context holds, so the `S·A`
+//! and PPR rows train full SIGMA on a context built with that operator in
+//! `S`'s place.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sigma::{AggregatorKind, Model, ModelHyperParams, ModelKind, SigmaModel, TrainConfig, Trainer};
+use sigma::{
+    AggregatorKind, ContextBuilder, GraphContext, Model, ModelHyperParams, ModelKind, SigmaModel,
+    TrainConfig, Trainer,
+};
 use sigma_bench::runner::{default_hyper, prepare, OperatorSet};
 use sigma_bench::{BenchConfig, TablePrinter};
 use sigma_datasets::DatasetPreset;
+use sigma_matrix::CsrMatrix;
+
+/// The operator a variant's context holds in `S`'s slot.
+#[derive(Clone, Copy)]
+enum Operator {
+    SimRank,
+    STimesA,
+    Ppr,
+}
 
 struct Variant {
     name: &'static str,
     aggregator: AggregatorKind,
+    operator: Operator,
     hyper: ModelHyperParams,
 }
 
 fn variants(base: ModelHyperParams) -> Vec<Variant> {
+    let variant = |name, aggregator, operator, hyper| Variant {
+        name,
+        aggregator,
+        operator,
+        hyper,
+    };
     vec![
-        Variant {
-            name: "SIGMA",
-            aggregator: AggregatorKind::SimRank,
-            hyper: base,
-        },
-        Variant {
-            name: "SIGMA w/o S",
-            aggregator: AggregatorKind::None,
-            hyper: base,
-        },
-        Variant {
-            name: "SIGMA w/ S*A",
-            aggregator: AggregatorKind::SimRankTimesA,
-            hyper: base,
-        },
-        Variant {
-            name: "SIGMA w/ PPR",
-            aggregator: AggregatorKind::Ppr,
-            hyper: base,
-        },
-        Variant {
-            name: "SIGMA w/o X",
-            aggregator: AggregatorKind::SimRank,
-            hyper: base.with_delta(0.0),
-        },
-        Variant {
-            name: "SIGMA w/o A",
-            aggregator: AggregatorKind::SimRank,
-            hyper: base.with_delta(1.0),
-        },
+        variant("SIGMA", AggregatorKind::SimRank, Operator::SimRank, base),
+        variant("SIGMA w/o S", AggregatorKind::None, Operator::SimRank, base),
+        variant(
+            "SIGMA w/ S*A",
+            AggregatorKind::SimRank,
+            Operator::STimesA,
+            base,
+        ),
+        variant("SIGMA w/ PPR", AggregatorKind::SimRank, Operator::Ppr, base),
+        variant(
+            "SIGMA w/o X",
+            AggregatorKind::SimRank,
+            Operator::SimRank,
+            base.with_delta(0.0),
+        ),
+        variant(
+            "SIGMA w/o A",
+            AggregatorKind::SimRank,
+            Operator::SimRank,
+            base.with_delta(1.0),
+        ),
     ]
+}
+
+/// `ctx`'s dataset with `operator` in `S`'s slot.
+fn with_operator(ctx: &GraphContext, operator: CsrMatrix) -> GraphContext {
+    ContextBuilder::new(ctx.dataset().clone())
+        .with_simrank_operator(operator)
+        .build()
+        .expect("an n × n operator is accepted")
 }
 
 fn main() {
@@ -74,13 +96,29 @@ fn main() {
     let mut results: Vec<Vec<f64>> = vec![Vec::new(); names.len() + 2];
     for preset in DatasetPreset::LARGE {
         let (ctx, split) = prepare(preset, &cfg, OperatorSet::full(), 43);
+        // S·A restricted to immediate neighbours, row-normalised so the
+        // aggregation magnitude stays comparable to S.
+        let s = ctx.simrank().expect("full operator set");
+        let mut s_times_a = s.spgemm(ctx.row_adj()).expect("S·A builds");
+        s_times_a.row_normalize();
+        let sa_ctx = with_operator(&ctx, s_times_a);
+        let ppr_ctx = with_operator(&ctx, ctx.ppr().expect("full operator set").clone());
         for (idx, variant) in variants(base).into_iter().enumerate() {
+            let variant_ctx = match variant.operator {
+                Operator::SimRank => &ctx,
+                Operator::STimesA => &sa_ctx,
+                Operator::Ppr => &ppr_ctx,
+            };
             let mut rng = StdRng::seed_from_u64(43);
-            let mut model =
-                SigmaModel::with_aggregator(&ctx, &variant.hyper, variant.aggregator, &mut rng)
-                    .expect("variant builds");
+            let mut model = SigmaModel::with_aggregator(
+                variant_ctx,
+                &variant.hyper,
+                variant.aggregator,
+                &mut rng,
+            )
+            .expect("variant builds");
             let report = trainer
-                .train(&mut model as &mut dyn Model, &ctx, &split, 43)
+                .train(&mut model as &mut dyn Model, variant_ctx, &split, 43)
                 .expect("variant trains");
             results[idx].push(report.test_accuracy as f64 * 100.0);
         }

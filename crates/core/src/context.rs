@@ -199,11 +199,14 @@ impl ContextBuilder {
         self
     }
 
-    /// Uses an externally computed SimRank aggregation operator instead of
-    /// running LocalPush. This is the integration point for
+    /// Uses an externally computed aggregation operator instead of running
+    /// LocalPush. Any `n × n` operator is accepted: a SIGMA model trained on
+    /// this context aggregates with it. It is the integration point for
     /// [`sigma_simrank::DynamicSimRank`], which maintains the operator across
-    /// graph edits (see the `dynamic_graph` example). The matrix must be
-    /// `n × n`; it takes precedence over any configured precomputation.
+    /// graph edits (see the `dynamic_graph` example), and for ablation
+    /// operators such as `S·A` or a top-k PPR matrix (see the
+    /// `ablation_study` example). It takes precedence over any configured
+    /// precomputation.
     pub fn with_simrank_operator(mut self, operator: CsrMatrix) -> Self {
         self.simrank_operator = Some(operator);
         self

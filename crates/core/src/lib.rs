@@ -24,12 +24,13 @@
 //!
 //! * [`SigmaModel`] — the SIGMA architecture with every knob the paper
 //!   ablates (feature factor `δ`, local/global balance `α`, learnable `α`,
-//!   aggregation operator substitution `S`, `S·A`, PPR, or none),
+//!   aggregation with the context's operator — `S`, or an `S·A` / PPR
+//!   ablation operator — or none, which is LINKX),
 //! * [`SigmaIterative`] — the iterative variant explored in Section V.F,
 //! * Baselines: MLP, GAT, GCN, SGC, APPNP, GPR-GNN, ACM-GCN, MixHop, GCNII,
-//!   H2GCN, LINKX, GloGNN (fixed mixing weights in place of the closed-form
-//!   coefficients; see its module docs), PPRGo — all under
-//!   [`ModelKind`],
+//!   H2GCN, LINKX (SIGMA without `S`), GloGNN (fixed mixing weights in
+//!   place of the closed-form coefficients; see its module docs), PPRGo —
+//!   all under [`ModelKind`],
 //! * [`GraphContext`] — shared precomputation (normalized adjacencies,
 //!   SimRank / PPR operators) with timing breakdowns,
 //! * [`Trainer`] — full-batch training with Adam, early stopping, accuracy

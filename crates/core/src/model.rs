@@ -2,7 +2,7 @@
 //! factory used by the trainer, examples and benchmark harness.
 
 use crate::models;
-use crate::{GraphContext, Result, SigmaError};
+use crate::{AggregatorKind, GraphContext, Result, SigmaError, SigmaModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sigma_matrix::DenseMatrix;
@@ -202,9 +202,10 @@ pub enum ModelKind {
     Gcnii,
     /// H2GCN-style ego/1-hop/2-hop separation (simplified).
     H2Gcn,
-    /// LINKX: decoupled MLP(A) + MLP(X) embedding, no propagation.
+    /// LINKX: decoupled MLP(A) + MLP(X) embedding, no propagation — SIGMA
+    /// without `S` ([`crate::AggregatorKind::None`]), reported as "LINKX".
     Linkx,
-    /// GloGNN (simplified): LINKX embedding with iterative multi-hop
+    /// GloGNN (simplified): the same embedding with an iterative multi-hop
     /// aggregation recomputed every epoch.
     GloGnn,
     /// PPRGo: precomputed top-k PPR aggregation over MLP(X).
@@ -281,9 +282,7 @@ impl ModelKind {
         hyper.validate()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let model: Box<dyn Model> = match *self {
-            ModelKind::Sigma => {
-                Box::new(models::sigma_model::SigmaModel::new(ctx, hyper, &mut rng)?)
-            }
+            ModelKind::Sigma => Box::new(SigmaModel::new(ctx, hyper, &mut rng)?),
             ModelKind::SigmaIterative(layers) => Box::new(
                 models::sigma_iterative::SigmaIterative::new(ctx, hyper, layers.max(1), &mut rng)?,
             ),
@@ -297,7 +296,12 @@ impl ModelKind {
             ModelKind::MixHop => Box::new(models::mixhop::MixHop::new(ctx, hyper, &mut rng)?),
             ModelKind::Gcnii => Box::new(models::gcnii::Gcnii::new(ctx, hyper, &mut rng)),
             ModelKind::H2Gcn => Box::new(models::h2gcn::H2Gcn::new(ctx, hyper, &mut rng)?),
-            ModelKind::Linkx => Box::new(models::linkx::Linkx::new(ctx, hyper, &mut rng)),
+            ModelKind::Linkx => Box::new(SigmaModel::with_aggregator(
+                ctx,
+                hyper,
+                AggregatorKind::None,
+                &mut rng,
+            )?),
             ModelKind::GloGnn => Box::new(models::glognn::GloGnn::new(ctx, hyper, &mut rng)),
             ModelKind::PprGo => Box::new(models::pprgo::PprGo::new(ctx, hyper, &mut rng)?),
             ModelKind::Gat => Box::new(models::gat::Gat::new(ctx, hyper, &mut rng)),

@@ -1,15 +1,16 @@
 //! GloGNN (Li et al. 2022), simplified — the strongest baseline in the paper
 //! and the one SIGMA's efficiency comparison focuses on.
 //!
-//! GloGNN embeds the graph exactly like LINKX
-//! (`H = MLP_H(δ·MLP_X(X) + (1−δ)·MLP_A(A))`) and then derives a *global
-//! coefficient matrix* from an optimisation problem, re-solved in every
-//! layer of every epoch, with per-iteration cost `O(k₂·m·f·l_norm)`.
+//! GloGNN shares SIGMA's and LINKX's `Decoupled` embedding stage
+//! (`H = δ·MLP_X(X) + (1−δ)·MLP_A(A)`), but aggregates *before* `MLP_H`, in
+//! hidden space, and derives a *global coefficient matrix* from an
+//! optimisation problem, re-solved in every layer of every epoch, with
+//! per-iteration cost `O(k₂·m·f·l_norm)`.
 //!
 //! This reproduction keeps the three properties that drive both its accuracy
 //! and the paper's efficiency comparison (Table VII, Fig. 4/5):
 //!
-//! * the LINKX-style decoupled embedding,
+//! * the shared decoupled embedding,
 //! * an **iterative aggregation that is recomputed on every forward pass**,
 //!   `l_norm` rounds of
 //!   `Z ← (1−α)·[(1−γ)·Σ_{k=1..k₂} β^k·Â^k·Z + γ·H(HᵀZ)/n] + α·H`,
@@ -23,21 +24,18 @@
 //! the coefficient term as constant; the per-epoch *cost structure*
 //! `O(k₂·m·f·l_norm + n·f²·l_norm)` matches the original.
 
-use crate::models::{split_by_delta, timed_spmm, timed_spmm_transpose};
+use crate::models::{timed_spmm, timed_spmm_transpose, Decoupled};
 use crate::{GraphContext, Model, ModelHyperParams, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sigma_matrix::DenseMatrix;
-use sigma_nn::{Mlp, MlpConfig, Optimizer};
+use sigma_nn::Optimizer;
 use std::time::Duration;
 
 /// The (simplified) GloGNN baseline.
 #[derive(Debug)]
 pub struct GloGnn {
-    mlp_a: Mlp,
-    mlp_x: Mlp,
-    mlp_h: Mlp,
-    delta: f64,
+    net: Decoupled,
     alpha: f64,
     /// Multi-hop order `k₂` (paper: {3, 4, 5}).
     k2: usize,
@@ -56,25 +54,8 @@ pub struct GloGnn {
 impl GloGnn {
     /// Builds the model for the given context.
     pub fn new<R: Rng + ?Sized>(ctx: &GraphContext, hyper: &ModelHyperParams, rng: &mut R) -> Self {
-        let hidden = hyper.hidden;
-        let mlp_a = Mlp::new(
-            MlpConfig::new(ctx.num_nodes(), hidden, hidden, 1).with_dropout(hyper.dropout),
-            rng,
-        );
-        let mlp_x = Mlp::new(
-            MlpConfig::new(ctx.feature_dim(), hidden, hidden, 1).with_dropout(hyper.dropout),
-            rng,
-        );
-        let mlp_h = Mlp::new(
-            MlpConfig::new(hidden, hidden, ctx.num_classes(), hyper.num_layers)
-                .with_dropout(hyper.dropout),
-            rng,
-        );
         Self {
-            mlp_a,
-            mlp_x,
-            mlp_h,
-            delta: hyper.delta,
+            net: Decoupled::new(ctx, hyper, rng),
             alpha: hyper.alpha.clamp(0.05, 0.95),
             k2: hyper.hops.clamp(2, 5),
             l_norm: 2,
@@ -147,13 +128,11 @@ impl Model for GloGnn {
         training: bool,
         rng: &mut StdRng,
     ) -> Result<DenseMatrix> {
-        let h_a = self.mlp_a.forward_sparse(ctx.adjacency(), training, rng)?;
-        let h_x = self.mlp_x.forward(ctx.features(), training, rng)?;
         // `H` lives in hidden space: GloGNN (unlike SIGMA, which aggregates
         // the final `n×N_y` logits) re-aggregates the full hidden-width
         // embedding every epoch — this width difference is a large part of
         // the paper's measured efficiency gap.
-        let h = h_x.linear_combination(self.delta as f32, (1.0 - self.delta) as f32, &h_a)?;
+        let h = self.net.embed(ctx, training, rng)?;
 
         // Iterative aggregation, recomputed every epoch (the cost SIGMA avoids).
         let alpha = self.alpha as f32;
@@ -162,7 +141,7 @@ impl Model for GloGnn {
             let aggregated = self.aggregate_round(ctx, &h, &z, false)?;
             z = aggregated.linear_combination(1.0 - alpha, alpha, &h)?;
         }
-        let logits = self.mlp_h.forward(&z, training, rng)?;
+        let logits = self.net.mlp_h.forward(&z, training, rng)?;
         self.cached_h = Some(h);
         Ok(logits)
     }
@@ -175,7 +154,7 @@ impl Model for GloGnn {
             .cached_h
             .take()
             .ok_or(sigma_nn::NnError::MissingForwardCache { layer: "GloGnn" })?;
-        let d_z = self.mlp_h.backward(grad_logits)?;
+        let d_z = self.net.mlp_h.backward(grad_logits)?;
         let alpha = self.alpha as f32;
         let mut g = d_z.clone();
         let mut d_h = DenseMatrix::zeros(d_z.rows(), d_z.cols());
@@ -188,31 +167,20 @@ impl Model for GloGnn {
             g = back;
         }
         d_h.add_assign(&g)?;
-
-        let (d_x, d_a) = split_by_delta(d_h, self.delta);
-        self.mlp_x.backward_params(&d_x)?;
-        self.mlp_a.backward_params(&d_a)?;
-        Ok(())
+        self.net.backward_embed(d_h)
     }
 
     fn zero_grad(&mut self) {
-        self.mlp_a.zero_grad();
-        self.mlp_x.zero_grad();
-        self.mlp_h.zero_grad();
+        self.net.zero_grad();
     }
 
     fn apply_gradients(&mut self, optimizer: &mut dyn Optimizer) -> Result<()> {
-        let mut key = 0;
-        self.mlp_a.apply_gradients(optimizer, key)?;
-        key += self.mlp_a.num_parameter_keys();
-        self.mlp_x.apply_gradients(optimizer, key)?;
-        key += self.mlp_x.num_parameter_keys();
-        self.mlp_h.apply_gradients(optimizer, key)?;
+        self.net.apply_gradients(optimizer)?;
         Ok(())
     }
 
     fn num_parameters(&self) -> usize {
-        self.mlp_a.num_parameters() + self.mlp_x.num_parameters() + self.mlp_h.num_parameters()
+        self.net.num_parameters()
     }
 
     fn take_aggregation_time(&mut self) -> Duration {

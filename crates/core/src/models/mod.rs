@@ -6,6 +6,13 @@
 //! the [`crate::GraphContext`], so backpropagation through them is a
 //! transposed SpMM; only the MLP weights (and, for GPR-GNN / learnable-α
 //! SIGMA, a small coefficient vector) are trainable.
+//!
+//! LINKX, SIGMA and GloGNN share one embedding stage, `Decoupled`:
+//! `δ·MLP_X(X) + (1−δ)·MLP_A(A)` read by `MLP_H` (SIGMA Eq. 4). They differ
+//! only in the aggregation around `MLP_H`: LINKX has none (it is
+//! [`sigma_model::SigmaModel`] with [`sigma_model::AggregatorKind::None`]),
+//! SIGMA applies the context's constant operator after `MLP_H`, and GloGNN
+//! runs its iterative global step before it.
 
 pub mod acmgcn;
 pub mod appnp;
@@ -15,7 +22,6 @@ pub mod gcnii;
 pub mod glognn;
 pub mod gprgnn;
 pub mod h2gcn;
-pub mod linkx;
 pub mod mixhop;
 pub mod mlp;
 pub mod pprgo;
@@ -23,9 +29,90 @@ pub mod sgc;
 pub mod sigma_iterative;
 pub mod sigma_model;
 
-use crate::Result;
+use crate::{GraphContext, ModelHyperParams, Result};
+use rand::rngs::StdRng;
+use rand::Rng;
 use sigma_matrix::{CsrMatrix, DenseMatrix};
+use sigma_nn::{Mlp, MlpConfig, Optimizer};
 use std::time::{Duration, Instant};
+
+/// The decoupled embedding stage of LINKX, SIGMA and GloGNN:
+/// `MLP_A(A)` and `MLP_X(X)` mixed by the feature factor `δ`, and the
+/// `MLP_H` that reads the mix (directly, or after an aggregation).
+///
+/// `A` and `X` are constants, so their MLPs take parameter gradients only
+/// ([`Mlp::backward_params`]): a step costs `O(m·f + n·f²)`, and no `n × n`
+/// input gradient is ever formed.
+#[derive(Debug)]
+pub(crate) struct Decoupled {
+    pub(crate) mlp_a: Mlp,
+    pub(crate) mlp_x: Mlp,
+    pub(crate) mlp_h: Mlp,
+    pub(crate) delta: f64,
+}
+
+impl Decoupled {
+    /// Draws `MLP_A`, `MLP_X` and `MLP_H` from `rng`, in that order.
+    pub(crate) fn new<R: Rng + ?Sized>(
+        ctx: &GraphContext,
+        hyper: &ModelHyperParams,
+        rng: &mut R,
+    ) -> Self {
+        let hidden = hyper.hidden;
+        let mlp = |input, out, layers| {
+            MlpConfig::new(input, hidden, out, layers).with_dropout(hyper.dropout)
+        };
+        Self {
+            mlp_a: Mlp::new(mlp(ctx.num_nodes(), hidden, 1), rng),
+            mlp_x: Mlp::new(mlp(ctx.feature_dim(), hidden, 1), rng),
+            mlp_h: Mlp::new(mlp(hidden, ctx.num_classes(), hyper.num_layers), rng),
+            delta: hyper.delta,
+        }
+    }
+
+    /// `δ·MLP_X(X) + (1−δ)·MLP_A(A)`, the input of `MLP_H` (or of GloGNN's
+    /// aggregation).
+    pub(crate) fn embed(
+        &mut self,
+        ctx: &GraphContext,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> Result<DenseMatrix> {
+        let h_a = self.mlp_a.forward_sparse(ctx.adjacency(), training, rng)?;
+        let h_x = self.mlp_x.forward(ctx.features(), training, rng)?;
+        Ok(h_x.linear_combination(self.delta as f32, (1.0 - self.delta) as f32, &h_a)?)
+    }
+
+    /// The backward of [`Decoupled::embed`]: accumulates the parameter
+    /// gradients of `MLP_X` and `MLP_A` from the gradient of the mix.
+    pub(crate) fn backward_embed(&mut self, grad: DenseMatrix) -> Result<()> {
+        let (d_x, d_a) = split_by_delta(grad, self.delta);
+        self.mlp_x.backward_params(&d_x)?;
+        self.mlp_a.backward_params(&d_a)?;
+        Ok(())
+    }
+
+    pub(crate) fn zero_grad(&mut self) {
+        self.mlp_a.zero_grad();
+        self.mlp_x.zero_grad();
+        self.mlp_h.zero_grad();
+    }
+
+    /// Steps `MLP_A`, `MLP_X` and `MLP_H` from optimizer key 0 and returns
+    /// the first key left free for the owning model's own parameters.
+    pub(crate) fn apply_gradients(&mut self, optimizer: &mut dyn Optimizer) -> Result<usize> {
+        let mut key = 0;
+        for mlp in [&mut self.mlp_a, &mut self.mlp_x, &mut self.mlp_h] {
+            mlp.apply_gradients(optimizer, key)?;
+            key += mlp.num_parameter_keys();
+        }
+        Ok(key)
+    }
+
+    pub(crate) fn num_parameters(&self) -> usize {
+        self.mlp_a.num_parameters() + self.mlp_x.num_parameters() + self.mlp_h.num_parameters()
+    }
+}
 
 /// Applies `operator · dense`, accumulating elapsed wall-clock time into
 /// `timer`. All models route their propagation SpMMs through this helper so

@@ -7,13 +7,16 @@
 //! Z   = (1−α)·Ẑ + α·H                    (Eq. 6)
 //! ```
 //!
-//! The aggregation operator `S` is the constant top-k SimRank matrix from the
-//! [`GraphContext`]; during training the only graph work per epoch is one
-//! `O(k·n·f)` SpMM forward and one transposed SpMM backward. `S`, `A` and
-//! `X` are borrowed from the context, never copied, and no gradient is taken
-//! with respect to any of them: `MLP_A` and `MLP_X` run
-//! [`Mlp::backward_params`], so a step costs `O(m·f + n·f² + k·n·f)` in time
-//! and memory — linear in the graph, as the paper's Table III says.
+//! The embedding stage is the `Decoupled` one LINKX and GloGNN share. The
+//! aggregation operator `S` is whatever constant `n × n` operator the
+//! [`GraphContext`] holds: the top-k SimRank matrix it precomputed, or an
+//! operator passed in through
+//! [`crate::ContextBuilder::with_simrank_operator`]. During training the only
+//! graph work per epoch is one `O(k·n·f)` SpMM forward and one transposed
+//! SpMM backward. `S`, `A` and `X` are borrowed from the context, never
+//! copied, and no gradient is taken with respect to any of them, so a step
+//! costs `O(m·f + n·f² + k·n·f)` in time and memory — linear in the graph,
+//! as the paper's Table III says.
 //!
 //! Measured on the `learn_pokec` benchmark's inputs (4 160 nodes, 65
 //! features, hidden 32, `A` 99 840 nnz, `S` 66 560 nnz, one pool thread;
@@ -25,58 +28,52 @@
 //!
 //! Every ablation of the paper's Table VIII/IX/X is a switch here:
 //!
-//! * [`AggregatorKind::SimRank`] — full SIGMA,
-//! * [`AggregatorKind::SimRankTimesA`] — localized `S·A` variant ("SIGMA w/ S·A"),
-//! * [`AggregatorKind::Ppr`] — PPR aggregation (the Fig. 1(b) comparison),
-//! * [`AggregatorKind::None`] — "SIGMA w/o S" (equivalent to `α = 1`),
+//! * [`AggregatorKind::SimRank`] — full SIGMA; with a context built on
+//!   another operator (`S·A`, PPR) it is that operator's ablation row,
+//! * [`AggregatorKind::None`] — "SIGMA w/o S", `Z = H`: this is LINKX
+//!   ([`crate::ModelKind::Linkx`] builds it),
 //! * `δ = 0` / `δ = 1` — "SIGMA w/o X" / "SIGMA w/o A",
 //! * learnable `α` — the convergent values reported in Table X.
 
-use crate::models::{split_by_delta, timed_spmm, timed_spmm_transpose};
+use crate::models::{timed_spmm, timed_spmm_transpose, Decoupled};
 use crate::snapshot::ModelSnapshot;
 use crate::{GraphContext, Model, ModelHyperParams, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sigma_matrix::{CsrMatrix, DenseMatrix};
-use sigma_nn::{Mlp, MlpConfig, Optimizer};
+use sigma_nn::{Mlp, Optimizer};
 use std::time::Duration;
 
-/// Which constant operator SIGMA aggregates with.
+/// Whether SIGMA aggregates with the context's operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregatorKind {
-    /// The top-k SimRank matrix `S` (full SIGMA).
+    /// The context's constant aggregation operator: the top-k SimRank
+    /// matrix `S` (full SIGMA), or an ablation operator passed through
+    /// [`crate::ContextBuilder::with_simrank_operator`].
     SimRank,
-    /// The localized `S·A` operator (Table VIII ablation).
-    SimRankTimesA,
-    /// A top-k Personalized PageRank matrix (local-aggregation comparison).
-    Ppr,
-    /// No aggregation at all ("SIGMA w/o S"; equivalent to `α = 1`).
+    /// No aggregation at all, `Z = H` ("SIGMA w/o S", i.e. LINKX).
     None,
 }
 
 /// The SIGMA model.
 #[derive(Debug)]
 pub struct SigmaModel {
-    mlp_a: Mlp,
-    mlp_x: Mlp,
-    mlp_h: Mlp,
-    delta: f64,
+    net: Decoupled,
     alpha_fixed: f64,
     /// Raw learnable parameter `a` with `α = sigmoid(a)`, if enabled.
     alpha_raw: Option<DenseMatrix>,
     alpha_grad: DenseMatrix,
     aggregator: AggregatorKind,
-    /// The `S·A` operator, precomputed at construction for the ablation.
-    local_operator: Option<CsrMatrix>,
     cache: Option<Cache>,
     agg_time: Duration,
 }
 
+/// What the backward of an aggregating forward reads.
 #[derive(Debug)]
 struct Cache {
     /// `H` from Eq. (4).
     h: DenseMatrix,
-    /// `Ẑ = S·H` from Eq. (5) (identical to `h` when aggregation is disabled).
+    /// `Ẑ = S·H` from Eq. (5).
     z_hat: DenseMatrix,
 }
 
@@ -90,7 +87,9 @@ impl SigmaModel {
         Self::with_aggregator(ctx, hyper, AggregatorKind::SimRank, rng)
     }
 
-    /// Builds SIGMA with an explicit aggregation operator choice.
+    /// Builds SIGMA with or without aggregation. Without it, `α` has no
+    /// role: the model has no `α` parameter even if `hyper` asks to learn
+    /// one.
     pub fn with_aggregator<R: Rng + ?Sized>(
         ctx: &GraphContext,
         hyper: &ModelHyperParams,
@@ -98,57 +97,22 @@ impl SigmaModel {
         rng: &mut R,
     ) -> Result<Self> {
         hyper.validate()?;
-        match aggregator {
-            AggregatorKind::SimRank | AggregatorKind::SimRankTimesA => {
-                ctx.require_simrank("SIGMA")?;
-            }
-            AggregatorKind::Ppr => {
-                ctx.require_ppr("SIGMA(PPR)")?;
-            }
-            AggregatorKind::None => {}
+        if aggregator == AggregatorKind::SimRank {
+            ctx.require_simrank("SIGMA")?;
         }
-        let local_operator = if aggregator == AggregatorKind::SimRankTimesA {
-            // S·A restricted to immediate neighbours, row-normalised so the
-            // aggregation magnitude stays comparable to S.
-            let s = ctx.require_simrank("SIGMA")?;
-            let mut sa = s.spgemm(ctx.row_adj())?;
-            sa.row_normalize();
-            Some(sa)
-        } else {
-            None
-        };
-
-        let hidden = hyper.hidden;
-        let mlp_a = Mlp::new(
-            MlpConfig::new(ctx.num_nodes(), hidden, hidden, 1).with_dropout(hyper.dropout),
-            rng,
-        );
-        let mlp_x = Mlp::new(
-            MlpConfig::new(ctx.feature_dim(), hidden, hidden, 1).with_dropout(hyper.dropout),
-            rng,
-        );
-        let mlp_h = Mlp::new(
-            MlpConfig::new(hidden, hidden, ctx.num_classes(), hyper.num_layers)
-                .with_dropout(hyper.dropout),
-            rng,
-        );
-        let alpha_raw = if hyper.learnable_alpha {
-            // Initialise the raw parameter so sigmoid(a) equals the configured α.
-            let a = inverse_sigmoid(hyper.alpha.clamp(0.01, 0.99));
-            Some(DenseMatrix::filled(1, 1, a as f32))
-        } else {
-            None
-        };
+        let net = Decoupled::new(ctx, hyper, rng);
+        let alpha_raw =
+            (hyper.learnable_alpha && aggregator == AggregatorKind::SimRank).then(|| {
+                // Initialise the raw parameter so sigmoid(a) equals the configured α.
+                let a = inverse_sigmoid(hyper.alpha.clamp(0.01, 0.99));
+                DenseMatrix::filled(1, 1, a as f32)
+            });
         Ok(Self {
-            mlp_a,
-            mlp_x,
-            mlp_h,
-            delta: hyper.delta,
+            net,
             alpha_fixed: hyper.alpha,
             alpha_raw,
             alpha_grad: DenseMatrix::zeros(1, 1),
             aggregator,
-            local_operator,
             cache: None,
             agg_time: Duration::ZERO,
         })
@@ -164,18 +128,12 @@ impl SigmaModel {
 
     /// The configured feature factor `δ`.
     pub fn delta(&self) -> f64 {
-        self.delta
+        self.net.delta
     }
 
     /// The configured aggregation operator.
     pub fn aggregator(&self) -> AggregatorKind {
         self.aggregator
-    }
-
-    /// The intermediate embedding `H` and output `Z` of the last forward pass
-    /// (used by the Fig. 8 grouping-effect visualisation).
-    pub fn last_embeddings(&self) -> Option<(&DenseMatrix, &DenseMatrix)> {
-        self.cache.as_ref().map(|c| (&c.h, &c.z_hat))
     }
 
     /// Captures the trained model as a self-contained [`ModelSnapshot`].
@@ -184,17 +142,16 @@ impl SigmaModel {
     /// [`Model::forward`] would resolve it, so the snapshot serves with the
     /// same operator the model trained on.
     pub fn snapshot(&self, ctx: &GraphContext) -> Result<ModelSnapshot> {
-        let operator = Self::operator(self.aggregator, &self.local_operator, ctx)?.cloned();
         let snapshot = ModelSnapshot {
-            delta: self.delta,
+            delta: self.net.delta,
             alpha: self.alpha_fixed,
             alpha_raw: self.alpha_raw.as_ref().map(|raw| raw.get(0, 0)),
-            dropout: self.mlp_h.dropout(),
+            dropout: self.net.mlp_h.dropout(),
             aggregator: self.aggregator,
-            operator,
-            mlp_a: self.mlp_a.export_weights(),
-            mlp_x: self.mlp_x.export_weights(),
-            mlp_h: self.mlp_h.export_weights(),
+            operator: self.operator(ctx)?.cloned(),
+            mlp_a: self.net.mlp_a.export_weights(),
+            mlp_x: self.net.mlp_x.export_weights(),
+            mlp_h: self.net.mlp_h.export_weights(),
         };
         snapshot.validate()?;
         Ok(snapshot)
@@ -204,52 +161,39 @@ impl SigmaModel {
     ///
     /// The restored model is immediately trainable and, in eval mode,
     /// produces logits bitwise-identical to the snapshotted model when run
-    /// against a context holding the same operators (for
-    /// [`AggregatorKind::SimRank`] / [`AggregatorKind::Ppr`], pair it with
-    /// [`crate::ContextBuilder::with_simrank_operator`] /
-    /// `with_ppr`-provisioned contexts; the `S·A` variant carries its local
-    /// operator inside the snapshot).
+    /// against a context holding the same operator (for
+    /// [`AggregatorKind::SimRank`], pass the snapshot's operator to
+    /// [`crate::ContextBuilder::with_simrank_operator`]).
     pub fn restore(snapshot: &ModelSnapshot) -> Result<Self> {
         snapshot.validate()?;
-        let rebuild = |stack: &crate::snapshot::MlpWeights, dropout: f32| -> Result<Mlp> {
+        let rebuild = |stack: &crate::snapshot::MlpWeights| -> Result<Mlp> {
             let layers = stack
                 .iter()
                 .map(|(w, b)| sigma_nn::Linear::from_parts(w.clone(), b.clone()))
                 .collect::<sigma_nn::Result<Vec<_>>>()?;
-            Ok(Mlp::from_layers(layers, dropout)?)
-        };
-        let local_operator = if snapshot.aggregator == AggregatorKind::SimRankTimesA {
-            snapshot.operator.clone()
-        } else {
-            None
+            Ok(Mlp::from_layers(layers, snapshot.dropout)?)
         };
         Ok(Self {
-            mlp_a: rebuild(&snapshot.mlp_a, snapshot.dropout)?,
-            mlp_x: rebuild(&snapshot.mlp_x, snapshot.dropout)?,
-            mlp_h: rebuild(&snapshot.mlp_h, snapshot.dropout)?,
-            delta: snapshot.delta,
+            net: Decoupled {
+                mlp_a: rebuild(&snapshot.mlp_a)?,
+                mlp_x: rebuild(&snapshot.mlp_x)?,
+                mlp_h: rebuild(&snapshot.mlp_h)?,
+                delta: snapshot.delta,
+            },
             alpha_fixed: snapshot.alpha,
             alpha_raw: snapshot.alpha_raw.map(|raw| DenseMatrix::filled(1, 1, raw)),
             alpha_grad: DenseMatrix::zeros(1, 1),
             aggregator: snapshot.aggregator,
-            local_operator,
             cache: None,
             agg_time: Duration::ZERO,
         })
     }
 
-    /// The constant aggregation operator, borrowed. An associated function
-    /// of the two fields it reads so a caller can hold the result beside
-    /// `&mut self.agg_time`.
-    fn operator<'a>(
-        aggregator: AggregatorKind,
-        local_operator: &'a Option<CsrMatrix>,
-        ctx: &'a GraphContext,
-    ) -> Result<Option<&'a CsrMatrix>> {
-        match aggregator {
+    /// The constant aggregation operator, borrowed from `ctx` (`None`
+    /// without aggregation).
+    fn operator<'a>(&self, ctx: &'a GraphContext) -> Result<Option<&'a CsrMatrix>> {
+        match self.aggregator {
             AggregatorKind::SimRank => Ok(Some(ctx.require_simrank("SIGMA")?)),
-            AggregatorKind::SimRankTimesA => Ok(local_operator.as_ref()),
-            AggregatorKind::Ppr => Ok(Some(ctx.require_ppr("SIGMA(PPR)")?)),
             AggregatorKind::None => Ok(None),
         }
     }
@@ -265,7 +209,10 @@ fn inverse_sigmoid(p: f64) -> f64 {
 
 impl Model for SigmaModel {
     fn name(&self) -> &'static str {
-        "SIGMA"
+        match self.aggregator {
+            AggregatorKind::SimRank => "SIGMA",
+            AggregatorKind::None => "LINKX",
+        }
     }
 
     fn forward(
@@ -275,17 +222,15 @@ impl Model for SigmaModel {
         rng: &mut StdRng,
     ) -> Result<DenseMatrix> {
         // Eq. (4): decoupled embeddings of topology and attributes.
-        let h_a = self.mlp_a.forward_sparse(ctx.adjacency(), training, rng)?;
-        let h_x = self.mlp_x.forward(ctx.features(), training, rng)?;
-        let combined =
-            h_x.linear_combination(self.delta as f32, (1.0 - self.delta) as f32, &h_a)?;
-        let h = self.mlp_h.forward(&combined, training, rng)?;
-
-        // Eq. (5): one-shot global aggregation with the constant operator.
-        let z_hat = match Self::operator(self.aggregator, &self.local_operator, ctx)? {
-            Some(op) => timed_spmm(op, &h, &mut self.agg_time)?,
-            None => h.clone(),
+        let embedded = self.net.embed(ctx, training, rng)?;
+        let h = self.net.mlp_h.forward(&embedded, training, rng)?;
+        let Some(op) = self.operator(ctx)? else {
+            // Without aggregation Z = H: no Eq. (6) mix, which at α ≠ 0.5
+            // would not be bitwise H.
+            return Ok(h);
         };
+        // Eq. (5): one-shot global aggregation with the constant operator.
+        let z_hat = timed_spmm(op, &h, &mut self.agg_time)?;
         // Eq. (6): balance global aggregation against the raw embedding.
         let alpha = self.alpha() as f32;
         let z = z_hat.linear_combination(1.0 - alpha, alpha, &h)?;
@@ -294,58 +239,42 @@ impl Model for SigmaModel {
     }
 
     fn backward(&mut self, ctx: &GraphContext, grad_logits: &DenseMatrix) -> Result<()> {
-        let cache = self
-            .cache
-            .take()
-            .ok_or(sigma_nn::NnError::MissingForwardCache {
-                layer: "SigmaModel",
-            })?;
-        let alpha = self.alpha() as f32;
-
-        // Learnable α: dL/dα = Σ (H − Ẑ) ⊙ dZ, then through the sigmoid.
-        if self.alpha_raw.is_some() {
-            let mut diff = cache.h.clone();
-            diff.sub_assign(&cache.z_hat)?;
-            diff.hadamard_assign(grad_logits)?;
-            let d_alpha = diff.sum();
-            let sig_grad = alpha * (1.0 - alpha);
-            self.alpha_grad
-                .set(0, 0, self.alpha_grad.get(0, 0) + d_alpha * sig_grad);
-        }
-
-        // Z = (1−α)·Ẑ + α·H   ⇒   dẐ = (1−α)·dZ,  dH (direct path) = α·dZ.
-        let mut d_h = grad_logits.map(|v| v * alpha);
-        let d_zhat = grad_logits.map(|v| v * (1.0 - alpha));
-        match Self::operator(self.aggregator, &self.local_operator, ctx)? {
-            // Ẑ = S·H ⇒ dH += Sᵀ·dẐ.
-            Some(op) => d_h.add_assign(&timed_spmm_transpose(op, &d_zhat, &mut self.agg_time)?)?,
-            // Ẑ = H: the aggregation path contributes (1−α)·dZ directly.
-            None => d_h.add_assign(&d_zhat)?,
-        }
-
-        // Through MLP_H back to the combined embedding, then split by δ.
-        // `X` and `A` are constants: their MLPs have no input gradient.
-        let (d_x, d_a) = split_by_delta(self.mlp_h.backward(&d_h)?, self.delta);
-        self.mlp_x.backward_params(&d_x)?;
-        self.mlp_a.backward_params(&d_a)?;
-        Ok(())
+        let d_embedded = match self.operator(ctx)? {
+            // Z = H.
+            None => self.net.mlp_h.backward(grad_logits)?,
+            Some(s) => {
+                let missing = sigma_nn::NnError::MissingForwardCache {
+                    layer: "SigmaModel",
+                };
+                let Cache { h, z_hat } = self.cache.take().ok_or(missing)?;
+                let alpha = self.alpha() as f32;
+                // Learnable α: dL/dα = Σ (H − Ẑ) ⊙ dZ, then through the sigmoid.
+                if self.alpha_raw.is_some() {
+                    let mut diff = h;
+                    diff.sub_assign(&z_hat)?;
+                    diff.hadamard_assign(grad_logits)?;
+                    let d_alpha = diff.sum();
+                    let sig_grad = alpha * (1.0 - alpha);
+                    self.alpha_grad
+                        .set(0, 0, self.alpha_grad.get(0, 0) + d_alpha * sig_grad);
+                }
+                // Z = (1−α)·Ẑ + α·H, Ẑ = S·H  ⇒  dH = α·dZ + Sᵀ·(1−α)·dZ.
+                let mut d_h = grad_logits.map(|v| v * alpha);
+                let d_zhat = grad_logits.map(|v| v * (1.0 - alpha));
+                d_h.add_assign(&timed_spmm_transpose(s, &d_zhat, &mut self.agg_time)?)?;
+                self.net.mlp_h.backward(&d_h)?
+            }
+        };
+        self.net.backward_embed(d_embedded)
     }
 
     fn zero_grad(&mut self) {
-        self.mlp_a.zero_grad();
-        self.mlp_x.zero_grad();
-        self.mlp_h.zero_grad();
+        self.net.zero_grad();
         self.alpha_grad.fill_zero();
     }
 
     fn apply_gradients(&mut self, optimizer: &mut dyn Optimizer) -> Result<()> {
-        let mut key = 0;
-        self.mlp_a.apply_gradients(optimizer, key)?;
-        key += self.mlp_a.num_parameter_keys();
-        self.mlp_x.apply_gradients(optimizer, key)?;
-        key += self.mlp_x.num_parameter_keys();
-        self.mlp_h.apply_gradients(optimizer, key)?;
-        key += self.mlp_h.num_parameter_keys();
+        let key = self.net.apply_gradients(optimizer)?;
         if let Some(raw) = &mut self.alpha_raw {
             optimizer.update(key, raw, &self.alpha_grad)?;
         }
@@ -353,10 +282,7 @@ impl Model for SigmaModel {
     }
 
     fn num_parameters(&self) -> usize {
-        self.mlp_a.num_parameters()
-            + self.mlp_x.num_parameters()
-            + self.mlp_h.num_parameters()
-            + usize::from(self.alpha_raw.is_some())
+        self.net.num_parameters() + usize::from(self.alpha_raw.is_some())
     }
 
     fn take_aggregation_time(&mut self) -> Duration {
@@ -376,12 +302,7 @@ mod tests {
     fn forward_shape_for_every_aggregator() {
         let ctx = small_context();
         let mut rng = StdRng::seed_from_u64(0);
-        for aggregator in [
-            AggregatorKind::SimRank,
-            AggregatorKind::SimRankTimesA,
-            AggregatorKind::Ppr,
-            AggregatorKind::None,
-        ] {
+        for aggregator in [AggregatorKind::SimRank, AggregatorKind::None] {
             let mut model =
                 SigmaModel::with_aggregator(&ctx, &ModelHyperParams::small(), aggregator, &mut rng)
                     .unwrap();
@@ -461,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn sigma_learns_under_heterophily_and_beats_its_ablation() {
+    fn sigma_and_linkx_fit_their_training_split() {
         let ctx = small_context();
         let split = split_for(&ctx);
         let hyper = ModelHyperParams::small();
@@ -474,6 +395,32 @@ mod tests {
         );
         // Aggregation time was measured.
         assert!(full.take_aggregation_time() > Duration::ZERO);
+
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut linkx =
+            SigmaModel::with_aggregator(&ctx, &hyper, AggregatorKind::None, &mut rng).unwrap();
+        let (initial, final_acc) = train_briefly(&mut linkx, &ctx, &split, 80);
+        assert!(
+            final_acc > initial + 0.1 || final_acc > 0.85,
+            "LINKX failed to learn: {initial} -> {final_acc}"
+        );
+        assert_eq!(linkx.take_aggregation_time(), Duration::ZERO);
+    }
+
+    #[test]
+    fn delta_extremes_isolate_branches() {
+        // δ = 1 uses only features; δ = 0 uses only the adjacency embedding.
+        let ctx = small_context();
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut build = |delta| {
+            let hyper = ModelHyperParams::small().with_delta(delta);
+            SigmaModel::with_aggregator(&ctx, &hyper, AggregatorKind::None, &mut rng).unwrap()
+        };
+        let (mut only_x, mut only_a) = (build(1.0), build(0.0));
+        let lx = only_x.forward(&ctx, false, &mut rng).unwrap();
+        let la = only_a.forward(&ctx, false, &mut rng).unwrap();
+        assert!(lx.is_finite() && la.is_finite());
+        assert_ne!(lx, la);
     }
 
     #[test]
@@ -494,18 +441,6 @@ mod tests {
             "alpha did not move: {before} -> {after}"
         );
         assert!((0.0..=1.0).contains(&after));
-    }
-
-    #[test]
-    fn embeddings_are_exposed_for_visualisation() {
-        let ctx = small_context();
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut model = SigmaModel::new(&ctx, &ModelHyperParams::small(), &mut rng).unwrap();
-        assert!(model.last_embeddings().is_none());
-        let _ = model.forward(&ctx, false, &mut rng).unwrap();
-        let (h, z_hat) = model.last_embeddings().unwrap();
-        assert_eq!(h.rows(), ctx.num_nodes());
-        assert_eq!(z_hat.rows(), ctx.num_nodes());
     }
 
     #[test]
@@ -569,6 +504,27 @@ mod tests {
         let mut empty_stack = good;
         empty_stack.mlp_h.clear();
         assert!(SigmaModel::restore(&empty_stack).is_err());
+    }
+
+    #[test]
+    fn a_snapshot_without_aggregation_carries_no_operator() {
+        let ctx = small_context();
+        let hyper = ModelHyperParams::small().with_learnable_alpha(true);
+        let mut rng = StdRng::seed_from_u64(31);
+        let model =
+            SigmaModel::with_aggregator(&ctx, &hyper, AggregatorKind::None, &mut rng).unwrap();
+        assert_eq!(model.name(), "LINKX");
+        // No α parameter without aggregation, even when asked to learn one.
+        assert_eq!(model.num_parameters(), model.net.num_parameters());
+        let snapshot = model.snapshot(&ctx).unwrap();
+        assert!(snapshot.operator.is_none() && snapshot.alpha_raw.is_none());
+
+        // An operator beside `None` would be served aggregated but restored
+        // unaggregated: the record is inconsistent either way round.
+        let mut with_operator = snapshot;
+        with_operator.operator = Some(ctx.simrank().unwrap().clone());
+        assert!(with_operator.validate().is_err());
+        assert!(SigmaModel::restore(&with_operator).is_err());
     }
 
     #[test]

@@ -28,11 +28,12 @@ pub struct ModelSnapshot {
     /// Dropout probability the MLPs were trained with (inactive at serve
     /// time, but needed to restore a trainable model).
     pub dropout: f32,
-    /// Which constant operator the model aggregates with.
+    /// Whether the model aggregates (with `operator`).
     pub aggregator: AggregatorKind,
-    /// The resolved aggregation operator (`None` for
-    /// [`AggregatorKind::None`]). For [`AggregatorKind::SimRank`] this is the
-    /// top-k SimRank matrix `S`; restoring feeds it back through
+    /// The resolved aggregation operator: present for
+    /// [`AggregatorKind::SimRank`] (the context's `S`, or the ablation
+    /// operator it was built with), absent for [`AggregatorKind::None`].
+    /// Restoring feeds it back through
     /// [`crate::ContextBuilder::with_simrank_operator`] or the serve engine.
     pub operator: Option<CsrMatrix>,
     /// Weights of `MLP_A` (topology embedding; input dim = `n`).
@@ -81,9 +82,9 @@ impl ModelSnapshot {
             + usize::from(self.alpha_raw.is_some())
     }
 
-    /// Structural sanity checks: stacks non-empty, operator shape consistent
-    /// with the node count, `MLP_A`/`MLP_X` output widths equal (they are
-    /// combined by Eq. 4).
+    /// Structural sanity checks: stacks non-empty, `MLP_A`/`MLP_X` output
+    /// widths equal (they are combined by Eq. 4), and an `n × n` operator
+    /// present exactly when the model aggregates.
     pub fn validate(&self) -> crate::Result<()> {
         let fail = |reason: String| crate::SigmaError::InvalidHyperParameter {
             name: "snapshot",
@@ -132,6 +133,13 @@ impl ModelSnapshot {
                 "MLP_H input width {h_in} does not match embedding width {x_out}"
             )));
         }
+        if self.operator.is_some() != (self.aggregator == AggregatorKind::SimRank) {
+            return Err(fail(format!(
+                "aggregator {:?} does not match the snapshot's operator (shape {:?})",
+                self.aggregator,
+                self.operator.as_ref().map(CsrMatrix::shape)
+            )));
+        }
         if let Some(op) = &self.operator {
             let n = self.num_nodes();
             if op.shape() != (n, n) {
@@ -140,11 +148,6 @@ impl ModelSnapshot {
                     op.shape()
                 )));
             }
-        } else if self.aggregator != AggregatorKind::None {
-            return Err(fail(format!(
-                "aggregator {:?} requires an operator in the snapshot",
-                self.aggregator
-            )));
         }
         Ok(())
     }

@@ -1251,7 +1251,7 @@ fn serve_batch(core: &Core, lane: &Lane, nodes: &[usize]) -> Result<Vec<Predicti
     let mut cached = vec![false; nodes.len()];
     let mut misses: Vec<usize> = Vec::new();
     let mut miss_slots: Vec<usize> = Vec::new();
-    let (computed, h_rows, computed_epoch, alpha): (DenseMatrix, DenseMatrix, u64, f32) = {
+    let (computed, h_rows, computed_epoch, alpha): (DenseMatrix, DenseMatrix, u64, Option<f32>) = {
         let state = core.read_state();
         // Capture the generation while holding the state lock, pairing the
         // epoch with the matrices the rows are computed from.
@@ -1284,7 +1284,8 @@ fn serve_batch(core: &Core, lane: &Lane, nodes: &[usize]) -> Result<Vec<Predicti
             }
         };
         let h_rows = embeddings.select_rows(nodes)?;
-        (computed, h_rows, epoch, state.alpha)
+        let alpha = state.operator.as_ref().map(|_| state.alpha);
+        (computed, h_rows, epoch, alpha)
     };
     lane.stats
         .cache_hits
@@ -1308,15 +1309,16 @@ fn serve_batch(core: &Core, lane: &Lane, nodes: &[usize]) -> Result<Vec<Predicti
         lane.stats.cache_evictions.add(evicted as u64);
     }
 
-    // Eq. 6: Z_u = (1−α)·Ẑ_u + α·H_u, exactly as the training-side forward.
+    // Eq. 6: Z_u = (1−α)·Ẑ_u + α·H_u, exactly as the training-side forward;
+    // without an operator Z_u = Ẑ_u = H_u, unmixed, as in training.
     let stale = core.stale.lock().expect("stale lock poisoned");
     let mut out = Vec::with_capacity(nodes.len());
     for (slot, &node) in nodes.iter().enumerate() {
-        let z_hat_row = z_hat[slot].take().expect("every slot resolved");
-        let h_row = h_rows.row(slot);
-        let mut logits = Vec::with_capacity(classes);
-        for (z, &h) in z_hat_row.iter().zip(h_row.iter()) {
-            logits.push((1.0 - alpha) * z + alpha * h);
+        let mut logits = z_hat[slot].take().expect("every slot resolved");
+        if let Some(alpha) = alpha {
+            for (z, &h) in logits.iter_mut().zip(h_rows.row(slot)) {
+                *z = (1.0 - alpha) * *z + alpha * h;
+            }
         }
         let label = logits
             .iter()

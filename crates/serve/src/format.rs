@@ -330,11 +330,12 @@ pub(crate) fn encode_f32s(vals: &[f32]) -> Vec<u8> {
     buf
 }
 
+/// Tags 1 and 2 once named the model's own `S·A` and PPR operators; an
+/// ablation operator is now an ordinary `SimRank` operator, so they decode as
+/// unknown.
 fn encode_aggregator(kind: AggregatorKind) -> u32 {
     match kind {
         AggregatorKind::SimRank => 0,
-        AggregatorKind::SimRankTimesA => 1,
-        AggregatorKind::Ppr => 2,
         AggregatorKind::None => 3,
     }
 }
@@ -342,8 +343,6 @@ fn encode_aggregator(kind: AggregatorKind) -> u32 {
 fn decode_aggregator(tag: u32) -> Result<AggregatorKind> {
     Ok(match tag {
         0 => AggregatorKind::SimRank,
-        1 => AggregatorKind::SimRankTimesA,
-        2 => AggregatorKind::Ppr,
         3 => AggregatorKind::None,
         t => {
             return Err(ServeError::Corrupt {

@@ -63,12 +63,11 @@ pub fn compute_embeddings_rows(
     adjacency: &CsrMatrix,
     rows: &[usize],
 ) -> Result<DenseMatrix> {
-    let adj_rows = adjacency.gather_rows(rows)?;
-    let feat_rows = features.select_rows(rows)?;
-    let h_a = mlp_infer_sparse(&model.mlp_a, &adj_rows)?;
-    let h_x = mlp_infer_dense(&model.mlp_x, &feat_rows)?;
-    let combined = h_x.linear_combination(model.delta as f32, (1.0 - model.delta) as f32, &h_a)?;
-    mlp_infer_dense(&model.mlp_h, &combined)
+    compute_embeddings(
+        model,
+        &features.select_rows(rows)?,
+        &adjacency.gather_rows(rows)?,
+    )
 }
 
 #[cfg(test)]

@@ -372,6 +372,37 @@ fn out_of_range_column_index_is_rejected_at_verify() {
 }
 
 #[test]
+fn retired_aggregator_tags_are_refused_as_corrupt() {
+    // Tags 1 and 2 named the model's own `S·A` and PPR operators. An
+    // ablation operator is now an ordinary operator under tag 0, so a MODEL
+    // blob still carrying either is refused by every decoder, not served.
+    for tag in [1u32, 2] {
+        let mut image = image();
+        let offset = entry_offset(&image, b"MODEL   ");
+        let len = entry_len(&image, b"MODEL   ");
+        // δ and α (f64 each), the α_raw tag (u32, then an f32 if it is 1),
+        // dropout (f32), then the aggregator tag.
+        let raw_tag = u32::from_le_bytes(image[offset + 16..offset + 20].try_into().unwrap());
+        let at = offset + 24 + 4 * raw_tag as usize;
+        image[at..at + 4].copy_from_slice(&tag.to_le_bytes());
+        let crc = crc32(&image[offset..offset + len]);
+        let p = entry_pos(&image, b"MODEL   ");
+        image[p + 24..p + 28].copy_from_slice(&crc.to_le_bytes());
+
+        let snap = Arc::new(MappedSnapshot::from_bytes(&image).unwrap());
+        snap.verify().unwrap();
+        let corrupt = |result: Result<(), ServeError>| matches!(result, Err(ServeError::Corrupt { reason }) if reason.contains("aggregator tag"));
+        assert!(corrupt(snap.model().map(drop)), "tag {tag}: model()");
+        assert!(corrupt(
+            ServeSnapshot::read_from(&mut image.as_slice()).map(drop)
+        ));
+        assert!(corrupt(
+            InferenceEngine::from_mapped(snap, EngineConfig::default()).map(drop)
+        ));
+    }
+}
+
+#[test]
 fn file_truncated_under_a_live_mapping_is_refused_not_faulted() {
     // Pages past a shrunken end of file raise SIGBUS when touched, so the
     // content pass must notice the new length before it reads anything.

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sigma::{ContextBuilder, Model, ModelHyperParams, SigmaModel, TrainConfig, Trainer};
+use sigma::{
+    AggregatorKind, ContextBuilder, Model, ModelHyperParams, SigmaModel, TrainConfig, Trainer,
+};
 use sigma_datasets::{generate, GeneratorConfig};
 use sigma_matrix::DenseMatrix;
 use sigma_serve::{
@@ -123,6 +125,42 @@ fn served_logits_match_full_graph_forward_after_disk_round_trip() {
         correct as f64 / n as f64 > 1.0 / 3.0,
         "served accuracy at chance level: {correct}/{n}"
     );
+}
+
+#[test]
+fn an_operatorless_engine_serves_the_restored_model_bitwise() {
+    // "SIGMA w/o S" (LINKX) at α = 0.3: Z = H, so neither side may apply
+    // the Eq. 6 mix, which is not bitwise H away from α = 0.5.
+    let cfg = GeneratorConfig::new(90, 6.0, 3, 10).with_homophily(0.2);
+    let data = generate(&cfg, 17).unwrap();
+    let split = data.default_split(17).unwrap();
+    let (features, adjacency) = (data.features.clone(), data.graph.to_adjacency());
+    let ctx = ContextBuilder::new(data).build().unwrap();
+    let hyper = ModelHyperParams::small().with_alpha(0.3);
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut model =
+        SigmaModel::with_aggregator(&ctx, &hyper, AggregatorKind::None, &mut rng).unwrap();
+    Trainer::new(TrainConfig {
+        epochs: 10,
+        patience: 0,
+        ..TrainConfig::default()
+    })
+    .train(&mut model as &mut dyn Model, &ctx, &split, 17)
+    .unwrap();
+
+    let snapshot =
+        ServeSnapshot::new("linkx", model.snapshot(&ctx).unwrap(), features, adjacency).unwrap();
+    let mut restored = SigmaModel::restore(&snapshot.model).unwrap();
+    let expected = restored
+        .forward(&ctx, false, &mut StdRng::seed_from_u64(0))
+        .unwrap();
+    let engine = InferenceEngine::new(&snapshot, EngineConfig::default()).unwrap();
+    assert!(engine.operator().is_none());
+    let n = snapshot.num_nodes();
+    let expected_bits: Vec<Vec<u32>> = (0..n)
+        .map(|u| expected.row(u).iter().map(|v| v.to_bits()).collect())
+        .collect();
+    assert_eq!(engine_logit_bits(&engine, n), expected_bits);
 }
 
 #[test]
@@ -476,7 +514,7 @@ proptest! {
         let ServingFixture { mut snapshot, .. } = serving_fixture(&graph, top_k, seed);
         if strip_operator {
             // An operator-less snapshot is only valid for the
-            // aggregator-free model variant (Z = H blended with itself).
+            // aggregator-free model variant (Z = H).
             snapshot.model.operator = None;
             snapshot.model.aggregator = sigma::AggregatorKind::None;
         }

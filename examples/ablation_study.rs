@@ -5,9 +5,12 @@
 //! * full SIGMA (global SimRank aggregation),
 //! * SIGMA w/ S·A (aggregation restricted to immediate neighbours),
 //! * SIGMA w/ PPR (local single-walk aggregation),
-//! * SIGMA w/o S (no aggregation at all — the LINKX-style embedding alone),
+//! * SIGMA w/o S (no aggregation at all — exactly LINKX),
 //!
-//! plus the δ extremes (w/o X and w/o A).
+//! plus the δ extremes (w/o X and w/o A). SIGMA aggregates with whatever
+//! operator its context holds, so the `S·A` and PPR rows are full SIGMA on a
+//! context built with that operator in `S`'s place
+//! (`ContextBuilder::with_simrank_operator`).
 //!
 //! Run with:
 //! ```sh
@@ -20,19 +23,32 @@ use sigma::{
     AggregatorKind, ContextBuilder, Model, ModelHyperParams, SigmaModel, TrainConfig, Trainer,
 };
 use sigma_datasets::DatasetPreset;
-use sigma_simrank::PprConfig;
+use sigma_simrank::{topk_ppr_matrix, PprConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = DatasetPreset::Chameleon.build(1.0, 5)?;
     println!("dataset: {}", data.summary());
     let split = data.default_split(5)?;
-    let ctx = ContextBuilder::new(data)
-        .with_simrank_topk(16)
-        .with_ppr(PprConfig {
+    let ppr = topk_ppr_matrix(
+        &data.graph,
+        &PprConfig {
             top_k: Some(16),
             ..PprConfig::default()
-        })
+        },
+    )?;
+    let ctx = ContextBuilder::new(data.clone())
+        .with_simrank_topk(16)
         .build()?;
+    // S·A restricted to immediate neighbours, row-normalised so the
+    // aggregation magnitude stays comparable to S.
+    let mut s_times_a = ctx.require_simrank("SIGMA")?.spgemm(ctx.row_adj())?;
+    s_times_a.row_normalize();
+    let with_operator = |operator| {
+        ContextBuilder::new(data.clone())
+            .with_simrank_operator(operator)
+            .build()
+    };
+    let (sa_ctx, ppr_ctx) = (with_operator(s_times_a)?, with_operator(ppr)?);
 
     let trainer = Trainer::new(TrainConfig {
         epochs: 150,
@@ -41,18 +57,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let base = ModelHyperParams::small();
 
-    let variants: Vec<(&str, ModelHyperParams, AggregatorKind)> = vec![
-        ("SIGMA (full)", base, AggregatorKind::SimRank),
-        ("SIGMA w/ S*A", base, AggregatorKind::SimRankTimesA),
-        ("SIGMA w/ PPR", base, AggregatorKind::Ppr),
-        ("SIGMA w/o S", base, AggregatorKind::None),
+    let variants = [
+        ("SIGMA (full)", &ctx, base, AggregatorKind::SimRank),
+        ("SIGMA w/ S*A", &sa_ctx, base, AggregatorKind::SimRank),
+        ("SIGMA w/ PPR", &ppr_ctx, base, AggregatorKind::SimRank),
+        ("SIGMA w/o S", &ctx, base, AggregatorKind::None),
         (
             "SIGMA w/o X (delta=0)",
+            &ctx,
             base.with_delta(0.0),
             AggregatorKind::SimRank,
         ),
         (
             "SIGMA w/o A (delta=1)",
+            &ctx,
             base.with_delta(1.0),
             AggregatorKind::SimRank,
         ),
@@ -60,10 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n{:<24}  {:>9}  {:>9}", "variant", "val acc", "test acc");
     let mut full_test = 0.0f32;
-    for (name, hyper, aggregator) in variants {
+    for (name, ctx, hyper, aggregator) in variants {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut model = SigmaModel::with_aggregator(&ctx, &hyper, aggregator, &mut rng)?;
-        let report = trainer.train(&mut model as &mut dyn Model, &ctx, &split, 5)?;
+        let mut model = SigmaModel::with_aggregator(ctx, &hyper, aggregator, &mut rng)?;
+        let report = trainer.train(&mut model as &mut dyn Model, ctx, &split, 5)?;
         if name == "SIGMA (full)" {
             full_test = report.test_accuracy;
         }

@@ -167,9 +167,11 @@ fn sigma_aggregation_time_is_smaller_than_glognn() {
 
 #[test]
 fn ablation_variants_all_train_and_expose_their_aggregator() {
+    // The S·A and PPR ablations are full SIGMA on a context holding that
+    // operator in S's place.
     let data = DatasetPreset::ArxivYear.build(0.4, 6).unwrap();
     let split = data.default_split(6).unwrap();
-    let ctx = ContextBuilder::new(data)
+    let ctx = ContextBuilder::new(data.clone())
         .with_simrank_topk(8)
         .with_ppr(PprConfig {
             top_k: Some(8),
@@ -177,28 +179,42 @@ fn ablation_variants_all_train_and_expose_their_aggregator() {
         })
         .build()
         .unwrap();
+    let mut s_times_a = ctx.simrank().unwrap().spgemm(ctx.row_adj()).unwrap();
+    s_times_a.row_normalize();
+    let with_operator = |operator| {
+        ContextBuilder::new(data.clone())
+            .with_simrank_operator(operator)
+            .build()
+            .unwrap()
+    };
+    let (sa_ctx, ppr_ctx) = (
+        with_operator(s_times_a),
+        with_operator(ctx.ppr().unwrap().clone()),
+    );
     let trainer = Trainer::new(TrainConfig {
         epochs: 5,
         patience: 0,
         ..TrainConfig::default()
     });
-    for aggregator in [
-        AggregatorKind::SimRank,
-        AggregatorKind::SimRankTimesA,
-        AggregatorKind::Ppr,
-        AggregatorKind::None,
+    for (name, ctx, aggregator) in [
+        ("S", &ctx, AggregatorKind::SimRank),
+        ("S·A", &sa_ctx, AggregatorKind::SimRank),
+        ("PPR", &ppr_ctx, AggregatorKind::SimRank),
+        ("w/o S", &ctx, AggregatorKind::None),
     ] {
         let mut rng = StdRng::seed_from_u64(6);
         let mut model =
-            SigmaModel::with_aggregator(&ctx, &ModelHyperParams::small(), aggregator, &mut rng)
+            SigmaModel::with_aggregator(ctx, &ModelHyperParams::small(), aggregator, &mut rng)
                 .unwrap();
         assert_eq!(model.aggregator(), aggregator);
         let report = trainer
-            .train(&mut model as &mut dyn Model, &ctx, &split, 6)
+            .train(&mut model as &mut dyn Model, ctx, &split, 6)
             .unwrap();
-        assert!(
-            report.final_train_loss.is_finite(),
-            "{aggregator:?} diverged"
+        assert!(report.final_train_loss.is_finite(), "{name} diverged");
+        assert_eq!(
+            report.aggregation_time.is_zero(),
+            aggregator == AggregatorKind::None,
+            "{name}"
         );
     }
 }
