@@ -38,13 +38,13 @@
 //!   input gradients of `MLP_A(A)` and `MLP_X(X)`, the copies of `A`, `X`
 //!   and `S`) timed alone at the same shapes, so an epoch regression can be
 //!   attributed below the function before anyone sizes a kernel rewrite;
-//! * **LocalPush to the operator by stage** (`localpush_operator`): on the
-//!   same graph with the `learn_pokec` SimRank settings (top-16), at one
-//!   pool thread, `LocalPush::run_to_operator` beside its three stages —
-//!   the push rounds (pull) and the residual sweep (merge and relative
-//!   prune) read off the solver's own `sigma_localpush_{pull,finish}_ns`
-//!   histograms around a `run`, the top-k selection timed around that
-//!   run's `to_csr` — with the two operators asserted equal;
+//! * **LocalPush to the operator** (`localpush_operator`): on the same
+//!   graph with the `learn_pokec` SimRank settings (top-16), at one pool
+//!   thread, `LocalPush::run_to_operator` and its rounds — which pull,
+//!   finish and top-k select each row in one task — read off the solver's
+//!   `sigma_localpush_pull_ns` histogram, beside the size of the score
+//!   matrix it never holds, with the operator asserted equal to `run()` +
+//!   `to_csr`;
 //! * **bit-parity**: every optimised kernel result is asserted bitwise
 //!   identical to its scalar reference, at every thread count, every
 //!   repaired operator to a fresh `run_to_operator` on its graph (and its
@@ -518,62 +518,57 @@ fn dropped_rows(ctx: &GraphContext, reps: usize) -> Vec<DroppedRow> {
     ]
 }
 
-/// `LocalPush::run_to_operator` on one graph, and the stages it is made of.
+/// `LocalPush::run_to_operator` on one graph: its rounds, which pull, finish
+/// and top-k select every row, and the scores it never holds.
 struct LocalPushRow {
     nodes: usize,
+    /// Entries of `run()`'s score matrix, which an operator build does not
+    /// materialise.
     scores_nnz: usize,
     operator_nnz: usize,
-    /// Push rounds, residual sweep, top-k selection.
-    stages: [Timing; 3],
+    /// The rounds, read off the solver's `sigma_localpush_pull_ns`.
+    rounds: Timing,
     operator: Timing,
 }
 
-const LOCALPUSH_STAGES: [&str; 3] = ["pull", "sweep", "select"];
-
-/// Nanoseconds recorded so far by the coupled solver's two stage
-/// histograms (zero with the `obs` feature off).
-fn localpush_stage_ns() -> [u64; 2] {
-    let snapshot = sigma_obs::snapshot();
-    ["pull", "finish"].map(
-        |stage| match snapshot.get(&format!("sigma_localpush_{stage}_ns")) {
-            Some(MetricValue::Histogram(h)) => h.sum,
-            _ => 0,
-        },
-    )
+/// Nanoseconds recorded so far by the solver's round histogram (zero with
+/// the `obs` feature off).
+fn localpush_rounds_ns() -> u64 {
+    match sigma_obs::snapshot().get("sigma_localpush_pull_ns") {
+        Some(MetricValue::Histogram(h)) => h.sum,
+        _ => 0,
+    }
 }
 
-/// Times `reps` calls of `run_to_operator`, each followed by a `run` +
-/// `to_csr` split into stages (after [`WARM_UP_RUNS`] discarded pairs), and
-/// asserts the two operators equal. Alternating the two keeps a slow spell
-/// of a shared host from landing on one side only.
+/// Times `reps` calls of `run_to_operator` and their rounds (after
+/// [`WARM_UP_RUNS`] discarded ones), each asserted equal to `run()` +
+/// `to_csr` on the same graph.
 fn localpush_operator_row(graph: &Graph, config: SimRankConfig, reps: usize) -> LocalPushRow {
-    let mut operator_ms = Vec::new();
-    let mut stage_ms: [Vec<f64>; 3] = Default::default();
+    let (mut operator_ms, mut rounds_ms) = (Vec::new(), Vec::new());
     let (mut scores_nnz, mut operator_nnz) = (0, 0);
     for rep in 0..WARM_UP_RUNS + reps {
+        let before = localpush_rounds_ns();
         let start = Instant::now();
         let operator = LocalPush::new(graph, config).unwrap().run_to_operator();
         let fused_ms = start.elapsed().as_secs_f64() * 1e3;
-        let before = localpush_stage_ns();
+        let rounds = (localpush_rounds_ns() - before) as f64 / 1e6;
         let scores = LocalPush::new(graph, config).unwrap().run();
-        let after = localpush_stage_ns();
-        let start = Instant::now();
-        let staged = scores.to_csr(config.top_k);
-        let select_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(staged, operator, "localpush_operator PARITY MISMATCH");
+        assert_eq!(
+            scores.to_csr(config.top_k),
+            operator,
+            "localpush_operator PARITY MISMATCH"
+        );
         (scores_nnz, operator_nnz) = (scores.nnz(), operator.nnz());
         if rep >= WARM_UP_RUNS {
             operator_ms.push(fused_ms);
-            stage_ms[0].push((after[0] - before[0]) as f64 / 1e6);
-            stage_ms[1].push((after[1] - before[1]) as f64 / 1e6);
-            stage_ms[2].push(select_ms);
+            rounds_ms.push(rounds);
         }
     }
     LocalPushRow {
         nodes: graph.num_nodes(),
         scores_nnz,
         operator_nnz,
-        stages: stage_ms.map(Timing::of),
+        rounds: Timing::of(rounds_ms),
         operator: Timing::of(operator_ms),
     }
 }
@@ -859,30 +854,23 @@ fn main() {
     let push_cfg = SimRankConfig::new(0.6, 0.1, Some(16)).expect("valid config");
     let push_row = localpush_operator_row(&push_data.graph, push_cfg, train_reps);
     sigma_parallel::set_global_threads(0);
-    let mut push_table = TablePrinter::new(
-        LOCALPUSH_STAGES
-            .into_iter()
-            .chain(["stages summed", "run_to_operator (ms, min-max)", "parity"])
-            .collect(),
-    );
-    let mut cells: Vec<String> = push_row
-        .stages
-        .iter()
-        .map(|t| format!("{:.2}", t.median))
-        .collect();
-    cells.push(format!(
-        "{:.2}",
-        push_row.stages.iter().map(|t| t.median).sum::<f64>()
-    ));
-    cells.push(format!(
-        "{:.2} ({:.2}-{:.2})",
-        push_row.operator.median, push_row.operator.min, push_row.operator.max
-    ));
-    cells.push("ok".to_string());
-    push_table.add_row(cells);
+    let mut push_table = TablePrinter::new(vec![
+        "rounds: pull, finish, select",
+        "run_to_operator (ms, min-max)",
+        "parity",
+    ]);
+    push_table.add_row(vec![
+        format!("{:.2}", push_row.rounds.median),
+        format!(
+            "{:.2} ({:.2}-{:.2})",
+            push_row.operator.median, push_row.operator.min, push_row.operator.max
+        ),
+        "ok".to_string(),
+    ]);
     push_table.print(&format!(
-        "LocalPush to the top-16 operator by stage ({} nodes, {} scores, {} operator entries, ms, 1 thread)",
-        push_row.nodes, push_row.scores_nnz, push_row.operator_nnz
+        "LocalPush to the top-16 operator ({} nodes, {} operator entries; the {} scores of \
+         run() are never held, ms, 1 thread)",
+        push_row.nodes, push_row.operator_nnz, push_row.scores_nnz
     ));
 
     println!("all parity assertions passed: optimised kernels are bitwise-identical to their");
@@ -942,9 +930,11 @@ fn emit_json(
          and operator at one pool thread, in Trainer::train's order, and each train_step_dropped \
          row times alone, at the same shapes, work a step computed and discarded before leaf \
          layers had a parameter-only backward; localpush_operator times LocalPush::run_to_operator \
-         on the learn_pokec graph and SimRank settings at one pool thread beside its stages (pull \
-         and sweep from the solver's sigma_localpush_pull_ns / _finish_ns histograms around a run, \
-         select around that run's to_csr), the two operators asserted equal\",\n",
+         on the learn_pokec graph and SimRank settings at one pool thread, and its rounds (which \
+         pull, finish and top-k select every row) from the solver's sigma_localpush_pull_ns \
+         histogram around the same call; scores_nnz counts the entries of run()'s score matrix, \
+         which the operator build never holds; the operator is asserted equal to run() + \
+         to_csr\",\n",
     );
     out.push_str(&format!(
         "  \"spmm_graph\": {{\"nodes\": {nodes}, \"nnz\": {nnz}, \"max_row_nnz\": {max_row_nnz}}},\n"
@@ -1062,18 +1052,14 @@ fn emit_json(
         ));
     }
     out.push_str("  ],\n");
-    let stages: String = LOCALPUSH_STAGES
-        .iter()
-        .zip(&push.stages)
-        .map(|(name, timing)| format!("\"{name}_ms\": {:.3}, ", timing.median))
-        .collect();
     out.push_str(&format!(
         "  \"localpush_operator\": {{\"nodes\": {}, \"scores_nnz\": {}, \"operator_nnz\": {}, \
-         {stages}\"run_to_operator_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}, \
-         \"samples\": {}, \"parity\": \"ok\"}}\n}}\n",
+         \"rounds_ms\": {:.3}, \"run_to_operator_ms\": {:.3}, \"min_ms\": {:.3}, \
+         \"max_ms\": {:.3}, \"samples\": {}, \"parity\": \"ok\"}}\n}}\n",
         push.nodes,
         push.scores_nnz,
         push.operator_nnz,
+        push.rounds.median,
         push.operator.median,
         push.operator.min,
         push.operator.max,

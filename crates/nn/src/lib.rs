@@ -62,7 +62,7 @@ pub use init::{he_uniform, xavier_uniform};
 pub use linear::Linear;
 pub use loss::{accuracy, softmax_cross_entropy_masked};
 pub use metrics::{macro_f1, ConfusionMatrix};
-pub use mlp::{Mlp, MlpConfig};
+pub use mlp::{infer_parts, Mlp, MlpConfig};
 pub use optim::{Adam, Optimizer, Sgd};
 
 /// Crate-wide result alias.

@@ -134,16 +134,12 @@ impl Linear {
 
     /// Forward pass without caching (inference only).
     pub fn forward_inference(&self, input: &DenseMatrix) -> Result<DenseMatrix> {
-        let mut out = input.matmul(&self.weight)?;
-        self.add_bias(&mut out);
-        Ok(out)
+        with_bias(input.matmul(&self.weight)?, &self.bias)
     }
 
     /// Sparse-input forward pass without caching (inference only).
     pub(crate) fn forward_inference_sparse(&self, input: &CsrMatrix) -> Result<DenseMatrix> {
-        let mut out = input.spmm(&self.weight)?;
-        self.add_bias(&mut out);
-        Ok(out)
+        with_bias(input.spmm(&self.weight)?, &self.bias)
     }
 
     /// Parameter half of the backward pass: accumulates `dW = Xᵀ·dY` and
@@ -205,29 +201,39 @@ impl Linear {
     pub fn grad_norm(&self) -> f32 {
         (self.grad_weight.frobenius_norm().powi(2) + self.grad_bias.frobenius_norm().powi(2)).sqrt()
     }
+}
 
-    fn add_bias(&self, out: &mut DenseMatrix) {
-        let bias = self.bias.row(0);
-        let width = out.cols();
-        if width == 0 {
-            return;
+/// `out` plus the `1 × out.cols()` row `bias` on every row: how every
+/// forward pass ends, with the parameters borrowed. Row-partitioned on the
+/// pool, each output row touched by exactly one thread, so the result
+/// matches the serial loop bitwise.
+pub(crate) fn with_bias(mut out: DenseMatrix, bias: &DenseMatrix) -> Result<DenseMatrix> {
+    if bias.rows() != 1 || bias.cols() != out.cols() {
+        return Err(sigma_matrix::MatrixError::DimensionMismatch {
+            op: "bias",
+            lhs: out.shape(),
+            rhs: bias.shape(),
         }
-        // Row-partitioned broadcast: each output row is touched by exactly
-        // one thread, so the result matches the serial loop bitwise.
-        let broadcast = |_first_row: usize, block: &mut [f32]| {
-            for row in block.chunks_exact_mut(width) {
-                for (v, b) in row.iter_mut().zip(bias.iter()) {
-                    *v += b;
-                }
-            }
-        };
-        let pool = ThreadPool::global();
-        if pool.should_parallelize(out.rows().saturating_mul(width)) {
-            pool.par_row_blocks_mut(out.as_mut_slice(), width, broadcast);
-        } else {
-            broadcast(0, out.as_mut_slice());
-        }
+        .into());
     }
+    let (bias, width) = (bias.row(0), out.cols());
+    if width == 0 {
+        return Ok(out);
+    }
+    let broadcast = |_first_row: usize, block: &mut [f32]| {
+        for row in block.chunks_exact_mut(width) {
+            for (v, b) in row.iter_mut().zip(bias.iter()) {
+                *v += b;
+            }
+        }
+    };
+    let pool = ThreadPool::global();
+    if pool.should_parallelize(out.rows().saturating_mul(width)) {
+        pool.par_row_blocks_mut(out.as_mut_slice(), width, broadcast);
+    } else {
+        broadcast(0, out.as_mut_slice());
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

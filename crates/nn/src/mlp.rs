@@ -5,8 +5,10 @@
 //! [`Mlp`] implements the shared structure with manual backpropagation: a
 //! training forward pass caches every layer's input, hidden pre-activation
 //! and dropout mask, and a backward pass replays them in reverse. An
-//! evaluation pass ([`Mlp::infer`]) caches nothing.
+//! evaluation pass ([`Mlp::infer`]) caches nothing; [`infer_parts`] runs the
+//! same pass over borrowed, exported weights.
 
+use crate::linear::with_bias;
 use crate::{
     dropout_forward, relu_backward, relu_forward, DropoutMask, Linear, NnError, Optimizer, Result,
 };
@@ -235,11 +237,8 @@ impl Mlp {
     }
 
     fn infer_rest(&self, first: DenseMatrix) -> Result<DenseMatrix> {
-        let mut current = first;
-        for layer in &self.layers[1..] {
-            current = layer.forward_inference(&relu_forward(&current))?;
-        }
-        Ok(current)
+        let rest = self.layers[1..].iter();
+        infer_rest(first, rest.map(|layer| (layer.weight(), layer.bias())))
     }
 
     /// Backward pass. Accumulates parameter gradients in every layer and
@@ -303,6 +302,37 @@ impl Mlp {
     pub fn grad_norm(&self) -> f32 {
         self.layers.iter().map(Linear::grad_norm).sum()
     }
+}
+
+/// Evaluation pass of an MLP held as borrowed `(weight, bias)` layers, the
+/// form [`Mlp::export_weights`] exports: bit for bit [`Mlp::infer`] (or
+/// [`Mlp::infer_sparse`]) of [`Mlp::from_layers`] over the same layers, with
+/// no weight copied. `product(w)` is the input times the first layer's
+/// weight, `X·W` or `A·W`. Errors on an empty stack, a bias that is not a
+/// `1 × out` row, or layers that do not chain.
+pub fn infer_parts(
+    layers: &[(DenseMatrix, DenseMatrix)],
+    product: impl FnOnce(&DenseMatrix) -> sigma_matrix::Result<DenseMatrix>,
+) -> Result<DenseMatrix> {
+    let empty = NnError::InvalidHyperParameter {
+        name: "num_layers",
+        value: 0.0,
+    };
+    let ((weight, bias), rest) = layers.split_first().ok_or(empty)?;
+    infer_rest(
+        with_bias(product(weight)?, bias)?,
+        rest.iter().map(|(w, b)| (w, b)),
+    )
+}
+
+/// The layers after the first: ReLU, then `X·W + b`, for each.
+fn infer_rest<'a>(
+    first: DenseMatrix,
+    mut rest: impl Iterator<Item = (&'a DenseMatrix, &'a DenseMatrix)>,
+) -> Result<DenseMatrix> {
+    rest.try_fold(first, |current, (weight, bias)| {
+        with_bias(relu_forward(&current).matmul(weight)?, bias)
+    })
 }
 
 #[cfg(test)]
@@ -527,7 +557,12 @@ mod tests {
                 bits(&mlp.forward_sparse(&a, false, &mut rng).unwrap()),
                 sparse
             );
+            // The same pass over the exported, borrowed weights.
+            let parts = mlp.export_weights();
+            assert_eq!(bits(&infer_parts(&parts, |w| x.matmul(w)).unwrap()), dense);
+            assert_eq!(bits(&infer_parts(&parts, |w| a.spmm(w)).unwrap()), sparse);
         }
+        assert!(infer_parts(&[], |w| x.matmul(w)).is_err());
     }
 
     #[test]

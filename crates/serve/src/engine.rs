@@ -43,6 +43,7 @@ use crate::mmap::MappedSnapshot;
 use crate::snapshot::ServeSnapshot;
 use crate::store::{CsrSection, CsrStore, DenseSection, DenseStore, ModelRef};
 use crate::{Result, ServeError};
+use sigma::AggregatorKind;
 use sigma_matrix::{CsrMatrix, CsrView, DenseMatrix};
 use sigma_obs::Stopwatch;
 use sigma_parallel::ThreadPool;
@@ -496,6 +497,7 @@ fn owned_state(snapshot: &ServeSnapshot) -> Result<ServingState> {
 /// Serving state borrowing a verified mapping.
 fn mapped_state(snap: Arc<MappedSnapshot>) -> Result<ServingState> {
     snap.verify()?;
+    let aggregates = snap.aggregator()? == AggregatorKind::SimRank;
     let embeddings = if snap.has_embeddings() {
         DenseStore::Mapped {
             snap: snap.clone(),
@@ -516,7 +518,7 @@ fn mapped_state(snap: Arc<MappedSnapshot>) -> Result<ServingState> {
             snap: snap.clone(),
             section: CsrSection::Adjacency,
         },
-        operator: snap.has_operator().then(|| {
+        operator: aggregates.then(|| {
             OperatorState::new(CsrStore::Mapped {
                 snap: snap.clone(),
                 section: CsrSection::Operator,

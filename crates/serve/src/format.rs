@@ -340,7 +340,7 @@ fn encode_aggregator(kind: AggregatorKind) -> u32 {
     }
 }
 
-fn decode_aggregator(tag: u32) -> Result<AggregatorKind> {
+pub(crate) fn decode_aggregator(tag: u32) -> Result<AggregatorKind> {
     Ok(match tag {
         0 => AggregatorKind::SimRank,
         3 => AggregatorKind::None,
@@ -401,10 +401,18 @@ pub(crate) fn encode_model_blob(model: &ModelSnapshot) -> Result<Vec<u8>> {
     Ok(w)
 }
 
-/// Decodes a `MODEL` blob. The returned snapshot has `operator: None`; the
-/// caller re-attaches it from the `OP_*` sections.
-pub(crate) fn decode_model_blob(mut bytes: &[u8]) -> Result<ModelSnapshot> {
-    let r = &mut bytes;
+/// The fixed-width head of a `MODEL` blob: every scalar before the weight
+/// stacks, the aggregator tag undecoded.
+pub(crate) struct ModelHeader {
+    delta: f64,
+    alpha: f64,
+    alpha_raw: Option<f32>,
+    dropout: f32,
+    pub aggregator_tag: u32,
+}
+
+/// Reads a `MODEL` blob's [`ModelHeader`], leaving `r` at its operator slot.
+pub(crate) fn decode_model_header(r: &mut &[u8]) -> Result<ModelHeader> {
     let delta = codec::read_f64(r)?;
     let alpha = codec::read_f64(r)?;
     let alpha_raw = match codec::read_u32(r)? {
@@ -416,8 +424,21 @@ pub(crate) fn decode_model_blob(mut bytes: &[u8]) -> Result<ModelSnapshot> {
             })
         }
     };
-    let dropout = codec::read_f32(r)?;
-    let aggregator = decode_aggregator(codec::read_u32(r)?)?;
+    Ok(ModelHeader {
+        delta,
+        alpha,
+        alpha_raw,
+        dropout: codec::read_f32(r)?,
+        aggregator_tag: codec::read_u32(r)?,
+    })
+}
+
+/// Decodes a `MODEL` blob. The returned snapshot has `operator: None`; the
+/// caller re-attaches it from the `OP_*` sections.
+pub(crate) fn decode_model_blob(mut bytes: &[u8]) -> Result<ModelSnapshot> {
+    let r = &mut bytes;
+    let header = decode_model_header(r)?;
+    let aggregator = decode_aggregator(header.aggregator_tag)?;
     if codec::read_u32(r)? != 0 {
         return Err(ServeError::Corrupt {
             reason: "MODEL blob carries an inline operator; it belongs in the OP_* sections".into(),
@@ -427,10 +448,10 @@ pub(crate) fn decode_model_blob(mut bytes: &[u8]) -> Result<ModelSnapshot> {
     let mlp_x = read_mlp(r)?;
     let mlp_h = read_mlp(r)?;
     Ok(ModelSnapshot {
-        delta,
-        alpha,
-        alpha_raw,
-        dropout,
+        delta: header.delta,
+        alpha: header.alpha,
+        alpha_raw: header.alpha_raw,
+        dropout: header.dropout,
         aggregator,
         operator: None,
         mlp_a,

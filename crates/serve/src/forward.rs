@@ -1,38 +1,28 @@
 //! Eval-mode forward passes from exported weights.
 //!
-//! The serve-side encoder rebuilds real [`sigma_nn::Mlp`] stacks from the
-//! snapshot's weights via [`sigma_nn::Mlp::from_layers`] and runs
-//! [`sigma_nn::Mlp::infer`] — the pass the trainer's evaluation forward is —
-//! so the resulting embeddings are identical to the training-side eval
-//! forward *by construction*: the same layer code executes, not a
-//! re-implementation of it, and it copies neither its input nor any
-//! activation. `Linear::from_parts` validates every layer's weight/bias
-//! shapes on the way in.
+//! The serve-side encoder runs the snapshot's borrowed `(weight, bias)`
+//! stacks through [`sigma_nn::infer_parts`], which is the pass
+//! [`sigma_nn::Mlp::infer`] — the trainer's evaluation forward — runs, so
+//! the resulting embeddings are identical to the training-side eval forward
+//! *by construction*: the same layer code executes, not a re-implementation
+//! of it, and it copies neither a weight, its input nor any activation.
+//! Every layer's bias shape and the chaining of consecutive layers are
+//! checked as the pass runs.
 
 use crate::Result;
 use sigma::snapshot::{MlpWeights, ModelSnapshot};
 use sigma_matrix::{CsrMatrix, DenseMatrix, DenseView};
-use sigma_nn::{Linear, Mlp};
-
-/// Rebuilds a runnable MLP from exported `(weight, bias)` pairs.
-fn rebuild(stack: &MlpWeights) -> Result<Mlp> {
-    let layers = stack
-        .iter()
-        .map(|(w, b)| Linear::from_parts(w.clone(), b.clone()))
-        .collect::<sigma_nn::Result<Vec<_>>>()?;
-    Ok(Mlp::from_layers(layers, 0.0)?)
-}
 
 /// Runs an exported MLP on a dense input (eval mode: ReLU between layers,
 /// no dropout).
 pub fn mlp_infer_dense(stack: &MlpWeights, input: &DenseMatrix) -> Result<DenseMatrix> {
-    Ok(rebuild(stack)?.infer(input)?)
+    Ok(sigma_nn::infer_parts(stack, |w| input.matmul(w))?)
 }
 
 /// Runs an exported MLP whose first layer consumes a sparse input (the
 /// `MLP_A(A)` path).
 pub fn mlp_infer_sparse(stack: &MlpWeights, input: &CsrMatrix) -> Result<DenseMatrix> {
-    Ok(rebuild(stack)?.infer_sparse(input)?)
+    Ok(sigma_nn::infer_parts(stack, |w| input.spmm(w))?)
 }
 
 /// Computes the full-graph embedding `H` of Eq. 4 from a model snapshot:

@@ -42,8 +42,9 @@
 
 use crate::format::{self, MetaInfo};
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-use crate::{Result, ServeSnapshot, SnapshotError};
+use crate::{Result, ServeError, ServeSnapshot, SnapshotError};
 use sigma::snapshot::ModelSnapshot;
+use sigma::AggregatorKind;
 use sigma_matrix::{CsrView, CsrViewAny, DenseView};
 use sigma_obs::{StaticCounter, StaticHistogram, Stopwatch};
 use std::fs::File;
@@ -203,6 +204,8 @@ pub struct MappedSnapshot {
     backing: Backing,
     sections: Vec<Section>,
     meta: MetaInfo,
+    /// The MODEL blob's aggregator tag, read at open.
+    aggregator_tag: u32,
     verified: AtomicBool,
     model: OnceLock<Arc<ModelSnapshot>>,
 }
@@ -276,11 +279,12 @@ impl MappedSnapshot {
     }
 
     fn from_backing(backing: Backing) -> Result<Self> {
-        let (sections, meta) = Self::parse(backing.bytes())?;
+        let (sections, meta, aggregator_tag) = Self::parse(backing.bytes())?;
         let snap = Self {
             backing,
             sections,
             meta,
+            aggregator_tag,
             verified: AtomicBool::new(false),
             model: OnceLock::new(),
         };
@@ -303,8 +307,9 @@ impl MappedSnapshot {
         Ok(snap)
     }
 
-    /// Header-table parse and O(#sections) structural validation.
-    fn parse(bytes: &[u8]) -> Result<(Vec<Section>, MetaInfo)> {
+    /// Header-table parse and O(#sections) structural validation; returns
+    /// the sections, META and the MODEL blob's aggregator tag.
+    fn parse(bytes: &[u8]) -> Result<(Vec<Section>, MetaInfo, u32)> {
         if !cfg!(target_endian = "little") {
             return Err(SnapshotError::UnsupportedPlatform {
                 reason: "sections are little-endian arrays; this host is big-endian",
@@ -434,8 +439,22 @@ impl MappedSnapshot {
         if meta.has_embeddings {
             expect(format::TAG_EMB, "EMB", n.checked_mul(meta.num_classes), 4)?;
         }
-        require(format::TAG_MODEL, "MODEL")?;
-        Ok((sections, meta))
+        // The MODEL blob's scalars, not its weights: a tag the decoders know
+        // must agree with META on whether the model aggregates.
+        let model = require(format::TAG_MODEL, "MODEL")?;
+        let mut head = &bytes[model.offset..model.offset + model.len];
+        let tag = format::decode_model_header(&mut head)?.aggregator_tag;
+        if let Ok(kind) = format::decode_aggregator(tag) {
+            if (kind == AggregatorKind::SimRank) != meta.has_operator {
+                return Err(ServeError::Corrupt {
+                    reason: format!(
+                        "MODEL aggregator {kind:?} disagrees with META (has_operator = {})",
+                        meta.has_operator
+                    ),
+                });
+            }
+        }
+        Ok((sections, meta, tag))
     }
 
     fn section(&self, tag: [u8; 8]) -> &Section {
@@ -573,6 +592,13 @@ impl MappedSnapshot {
     /// Whether the snapshot carries an aggregation operator.
     pub fn has_operator(&self) -> bool {
         self.meta.has_operator
+    }
+
+    /// The aggregator the MODEL blob names, read at open without its
+    /// weights. A tag no decoder knows is `Corrupt`; a known one agrees with
+    /// [`MappedSnapshot::has_operator`].
+    pub(crate) fn aggregator(&self) -> Result<AggregatorKind> {
+        format::decode_aggregator(self.aggregator_tag)
     }
 
     /// Whether the snapshot carries precomputed embeddings `H`.

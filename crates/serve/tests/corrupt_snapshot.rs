@@ -402,6 +402,47 @@ fn retired_aggregator_tags_are_refused_as_corrupt() {
     }
 }
 
+/// Re-stamps the header-table CRC of section `tag` over its current bytes.
+fn restamp(image: &mut [u8], tag: &[u8; 8]) {
+    let (offset, len) = (entry_offset(image, tag), entry_len(image, tag));
+    let crc = crc32(&image[offset..offset + len]);
+    let p = entry_pos(image, tag);
+    image[p + 24..p + 28].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn an_aggregator_tag_that_disagrees_with_meta_is_refused_at_open() {
+    // A MODEL blob tagged `None` (3) beside the `OP_*` sections, and the
+    // `SimRank` tag beside a META that records no operator. A mapped engine
+    // that trusted META would serve the first with Eq. 6 and the second
+    // without it, so open reads the blob's scalars and refuses both.
+    let full = image();
+    let mut untagged = full.clone();
+    let offset = entry_offset(&untagged, b"MODEL   ");
+    // δ and α (f64 each), the α_raw tag (u32, then an f32 if it is 1),
+    // dropout (f32), then the aggregator tag.
+    let raw_tag = u32::from_le_bytes(untagged[offset + 16..offset + 20].try_into().unwrap());
+    let at = offset + 24 + 4 * raw_tag as usize;
+    untagged[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+    restamp(&mut untagged, b"MODEL   ");
+    let mut no_operator = full;
+    let offset = entry_offset(&no_operator, b"META    ");
+    // The tag string (u64 length, bytes), α (f64), four u64 dimensions,
+    // then `has_operator` (u32).
+    let tag_len = u64::from_le_bytes(no_operator[offset..offset + 8].try_into().unwrap());
+    let at = offset + 48 + tag_len as usize;
+    assert_eq!(no_operator[at..at + 4], 1u32.to_le_bytes());
+    no_operator[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+    restamp(&mut no_operator, b"META    ");
+    for image in [untagged, no_operator] {
+        let refused = |result: Result<(), ServeError>| matches!(result, Err(ServeError::Corrupt { reason }) if reason.contains("disagrees with META"));
+        assert!(refused(MappedSnapshot::from_bytes(&image).map(drop)));
+        assert!(refused(
+            ServeSnapshot::read_from(&mut image.as_slice()).map(drop)
+        ));
+    }
+}
+
 #[test]
 fn file_truncated_under_a_live_mapping_is_refused_not_faulted() {
     // Pages past a shrunken end of file raise SIGBUS when touched, so the

@@ -26,7 +26,7 @@
 //!   is.
 
 use crate::incremental::FrontierLog;
-use crate::localpush::{LocalPush, DEFAULT_MAX_PUSHES};
+use crate::localpush::{csr_of, LocalPush, DEFAULT_MAX_PUSHES};
 use crate::{Result, SimRankConfig, SimRankError};
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
@@ -41,7 +41,7 @@ pub(crate) static REPAIR_DIRTY_SCAN_NS: StaticHistogram = StaticHistogram::new(
 );
 pub(crate) static REPAIR_REPLAY_NS: StaticHistogram = StaticHistogram::new(
     "sigma_simrank_repair_replay_ns",
-    "repair stage 2: the push rounds, sweep and top-k selection of every replayed row",
+    "repair stage 2: the push rounds, each replayed row finished and top-k selected as it is pulled",
 );
 static REPAIR_DIFF_NS: StaticHistogram = StaticHistogram::new(
     "sigma_simrank_repair_diff_ns",
@@ -297,12 +297,12 @@ impl DynamicSimRank {
     }
 
     /// Forces an immediate full recomputation regardless of the staleness
-    /// budget. The run records its frontier log, so the result is
-    /// incrementally repairable by [`DynamicSimRank::repair`].
+    /// budget: [`LocalPush::run_to_operator`], which never builds the score
+    /// matrix, keeping its frontier log so the result is incrementally
+    /// repairable by [`DynamicSimRank::repair`].
     pub fn refresh(&mut self) -> Result<()> {
-        let mut frontier_log = FrontierLog::default();
-        let scores = self.solver()?.run_logged(Some(&mut frontier_log));
-        self.operator = Some(scores.to_csr(self.config.top_k));
+        let (rows, frontier_log) = self.solver()?.fresh_run(self.config.top_k);
+        self.operator = Some(csr_of(self.graph.num_nodes(), &rows));
         self.frontier_log = frontier_log;
         self.pending_edits = 0;
         self.affected.clear();

@@ -9,22 +9,31 @@
 //! adjacency changed, a logged pair `(a, b)` is *tainted* when
 //! `b ∈ P ∪ N(P)`, and row `x` is dirty from round `t` on when `x ∈ P` or
 //! some `a ∈ N_x` has a round-`t` frontier that changed or holds a tainted
-//! pair. A dirty row is re-pulled from round 1, rebuilding its residual and
+//! pair. A dirty row is pulled from round 1, building its residual and
 //! absorb log; clean rows' frontiers are read from the log, and their own
 //! bits cannot have changed. With only the identity round the log is empty
 //! and the dirty rows are the 2-hop ball of `P`.
 //!
 //! [`LocalPush::replay_rounds`] is the only round loop: a fresh run
-//! ([`LocalPush::run`]) is the replay of an empty log with every node
-//! edited. Every row is then dirty from round 1 and pulled in every round
-//! against the frontier the round before crossed, which is Algorithm 1's
-//! round schedule. The loop cuts each round's frontier row-major to the push
-//! budget left; a fresh run keeps the cut pairs absorbed, a replay that
-//! starts from or runs into a cut returns `None`.
+//! ([`LocalPush::run`], [`LocalPush::run_to_operator`]) is the replay of an
+//! empty log with every node edited. Every row is then dirty from round 1
+//! and pulled in every round against the frontier the round before crossed,
+//! which is Algorithm 1's round schedule. The loop cuts each round's
+//! frontier row-major to the push budget left; a fresh run keeps the cut
+//! pairs absorbed, a replay that starts from or runs into a cut returns
+//! `None`.
+//!
+//! A row is finished once, by the pool task of the pass that leaves its
+//! state final, which frees its residual and absorb log: right after its
+//! first pull if that pull crossed nothing, else by the pass after the last
+//! round. A freed row that a later round reaches is re-pulled from round 1,
+//! rebuilding its state bit for bit, and held to the end, so a row's pull
+//! work is at most doubled, and the frontier log and push counts do not
+//! depend on when a row is finished.
 
 use crate::dynamic::{REPAIR_DIRTY_SCAN_NS, REPAIR_REPLAY_NS};
 use crate::localpush::{
-    finish_row, inverse_degrees, merge_ordered, select_rows, Accumulator, SparseRow,
+    csr_of, finish_row, inverse_degrees, merge_ordered, select_top_k, Accumulator, SparseRow,
     LOCALPUSH_PUSHES, LOCALPUSH_ROUNDS, LOCALPUSH_RUNS,
 };
 use crate::LocalPush;
@@ -82,7 +91,11 @@ pub(crate) struct Replay {
 /// What [`LocalPush::replay_rounds`] leaves behind.
 pub(crate) struct Rounds {
     /// The rows pulled, ascending.
-    pub(crate) rows: Vec<DirtyRow>,
+    pub(crate) rows: Vec<u32>,
+    /// Each of them finished, through the rounds' sink.
+    pub(crate) finished: Vec<SparseRow>,
+    /// Pairs the pulled rows absorbed, their diagonal pairs included.
+    pub(crate) absorbs: usize,
     /// The frontier log of the run on this graph.
     pub(crate) log: FrontierLog,
     /// Pairs pushed by every row, pulled or not: at most the push budget.
@@ -91,16 +104,23 @@ pub(crate) struct Rounds {
 
 /// A row the rounds pull: a row an edit reaches, or every row of a fresh
 /// run.
-pub(crate) struct DirtyRow {
+#[derive(Default)]
+struct DirtyRow {
     x: u32,
     /// The first round not pulled yet: 1 for a row that just became dirty.
     next_round: usize,
+    /// Whether the row holds unfinished state; a pulled row that does not is finished.
+    held: bool,
     residual: SparseRow,
     /// The absorb log, from the diagonal pair on.
     absorbed: SparseRow,
     /// The pairs that crossed in the last round pulled: the row's frontier
     /// in the next one.
     crossed: SparseRow,
+    /// The finished row, through the rounds' sink.
+    finished: SparseRow,
+    /// Pairs absorbed by the finished row, its diagonal pair included.
+    absorbs: usize,
 }
 
 /// The frontiers of the rounds a replay has reached: round 1 is the
@@ -122,32 +142,6 @@ impl Frontiers {
             t => pairs_of(&self.rounds[t - 2], a),
         }
     }
-}
-
-impl DirtyRow {
-    /// Entries the row's residual sweep merges.
-    fn sweep_len(&self) -> usize {
-        self.absorbed.len() + self.residual.len()
-    }
-}
-
-/// The residual sweep of every pulled row ([`finish_row`]), over weighted
-/// row blocks on the pool: the rows' finished scores, in row order.
-pub(crate) fn finish_rows(mut rows: Vec<DirtyRow>) -> Vec<SparseRow> {
-    let weights: Vec<usize> = rows.iter().map(DirtyRow::sweep_len).collect();
-    let finish = |_: usize, block: &mut [DirtyRow]| {
-        for row in block {
-            let residual = take(&mut row.residual);
-            row.absorbed = finish_row(row.x as usize, &row.absorbed, &residual);
-        }
-    };
-    let pool = ThreadPool::global();
-    if pool.should_parallelize(weights.iter().sum()) {
-        pool.par_row_blocks_mut_weighted(&mut rows, 1, &weights, finish);
-    } else {
-        finish(0, &mut rows);
-    }
-    rows.into_iter().map(|row| row.absorbed).collect()
 }
 
 impl LocalPush {
@@ -185,23 +179,17 @@ impl LocalPush {
             dirty.extend_from_slice(graph.neighbors(a));
         }
         REPAIR_DIRTY_SCAN_NS.record(clock.lap());
-        let rounds = self.replay_rounds(log, &tainted, dirty);
+        let rounds = self.replay_rounds(log, &tainted, dirty, self.config.top_k);
         if rounds.log.cut {
             return None;
         }
-        let rows = rounds.rows;
         // Every pair a row absorbed it pushed in the next round: no round
         // was cut.
-        self.pushes_performed = rows.iter().map(|row| row.absorbed.len()).sum();
+        self.pushes_performed = rounds.absorbs;
         LOCALPUSH_PUSHES.add(self.pushes_performed as u64);
-        // Each row is finished as it is selected, so only one finished row
-        // per task is alive at a time.
-        let weights: Vec<usize> = rows.iter().map(DirtyRow::sweep_len).collect();
-        let finish =
-            |i: usize| finish_row(rows[i].x as usize, &rows[i].absorbed, &rows[i].residual);
         let replay = Replay {
-            rows: rows.iter().map(|row| row.x as usize).collect(),
-            operator_rows: select_rows(n, self.config.top_k, &weights, finish),
+            rows: rounds.rows.iter().map(|&x| x as usize).collect(),
+            operator_rows: csr_of(n, &rounds.finished),
             log: rounds.log,
         };
         REPAIR_REPLAY_NS.record(clock.lap());
@@ -213,12 +201,14 @@ impl LocalPush {
     /// rows they make dirty, and reading every other row's frontier from
     /// `log`; `tainted` marks `P ∪ N(P)` (see the module docs). Each round's
     /// frontier is cut row-major to the pushes the budget has left, and the
-    /// cut pairs stay absorbed.
+    /// cut pairs stay absorbed. Every pulled row is finished with its top
+    /// `keep` entries (all for `None`).
     pub(crate) fn replay_rounds(
         &self,
         log: &FrontierLog,
         tainted: &[bool],
         mut newly: Vec<u32>,
+        keep: Option<usize>,
     ) -> Rounds {
         LOCALPUSH_RUNS.inc();
         let graph = &self.graph;
@@ -239,17 +229,23 @@ impl LocalPush {
         for t in 1.. {
             newly.retain(|&x| !replace(&mut is_dirty[x as usize], true));
             if !newly.is_empty() {
-                dirty.extend(newly.drain(..).map(|x| DirtyRow {
+                let new = |x| DirtyRow {
                     x,
                     next_round: 1,
-                    residual: Vec::new(),
-                    absorbed: vec![(x, 1.0)],
-                    crossed: Vec::new(),
-                }));
+                    ..DirtyRow::default()
+                };
+                dirty.extend(newly.drain(..).map(new));
                 dirty.sort_unstable_by_key(|row| row.x);
             }
             LOCALPUSH_ROUNDS.inc();
-            self.pull_dirty_rows(&inv_deg, &frontiers, &mut dirty, t, &accumulators);
+            self.pull_dirty_rows(
+                &inv_deg,
+                &frontiers,
+                &mut dirty,
+                Some(t),
+                keep,
+                &accumulators,
+            );
 
             // Round `t + 1`'s frontier: the logged one of clean rows, the
             // replayed one of dirty rows, cut row-major to the budget left.
@@ -277,11 +273,14 @@ impl LocalPush {
             }
             frontiers.rounds.push(next);
         }
+        self.pull_dirty_rows(&inv_deg, &frontiers, &mut dirty, None, keep, &accumulators);
         // Once a round is empty every later one is; a fresh run logs none
         // of them.
         frontiers.rounds.retain(|round| !round.is_empty());
         Rounds {
-            rows: dirty,
+            rows: dirty.iter().map(|row| row.x).collect(),
+            absorbs: dirty.iter().map(|row| row.absorbs).sum(),
+            finished: dirty.into_iter().map(|row| row.finished).collect(),
             log: FrontierLog {
                 rounds: frontiers.rounds,
                 cut,
@@ -290,49 +289,92 @@ impl LocalPush {
         }
     }
 
-    /// Pulls every dirty row through rounds `next_round..=t` on the pool,
-    /// each row owned by one task, which takes an accumulator from
-    /// `accumulators` and puts it back. A row none of whose neighbours
-    /// pushed in a round is not pulled in it.
+    /// One pass over the dirty rows on the pool, each row owned by one
+    /// task, which takes an accumulator from `accumulators` and puts it
+    /// back. Pass `Some(t)` pulls every row through rounds `next_round..=t`,
+    /// skipping a round in which none of its neighbours pushed; pass `None`
+    /// comes after the last round. The task finishes each row once, with
+    /// its top `keep` entries, and frees its state: right after its first
+    /// pull if that crossed nothing, in pass `None` otherwise. A row whose
+    /// state was freed and that a later round reaches is re-pulled from
+    /// round 1 and held.
     fn pull_dirty_rows(
         &self,
         inv_deg: &[f32],
         frontiers: &Frontiers,
         dirty: &mut [DirtyRow],
-        t: usize,
+        round: Option<usize>,
+        keep: Option<usize>,
         accumulators: &Mutex<Vec<Accumulator>>,
     ) {
         let graph = &self.graph;
+        let reached = |row: &DirtyRow, s: usize| {
+            let neighbours = graph.neighbors(row.x as usize);
+            neighbours.iter().any(|&a| !frontiers.get(s, a).is_empty())
+        };
+        // The rounds pass `t` pulls a row through.
+        let rounds = |row: &DirtyRow, t: usize| match row.next_round {
+            next if next == 1 || row.held => next..=t,
+            next if (next..=t).any(|s| reached(row, s)) => 1..=t,
+            _ => t + 1..=t,
+        };
         let pull = |_: usize, block: &mut [DirtyRow]| {
             let spare = || accumulators.lock().expect("accumulator pool lock poisoned");
             let mut acc = spare().pop().unwrap_or_default();
             acc.resize(graph.num_nodes());
+            let mut select_buf = Vec::new();
             for row in block {
-                let neighbours = graph.neighbors(row.x as usize);
-                for s in row.next_round..=t {
-                    row.crossed.clear();
-                    if neighbours.iter().all(|&a| frontiers.get(s, a).is_empty()) {
-                        continue;
+                let fresh = row.next_round == 1;
+                if let Some(t) = round {
+                    let rounds = rounds(row, t);
+                    if *rounds.start() == 1 {
+                        row.absorbed = vec![(row.x, 1.0)];
                     }
-                    let frontier = |a: u32| frontiers.get(s, a);
-                    let (kept, crossed) =
-                        self.pull_row(inv_deg, frontier, &row.residual, row.x, &mut acc);
-                    row.residual = kept;
-                    if !crossed.is_empty() {
-                        row.absorbed = merge_ordered(&row.absorbed, &crossed);
+                    for s in rounds {
+                        row.crossed.clear();
+                        if !reached(row, s) {
+                            continue;
+                        }
+                        let frontier = |a: u32| frontiers.get(s, a);
+                        let (kept, crossed) =
+                            self.pull_row(inv_deg, frontier, &row.residual, row.x, &mut acc);
+                        row.residual = kept;
+                        if !crossed.is_empty() {
+                            row.absorbed = merge_ordered(&row.absorbed, &crossed);
+                        }
+                        row.crossed = crossed;
+                        row.held = true;
                     }
-                    row.crossed = crossed;
+                    row.next_round = t + 1;
                 }
-                row.next_round = t + 1;
+                // The row's state is final unless a later round reaches it:
+                // likely once its first pull crossed nothing (every row on
+                // graphs where no off-diagonal pair crosses), certain after
+                // the last round.
+                let finished = match round {
+                    Some(_) => fresh && row.crossed.is_empty(),
+                    None => row.held,
+                };
+                if finished {
+                    row.held = false;
+                    row.absorbs = row.absorbed.len();
+                    let finished = finish_row(row.x as usize, &row.absorbed, &row.residual);
+                    row.finished =
+                        select_top_k(&finished, keep, &mut select_buf).unwrap_or(finished);
+                    (row.residual, row.absorbed) = (Vec::new(), Vec::new());
+                }
             }
             spare().push(acc);
         };
-        // Pull work per row, for the planner: a pass as long as the pulls'
-        // outer loops, so a one-thread pool skips it.
+        // Work per row, for the planner: a pass as long as the pulls' outer
+        // loops, so a one-thread pool skips it.
         let pool = ThreadPool::global();
         if dirty.len() > 1 && pool.num_threads() > 1 {
             let work = |row: &DirtyRow| -> usize {
-                let frontier = (row.next_round..=t).flat_map(|s| {
+                let Some(t) = round else {
+                    return 1 + row.absorbed.len() + row.residual.len();
+                };
+                let frontier = rounds(row, t).flat_map(|s| {
                     let neighbours = graph.neighbors(row.x as usize).iter();
                     neighbours.flat_map(move |&a| frontiers.get(s, a))
                 });
@@ -375,6 +417,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::{SimRankConfig, SparseScores};
     use sigma_graph::Graph;
+    use sigma_testutil::at_pool_width;
+    use sigma_testutil::reference::{localpush_reference_at, top_k_reference};
 
     /// `graph` with `inserted` added and `deleted` removed.
     pub(crate) fn edit(
@@ -392,10 +436,7 @@ pub(crate) mod tests {
         let edited: Vec<u32> = (0..before.num_nodes() as u32)
             .filter(|&u| before.neighbors(u as usize) != after.neighbors(u as usize))
             .collect();
-        let mut log = FrontierLog::default();
-        LocalPush::new(before, cfg)
-            .unwrap()
-            .run_logged(Some(&mut log));
+        let (_, log) = LocalPush::new(before, cfg).unwrap().fresh_run(None);
         let mut solver = LocalPush::new(after, cfg).unwrap();
         let replay = solver.replay(&log, &edited, &mut Stopwatch::start());
         replay.expect("no push budget in play")
@@ -425,10 +466,8 @@ pub(crate) mod tests {
                 let cfg = SimRankConfig::new(0.6, epsilon, Some(4)).unwrap();
                 let replay = replay_onto(before, after, cfg);
                 let old = LocalPush::new(before, cfg).unwrap().run();
-                let mut fresh_log = FrontierLog::default();
-                let new = LocalPush::new(after, cfg)
-                    .unwrap()
-                    .run_logged(Some(&mut fresh_log));
+                let new = LocalPush::new(after, cfg).unwrap().run();
+                let (_, fresh_log) = LocalPush::new(after, cfg).unwrap().fresh_run(None);
                 assert_eq!(replay.log, fresh_log, "ε {epsilon}: frontier log");
                 let operator = new.to_csr(cfg.top_k);
                 let spliced = old
@@ -454,13 +493,58 @@ pub(crate) mod tests {
         let g = chorded_ring();
         for epsilon in [0.1, 0.005] {
             let cfg = SimRankConfig::new(0.6, epsilon, Some(4)).unwrap();
-            let mut log = FrontierLog::default();
             let mut solver = LocalPush::new(&g, cfg).unwrap();
-            solver.run_logged(Some(&mut log));
+            let (_, log) = solver.fresh_run(None);
             let replay = solver.replay(&log, &[], &mut Stopwatch::start()).unwrap();
             assert!(replay.rows.is_empty() && replay.operator_rows.nnz() == 0);
             assert_eq!(replay.log, log, "ε {epsilon}");
             assert_eq!(solver.pushes_performed(), 0);
+        }
+    }
+
+    #[test]
+    fn rows_a_later_round_reaches_are_re_pulled_to_the_reference_bits() {
+        // A row whose first pull crossed nothing is finished and frees its
+        // state, and a later round's frontier reaches some such rows: hubs
+        // beside leaves, and the Snap-patents preset. Those rows are
+        // re-pulled from round 1; scores, operator, frontier log and pushes
+        // stay the nested-loop reference's at every pool width.
+        let power_law = sigma_testutil::power_law_graph(300, 60, 47);
+        let patents = sigma_datasets::DatasetPreset::SnapPatents.build(0.2, 47);
+        for g in [&power_law, &patents.unwrap().graph] {
+            let cfg = SimRankConfig::new(0.6, 0.1, Some(8)).unwrap();
+            let reference = localpush_reference_at(g, (0.6, 0.1), usize::MAX);
+            let n = g.num_nodes();
+            // Rows that push nothing in round 2 but neighbour a row that
+            // pushes in round 2 or later.
+            let pushing = |round: &FrontierRound, x: u32| round.iter().any(|(a, _)| *a == x);
+            let re_pulled = (0..n as u32).filter(|&x| {
+                let reached = |round| g.neighbors(x as usize).iter().any(|&a| pushing(round, a));
+                !pushing(&reference.log[0], x) && reference.log.iter().any(reached)
+            });
+            assert!(re_pulled.count() > 0, "{n} nodes: no row is re-pulled");
+            let bits = |row: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                row.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+            };
+            for threads in [1, 2, 4] {
+                at_pool_width(threads, || {
+                    let what = format!("{n} nodes, {threads} threads");
+                    let mut solver = LocalPush::new(g, cfg).unwrap();
+                    let (scores, log) = solver.fresh_run(None);
+                    assert_eq!(solver.pushes_performed(), reference.pushes, "{what}");
+                    // Residuals are positive and finite, so `==` compares bits.
+                    assert_eq!(log.rounds, reference.log, "{what}: frontier log");
+                    assert!(!log.cut);
+                    let operator = LocalPush::new(g, cfg).unwrap().run_to_operator();
+                    for (u, want) in reference.rows.iter().enumerate() {
+                        assert_eq!(bits(&scores[u]), bits(want), "{what}: score row {u}");
+                        let got: Vec<(u32, f32)> =
+                            operator.row_iter(u).map(|(v, s)| (v as u32, s)).collect();
+                        let want = top_k_reference(want, cfg.top_k);
+                        assert_eq!(bits(&got), bits(&want), "{what}: operator row {u}");
+                    }
+                });
+            }
         }
     }
 }

@@ -76,26 +76,24 @@
 //!
 //! While the rounds run, a row of `Ŝ` is a column-ascending *absorb log*: a
 //! pair absorbed in several rounds is listed once per absorb, in round
-//! order. After the last round every pulled row is finished on its own, over
-//! weighted disjoint row ranges on the pool: the log and the residual the
-//! row still carries are merged — each column summed left to right, the
-//! log's absorbs in round order, then the residual — and the row is pruned
-//! relative to its largest off-diagonal score. A fresh run finishes every
-//! row in place, freeing each residual row as it goes, and
-//! [`SparseScores::to_csr`] then selects the operator from the scores; a
-//! replay finishes each re-pulled row as it selects it. Both go through one
-//! top-k selection: a `select_nth` against the k-th entry of the top-k order
-//! and a filter that leaves the kept entries in column order.
+//! order. A row is finished once its state is final: the log and the
+//! residual the row still carries are merged — each column summed left to
+//! right, the log's absorbs in round order, then the residual — the row is
+//! pruned relative to its largest off-diagonal score, and its sink keeps the
+//! whole row for [`LocalPush::run`] or its top-k entries for an operator.
+//! The pool task that pulls a row finishes it and frees its state (when is
+//! in the `incremental` module docs), so an operator build never holds the
+//! score matrix. One top-k selection serves operators, replays and
+//! [`SparseScores::to_csr`]: a `select_nth` against the k-th entry of the
+//! top-k order and a filter that leaves the kept entries in column order.
 
-use crate::incremental::{finish_rows, FrontierLog};
+use crate::incremental::FrontierLog;
 use crate::{Result, SimRankConfig};
 use sigma_graph::Graph;
 use sigma_matrix::CsrMatrix;
 use sigma_obs::{StaticCounter, StaticHistogram, Stopwatch};
-use sigma_parallel::ThreadPool;
 use std::cmp::Ordering;
 use std::mem::take;
-use std::ops::Range;
 
 pub(crate) static LOCALPUSH_RUNS: StaticCounter = StaticCounter::new(
     "sigma_localpush_runs_total",
@@ -109,23 +107,13 @@ pub(crate) static LOCALPUSH_PUSHES: StaticCounter = StaticCounter::new(
     "sigma_localpush_pushes_total",
     "residual pushes performed across all LocalPush runs",
 );
-// A coupled run laps one `sigma_obs::Stopwatch` through these two, so its
-// stage samples add up to the run.
 static LOCALPUSH_PULL_NS: StaticHistogram = StaticHistogram::new(
     "sigma_localpush_pull_ns",
-    "coupled LocalPush stage 1: the push rounds (row pulls and absorbs)",
-);
-static LOCALPUSH_FINISH_NS: StaticHistogram = StaticHistogram::new(
-    "sigma_localpush_finish_ns",
-    "coupled LocalPush stage 2: the residual sweep and relative prune of every row",
+    "fresh LocalPush runs: the push rounds, each row finished and selected by the task that pulls it",
 );
 
 /// One sparse row: `(column, value)` pairs, column-ascending.
 pub(crate) type SparseRow = Vec<(u32, f32)>;
-
-/// Rows of a CSR slice under construction: cumulative row ends, column
-/// indices, values (the part shape `sigma_matrix::concat_row_parts` joins).
-type RowPart = (Vec<usize>, Vec<u32>, Vec<f32>);
 
 /// Sparse, symmetric similarity scores produced by [`LocalPush`].
 #[derive(Debug, Clone)]
@@ -172,64 +160,43 @@ fn by_score_then_column(a: &(u32, f32), b: &(u32, f32)) -> Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
-/// Appends the `top_k` entries of one column-ascending row to `part` as its
-/// next row (every entry for `None`). Selecting is a filter against the
-/// k-th entry of the selection order, so the kept entries come out in CSR
-/// order with no re-sort; `select_buf` is the selection buffer.
-fn select_top_k(
+/// The `top_k` entries of one finished, column-ascending row, in column
+/// order, or `None` when the row keeps every entry (`top_k` is `None` or
+/// not below the row's length): the sink every pulled row goes through.
+/// Selecting is a filter against the k-th entry of the selection order, so
+/// the kept entries need no re-sort; `select_buf` is the selection buffer.
+pub(crate) fn select_top_k(
     row: &[(u32, f32)],
     top_k: Option<usize>,
     select_buf: &mut SparseRow,
-    part: &mut RowPart,
-) {
-    let (ends, indices, values) = part;
-    let cutoff = top_k.filter(|&k| k < row.len()).map(|k| {
-        select_buf.clear();
-        select_buf.extend_from_slice(row);
-        *select_buf
-            .select_nth_unstable_by(k - 1, by_score_then_column)
-            .1
-    });
-    for entry in row {
-        if cutoff.is_none_or(|kth| by_score_then_column(entry, &kth).is_le()) {
-            indices.push(entry.0);
-            values.push(entry.1);
-        }
-    }
-    ends.push(indices.len());
+) -> Option<SparseRow> {
+    let k = top_k.filter(|&k| k < row.len())?;
+    select_buf.clear();
+    select_buf.extend_from_slice(row);
+    let kth = *select_buf
+        .select_nth_unstable_by(k - 1, by_score_then_column)
+        .1;
+    let mut kept = Vec::with_capacity(k);
+    kept.extend(
+        row.iter()
+            .filter(|entry| by_score_then_column(entry, &kth).is_le()),
+    );
+    Some(kept)
 }
 
-/// Top-k selects `weights.len()` finished score rows, the `i`-th produced
-/// by `row(i)`, into a `weights.len() × cols` CSR slice: rows are cut into
-/// ranges of near-equal `weights` (score rows are heavily skewed on
-/// hub-dominated graphs) on the shared [`sigma_parallel::ThreadPool`] and
-/// the ranges concatenated in order, so the slice is a pure function of the
-/// rows at every thread count. The one selection behind
-/// [`SparseScores::rows_to_csr`] and a replay's operator rows.
-pub(crate) fn select_rows<R: AsRef<[(u32, f32)]>>(
-    cols: usize,
-    top_k: Option<usize>,
-    weights: &[usize],
-    row: impl Fn(usize) -> R + Sync,
-) -> CsrMatrix {
-    let count = weights.len();
-    let select = |range: Range<usize>| -> RowPart {
-        let mut part = (Vec::with_capacity(range.len()), Vec::new(), Vec::new());
-        let mut select_buf = Vec::new();
-        for i in range {
-            select_top_k(row(i).as_ref(), top_k, &mut select_buf, &mut part);
-        }
-        part
-    };
-    let pool = ThreadPool::global();
-    let parts = if count > 1 && pool.should_parallelize(weights.iter().sum()) {
-        pool.par_map_ranges_weighted(weights, select)
-    } else {
-        vec![select(0..count)]
-    };
-    let (indptr, indices, values) = sigma_matrix::concat_row_parts(count, parts);
-    CsrMatrix::from_raw(count, cols, indptr, indices, values)
-        .expect("scores produce a valid CSR layout")
+/// The `rows.len() × cols` CSR matrix whose `i`-th row is `rows[i]`.
+pub(crate) fn csr_of(cols: usize, rows: &[SparseRow]) -> CsrMatrix {
+    let nnz = rows.iter().map(Vec::len).sum();
+    let mut indptr = Vec::with_capacity(rows.len() + 1);
+    let (mut indices, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    indptr.push(0);
+    for row in rows {
+        indices.extend(row.iter().map(|&(col, _)| col));
+        values.extend(row.iter().map(|&(_, value)| value));
+        indptr.push(indices.len());
+    }
+    CsrMatrix::from_raw(rows.len(), cols, indptr, indices, values)
+        .expect("score rows produce a valid CSR layout")
 }
 
 impl SparseScores {
@@ -260,12 +227,10 @@ impl SparseScores {
     /// Materialises the scores as a CSR operator, optionally keeping only the
     /// `k` largest entries per row. This is SIGMA's aggregation matrix `S`.
     ///
-    /// Rows are materialised in parallel over disjoint row ranges on the
-    /// shared [`sigma_parallel::ThreadPool`] and concatenated in range order;
-    /// top-k ties break towards the smaller column index. Both make the
-    /// operator a pure function of the scores — independent of thread count
-    /// — which is what lets a repair patch individual rows bitwise-identically
-    /// to a full rebuild.
+    /// Top-k ties break towards the smaller column index, so the operator is
+    /// a pure function of the scores and equals
+    /// [`LocalPush::run_to_operator`], which selects each row as it is
+    /// finished.
     pub fn to_csr(&self, top_k: Option<usize>) -> CsrMatrix {
         let rows: Vec<usize> = (0..self.num_nodes).collect();
         self.rows_to_csr(&rows, top_k)
@@ -278,8 +243,12 @@ impl SparseScores {
     /// # Panics
     /// Panics if any selected row is out of bounds.
     pub fn rows_to_csr(&self, rows: &[usize], top_k: Option<usize>) -> CsrMatrix {
-        let weights: Vec<usize> = rows.iter().map(|&u| self.rows[u].len()).collect();
-        select_rows(self.num_nodes, top_k, &weights, |i| &self.rows[rows[i]])
+        let mut select_buf = Vec::new();
+        let select = |&u: &usize| {
+            let row = &self.rows[u];
+            select_top_k(row, top_k, &mut select_buf).unwrap_or_else(|| row.clone())
+        };
+        csr_of(self.num_nodes, &rows.iter().map(select).collect::<Vec<_>>())
     }
 }
 
@@ -414,40 +383,28 @@ impl LocalPush {
     /// sub-threshold residual is then swept into `Ŝ`, which keeps the top-k
     /// structure resolvable on dense graphs and only reduces the error.
     pub fn run(&mut self) -> SparseScores {
-        self.run_logged(None)
+        let (rows, _) = self.fresh_run(None);
+        SparseScores {
+            num_nodes: self.graph.num_nodes(),
+            rows,
+        }
     }
 
-    /// [`LocalPush::run`], recording the run's frontier log into
-    /// `frontier_log` when one is given.
-    pub(crate) fn run_logged(&mut self, frontier_log: Option<&mut FrontierLog>) -> SparseScores {
+    /// A fresh run: the replay of an empty log with every node edited, so
+    /// every pair is tainted and every row dirty from round 1 (see the
+    /// module docs). Returns every row finished with its top `keep` entries,
+    /// in row order, and the run's frontier log.
+    pub(crate) fn fresh_run(&mut self, keep: Option<usize>) -> (Vec<SparseRow>, FrontierLog) {
         let n = self.graph.num_nodes();
         let _span = sigma_obs::span!("localpush_run", n);
-        let mut clock = Stopwatch::start();
-        // The replay of an empty log with every node edited: every pair is
-        // tainted and every row dirty from round 1 (see the module docs).
-        let rounds = self.replay_rounds(
-            &FrontierLog::default(),
-            &vec![true; n],
-            (0..n as u32).collect(),
-        );
+        let clock = Stopwatch::start();
+        let all = (0..n as u32).collect();
+        let rounds = self.replay_rounds(&FrontierLog::default(), &vec![true; n], all, keep);
         self.pushes_performed = rounds.pushes;
         LOCALPUSH_PUSHES.add(rounds.pushes as u64);
-        LOCALPUSH_PULL_NS.record(clock.lap());
-
-        // Residual sweep: absorb all remaining sub-threshold mass so dense
-        // graphs keep their (small but informative) first-order scores, then
-        // drop entries that are trivial relative to their row.
-        let scores = SparseScores {
-            num_nodes: n,
-            rows: finish_rows(rounds.rows),
-        };
-        LOCALPUSH_FINISH_NS.record(clock.lap());
-        if let Some(frontier_log) = frontier_log {
-            *frontier_log = rounds.log;
-        }
-        scores
+        LOCALPUSH_PULL_NS.record(clock.elapsed_ns());
+        (rounds.finished, rounds.log)
     }
-
     /// Pulls one round's delta into row `x` (see the module docs), returning
     /// the row's new carried residual and the pairs that crossed the
     /// threshold. `frontier(a)` is the pairs `(a, b)` the round pushes with
@@ -493,11 +450,12 @@ impl LocalPush {
         (kept, crossed)
     }
 
-    /// Convenience: runs the solver and materialises the top-k CSR operator
-    /// configured in [`SimRankConfig::top_k`].
+    /// Runs the solver straight to the top-k CSR operator configured in
+    /// [`SimRankConfig::top_k`]: each row is selected as it is finished, so
+    /// the score matrix is never built.
     pub fn run_to_operator(&mut self) -> CsrMatrix {
-        let scores = self.run();
-        scores.to_csr(self.config.top_k)
+        let (rows, _) = self.fresh_run(self.config.top_k);
+        csr_of(self.graph.num_nodes(), &rows)
     }
 }
 

@@ -85,7 +85,14 @@ pub struct LocalPushReference {
     pub pushes: usize,
     /// Rounds that pushed at least one pair.
     pub rounds: usize,
+    /// The pairs every such round after the first pushed — the frontier
+    /// log a run records.
+    pub log: Vec<FrontierRound>,
 }
+
+/// One round's pushed pairs: the rows that pushed, ascending, each with its
+/// `(column, residual)` pairs column-ascending.
+pub type FrontierRound = Vec<(u32, Vec<(u32, f32)>)>;
 
 /// The coupled LocalPush of `sigma_simrank::LocalPush::run` as nested loops
 /// over dense `n × n` matrices, in the solver's canonical summation order.
@@ -102,9 +109,20 @@ pub fn localpush_reference(
     config: SimRankConfig,
     max_pushes: usize,
 ) -> LocalPushReference {
+    localpush_reference_at(graph, (config.decay, config.epsilon), max_pushes)
+}
+
+/// [`localpush_reference`] at decay `c` and precision `ε` given as numbers:
+/// the form `sigma-simrank`'s own unit tests call, which see a different
+/// build of `SimRankConfig` than this crate does.
+pub fn localpush_reference_at(
+    graph: &Graph,
+    (decay, epsilon): (f64, f64),
+    max_pushes: usize,
+) -> LocalPushReference {
     let n = graph.num_nodes();
-    let c = config.decay as f32;
-    let threshold = ((1.0 - config.decay) * config.epsilon) as f32;
+    let c = decay as f32;
+    let threshold = ((1.0 - decay) * epsilon) as f32;
     let inv_deg: Vec<f32> = (0..n)
         .map(|v| match graph.degree(v) {
             0 => 0.0,
@@ -116,7 +134,7 @@ pub fn localpush_reference(
     for (u, row) in residual.iter_mut().enumerate() {
         row[u] = 1.0;
     }
-    let (mut pushes, mut rounds) = (0usize, 0usize);
+    let (mut pushes, mut rounds, mut log) = (0usize, 0usize, Vec::new());
     loop {
         let mut frontier: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
         for a in 0..n {
@@ -137,6 +155,14 @@ pub fn localpush_reference(
         let pushed = max_pushes - pushes - budget;
         if pushed == 0 {
             break;
+        }
+        if rounds > 0 {
+            let pushing = frontier
+                .iter()
+                .enumerate()
+                .filter(|(_, row)| !row.is_empty());
+            let pairs = |row: &Vec<(usize, f32)>| row.iter().map(|&(b, r)| (b as u32, r)).collect();
+            log.push(pushing.map(|(a, row)| (a as u32, pairs(row))).collect());
         }
         pushes += pushed;
         rounds += 1;
@@ -179,6 +205,7 @@ pub fn localpush_reference(
         rows,
         pushes,
         rounds,
+        log,
     }
 }
 
